@@ -16,20 +16,43 @@ states:
 The approximations over-cover their slices by construction (no state is
 lost), so the only thing that can go wrong is that the on- and off-set
 approximations intersect.  When they do, the offending approximations are
-**refined**: following the paper's observation that complete refinement
-"restores the exact covers", the offending element's cube is replaced by the
-exact cover of the states of its slice in which the element is active
-(marked / enabled), obtained from a slice-local cut traversal.  If, after
-every offending element has been fully refined, the covers still intersect,
-the specification has a CSC conflict (Section 4.3).
+**refined**, in rounds of two tiers:
+
+1. a marked-region part is intersected with the restricted cover of its
+   condition against every ``next`` instance of its slice (no state
+   enumeration);
+2. following the paper's observation that complete refinement "restores the
+   exact covers", a part that still offends has its cube replaced by the
+   exact cover of the states of its slice in which its element is active
+   (marked / enabled), obtained from a slice-local cut traversal.
+
+If, after every offending element has been fully refined, the covers still
+intersect, the specification has a CSC conflict (Section 4.3).
+
+How refinement is computed
+--------------------------
+No step is repeated, and no cube differs from the direct definitions:
+
+* The offending parts are found without comparing every on/off pair.  For
+  each variable, an int mask holds the off-cubes that fix it to 1 and
+  another those that fix it to 0; the off-cubes disjoint from an on-cube are
+  the OR of the masks opposite its literals, so each on-cube costs O(nvars)
+  int operations.
+* Tier 2 groups the still-offending parts by slice and walks each slice's
+  cuts once, testing every part's element against each cut.
+* Every round that continues sets ``restricted`` or ``refined`` on some part
+  for the first time, so refinement ends within ``2 * |parts| + 1`` rounds
+  without a cap.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..boolean import BooleanFunction, Cover, Cube, espresso, minterm_cover
+from ..core import iter_set_bits
+from ..obs import current_tracer
 from ..stg import STG
 from ..unfolding import Condition, Event, Slice, UnfoldingSegment, off_slices, on_slices, unfold
 from .netlist import Gate, Implementation
@@ -71,7 +94,14 @@ class CoverPart:
 
 
 class ApproxSignalCovers:
-    """Approximated (and possibly refined) covers of one signal."""
+    """Approximated (and possibly refined) covers of one signal.
+
+    Refinement statistics: ``refinement_rounds`` counts the rounds that
+    found offending parts, ``parts_refined`` the parts either tier changed,
+    ``parts_fully_refined`` those the second tier replaced by exact covers,
+    ``slices_walked`` the slice cut walks that took, and ``cuts_enumerated``
+    the cuts those walks visited.
+    """
 
     def __init__(
         self,
@@ -86,6 +116,9 @@ class ApproxSignalCovers:
         self.nvars = nvars
         self.refinement_rounds = 0
         self.parts_refined = 0
+        self.parts_fully_refined = 0
+        self.slices_walked = 0
+        self.cuts_enumerated = 0
         self.csc_conflict = False
 
     @property
@@ -235,31 +268,58 @@ def approximate_signal_covers(
 # ---------------------------------------------------------------------- #
 # Refinement (Section 4.3)
 # ---------------------------------------------------------------------- #
-def _element_active(element: Element, cut_mask: int) -> bool:
-    """True when the element 'holds' at a cut (condition marked / event enabled)."""
-    if isinstance(element, Condition):
-        return bool(cut_mask >> element.cid & 1)
-    preset_mask = element.preset_mask
-    return cut_mask & preset_mask == preset_mask
+def _refine_exactly(
+    segment: UnfoldingSegment, parts: Sequence[CoverPart], covers: ApproxSignalCovers
+) -> None:
+    """Second refinement tier: replace every part's cover by its exact cover.
 
-
-def _exact_part_cover(segment: UnfoldingSegment, part: CoverPart) -> Cover:
-    """Fully refined cover of a part: exact codes of the slice states where
-    the part's element is active and the signal has the slice's implied
-    value.  This is the limit of the paper's refinement procedure."""
-    stg = segment.stg
-    nvars = len(stg.signals)
-    slice_ = part.slice
-    element = part.element
+    A part's exact cover holds the codes of the slice states where the
+    part's element is active (condition marked / event enabled) and the
+    signal has the slice's implied value -- the limit of the paper's
+    refinement procedure.  The parts are grouped by slice, and each slice's
+    cuts are walked once for the whole group: a condition element is found
+    among the cut's own bits, an event element by a preset test.
+    """
+    by_slice: Dict[Slice, List[CoverPart]] = {}
+    for part in parts:
+        by_slice.setdefault(part.slice, []).append(part)
     implied = segment.implied_value_word
-    codes: Set[int] = set()
-    for cut in slice_.cuts():
-        if not _element_active(element, cut.condition_mask):
-            continue
-        if implied(cut.marking_word, cut.code_word, slice_.signal) != slice_.phase:
-            continue
-        codes.add(cut.code_word)
-    return minterm_cover(nvars, codes)
+    for slice_, group in by_slice.items():
+        by_condition: Dict[int, List[int]] = {}
+        by_preset: List[Tuple[int, int]] = []
+        watched = 0
+        for index, part in enumerate(group):
+            element = part.element
+            if isinstance(element, Condition):
+                by_condition.setdefault(element.cid, []).append(index)
+                watched |= 1 << element.cid
+            else:
+                by_preset.append((element.preset_mask, index))
+        codes: List[Set[int]] = [set() for _ in group]
+        signal, phase = slice_.signal, slice_.phase
+        walked = 0
+        for cut in slice_.cuts():
+            walked += 1
+            cut_mask = cut.condition_mask
+            active = [
+                index
+                for cid in iter_set_bits(cut_mask & watched)
+                for index in by_condition[cid]
+            ]
+            active.extend(
+                index for preset_mask, index in by_preset if cut_mask & preset_mask == preset_mask
+            )
+            if not active or implied(cut.marking_word, cut.code_word, signal) != phase:
+                continue
+            for index in active:
+                codes[index].add(cut.code_word)
+        covers.slices_walked += 1
+        covers.cuts_enumerated += walked
+        for part, part_codes in zip(group, codes):
+            part.cover = minterm_cover(covers.nvars, part_codes)
+            part.refined = True
+        covers.parts_refined += len(group)
+        covers.parts_fully_refined += len(group)
 
 
 def _restrict_part(segment: UnfoldingSegment, part: CoverPart) -> Cover:
@@ -292,7 +352,6 @@ def _restrict_part(segment: UnfoldingSegment, part: CoverPart) -> Cover:
 def refine_signal_covers(
     segment: UnfoldingSegment,
     covers: ApproxSignalCovers,
-    max_rounds: int = 50,
 ) -> ApproxSignalCovers:
     """Refine approximated covers until on/off intersection becomes empty.
 
@@ -307,51 +366,86 @@ def refine_signal_covers(
        active -- the limit of the paper's iterative procedure.
 
     When every offending part is fully refined and the covers still
-    intersect, the signal has a CSC conflict (Section 4.3).
+    intersect, the signal has a CSC conflict (Section 4.3).  Every round
+    that continues marks some part ``restricted`` or ``refined`` for the
+    first time, so the loop ends on its own.
     """
-    for _round in range(max_rounds):
-        offending = _offending_parts(covers)
-        if not offending:
-            return covers
-        covers.refinement_rounds += 1
-        progressed = False
-        # Tier 1: restricted covers (cheap, no state enumeration).
-        for part in offending:
-            if part.restricted or part.refined:
+    with current_tracer().span("refine", signal=covers.signal) as span:
+        while True:
+            offending = _offending_parts(covers)
+            if not offending:
+                break
+            covers.refinement_rounds += 1
+            progressed = False
+            # Tier 1: restricted covers (cheap, no state enumeration).
+            for part in offending:
+                if part.restricted or part.refined:
+                    continue
+                part.restricted = True
+                restricted = _restrict_part(segment, part)
+                if set(restricted.cubes) != set(part.cover.cubes):
+                    part.cover = restricted
+                    covers.parts_refined += 1
+                    progressed = True
+            if progressed:
                 continue
-            part.restricted = True
-            restricted = _restrict_part(segment, part)
-            if set(restricted.cubes) != set(part.cover.cubes):
-                part.cover = restricted
-                covers.parts_refined += 1
-                progressed = True
-        if progressed:
-            continue
-        # Tier 2: full refinement of the still-offending parts.
-        for part in offending:
-            if part.refined:
-                continue
-            part.cover = _exact_part_cover(segment, part)
-            part.refined = True
-            covers.parts_refined += 1
-            progressed = True
-        if not progressed:
-            covers.csc_conflict = True
-            return covers
-    covers.csc_conflict = bool(_offending_parts(covers))
+            # Tier 2: full refinement of the still-offending parts.
+            unrefined = [part for part in offending if not part.refined]
+            if not unrefined:
+                covers.csc_conflict = True
+                break
+            _refine_exactly(segment, unrefined, covers)
+        if span.live:
+            span.gauge("refinement_rounds", covers.refinement_rounds)
+            span.gauge("parts_refined", covers.parts_refined)
+            span.gauge("parts_fully_refined", covers.parts_fully_refined)
+            span.gauge("slices_walked", covers.slices_walked)
+            span.gauge("cuts_enumerated", covers.cuts_enumerated)
     return covers
 
 
 def _offending_parts(covers: ApproxSignalCovers) -> List[CoverPart]:
-    """Parts whose cover intersects some part of the opposite cover."""
+    """Parts whose cover intersects some part of the opposite cover.
+
+    Bit-sliced over the off-cubes: bit ``k`` of ``fixes_one[v]`` (of
+    ``fixes_zero[v]``) is set when off-cube ``k`` fixes variable ``v`` to 1
+    (to 0).  An on-cube is disjoint from exactly the off-cubes that fix one
+    of its variables to the opposite value, so the off-cubes it meets are
+    the complement of an OR over its literals.  The on parts come first,
+    then the off parts, each in cover order.
+    """
+    nvars = covers.nvars
+    fixes_one = [0] * nvars
+    fixes_zero = [0] * nvars
+    off_masks: List[int] = []
+    bit = 1
+    for part in covers.off_parts:
+        first = bit
+        for cube in part.cover:
+            for var in iter_set_bits(cube.ones):
+                fixes_one[var] |= bit
+            for var in iter_set_bits(cube.zeros):
+                fixes_zero[var] |= bit
+            bit <<= 1
+        off_masks.append(bit - first)  # bits first .. bit-1: the part's cubes
+    every_off = bit - 1
     offending: List[CoverPart] = []
-    for on_part in covers.on_parts:
-        for off_part in covers.off_parts:
-            if on_part.cover.intersects(off_part.cover):
-                if on_part not in offending:
-                    offending.append(on_part)
-                if off_part not in offending:
-                    offending.append(off_part)
+    met = 0
+    for part in covers.on_parts:
+        part_met = 0
+        for cube in part.cover:
+            disjoint = 0
+            for var in iter_set_bits(cube.ones):
+                disjoint |= fixes_zero[var]
+            for var in iter_set_bits(cube.zeros):
+                disjoint |= fixes_one[var]
+            part_met |= every_off & ~disjoint
+        if part_met:
+            offending.append(part)
+            met |= part_met
+    offending.extend(
+        part for part, mask in zip(covers.off_parts, off_masks) if mask & met
+    )
     return offending
 
 
@@ -389,6 +483,18 @@ class ApproxUnfoldingSynthesisResult:
     def total_parts_refined(self) -> int:
         return sum(c.parts_refined for c in self.signal_covers.values())
 
+    @property
+    def total_parts_fully_refined(self) -> int:
+        return sum(c.parts_fully_refined for c in self.signal_covers.values())
+
+    @property
+    def total_slices_walked(self) -> int:
+        return sum(c.slices_walked for c in self.signal_covers.values())
+
+    @property
+    def total_cuts_enumerated(self) -> int:
+        return sum(c.cuts_enumerated for c in self.signal_covers.values())
+
     def __repr__(self) -> str:
         return (
             "ApproxUnfoldingSynthesisResult(literals=%d, total=%.3fs, "
@@ -406,7 +512,6 @@ def synthesize_approx_from_unfolding(
     segment: Optional[UnfoldingSegment] = None,
     architecture: str = "acg",
     raise_on_csc: bool = False,
-    max_refinement_rounds: int = 50,
     kernel: Optional[str] = None,
 ) -> ApproxUnfoldingSynthesisResult:
     """Synthesise every implementable signal with the approximate method.
@@ -437,7 +542,7 @@ def synthesize_approx_from_unfolding(
     for signal in stg.implementable_signals:
         t1 = time.perf_counter()
         covers = approximate_signal_covers(segment, signal)
-        covers = refine_signal_covers(segment, covers, max_rounds=max_refinement_rounds)
+        covers = refine_signal_covers(segment, covers)
         signal_covers[signal] = covers
         cover_time += time.perf_counter() - t1
 

@@ -10,6 +10,8 @@ ever building the State Graph explicitly.
 Everything is packed: a cut is a condition bitmask plus the packed
 ``(marking_word, code_word)`` state it maps to, firing an event is three
 mask operations, and enabling is one AND against the event's preset mask.
+A walk indexes the events it may fire by their lowest input condition once,
+so a cut tries only the events keyed by one of its own conditions.
 
 Deduplication
 -------------
@@ -35,7 +37,7 @@ tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import iter_set_bits, unpack_code
 from .occurrence_net import Condition, Event
@@ -133,17 +135,29 @@ def cut_enables(cut_mask: int, event: Event) -> bool:
     return cut_mask & preset_mask == preset_mask
 
 
-def _fire(segment: UnfoldingSegment, cut: Cut, event: Event) -> Cut:
-    """Fire a segment event from a cut, producing the successor cut."""
-    condition_mask = (cut.condition_mask & ~event.preset_mask) | event.postset_mask
-    marking_word = (cut.marking_word & ~event.preset_place_mask) | event.postset_place_mask
-    code_word = cut.code_word
-    if event.signal_bit:
-        if event.target_value:
-            code_word |= event.signal_bit
-        else:
-            code_word &= ~event.signal_bit
-    return Cut(segment, condition_mask, marking_word, code_word)
+def _index_by_lowest_condition(
+    segment: UnfoldingSegment, allowed_events: Optional[Set[int]]
+) -> Tuple[Dict[int, List[Event]], int]:
+    """The events a walk may fire, keyed by their lowest preset condition.
+
+    Returns the index (events in ``eid`` order, which is the order of every
+    condition's consumer list) and the mask of the conditions it keys.  A
+    cut then tries only the events whose lowest input condition it holds,
+    so each successor is generated once per cut.  The bottom event has no
+    preset and never fires.
+    """
+    events = segment.events
+    if allowed_events is not None:
+        events = [events[eid] for eid in sorted(allowed_events)]
+    index: Dict[int, List[Event]] = {}
+    keyed = 0
+    for event in events:
+        preset_mask = event.preset_mask
+        if preset_mask:
+            lowest = preset_mask & -preset_mask
+            keyed |= lowest
+            index.setdefault(lowest.bit_length() - 1, []).append(event)
+    return index, keyed
 
 
 def enumerate_cuts(
@@ -186,15 +200,10 @@ def enumerate_cuts(
     by_state = dedup == "state"
 
     first = start if start is not None else initial_cut(segment)
-    allowed_mask: Optional[int] = None
-    if allowed_events is not None:
-        allowed_mask = 0
-        for eid in allowed_events:
-            allowed_mask |= 1 << eid
+    by_lowest, keyed = _index_by_lowest_condition(segment, allowed_events)
 
     queue = deque([first])
     seen: Set[object] = {first.state_key if by_state else first.condition_mask}
-    conditions = segment.conditions
     produced = 0
     while queue:
         cut = queue.popleft()
@@ -203,23 +212,27 @@ def enumerate_cuts(
         if max_cuts is not None and produced >= max_cuts:
             return
         cut_mask = cut.condition_mask
-        for cid in iter_set_bits(cut_mask):
-            for event in conditions[cid].consumers:
-                if allowed_mask is not None and not allowed_mask >> event.eid & 1:
-                    continue
+        for cid in iter_set_bits(cut_mask & keyed):
+            for event in by_lowest[cid]:
                 preset_mask = event.preset_mask
-                if preset_mask & ((1 << cid) - 1):
-                    # The event will be (or was) visited via its lowest
-                    # preset condition; fire it from that one only so each
-                    # successor is generated once per cut.
-                    continue
                 if cut_mask & preset_mask != preset_mask:
                     continue
-                successor = _fire(segment, cut, event)
-                key = successor.state_key if by_state else successor.condition_mask
+                # Fire the event: three mask operations, and a Cut only for
+                # a successor not seen before.
+                condition_mask = (cut_mask & ~preset_mask) | event.postset_mask
+                marking_word = (
+                    cut.marking_word & ~event.preset_place_mask
+                ) | event.postset_place_mask
+                code_word = cut.code_word
+                if event.signal_bit:
+                    if event.target_value:
+                        code_word |= event.signal_bit
+                    else:
+                        code_word &= ~event.signal_bit
+                key = (marking_word, code_word) if by_state else condition_mask
                 if key not in seen:
                     seen.add(key)
-                    queue.append(successor)
+                    queue.append(Cut(segment, condition_mask, marking_word, code_word))
 
 
 def reachable_packed_states(

@@ -214,7 +214,8 @@ class OccurrenceNet:
     * per-event ancestor masks (``[e]`` as an event mask) answer causality
       with one shift;
     * per-event consumed-condition masks plus per-condition consumer masks
-      answer configuration conflict with a handful of ANDs;
+      answer configuration conflict with a handful of ANDs, over the choice
+      conditions (two or more consumers) only;
     * per-condition co rows (:attr:`co_masks`) answer condition concurrency
       with one AND and are maintained incrementally while the net grows.
 
@@ -231,6 +232,8 @@ class OccurrenceNet:
         self.co_masks: List[int] = []
         # Per-condition mask of consuming events.
         self._consumer_masks: List[int] = []
+        # Conditions with two or more consumers (the only conflict witnesses).
+        self._choice_mask = 0
         # Cached per-event ancestor masks ([e] as event mask, including self).
         self._ancestor_masks: Dict[int, int] = {}
         # Cached per-event masks of the conditions consumed by [e].
@@ -259,9 +262,12 @@ class OccurrenceNet:
         event = Event(len(self.events), self, transition, label, preset)
         self.events.append(event)
         bit = 1 << event.eid
+        consumer_masks = self._consumer_masks
         for condition in preset:
             condition.consumers.append(event)
-            self._consumer_masks[condition.cid] |= bit
+            if consumer_masks[condition.cid]:
+                self._choice_mask |= 1 << condition.cid
+            consumer_masks[condition.cid] |= bit
         return event
 
     def attach_postset(self, event: Event, places: Iterable[str]) -> List[Condition]:
@@ -399,10 +405,12 @@ class OccurrenceNet:
         Two configurations conflict when some condition is consumed by
         *different* events across them; inside one (conflict-free)
         configuration a condition has at most one consumer, so comparing the
-        per-condition consumer masks restricted to each side suffices.  The
-        consumed masks come from the memoized per-event cache.
+        per-condition consumer masks restricted to each side suffices.  A
+        condition with a single consumer has that consumer on both sides, so
+        only choice conditions (two or more consumers) can witness a
+        conflict.  The consumed masks come from the memoized per-event cache.
         """
-        shared = self.consumed_mask_of(left) & self.consumed_mask_of(right)
+        shared = self.consumed_mask_of(left) & self.consumed_mask_of(right) & self._choice_mask
         if not shared:
             return False
         left_config = self.ancestor_mask_of(left)

@@ -1,0 +1,371 @@
+"""Cover refinement of the approximate flow against reference versions.
+
+Refinement and the unfolding queries beneath it avoid repeated work: the
+offending parts are found by a bit-sliced check, the second tier walks each
+slice's cuts once, the cut walk indexes its events by their lowest preset
+condition, and the conflict test looks only at choice conditions.  Each of
+these is checked here against the direct version it replaced, kept in this
+file as the oracle:
+
+* :func:`reference_offending_parts` compares every on/off part pair;
+* :func:`reference_exact_part_cover` walks a slice's cuts once per part;
+* :func:`reference_refine` is the refinement loop built on those two;
+* :func:`reference_cut_walk` scans every consumer of every condition of a cut;
+* :func:`reference_conflict` tests every condition both configurations consume.
+"""
+
+import random
+from collections import deque
+from typing import List, Set
+
+import pytest
+
+from repro import parse_g, write_g
+from repro.boolean import Cover, Cube, minterm_cover
+from repro.core import iter_set_bits
+from repro.obs import tracing
+from repro.stg import (
+    choice_controller,
+    counterflow_pipeline,
+    muller_pipeline,
+    table1_suite,
+)
+from repro.synthesis import (
+    ApproxSignalCovers,
+    CoverPart,
+    approximate_signal_covers,
+    synthesize_approx_from_unfolding,
+)
+from repro.synthesis.unfolding_approx import (
+    _offending_parts,
+    _restrict_part,
+    refine_signal_covers,
+)
+from repro.unfolding import (
+    Condition,
+    Cut,
+    enumerate_cuts,
+    initial_cut,
+    slices_for_signal,
+    unfold,
+)
+
+# ---------------------------------------------------------------------- #
+# Reference versions
+# ---------------------------------------------------------------------- #
+def reference_offending_parts(covers: ApproxSignalCovers) -> List[CoverPart]:
+    """Parts whose cover intersects some part of the opposite cover, by
+    comparing every on/off pair."""
+    offending: List[CoverPart] = []
+    for on_part in covers.on_parts:
+        for off_part in covers.off_parts:
+            if on_part.cover.intersects(off_part.cover):
+                if on_part not in offending:
+                    offending.append(on_part)
+                if off_part not in offending:
+                    offending.append(off_part)
+    return offending
+
+
+def reference_exact_part_cover(segment, part: CoverPart) -> Cover:
+    """Exact codes of the part's slice states where its element is active
+    and the signal has the slice's implied value, from a walk of its own."""
+    slice_ = part.slice
+    element = part.element
+    codes: Set[int] = set()
+    for cut in slice_.cuts():
+        if isinstance(element, Condition):
+            active = bool(cut.condition_mask >> element.cid & 1)
+        else:
+            active = cut.condition_mask & element.preset_mask == element.preset_mask
+        if not active:
+            continue
+        implied = segment.implied_value_word(cut.marking_word, cut.code_word, slice_.signal)
+        if implied != slice_.phase:
+            continue
+        codes.add(cut.code_word)
+    return minterm_cover(len(segment.stg.signals), codes)
+
+
+def reference_refine(segment, covers: ApproxSignalCovers):
+    """The refinement loop on the reference checks; returns the covers and
+    the number of slice walks it took (one per fully refined part)."""
+    walks = 0
+    while True:
+        offending = reference_offending_parts(covers)
+        if not offending:
+            return covers, walks
+        covers.refinement_rounds += 1
+        progressed = False
+        for part in offending:
+            if part.restricted or part.refined:
+                continue
+            part.restricted = True
+            restricted = _restrict_part(segment, part)
+            if set(restricted.cubes) != set(part.cover.cubes):
+                part.cover = restricted
+                covers.parts_refined += 1
+                progressed = True
+        if progressed:
+            continue
+        for part in offending:
+            if part.refined:
+                continue
+            part.cover = reference_exact_part_cover(segment, part)
+            part.refined = True
+            covers.parts_refined += 1
+            walks += 1
+            progressed = True
+        if not progressed:
+            covers.csc_conflict = True
+            return covers, walks
+
+
+def reference_cut_walk(segment, allowed_events=None, start=None, dedup="state"):
+    """Breadth-first cut walk that scans every consumer of every condition of
+    each cut, firing an event only from its lowest preset condition."""
+    first = start if start is not None else initial_cut(segment)
+
+    def key(cut):
+        return cut.state_key if dedup == "state" else cut.condition_mask
+
+    queue = deque([first])
+    seen = {key(first)}
+    while queue:
+        cut = queue.popleft()
+        yield cut.condition_mask
+        for cid in iter_set_bits(cut.condition_mask):
+            for event in segment.conditions[cid].consumers:
+                if allowed_events is not None and event.eid not in allowed_events:
+                    continue
+                preset_mask = event.preset_mask
+                if preset_mask & ((1 << cid) - 1):
+                    continue
+                if cut.condition_mask & preset_mask != preset_mask:
+                    continue
+                code_word = cut.code_word
+                if event.signal_bit:
+                    if event.target_value:
+                        code_word |= event.signal_bit
+                    else:
+                        code_word &= ~event.signal_bit
+                successor = Cut(
+                    segment,
+                    (cut.condition_mask & ~preset_mask) | event.postset_mask,
+                    (cut.marking_word & ~event.preset_place_mask) | event.postset_place_mask,
+                    code_word,
+                )
+                if key(successor) not in seen:
+                    seen.add(key(successor))
+                    queue.append(successor)
+
+
+def reference_conflict(net, left, right) -> bool:
+    """Conflict of two local configurations, tested on every condition both
+    consume: some such condition has different consumers on the two sides."""
+    if left.eid == right.eid:
+        return False
+    shared = net.consumed_mask_of(left) & net.consumed_mask_of(right)
+    left_config = net.ancestor_mask_of(left)
+    right_config = net.ancestor_mask_of(right)
+    for cid in iter_set_bits(shared):
+        consumers = 0
+        for event in net.conditions[cid].consumers:
+            consumers |= 1 << event.eid
+        if consumers & left_config != consumers & right_config:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------- #
+# Specs
+# ---------------------------------------------------------------------- #
+TABLE1 = [(entry.name, entry.build) for entry in table1_suite()]
+PIPELINES = [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in range(2, 9)]
+COUNTERFLOW3 = [("counterflow_pipeline_3", lambda: counterflow_pipeline(3))]
+COVERS = TABLE1 + PIPELINES + COUNTERFLOW3
+FIG6 = [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in (8, 9, 10)] + [
+    ("counterflow_pipeline_4", lambda: counterflow_pipeline(4))
+]
+WALKS = (
+    TABLE1
+    + [("choice_controller", choice_controller)]
+    + [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in range(2, 7)]
+    + COUNTERFLOW3
+)
+
+
+def _ids(specs):
+    return [name for name, _build in specs]
+
+
+def _from_g_text(name, build):
+    """The spec as the parser delivers it from its ``.g`` text."""
+    return parse_g(write_g(build()), name=name)
+
+
+def _same_parts(left: List[CoverPart], right: List[CoverPart]) -> bool:
+    return len(left) == len(set(left)) and set(left) == set(right)
+
+
+# ---------------------------------------------------------------------- #
+# (a) bit-sliced offending check == all pairs
+# ---------------------------------------------------------------------- #
+def _random_parts(rng: random.Random, nvars: int, pool: List[int]) -> List[CoverPart]:
+    parts = []
+    for _ in range(rng.randint(0, 5)):
+        cubes = []
+        for _ in range(rng.randint(0, 4)):
+            ones = zeros = 0
+            for var in rng.sample(pool, rng.randint(0, min(len(pool), 5))):
+                if rng.random() < 0.5:
+                    ones |= 1 << var
+                else:
+                    zeros |= 1 << var
+            cubes.append(Cube(nvars, ones, zeros))
+        parts.append(CoverPart("mr", None, None, Cover(nvars, cubes)))
+    return parts
+
+
+@pytest.mark.parametrize("nvars", [3, 64, 65, 130])
+def test_bit_sliced_check_matches_all_pairs_on_random_covers(nvars):
+    rng = random.Random(nvars)
+    nonempty = 0
+    for _ in range(300):
+        # Literals come from a small pool that always holds the top
+        # variable, so cubes collide often enough to give both verdicts.
+        pool = sorted(set(rng.sample(range(nvars), min(nvars, 6))) | {nvars - 1})
+        covers = ApproxSignalCovers(
+            "x", _random_parts(rng, nvars, pool), _random_parts(rng, nvars, pool), nvars
+        )
+        expected = reference_offending_parts(covers)
+        assert _same_parts(_offending_parts(covers), expected)
+        nonempty += bool(expected)
+    assert 0 < nonempty < 300
+
+
+def test_bit_sliced_check_on_empty_covers_and_part_lists():
+    nvars = 65
+    empty = CoverPart("mr", None, None, Cover(nvars))
+    universe = CoverPart("mr", None, None, Cover.universe(nvars))
+    assert _offending_parts(ApproxSignalCovers("x", [], [], nvars)) == []
+    assert _offending_parts(ApproxSignalCovers("x", [universe], [], nvars)) == []
+    assert _offending_parts(ApproxSignalCovers("x", [], [universe], nvars)) == []
+    assert _offending_parts(ApproxSignalCovers("x", [empty], [universe], nvars)) == []
+    other = CoverPart("mr", None, None, Cover.universe(nvars))
+    both = ApproxSignalCovers("x", [empty, universe], [other, empty], nvars)
+    assert _offending_parts(both) == [universe, other]
+
+
+@pytest.mark.parametrize("name, build", COVERS, ids=_ids(COVERS))
+def test_bit_sliced_check_matches_all_pairs_on_spec_covers(name, build):
+    stg = build()
+    segment = unfold(stg)
+    for signal in stg.implementable_signals:
+        covers = approximate_signal_covers(segment, signal)
+        offending = reference_offending_parts(covers)
+        assert _same_parts(_offending_parts(covers), offending), signal
+        for part in offending:  # the first refinement tier
+            part.cover = _restrict_part(segment, part)
+        assert _same_parts(_offending_parts(covers), reference_offending_parts(covers)), signal
+
+
+# ---------------------------------------------------------------------- #
+# (b) refinement == the reference flow, cube for cube
+# ---------------------------------------------------------------------- #
+def _cubes(parts: List[CoverPart]):
+    return [[(cube.ones, cube.zeros) for cube in part.cover] for part in parts]
+
+
+@pytest.mark.parametrize("name, build", TABLE1 + FIG6, ids=_ids(TABLE1 + FIG6))
+def test_refinement_matches_reference_flow(name, build):
+    stg = _from_g_text(name, build)
+    segment = unfold(stg)
+    for signal in stg.implementable_signals:
+        fast = refine_signal_covers(segment, approximate_signal_covers(segment, signal))
+        slow, walks = reference_refine(segment, approximate_signal_covers(segment, signal))
+        assert _cubes(fast.on_parts) == _cubes(slow.on_parts), signal
+        assert _cubes(fast.off_parts) == _cubes(slow.off_parts), signal
+        assert fast.refinement_rounds == slow.refinement_rounds, signal
+        assert fast.parts_refined == slow.parts_refined, signal
+        assert fast.csc_conflict == slow.csc_conflict, signal
+        assert fast.parts_fully_refined == walks, signal
+        assert fast.slices_walked <= walks, signal
+        # Each continuing round flags some part for the first time.
+        parts = len(fast.on_parts) + len(fast.off_parts)
+        assert fast.refinement_rounds <= 2 * parts + 1, signal
+
+
+# ---------------------------------------------------------------------- #
+# (c) one walk per slice
+# ---------------------------------------------------------------------- #
+def test_one_cut_walk_per_slice_on_muller_pipeline_8():
+    stg = muller_pipeline(8)
+    segment = unfold(stg)
+    result = synthesize_approx_from_unfolding(stg, segment=segment)
+    assert result.total_slices_walked == 2
+    assert result.total_parts_fully_refined == 17
+    assert result.total_cuts_enumerated == 1280
+    walks = sum(
+        reference_refine(segment, approximate_signal_covers(segment, signal))[1]
+        for signal in stg.implementable_signals
+    )
+    assert walks == 17
+
+
+def test_refine_span_carries_the_refinement_counters():
+    stg = muller_pipeline(3)
+    with tracing("run") as tracer:
+        result = synthesize_approx_from_unfolding(stg)
+    spans = tracer.root.find_all("refine")
+    assert [span.attrs["signal"] for span in spans] == stg.implementable_signals
+    for span in spans:
+        covers = result.signal_covers[span.attrs["signal"]]
+        assert span.counters == {
+            "refinement_rounds": covers.refinement_rounds,
+            "parts_refined": covers.parts_refined,
+            "parts_fully_refined": covers.parts_fully_refined,
+            "slices_walked": covers.slices_walked,
+            "cuts_enumerated": covers.cuts_enumerated,
+        }
+
+
+# ---------------------------------------------------------------------- #
+# (d) indexed cut walk == the consumer-scanning walk
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("name, build", WALKS, ids=_ids(WALKS))
+def test_cut_walk_matches_reference_walk(name, build):
+    stg = build()
+    segment = unfold(stg)
+    for dedup in ("state", "cut"):
+        walked = [cut.condition_mask for cut in enumerate_cuts(segment, dedup=dedup)]
+        assert walked == list(reference_cut_walk(segment, dedup=dedup)), dedup
+    for signal in stg.implementable_signals:
+        for phase in (0, 1):
+            for slice_ in slices_for_signal(segment, signal, phase):
+                walked = [cut.condition_mask for cut in slice_.cuts()]
+                mask = slice_.min_cut_mask
+                start = Cut(segment, mask, segment.marking_word_of(mask), slice_.min_code_word)
+                reference = reference_cut_walk(
+                    segment, slice_.allowed_event_ids(), start, dedup="cut"
+                )
+                assert walked == list(reference), (signal, phase, slice_.entry)
+
+
+# ---------------------------------------------------------------------- #
+# (e) choice-only conflict test == every shared condition
+# ---------------------------------------------------------------------- #
+CONFLICTS = [("choice_controller", choice_controller)] + TABLE1
+
+
+@pytest.mark.parametrize("name, build", CONFLICTS, ids=_ids(CONFLICTS))
+def test_conflict_matches_reference_on_every_event_pair(name, build):
+    segment = unfold(build())
+    conflicts = 0
+    for left in segment.events:
+        for right in segment.events:
+            expected = reference_conflict(segment, left, right)
+            assert segment.in_conflict(left, right) == expected, (left, right)
+            conflicts += expected
+    if name == "choice_controller":
+        assert conflicts > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.stg import (
     STG,
+    ParseError,
     STGError,
     SignalTransition,
     SignalType,
@@ -120,6 +121,27 @@ def test_parse_simple_g():
     report = check_consistency(stg)
     assert report.consistent
     assert report.num_states == 4
+
+
+@pytest.mark.parametrize(
+    "old, new, line, cause",
+    [
+        (".outputs ack", ".outputs ack\n.inputs ack", 5, STGError),
+        ("{ <ack-,req+> }", "{ <ack-,req+>=x }", 10, ValueError),
+        ("{ <ack-,req+> }", "{ <ack-,req+> p9=x }", 10, ValueError),
+        ("req=0 ack=0", "q=1", 11, STGError),
+        ("req=0 ack=0", "req=z", 11, ValueError),
+        ("req=0 ack=0", "req=2", 11, STGError),
+    ],
+    ids=["redeclared", "implicit-count", "place-count", "unknown-signal", "value-z", "value-2"],
+)
+def test_malformed_values_raise_parse_error_with_line(old, new, line, cause):
+    text = VME_LIKE.replace(old, new)
+    with pytest.raises(ParseError) as raised:
+        parse_g(text)
+    assert raised.value.line == line
+    assert str(raised.value).startswith("line %d: " % line)
+    assert type(raised.value.__cause__) is cause
 
 
 def test_parse_explicit_places_and_choice():

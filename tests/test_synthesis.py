@@ -113,9 +113,12 @@ def test_refined_covers_are_correct_for_all_outputs():
 def test_refinement_statistics_are_exposed():
     stg = muller_pipeline(3)
     result = synthesize_approx_from_unfolding(stg)
-    assert result.total_refinement_rounds >= 0
-    assert result.total_parts_refined >= 0
-    assert result.implementation.total_literals > 0
+    assert result.total_refinement_rounds == 4
+    assert result.total_parts_refined == 39
+    assert result.total_parts_fully_refined == 7
+    assert result.total_slices_walked == 2
+    assert result.total_cuts_enumerated == 40
+    assert result.implementation.total_literals == 18
 
 
 def test_c_element_architecture_from_sg_and_exact_unfolding():
