@@ -13,12 +13,11 @@ Run with ``pytest benchmarks/bench_table1.py --benchmark-only``; a summary
 table is printed at the end of the session.
 
 Machine-readable mode: ``python benchmarks/bench_table1.py --json`` writes
-``BENCH_table1.json`` with per-row times plus packed-vs-legacy engine
-timings (state-graph states/sec, the ``muller_pipeline(8)`` sg-explicit
-end-to-end before/after numbers, and the unfolding engine's state-recovery
-rate in both the state-pruned packed walk and the per-cut legacy reference
-walk), so the perf trajectory of the packed state core is tracked commit
-over commit.  The Table 1 rows include the unfolding-exact method next to
+``BENCH_table1.json`` with per-row times plus packed-engine timings
+(state-graph states/sec, the ``muller_pipeline(8)`` sg-explicit end-to-end
+before/after numbers, and the unfolding engine's state-recovery rate on
+the state-pruned packed walk), so the perf trajectory of the packed state
+core is tracked commit over commit.  The Table 1 rows include the unfolding-exact method next to
 unfolding-approx and the SG baseline.  Three encoding-layer entries ride
 along: ``csc_check_states_per_sec`` (rate of the packed USC+CSC sweep on
 ``muller_pipeline(12)``), ``csc_resolution_largest`` (end-to-end
@@ -37,8 +36,8 @@ point + symbolic USC/CSC on ``muller_pipeline(16)``, 262144 states --
 beyond the explicit CI budget) and ``explicit_vs_symbolic_crossover``
 (end-to-end sg-explicit vs sg-bdd seconds over the Muller family and the
 stage count where the symbolic engine starts winning).  The storage-managed
-fixed point adds three more: ``bdd_reorder_muller16`` (peak node count of
-the chaining loop vs the GC'd/reorderable saturation loop),
+fixed point adds three more: ``bdd_reorder_muller16`` (peak and allocated
+node counts of the GC'd/reorderable saturation loop),
 ``symbolic_saturation_muller24`` (the saturation fixed point on a 16.7M
 state pipeline, reachability only) and ``explicit_kernel_states_per_sec``
 (python-loop vs numpy-bitset BFS of the full ``muller_pipeline(16)``
@@ -123,9 +122,9 @@ def test_table1_summary_table(capsys):
 # ---------------------------------------------------------------------- #
 # Machine-readable perf results (BENCH_table1.json)
 # ---------------------------------------------------------------------- #
-def _time_sg_explicit(stg, packed):
+def _time_sg_explicit(stg):
     start = time.perf_counter()
-    result = synthesize(stg, method="sg-explicit", packed=packed)
+    result = synthesize(stg, method="sg-explicit")
     total = time.perf_counter() - start
     build = result.unfold_time  # SG methods report graph construction here
     return {
@@ -137,13 +136,13 @@ def _time_sg_explicit(stg, packed):
     }
 
 
-def _time_unfolding_recovery(stg, legacy):
-    """Time packed state recovery from the segment (one dedup mode)."""
+def _time_unfolding_recovery(stg):
+    """Time packed state recovery from the segment."""
     t0 = time.perf_counter()
     segment = unfold(stg)
     unfold_seconds = time.perf_counter() - t0
     t1 = time.perf_counter()
-    states = reachable_packed_states(segment, legacy=legacy)
+    states = reachable_packed_states(segment)
     recover = time.perf_counter() - t1
     return {
         "seconds": round(recover, 4),
@@ -229,31 +228,24 @@ def _time_engine_crossover(stage_counts=(8, 10, 12, 14, 16), explicit_limit_sign
 
 
 def _time_bdd_reorder(stages=16):
-    """Peak BDD node count of the symbolic fixed point, before/after the
-    storage-managed saturation loop (GC checkpoints + optional sifting).
-    The chaining loop never collects, so its final store size *is* its
-    peak; saturation's tracked peak shows what the maintenance saves."""
+    """Peak BDD node count of the storage-managed saturation loop (GC
+    checkpoints + sifting), next to the total it allocated: the gap is
+    what the maintenance saves."""
     from repro.bdd import SymbolicNet
 
     stg = muller_pipeline(stages)
     t0 = time.perf_counter()
-    chaining = SymbolicNet(stg.net, stg=stg, fixpoint="chaining")
-    chaining.reachable_set()
-    chaining_seconds = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    saturation = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
+    saturation = SymbolicNet(stg.net, stg=stg)
     saturation.reachable_set()
-    saturation_seconds = time.perf_counter() - t1
+    saturation_seconds = time.perf_counter() - t0
     peak = max(saturation.peak_nodes, saturation.bdd.num_nodes)
     return {
         "stages": stages,
-        "peak_nodes_chaining": chaining.bdd.num_nodes,
         "peak_nodes_saturation": peak,
         # Total the saturation loop would have needed without GC: the
         # surviving peak plus everything the sweeps reclaimed.
         "allocated_nodes_saturation": peak + saturation.bdd.nodes_reclaimed,
         "final_nodes_saturation": saturation.bdd.num_nodes,
-        "seconds_chaining": round(chaining_seconds, 4),
         "seconds_saturation": round(saturation_seconds, 4),
         "gc_runs": saturation.bdd.gc_runs,
         "nodes_reclaimed": saturation.bdd.nodes_reclaimed,
@@ -268,7 +260,7 @@ def _time_symbolic_saturation(stages=24):
 
     stg = muller_pipeline(stages)
     t0 = time.perf_counter()
-    engine = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
+    engine = SymbolicNet(stg.net, stg=stg)
     engine.reachable_set()
     seconds = time.perf_counter() - t0
     states = engine.count_states()
@@ -520,16 +512,12 @@ def collect_json(max_signals=14, baseline_seconds=None, unfolding_baseline_secon
         entries=entries,
         methods=("unfolding-approx", "unfolding-exact", "sg-explicit"),
     )
-    muller8 = muller_pipeline(8)
-    packed = _time_sg_explicit(muller8, packed=True)
-    legacy = _time_sg_explicit(muller8, packed=False)
-    unf_packed = _time_unfolding_recovery(muller_pipeline(12), legacy=False)
-    unf_legacy = _time_unfolding_recovery(muller_pipeline(12), legacy=True)
+    packed = _time_sg_explicit(muller_pipeline(8))
+    unf_packed = _time_unfolding_recovery(muller_pipeline(12))
     report = {
         "generated_by": "benchmarks/bench_table1.py --json",
         "muller8_sg_explicit": {
             "packed_engine": packed,
-            "legacy_engine": legacy,
             "pre_refactor_seconds": baseline_seconds,
             "speedup_vs_pre_refactor": (
                 round(baseline_seconds / packed["seconds"], 2)
@@ -539,7 +527,6 @@ def collect_json(max_signals=14, baseline_seconds=None, unfolding_baseline_secon
         },
         "muller12_unfolding_state_recovery": {
             "packed_state_dedup": unf_packed,
-            "legacy_cut_dedup": unf_legacy,
             "pre_refactor_seconds": unfolding_baseline_seconds,
             "speedup_vs_pre_refactor": (
                 round(unfolding_baseline_seconds / unf_packed["seconds"], 2)
@@ -645,17 +632,15 @@ def main(argv=None):
         )
     m8 = report["muller8_sg_explicit"]
     print(
-        "muller_pipeline(8) sg-explicit: packed %.3fs / legacy-engine %.3fs"
-        % (m8["packed_engine"]["seconds"], m8["legacy_engine"]["seconds"])
+        "muller_pipeline(8) sg-explicit: packed %.3fs"
+        % m8["packed_engine"]["seconds"]
     )
     unf = report["muller12_unfolding_state_recovery"]
     print(
-        "muller_pipeline(12) unfolding recovery: packed %.3fs (%s states/s) / "
-        "legacy-dedup %.3fs"
+        "muller_pipeline(12) unfolding recovery: packed %.3fs (%s states/s)"
         % (
             unf["packed_state_dedup"]["seconds"],
             unf["packed_state_dedup"]["states_per_sec"],
-            unf["legacy_cut_dedup"]["seconds"],
         )
     )
     csc = report["csc_check_states_per_sec"]
@@ -729,14 +714,13 @@ def main(argv=None):
     reorder = report["bdd_reorder_muller16"]
     print(
         "muller_pipeline(%d) BDD peak nodes: saturation %d of %d allocated "
-        "(%d GC runs, %d reorder passes; chaining reference %d)"
+        "(%d GC runs, %d reorder passes)"
         % (
             reorder["stages"],
             reorder["peak_nodes_saturation"],
             reorder["allocated_nodes_saturation"],
             reorder["gc_runs"],
             reorder["reorder_passes"],
-            reorder["peak_nodes_chaining"],
         )
     )
     muller24 = report["symbolic_saturation_muller24"]

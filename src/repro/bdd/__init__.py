@@ -2,18 +2,11 @@
 
 from .manager import BDD
 from .isop import isop
-from .reachability import (
-    SymbolicNet,
-    SymbolicReachability,
-    count_reachable_markings,
-    symbolic_reachable_markings,
-)
+from .reachability import SymbolicNet, count_reachable_markings
 
 __all__ = [
     "BDD",
     "isop",
     "SymbolicNet",
-    "SymbolicReachability",
     "count_reachable_markings",
-    "symbolic_reachable_markings",
 ]

@@ -21,7 +21,7 @@ Engine structure
   for pipeline-shaped specifications).  When the primed block is enabled,
   each variable's primed twin sits directly below it, so the
   current<->primed rename of the code-equality product is order-preserving.
-* **Saturation fixed point** (the default) -- the partitioned relations
+* **Saturation fixed point** -- the partitioned relations
   are grouped by the topmost variable they touch and each group is
   saturated (fired to a local fixed point) deepest-first before shallower
   groups propagate, restarting from the deepest group whenever a shallow
@@ -32,18 +32,14 @@ Engine structure
   engine checkpoints the manager -- mark-and-sweep garbage collection once
   the store doubles past a threshold, and group-sifting reordering (primed
   twins welded together) when the *live* size keeps growing -- so peak
-  node counts track the problem, not the churn.
-* **Chaining fixed point** (``fixpoint="chaining"``) -- the historical
-  reference loop: within one pass over the transitions the freshly
-  produced states are fed straight back into the next image, which
-  converges in ~pipeline-depth passes on marked-graph specifications
-  instead of one pass per BFS layer.  It runs without GC or reordering,
-  byte-for-byte as before, and is what the saturation path is checked
-  against.
+  node counts track the problem, not the churn.  The tests check the
+  reached set against the explicit State Graph, an independent engine.
 
-:class:`SymbolicReachability` keeps the historical marking-only API (used
-by the net-level tests); :class:`SymbolicNet` is the full engine consumed
-by :class:`repro.spaces.SymbolicStateSpace`.
+:class:`SymbolicNet` is the engine consumed by
+:class:`repro.spaces.SymbolicStateSpace`; without an STG it tracks markings
+only (:func:`count_reachable_markings`).  One variable per place encodes
+only safe markings, so the state-space layer admits only nets
+:class:`~repro.core.PackedNet` accepts.
 """
 
 from __future__ import annotations
@@ -51,16 +47,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import current_tracer
-from ..petrinet import Marking, PetriNet, StateSpaceLimitExceeded
+from ..petrinet import PetriNet, StateSpaceLimitExceeded
 from .manager import BDD
 
-__all__ = [
-    "FIXPOINTS",
-    "SymbolicNet",
-    "SymbolicReachability",
-    "symbolic_reachable_markings",
-    "count_reachable_markings",
-]
+__all__ = ["SymbolicNet", "count_reachable_markings"]
 
 _PLACE = "p:"
 _PLACE_PRIMED = "p':"
@@ -74,8 +64,6 @@ _SIGNAL_PRIMED = "s':"
 #: amortised against real growth instead of firing on every checkpoint.
 _GC_THRESHOLD = 4096
 _REORDER_THRESHOLD = 8192
-
-FIXPOINTS = ("saturation", "chaining")
 
 
 class SymbolicNet:
@@ -91,21 +79,12 @@ class SymbolicNet:
         variable block (for the code-equality products of the USC/CSC
         checks) is allocated.
     max_iterations:
-        Bound on the number of passes of the fixed point (chaining passes,
-        or outer saturation rounds).
+        Bound on the number of outer saturation rounds.
     max_states:
         Optional bound on the number of reachable states; exceeding it
         raises :class:`~repro.petrinet.StateSpaceLimitExceeded` (checked by
-        a symbolic count after every chaining pass / group saturation -- no
-        state is ever enumerated).
-    fixpoint:
-        ``"saturation"`` (default) fires each level-grouped partition to a
-        local fixed point deepest-first with GC/reorder checkpoints;
-        ``"chaining"`` is the historical reference loop, untouched by
-        manager maintenance.
-    dynamic_reorder:
-        Whether the saturation path may sift variables when the live node
-        count keeps growing after GC (ignored under ``"chaining"``).
+        a symbolic count after every group saturation -- no state is ever
+        enumerated).
     """
 
     def __init__(
@@ -114,20 +93,11 @@ class SymbolicNet:
         stg=None,
         max_iterations: Optional[int] = None,
         max_states: Optional[int] = None,
-        fixpoint: str = "saturation",
-        dynamic_reorder: bool = True,
     ) -> None:
-        if fixpoint not in FIXPOINTS:
-            raise ValueError(
-                "unknown fixpoint %r (expected one of %s)"
-                % (fixpoint, ", ".join(FIXPOINTS))
-            )
         self.net = net
         self.stg = stg
         self.max_iterations = max_iterations
         self.max_states = max_states
-        self.fixpoint = fixpoint
-        self.dynamic_reorder = dynamic_reorder
         self.iterations = 0
         self.saturation_fires = 0
         self.peak_nodes = 0
@@ -270,10 +240,7 @@ class SymbolicNet:
         if obs.enabled:
             bdd.enable_stats()
         with obs.span("reachability", engine="bdd", net=self.net.name) as span:
-            if self.fixpoint == "saturation":
-                reached = self._saturation_fixpoint(span)
-            else:
-                reached = self._chaining_fixpoint(span)
+            reached = self._saturation_fixpoint(span)
             self._reached = reached
             if bdd.num_nodes > self.peak_nodes:
                 self.peak_nodes = bdd.num_nodes
@@ -282,48 +249,13 @@ class SymbolicNet:
                 span.gauge("bdd_nodes", bdd.num_nodes)
                 span.gauge("bdd_variables", len(bdd.variables))
                 span.gauge("peak_nodes", self.peak_nodes)
-                if self.fixpoint == "saturation":
-                    span.counter("saturation_fires", self.saturation_fires)
-                    span.counter("gc_runs", bdd.gc_runs)
-                    span.counter("nodes_reclaimed", bdd.nodes_reclaimed)
-                    span.counter("reorder_passes", bdd.reorder_passes)
+                span.counter("saturation_fires", self.saturation_fires)
+                span.counter("gc_runs", bdd.gc_runs)
+                span.counter("nodes_reclaimed", bdd.nodes_reclaimed)
+                span.counter("reorder_passes", bdd.reorder_passes)
                 for key, value in bdd.stats().items():
                     if key.endswith(("_lookups", "_hits", "_entries")):
                         span.gauge(key, value)
-        return reached
-
-    def _chaining_fixpoint(self, span) -> int:
-        """Reference loop: chained passes over all partitioned relations.
-
-        Runs with no garbage collection and no reordering, exactly as the
-        engine always has -- the saturation path is validated against it.
-        """
-        bdd = self.bdd
-        reached = self._initial
-        ntrans = len(self.transitions)
-        self.iterations = 0
-        images = 0
-        changed = True
-        while changed:
-            self.iterations += 1
-            self._check_iterations()
-            changed = False
-            for index in range(ntrans):
-                img = self.image(reached, index)
-                if img == bdd.FALSE:
-                    continue
-                union = bdd.disj(reached, img)
-                if union != reached:
-                    reached = union
-                    changed = True
-            if span.live:
-                # Per-pass fixpoint stats: manager size after each
-                # chaining pass over the partitioned relations.
-                span.append("pass_nodes", bdd.num_nodes)
-                images += ntrans
-            self._check_states(reached)
-        if span.live:
-            span.counter("images_computed", images)
         return reached
 
     # ------------------------------------------------------------------ #
@@ -408,7 +340,7 @@ class SymbolicNet:
         live = bdd.num_live_nodes(self._held_ids() + [reached])
         if 4 * live <= 3 * bdd.num_nodes:
             (reached,) = self._collect(reached)
-        if self.dynamic_reorder and live > self._reorder_threshold:
+        if live > self._reorder_threshold:
             bdd.reorder(roots=self._held_ids() + [reached], groups=self._twin_groups())
             (reached,) = self._collect(reached)
             self._reorder_threshold = max(2 * self._reorder_threshold, 2 * bdd.num_nodes)
@@ -423,9 +355,8 @@ class SymbolicNet:
         group above the deepest one fires, the new states may re-enable
         transitions below it, so the round restarts from the deepest
         group.  An outer round with no firing anywhere is the global fixed
-        point.  ``iterations`` counts outer rounds (mirroring the chaining
-        pass count), ``saturation_fires`` counts group saturations that
-        produced new states.
+        point.  ``iterations`` counts outer rounds, ``saturation_fires``
+        counts group saturations that produced new states.
         """
         bdd = self.bdd
         reached = self._initial
@@ -477,7 +408,7 @@ class SymbolicNet:
                     if position > 0:
                         break  # may have re-enabled a deeper group: restart
             if span.live:
-                # Per-round fixpoint stats, mirroring the chaining path.
+                # Per-round fixpoint stats: manager size after each round.
                 span.append("pass_nodes", bdd.num_nodes)
         if span.live:
             span.counter("images_computed", images)
@@ -648,61 +579,6 @@ class SymbolicNet:
         )
 
 
-class SymbolicReachability:
-    """Marking-only symbolic reachability (the historical net-level API)."""
-
-    def __init__(
-        self,
-        net: PetriNet,
-        max_iterations: Optional[int] = None,
-        fixpoint: str = "saturation",
-    ) -> None:
-        self.net = net
-        self.places: List[str] = list(net.places)
-        self._engine = SymbolicNet(net, max_iterations=max_iterations, fixpoint=fixpoint)
-        self.bdd = self._engine.bdd
-        self.max_iterations = max_iterations
-
-    @property
-    def iterations(self) -> int:
-        return self._engine.iterations
-
-    def encode_marking(self, marking: Marking) -> int:
-        """BDD of a single (safe) marking."""
-        assignment = {_PLACE + place: (marking[place] > 0) for place in self.places}
-        return self.bdd.cube(assignment)
-
-    def reachable_set(self) -> int:
-        """BDD of all reachable markings (least fixed point)."""
-        return self._engine.reachable_set()
-
-    def count(self) -> int:
-        """Number of reachable markings."""
-        return self._engine.count_markings()
-
-    def markings(self) -> List[FrozenSet[str]]:
-        """Explicit list of reachable markings (sets of marked places)."""
-        reachable = self.reachable_set()
-        result: List[FrozenSet[str]] = []
-        for assignment in self.bdd.satisfying_assignments(reachable):
-            result.append(
-                frozenset(
-                    name[len(_PLACE):] for name, value in assignment.items() if value
-                )
-            )
-        return result
-
-    def contains(self, marking: Marking) -> bool:
-        """Membership test for a marking."""
-        assignment = {_PLACE + place: (marking[place] > 0) for place in self.places}
-        return self.bdd.evaluate(self.reachable_set(), assignment)
-
-
-def symbolic_reachable_markings(net: PetriNet) -> List[FrozenSet[str]]:
-    """Convenience wrapper returning the reachable markings of a safe net."""
-    return SymbolicReachability(net).markings()
-
-
 def count_reachable_markings(net: PetriNet) -> int:
     """Count reachable markings without enumerating them explicitly."""
-    return SymbolicReachability(net).count()
+    return SymbolicNet(net).count_markings()

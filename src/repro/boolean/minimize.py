@@ -78,9 +78,10 @@ def espresso(
 
     ``kernel`` selects the cover engine backend (``"auto"`` / ``"numpy"`` /
     ``"python"``, see :func:`repro.kernel.resolve_kernel`): under numpy the
-    expand/irredundant/reduce passes run over uint64 cube matrices.  Both
-    backends produce the identical :class:`MinimizationResult` -- same
-    cubes, same order, same iteration count.
+    irredundant/reduce passes run over uint64 cube matrices (expand keeps
+    its scalar scan).  Both backends produce the identical
+    :class:`MinimizationResult` -- same cubes, same order, same iteration
+    count.
     """
     nvars = on.nvars
     if dc is None:
@@ -107,10 +108,10 @@ def espresso(
     expand_cache: Dict[Tuple[int, int], Cube] = {}
     for _ in range(max_iterations):
         iterations += 1
-        current = _expand(current, off, kernel, expand_cache)
+        current = _expand(current, off, expand_cache)
         current = _irredundant_care(current, care_on, dc, kernel)
         current = _reduce(current, dc, kernel)
-        current = _expand(current, off, kernel, expand_cache)
+        current = _expand(current, off, expand_cache)
         current = _irredundant_care(current, care_on, dc, kernel)
         cost = _cost(current)
         if cost >= previous_cost:
@@ -252,21 +253,9 @@ def _irredundant_care_matrix(
     return Cover(nvars, [cubes[i] for i in alive])
 
 
-#: Off-set size at which the batched matrix expand takes over from the
-#: scalar scan.  Measured on the table1 covers (off-sets of 9-400 cubes)
-#: and on synthetic minterm off-sets up to 5000 rows, the scalar scan's
-#: early exit wins every time -- most literal drops are blocked by the
-#: first off-cube tested, while the matrix pass always recomputes the
-#: full conflict tensor.  ``None`` therefore disables the matrix expand;
-#: the threshold is algorithmic (both paths produce identical cubes) and
-#: the equivalence suite forces the matrix path by setting it to 0.
-_EXPAND_MIN_OFF: Optional[int] = None
-
-
 def _expand(
     cover: Cover,
     off: Cover,
-    kernel: Optional[str] = None,
     cache: Optional[Dict[Tuple[int, int], Cube]] = None,
 ) -> Cover:
     """Expand every cube maximally without hitting the off-set.
@@ -275,12 +264,13 @@ def _expand(
     is idempotent -- a literal whose drop was blocked stays blocked as the
     cube only ever grows -- so every grown cube is also recorded as its
     own expansion, which makes re-expanding an already-maximal cover free.
+
+    Expand runs on the scalar scan under every kernel: most literal drops
+    are blocked by the first off-cube tested, so its early exit beat a
+    batched matrix pass, which always computes the full conflict tensor,
+    at every measured off-set size (the Table 1 covers, off-sets of 9-400
+    cubes, and synthetic minterm off-sets up to 5000 rows).
     """
-    matrix = _matrix_kernel(kernel, len(off))
-    if matrix is not None and (
-        _EXPAND_MIN_OFF is None or len(off) < _EXPAND_MIN_OFF
-    ):
-        matrix = None
     if cache is None:
         cache = {}
     ordered = sorted(cover, key=lambda c: -c.num_literals)
@@ -288,22 +278,8 @@ def _expand(
         cube for cube in ordered if (cube.ones, cube.zeros) not in cache
     ]
     if todo:
-        if matrix is not None:
-            global _matrix_passes
-            _matrix_passes += 1
-            off_ones, off_zeros = matrix.pack_cover(off)
-            grown_masks = matrix.expand_cover(
-                cover.nvars,
-                [(c.ones, c.zeros) for c in todo],
-                off_ones,
-                off_zeros,
-            )
-            grown_todo = [
-                Cube(cover.nvars, ones, zeros) for ones, zeros in grown_masks
-            ]
-        else:
-            off_masks = [(c.ones, c.zeros) for c in off]
-            grown_todo = [_expand_cube(cube, off_masks) for cube in todo]
+        off_masks = [(c.ones, c.zeros) for c in off]
+        grown_todo = [_expand_cube(cube, off_masks) for cube in todo]
         for cube, grown in zip(todo, grown_todo):
             cache[(cube.ones, cube.zeros)] = grown
             cache[(grown.ones, grown.zeros)] = grown

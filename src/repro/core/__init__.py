@@ -22,10 +22,13 @@ This package packs both into single Python integers:
   per-transition ``(preset_mask, postset_mask)`` pairs so enabling checks
   and firing become two integer operations each.
 
-Non-safe nets (or nets with arc weights > 1) cannot be packed; callers
-detect this with :func:`PackedNet.is_packable` / :class:`UnsafeNetError`
-and fall back to the dict-based token game, so the packed core is a pure
-fast path and never changes semantics.
+Nets outside the safe, weight-1 class cannot be packed: compiling a
+:class:`PackedNet` raises :class:`UnsafeNetError` for arc weights > 1, an
+unsafe initial marking or a transition without input places, and the
+packed token game raises it when a firing would put a second token on a
+place.  Every STG flow (both unfolding methods, both state-space engines
+and the simulator) runs on this core, so all of them reject such nets
+with the same error.
 """
 
 from .lazy import LazyDecodedList

@@ -27,8 +27,8 @@ class LazyDecodedList:
 
     __slots__ = ("_packed", "_decode", "_cache")
 
-    def __init__(self, packed: List[int], decode: Callable[[int], T]) -> None:
-        self._packed = packed
+    def __init__(self, words: List[int], decode: Callable[[int], T]) -> None:
+        self._packed = words
         self._decode = decode
         self._cache: List[Optional[T]] = []
 

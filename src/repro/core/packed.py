@@ -14,7 +14,7 @@ count of place ``i``, which is only representable when the net is **safe**
 (1-bounded) and all arc weights are 1.  :class:`MarkingCodec` converts
 between dict-backed :class:`~repro.petrinet.marking.Marking` objects and
 packed ints, raising :class:`UnsafeNetError` when a marking cannot be
-packed; callers treat that as "use the dict-based fallback path".
+packed.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ __all__ = [
 class UnsafeNetError(RuntimeError):
     """A marking or firing is not representable as a safe-net bitmask.
 
-    Raised when a token count exceeds 1, an arc weight exceeds 1, or a
-    firing would place a second token on a marked place.  Catching this and
-    re-running the dict-based token game is the documented fallback path
-    for non-safe nets.
+    Raised when a token count exceeds 1, an arc weight exceeds 1, a
+    transition has no input place, or a firing would place a second token
+    on a marked place.  Every STG flow raises it for such nets; only the
+    general net layer (:func:`repro.petrinet.explore`) plays the dict-based
+    token game on them.
     """
 
 
@@ -82,8 +83,7 @@ class MarkingCodec:
     The codec is constructed from a :class:`~repro.petrinet.net.PetriNet`
     (interning every place) or an explicit table.  ``encode`` raises
     :class:`UnsafeNetError` on markings with more than one token on a
-    place, which is how non-safe nets are detected and routed to the
-    dict-based fallback.
+    place.
     """
 
     __slots__ = ("places",)

@@ -8,8 +8,14 @@
 * firing ``t`` yields     ``(m & ~preset) | postset``;
 * the firing is **unsafe** iff ``(m & ~preset) & postset != 0`` (a token
   would be produced onto an already marked place), in which case
-  :class:`~repro.core.packed.UnsafeNetError` is raised so the caller can
-  fall back to the dict-based token game.
+  :class:`~repro.core.packed.UnsafeNetError` is raised.
+
+Compiling the net is the one gate every STG flow passes: a net with an arc
+weight above 1, an unsafe initial marking or a transition without input
+places raises :class:`~repro.core.packed.UnsafeNetError` here, before any
+exploration starts.  A transition without input places is always enabled,
+so it fires again and again; the unfolder would never even add it, since
+it looks for possible extensions only from new conditions.
 
 Self-loops (a place in both preset and postset) are handled naturally:
 ``(m & ~preset) | postset`` re-produces the consumed token.
@@ -50,8 +56,8 @@ class PackedNet:
     )
 
     def __init__(self, net) -> None:
-        weights_ok, reason = _packable(net)
-        if not weights_ok:
+        packable, reason = _packable(net)
+        if not packable:
             raise UnsafeNetError(reason)
         self.net = net
         #: The net's structural stamp at compile time; :meth:`is_stale`
@@ -69,18 +75,6 @@ class PackedNet:
             self.postsets.append(places.mask_of(net.postset(transition)))
             self._transition_index[transition] = index
         self.initial = self.codec.encode(net.initial_marking)
-
-    # ------------------------------------------------------------------ #
-    # Compatibility probe
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def is_packable(net) -> bool:
-        """True when the net's arcs and initial marking fit the packed form.
-
-        The net may still turn out to be non-safe during exploration; the
-        per-firing safety check raises :class:`UnsafeNetError` in that case.
-        """
-        return _packable(net)[0]
 
     def is_stale(self) -> bool:
         """True when the source net mutated after this compile."""
@@ -125,9 +119,16 @@ class PackedNet:
 
 
 def _packable(net) -> Tuple[bool, str]:
-    """Check arc weights and the initial marking for packed representability."""
+    """Check the net's structure and initial marking for the packed form.
+
+    The net may still turn out to be non-safe during exploration; the
+    per-firing safety check raises :class:`UnsafeNetError` in that case.
+    """
     for transition in net.transitions:
-        for place, weight in net.preset(transition).items():
+        preset = net.preset(transition)
+        if not preset:
+            return False, "transition %s has no input place" % transition
+        for place, weight in preset.items():
             if weight > 1:
                 return False, "arc %s -> %s has weight %d" % (place, transition, weight)
         for place, weight in net.postset(transition).items():

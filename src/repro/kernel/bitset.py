@@ -106,7 +106,7 @@ def supports_graph(stg) -> bool:
 # ---------------------------------------------------------------------- #
 # BFS frontier expansion
 # ---------------------------------------------------------------------- #
-def kernel_bfs(stg, pnet, graph, max_states=None, check_consistency=True, span=None):
+def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
     """Vectorised packed BFS; fills ``graph`` exactly like ``_build_packed``.
 
     Raises the same errors at the same first offending ``(state,
@@ -178,7 +178,7 @@ def kernel_bfs(stg, pnet, graph, max_states=None, check_consistency=True, span=N
         src_loc, t_idx = np.nonzero(enabled)
 
         src_codes = c[src_loc]
-        if check_consistency and src_loc.size:
+        if src_loc.size:
             # An enabled labelled transition must see the source value:
             # violated exactly when the current bit already equals the target.
             cur_one = (src_codes & bits[t_idx]).any(axis=1)
@@ -218,7 +218,7 @@ def kernel_bfs(stg, pnet, graph, max_states=None, check_consistency=True, span=N
                 if max_states is not None and len(packed_codes) > max_states:
                     raise StateSpaceLimitExceeded(max_states)
                 new_positions.append(pos)
-            elif check_consistency and packed_codes[existing] != code_list[pos]:
+            elif packed_codes[existing] != code_list[pos]:
                 from ..stategraph.stategraph import _inconsistent_codes
 
                 raise _inconsistent_codes(
@@ -285,16 +285,13 @@ def kernel_bfs(stg, pnet, graph, max_states=None, check_consistency=True, span=N
         span.gauge("bfs_depth", len(wave_sizes) - 1)
         span.gauge("states", nstates)
         span.gauge("edges", int(src_all.size))
-        span.gauge("packed", True)
         span.gauge("kernel", "numpy")
         span.counter("kernel_frontier_words", frontier_words)
         span.gauge("interned_markings", len(graph._index))
     return graph
 
 
-def kernel_incremental_bfs(
-    stg, pnet, graph, seeds, max_states=None, check_consistency=True, span=None
-):
+def kernel_incremental_bfs(stg, pnet, graph, seeds, max_states=None, span=None):
     """Vectorised dirty-region BFS for incremental graph extension.
 
     ``graph`` already holds the adopted survivors plus the freshly interned
@@ -370,7 +367,7 @@ def kernel_incremental_bfs(
         src_loc, t_idx = np.nonzero(enabled)
 
         src_codes = c[src_loc]
-        if check_consistency and src_loc.size:
+        if src_loc.size:
             cur_one = (src_codes & bits[t_idx]).any(axis=1)
             bad = labelled[t_idx] & (cur_one == target_one[t_idx])
             if bad.any():
@@ -407,7 +404,7 @@ def kernel_incremental_bfs(
                 if max_states is not None and len(packed_codes) > max_states:
                     raise StateSpaceLimitExceeded(max_states)
                 new_positions.append(pos)
-            elif check_consistency and packed_codes[existing] != code_list[pos]:
+            elif packed_codes[existing] != code_list[pos]:
                 from ..stategraph.stategraph import _inconsistent_codes
 
                 raise _inconsistent_codes(

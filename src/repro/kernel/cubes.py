@@ -12,13 +12,13 @@ Bit-identity contract: every function here that *constructs* cubes or covers
 reproduces the pure-python reference exactly -- same cubes, same order, same
 deterministic tie-breaks.  The predicates (tautology, containment,
 emptiness) are semantic booleans, so for them only correctness matters; the
-constructive paths (expand's greedy literal scan, complement's recursion
-order, single-cube containment's stable sort) replicate the reference's
-control flow and vectorise only the representation-independent inner checks.
+constructive paths (complement's recursion order, single-cube containment's
+stable sort) replicate the reference's control flow and vectorise only the
+representation-independent inner checks.  Expand has no matrix pass (see
+:func:`repro.boolean.minimize._expand` for why).
 
-The word-row helpers at the bottom (:func:`pack_row`, :func:`row_int`,
-:func:`iter_row_bits`, :class:`RowMatrix`) are shared with the unfolder's
-co-row joins and the multi-word code matrices in :mod:`repro.kernel.bitset`.
+The word-row helpers :func:`pack_row` and :func:`row_int` convert between
+python ints and ``(words,)`` uint64 rows.
 
 Everything assumes numpy is importable; callers gate through
 :func:`repro.kernel.resolve_kernel` first.
@@ -36,7 +36,6 @@ __all__ = [
     "words_for",
     "pack_row",
     "row_int",
-    "iter_row_bits",
     "pack_pairs",
     "pack_cover",
     "unpack_cover",
@@ -48,12 +47,9 @@ __all__ = [
     "contains_cube_rows",
     "covered_points",
     "cover_point_matrix",
-    "expand_cube_masks",
-    "expand_cover",
     "bounding_difference",
     "single_cube_containment_cover",
     "complement_cover",
-    "RowMatrix",
 ]
 
 _WORD = 64
@@ -89,17 +85,6 @@ def row_int(row) -> int:
     for index in range(len(row)):
         value |= int(row[index]) << (index * _WORD)
     return value
-
-
-def iter_row_bits(row):
-    """Yield the set-bit positions of a uint64 row in ascending order."""
-    for index in range(len(row)):
-        word = int(row[index])
-        base = index * _WORD
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
 
 
 def pack_pairs(pairs: Sequence[Tuple[int, int]], words: int):
@@ -426,152 +411,6 @@ def covered_points(ones, zeros, point_ones, point_zeros):
 
 
 # ---------------------------------------------------------------------- #
-# Espresso EXPAND: greedy literal removal against an off-set matrix
-# ---------------------------------------------------------------------- #
-def expand_cube_masks(
-    nvars: int, ones: int, zeros: int, off_ones, off_zeros
-) -> Tuple[int, int]:
-    """Expand one cube maximally against a packed off-set matrix.
-
-    Replicates the reference ``_expand_cube`` exactly: literals are tried
-    lowest-bit-first and dropped when the grown cube stays disjoint from
-    every off-set row.  The disjointness test is semantic (a property of
-    the off-set's minterms), so batching it over all remaining literals
-    changes nothing; after each successful drop the batch is recomputed
-    because the grown cube may newly collide with the off-set.
-    """
-    words = off_ones.shape[1]
-    noff = len(off_ones)
-    if noff == 0:
-        return 0, 0
-    mask = ones | zeros
-    while mask:
-        base_ones = pack_row(ones, words)
-        base_zeros = pack_row(zeros, words)
-        # Dropping one literal changes exactly one word of the cube, so the
-        # conflict ("candidate and off row disagree on some word") splits
-        # into the base cube's conflicts on the *other* words plus a
-        # recomputed conflict on the modified word.
-        base_conf = ((base_ones | off_ones) & (base_zeros | off_zeros)) != 0
-        conf_count = base_conf.sum(axis=1)
-        bits: List[int] = []
-        probe = mask
-        while probe:
-            low = probe & -probe
-            bits.append(low.bit_length() - 1)
-            probe ^= low
-        positions = np.array(bits, dtype=np.intp)
-        word_index = positions // _WORD
-        bit_masks = np.uint64(1) << (positions % _WORD).astype(np.uint64)
-        cand_ones_word = base_ones[word_index] & ~bit_masks
-        cand_zeros_word = base_zeros[word_index] & ~bit_masks
-        mod_conf = (
-            (cand_ones_word[None, :] | off_ones[:, word_index])
-            & (cand_zeros_word[None, :] | off_zeros[:, word_index])
-        ) != 0
-        other_conf = (conf_count[:, None] - base_conf[:, word_index]) > 0
-        # The candidate intersects the off-set iff some off row has no
-        # conflicting word at all; droppable iff every row conflicts.
-        droppable = (mod_conf | other_conf).all(axis=0)
-        hit = np.flatnonzero(droppable)
-        if hit.size == 0:
-            break
-        low = 1 << bits[int(hit[0])]
-        ones &= ~low
-        zeros &= ~low
-        # Literals at or below the dropped bit have been decided for good:
-        # blocked literals stay blocked (the cube only grows), and the
-        # reference scan never revisits them within a pass.  Rescan only
-        # the bits above the dropped one against the grown cube.
-        mask &= ~(2 * low - 1)
-    return ones, zeros
-
-
-def expand_cover(
-    nvars: int, pairs: Sequence[Tuple[int, int]], off_ones, off_zeros
-) -> List[Tuple[int, int]]:
-    """Expand every cube of a cover against the off-set in one batched pass.
-
-    Each cube's expansion depends only on the off-set, never on the other
-    cubes, so the per-cube greedy scans advance in lockstep: every round
-    recomputes one shared conflict tensor and drops at most one literal
-    per cube (the lowest droppable one, exactly like the reference scan).
-    Bits at or below a cube's drop point are decided for good -- blocked
-    literals stay blocked because the cube only grows.
-    """
-    _require_numpy()
-    count = len(pairs)
-    if count == 0:
-        return []
-    noff = len(off_ones)
-    if noff == 0:
-        return [(0, 0)] * count
-    words = off_ones.shape[1]
-    cur_ones, cur_zeros = pack_pairs(pairs, words)
-    cur_ones = cur_ones.copy()
-    cur_zeros = cur_zeros.copy()
-    undecided = [ones | zeros for ones, zeros in pairs]
-    active = [index for index in range(count) if undecided[index]]
-    while active:
-        cube_index: List[int] = []
-        word_index: List[int] = []
-        bit_positions: List[int] = []
-        spans: List[Tuple[int, int, int]] = []
-        for index in active:
-            start = len(cube_index)
-            probe = undecided[index]
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                pos = low.bit_length() - 1
-                cube_index.append(index)
-                word_index.append(pos // _WORD)
-                bit_positions.append(pos)
-            spans.append((index, start, len(cube_index)))
-        ci = np.array(cube_index, dtype=np.intp)
-        wi = np.array(word_index, dtype=np.intp)
-        positions = np.array(bit_positions, dtype=np.intp)
-        bit_masks = np.uint64(1) << (positions % _WORD).astype(np.uint64)
-        # Same word decomposition as the single-cube variant: a drop
-        # changes exactly one word, so the candidate conflicts with an off
-        # row iff the base cube conflicts on some other word or the
-        # modified word conflicts after the drop.
-        base_conf = (
-            (cur_ones[None, :, :] | off_ones[:, None, :])
-            & (cur_zeros[None, :, :] | off_zeros[:, None, :])
-        ) != 0
-        conf_count = base_conf.sum(axis=2)
-        cand_ones_word = cur_ones[ci, wi] & ~bit_masks
-        cand_zeros_word = cur_zeros[ci, wi] & ~bit_masks
-        mod_conf = (
-            (cand_ones_word[None, :] | off_ones[:, wi])
-            & (cand_zeros_word[None, :] | off_zeros[:, wi])
-        ) != 0
-        other_conf = (conf_count[:, ci] - base_conf[:, ci, wi]) > 0
-        droppable = (mod_conf | other_conf).all(axis=0)
-        next_active: List[int] = []
-        for index, start, stop in spans:
-            segment = droppable[start:stop]
-            if not segment.any():
-                undecided[index] = 0
-                continue
-            hit = start + int(np.argmax(segment))
-            pos = bit_positions[hit]
-            word = word_index[hit]
-            clear = np.uint64(~(np.uint64(1) << np.uint64(pos % _WORD)))
-            cur_ones[index, word] &= clear
-            cur_zeros[index, word] &= clear
-            undecided[index] &= ~((1 << (pos + 1)) - 1)
-            if undecided[index]:
-                next_active.append(index)
-        active = next_active
-    return [
-        (row_int(cur_ones[index]), row_int(cur_zeros[index]))
-        for index in range(count)
-    ]
-
-
-# ---------------------------------------------------------------------- #
 # Espresso REDUCE: bounding box of ``context AND NOT cover``
 # ---------------------------------------------------------------------- #
 def bounding_difference(
@@ -822,86 +661,3 @@ def _complement_pairs(nvars, pairs, ctx_ones, ctx_zeros, pieces):
             else _cofactor_pairs(pairs, 0, bit)
         )
         _complement_pairs(nvars, branch, branch_ctx[0], branch_ctx[1], pieces)
-
-
-# ---------------------------------------------------------------------- #
-# Growable row matrices (shared by the unfolder's co-row joins)
-# ---------------------------------------------------------------------- #
-class RowMatrix:
-    """A growable ``(rows, words)`` uint64 bitset matrix.
-
-    Mirrors a list of python-int bit rows (the unfolder's ``co_masks``,
-    ``conditions_by_place`` and ``dead_mask``) so that row intersections
-    and bulk updates run as word operations.  Rows address *bit columns*
-    up to ``capacity_bits``; both dimensions grow by doubling.
-    """
-
-    __slots__ = ("words", "_rows", "count")
-
-    def __init__(self, words: int = 1, capacity: int = 16) -> None:
-        _require_numpy()
-        self.words = words
-        self._rows = np.zeros((capacity, words), dtype=np.uint64)
-        self.count = 0
-
-    def _grow_words(self, words: int) -> None:
-        extra = np.zeros((len(self._rows), words - self.words), dtype=np.uint64)
-        self._rows = np.concatenate([self._rows, extra], axis=1)
-        self.words = words
-
-    def ensure_bit(self, bit: int) -> None:
-        """Make sure every row can address bit column ``bit``."""
-        needed = bit // _WORD + 1
-        if needed > self.words:
-            self._grow_words(max(needed, 2 * self.words))
-
-    def append(self, value: int = 0) -> int:
-        """Append a row initialised from a python int; returns its index."""
-        if value:
-            self.ensure_bit(value.bit_length() - 1)
-        if self.count == len(self._rows):
-            extra = np.zeros_like(self._rows)
-            self._rows = np.concatenate([self._rows, extra], axis=0)
-        self._rows[self.count] = pack_row(value, self.words)
-        self.count += 1
-        return self.count - 1
-
-    def row(self, index: int):
-        return self._rows[index]
-
-    def row_value(self, index: int) -> int:
-        return row_int(self._rows[index])
-
-    def or_into(self, index: int, row) -> None:
-        self._rows[index] |= row
-
-    def or_bit(self, index: int, bit: int) -> None:
-        self.ensure_bit(bit)
-        self._rows[index, bit // _WORD] |= np.uint64(1 << (bit % _WORD))
-
-    def or_rows(self, indices, row) -> None:
-        """OR one row into several rows at once."""
-        np.bitwise_or.at(self._rows, (np.asarray(indices, dtype=np.intp),), row)
-
-    def and_not_bit(self, index: int, bit: int) -> None:
-        self.ensure_bit(bit)
-        self._rows[index, bit // _WORD] &= ~np.uint64(1 << (bit % _WORD))
-
-    def zero_row(self) -> object:
-        return np.zeros(self.words, dtype=np.uint64)
-
-    def bit_row(self, bit: int):
-        self.ensure_bit(bit)
-        row = np.zeros(self.words, dtype=np.uint64)
-        row[bit // _WORD] = np.uint64(1 << (bit % _WORD))
-        return row
-
-    def match_words(self, row):
-        """Pad or trim a foreign row to this matrix's word count."""
-        if len(row) == self.words:
-            return row
-        if len(row) < self.words:
-            padded = np.zeros(self.words, dtype=np.uint64)
-            padded[: len(row)] = row
-            return padded
-        return row[: self.words]

@@ -8,25 +8,22 @@ budget so experiments can record "did not finish" outcomes instead of
 exhausting memory, mirroring how the paper reports tools choking on large
 specifications.
 
-Two engines share the :class:`ReachabilityGraph` result type:
-
-* the **packed** fast path (default for safe, weight-1 nets) runs the BFS on
-  :class:`~repro.core.PackedNet` integer markings -- bit ``i`` of a marking
-  word is the token count of place ``i`` -- and materialises dict-backed
-  :class:`Marking` objects lazily, only when a caller asks for them;
-* the **legacy** dict-based token game handles non-safe nets and arc
-  weights > 1, and doubles as the reference implementation the equivalence
-  test-suite compares the packed engine against.
+The walk plays the dict-based token game on :class:`Marking` objects, so it
+handles any net, including nets with arc weights above 1 and reachable
+markings above 1 token per place: :func:`~repro.petrinet.validate_net`
+reports their bounds from it.  The STG flows never call it; they run on the
+packed token game of :class:`~repro.core.PackedNet`, which accepts only
+safe, weight-1 nets.  The tests use this walk as an independent oracle for
+the packed State Graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core import LazyDecodedList, MarkingCodec, PackedNet, UnsafeNetError
 from .marking import Marking
-from .net import PetriNet, PetriNetError
+from .net import PetriNet
 
 __all__ = ["ReachabilityGraph", "StateSpaceLimitExceeded", "explore"]
 
@@ -47,25 +44,16 @@ class ReachabilityGraph:
     net:
         The explored net.
     markings:
-        Sequence of reachable markings; index 0 is the initial marking.
-        When the graph was built by the packed engine this is a lazy view
-        decoding bitmask markings on demand.
+        List of reachable markings; index 0 is the initial marking.
     edges:
         List of ``(source_index, transition, target_index)`` triples.
     """
 
-    def __init__(self, net: PetriNet, codec: Optional[MarkingCodec] = None) -> None:
+    def __init__(self, net: PetriNet) -> None:
         self.net = net
         self.edges: List[Tuple[int, str, int]] = []
-        self._codec = codec
-        self._packed: Optional[List[int]] = [] if codec is not None else None
-        self._marking_list: Union[List[Marking], LazyDecodedList]
-        if codec is not None:
-            self._marking_list = LazyDecodedList(self._packed, codec.decode)
-        else:
-            self._marking_list = []
-        # Keys are packed ints (packed mode) or Marking objects (legacy mode).
-        self._index: Dict[object, int] = {}
+        self._marking_list: List[Marking] = []
+        self._index: Dict[Marking, int] = {}
         self._successors: Dict[int, List[Tuple[str, int]]] = {}
         self._predecessors: Dict[int, List[Tuple[str, int]]] = {}
 
@@ -73,43 +61,18 @@ class ReachabilityGraph:
     # Construction
     # ------------------------------------------------------------------ #
     @property
-    def markings(self):
+    def markings(self) -> List[Marking]:
         return self._marking_list
-
-    @property
-    def is_packed(self) -> bool:
-        """True when states are stored as bitmask ints."""
-        return self._packed is not None
-
-    def packed_marking(self, index: int) -> int:
-        """Bitmask of a state (packed graphs only)."""
-        if self._packed is None:
-            raise PetriNetError("graph was not built by the packed engine")
-        return self._packed[index]
 
     def add_marking(self, marking: Marking) -> int:
         """Register a marking (idempotent) and return its index."""
-        if self._packed is not None:
-            return self._add_packed(self._codec.encode(marking))
         index = self._index.get(marking)
         if index is None:
-            index = self._new_state()
+            index = len(self._index)
             self._index[marking] = index
             self._marking_list.append(marking)
-        return index
-
-    def _add_packed(self, word: int) -> int:
-        index = self._index.get(word)
-        if index is None:
-            index = self._new_state()
-            self._index[word] = index
-            self._packed.append(word)
-        return index
-
-    def _new_state(self) -> int:
-        index = len(self._index)
-        self._successors[index] = []
-        self._predecessors[index] = []
+            self._successors[index] = []
+            self._predecessors[index] = []
         return index
 
     def add_edge(self, source: int, transition: str, target: int) -> None:
@@ -134,12 +97,6 @@ class ReachabilityGraph:
 
     def index_of(self, marking: Marking) -> Optional[int]:
         """Index of the marking, or ``None`` if unreachable."""
-        if self._packed is not None:
-            try:
-                return self._index.get(self._codec.encode(marking))
-            except (UnsafeNetError, KeyError):
-                # Non-safe markings and unknown places are both unreachable.
-                return None
         return self._index.get(marking)
 
     def contains(self, marking: Marking) -> bool:
@@ -169,14 +126,10 @@ class ReachabilityGraph:
 
     def is_safe(self) -> bool:
         """True if every reachable marking is 1-bounded."""
-        if self._packed is not None:
-            return True  # packed markings are 1-bounded by construction
         return all(marking.is_safe() for marking in self._marking_list)
 
     def bound(self) -> int:
         """Maximum token count of any place over all reachable markings."""
-        if self._packed is not None:
-            return 1 if any(self._packed) else 0
         maximum = 0
         for marking in self._marking_list:
             for _place, tokens in marking.items():
@@ -202,7 +155,6 @@ def explore(
     net: PetriNet,
     initial: Optional[Marking] = None,
     max_states: Optional[int] = None,
-    packed: Optional[bool] = None,
 ) -> ReachabilityGraph:
     """Breadth-first exploration of the reachability graph.
 
@@ -215,81 +167,8 @@ def explore(
     max_states:
         Optional budget; :class:`StateSpaceLimitExceeded` is raised when more
         states than this would be generated.
-    packed:
-        Force (``True``) or forbid (``False``) the packed bitmask engine;
-        the default (``None``) picks packed whenever the net qualifies and
-        transparently falls back to the dict-based engine when the net
-        turns out to be non-safe mid-exploration.  Forcing ``packed=True``
-        on a net that cannot be packed raises
-        :class:`~repro.core.UnsafeNetError` instead of downgrading, so
-        equivalence tests cannot silently compare legacy against legacy.
     """
     start = initial if initial is not None else net.initial_marking
-    if packed is True:
-        return _explore_packed(net, start, max_states)
-    if packed is None and PackedNet.is_packable(net) and start.is_safe():
-        try:
-            return _explore_packed(net, start, max_states)
-        except UnsafeNetError:
-            pass  # a reachable marking is not 1-bounded: use the fallback
-    return _explore_legacy(net, start, max_states)
-
-
-def _explore_packed(
-    net: PetriNet, start: Marking, max_states: Optional[int]
-) -> ReachabilityGraph:
-    pnet = PackedNet(net)
-    graph = ReachabilityGraph(net, codec=pnet.codec)
-    transitions = pnet.transitions
-    presets = pnet.presets
-    postsets = pnet.postsets
-    ntrans = len(transitions)
-
-    index_of = graph._index
-    packed = graph._packed
-    successors = graph._successors
-    predecessors = graph._predecessors
-    edges = graph.edges
-
-    word = pnet.codec.encode(start)
-    graph._add_packed(word)
-    queue = deque([0])
-    while queue:
-        source = queue.popleft()
-        marking = packed[source]
-        source_successors = successors[source]
-        for t in range(ntrans):
-            preset = presets[t]
-            if marking & preset != preset:
-                continue
-            remainder = marking & ~preset
-            postset = postsets[t]
-            if remainder & postset:
-                raise UnsafeNetError(
-                    "firing %r from packed marking %#x is not safe"
-                    % (transitions[t], marking)
-                )
-            successor = remainder | postset
-            target = index_of.get(successor)
-            if target is None:
-                target = len(index_of)
-                index_of[successor] = target
-                packed.append(successor)
-                successors[target] = []
-                predecessors[target] = []
-                if max_states is not None and len(packed) > max_states:
-                    raise StateSpaceLimitExceeded(max_states)
-                queue.append(target)
-            transition = transitions[t]
-            edges.append((source, transition, target))
-            source_successors.append((transition, target))
-            predecessors[target].append((transition, source))
-    return graph
-
-
-def _explore_legacy(
-    net: PetriNet, start: Marking, max_states: Optional[int]
-) -> ReachabilityGraph:
     graph = ReachabilityGraph(net)
     queue = deque([graph.add_marking(start)])
     explored: Set[int] = set()

@@ -16,17 +16,20 @@ identify a unique marking (label splitting, dummies), the environment tracks
 the *set* of markings consistent with the observed history, closed under
 dummy-transition firing.
 
-When the net is safe and weight-1 the environment also offers a *packed*
-twin of every game move (``*_packed`` methods) where a marking is one int
-(bit ``i`` = token on place ``i``, see :mod:`repro.core`) and a tracked set
-is a frozenset of ints; the exhaustive simulator runs on this
-representation and only decodes for diagnostics.
+Every game move also has a *packed* twin (``*_packed`` methods) where a
+marking is one int (bit ``i`` = token on place ``i``, see
+:mod:`repro.core`) and a tracked set is a frozenset of ints; the exhaustive
+simulator runs on this representation and only decodes for diagnostics.
+The random walker and the projection-conformance check still play the
+dict-backed game.  Both games need a safe, weight-1 net: building the
+environment compiles a :class:`~repro.core.PackedNet`, which raises
+:class:`~repro.core.UnsafeNetError` for any other net.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..core import PackedNet, UnsafeNetError
 from ..petrinet import Marking
@@ -57,10 +60,7 @@ class SpecEnvironment:
         self._labelled: Dict[Marking, List[Tuple[str, int, Marking]]] = {}
         self._dummy: Dict[Marking, List[Marking]] = {}
         # Packed twin: markings as bitmask ints over the net's PlaceTable.
-        try:
-            self._packed_net: Optional[PackedNet] = PackedNet(stg.net)
-        except UnsafeNetError:
-            self._packed_net = None
+        self._packed_net = PackedNet(stg.net)
         self._plabelled: Dict[int, List[Tuple[str, int, int]]] = {}
         self._pdummy: Dict[int, List[int]] = {}
         self._signal_bit: Dict[str, int] = {
@@ -157,11 +157,6 @@ class SpecEnvironment:
     # ------------------------------------------------------------------ #
     # Packed twin of the token game (markings as bitmask ints)
     # ------------------------------------------------------------------ #
-    @property
-    def supports_packed(self) -> bool:
-        """True when the specification net admits the packed token game."""
-        return self._packed_net is not None
-
     def _expand_packed(self, word: int) -> None:
         if word in self._plabelled:
             return

@@ -21,8 +21,7 @@ the *global* signal space (bit ``i`` = signal ``i``, local variable orders
 remapped through the gate's permutation), so the packed simulation engine
 evaluates a gate on a packed code word with two ANDs per cube
 (``ones & ~word == 0 and zeros & word == 0``).  The sequence-based
-``evaluate``/``excitation`` API remains for the legacy engine and the
-random walker.
+``evaluate``/``excitation`` API remains for the random walker.
 """
 
 from __future__ import annotations

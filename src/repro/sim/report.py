@@ -125,17 +125,15 @@ def simulate_implementation(
     implementation: "Implementation",
     max_states: Optional[int] = 100000,
     max_reports: int = 25,
-    packed: Optional[bool] = None,
 ) -> ExplorationResult:
     """Exhaustively verify an implementation against its specification.
 
     Explores every interleaving of the closed circuit/environment loop and
     reports hazards (non-persistent excitations, drive conflicts),
     conformance violations and deadlocks.  See :class:`~repro.sim.simulator.Simulator`.
-    ``packed`` forces/forbids the packed simulation engine (default: auto).
     """
     with current_tracer().span("conformance", stg=stg.name) as span:
-        simulator = Simulator(stg, implementation, packed=packed)
+        simulator = Simulator(stg, implementation)
         result = simulator.explore(max_states=max_states, max_reports=max_reports)
         if span.live:
             span.gauge("sim_states", result.num_states)

@@ -19,12 +19,12 @@ code and the set of specification markings consistent with the trace; the
 exploration is a plain breadth-first search over those pairs with an
 optional state budget for the experiment harnesses.
 
-Two engines produce identical results: the **packed** engine (default for
-safe, weight-1 specification nets) keeps the code as one int (bit ``i`` =
-signal ``i``), the tracked set as a frozenset of marking bitmasks and
-evaluates gates on mask pairs compiled into the global signal space; the
-**legacy** engine runs on tuples and dict-backed markings and acts as the
-reference the equivalence suite checks the packed engine against.
+The search runs on packed states: the code is one int (bit ``i`` = signal
+``i``), the tracked set is a frozenset of marking bitmasks, and gates are
+evaluated on mask pairs compiled into the global signal space.  A
+specification net outside the safe, weight-1 class raises
+:class:`~repro.core.UnsafeNetError` when the environment compiles it, and a
+reachable unsafe firing raises it during the search.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..core import UnsafeNetError, unpack_code
+from ..core import unpack_code
 from ..petrinet import StateSpaceLimitExceeded
 from ..stg import STG
 from .environment import SpecEnvironment, TrackedStates
@@ -196,33 +196,13 @@ class Simulator:
         signal order and initial state).
     implementation:
         The synthesised gate-level implementation to execute.
-    packed:
-        Force (``True``) / forbid (``False``) the packed engine; the default
-        uses it whenever the specification net is safe and weight-1.
-        Forcing it on a net that does not qualify raises ``ValueError``
-        rather than silently downgrading, so equivalence tests cannot
-        accidentally compare the legacy engine against itself.
     """
 
-    def __init__(
-        self,
-        stg: STG,
-        implementation: "Implementation",
-        packed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, stg: STG, implementation: "Implementation") -> None:
         self.stg = stg
         self.implementation = implementation
         self.circuit = CircuitModel(stg, implementation)
         self.environment = SpecEnvironment(stg)
-        if packed is None:
-            self.packed = self.environment.supports_packed
-        else:
-            if packed and not self.environment.supports_packed:
-                raise ValueError(
-                    "packed simulation forced but the net of %r is not safe/weight-1"
-                    % stg.name
-                )
-            self.packed = packed
 
     # ------------------------------------------------------------------ #
     # Event computation
@@ -250,20 +230,6 @@ class Simulator:
         ``max_reports`` caps each anomaly list so a broken gate on a large
         circuit does not produce millions of identical records.
         """
-        if self.packed:
-            try:
-                return self._explore_packed(max_states, max_reports, raise_on_limit)
-            except UnsafeNetError:
-                pass  # a reachable spec marking is not 1-bounded: fall back
-        return self._explore_legacy(max_states, max_reports, raise_on_limit)
-
-    def _explore_packed(
-        self,
-        max_states: Optional[int],
-        max_reports: int,
-        raise_on_limit: bool,
-    ) -> ExplorationResult:
-        """Packed-engine exploration: int codes, bitmask tracked markings."""
         import time
 
         start_time = time.perf_counter()
@@ -344,95 +310,6 @@ class Simulator:
                             result.hazards.append(hazard)
 
                 successor = (new_word, new_tracked)
-                if successor not in seen:
-                    if max_states is not None and len(seen) >= max_states:
-                        if raise_on_limit:
-                            raise StateSpaceLimitExceeded(max_states)
-                        result.truncated = True
-                        continue
-                    seen.add(successor)
-                    queue.append(successor)
-
-        result.elapsed = time.perf_counter() - start_time
-        return result
-
-    def _explore_legacy(
-        self,
-        max_states: Optional[int],
-        max_reports: int,
-        raise_on_limit: bool,
-    ) -> ExplorationResult:
-        """Reference tuple/dict-based exploration (non-safe nets, tests)."""
-        import time
-
-        start_time = time.perf_counter()
-        result = ExplorationResult(self.stg.name, self.implementation.architecture)
-
-        initial_code = self.circuit.initial_code()
-        initial_tracked = self.environment.initial_states()
-        initial = (initial_code, initial_tracked)
-        seen: Set[Tuple[Tuple[int, ...], TrackedStates]] = {initial}
-        queue = deque([initial])
-        hazard_seen: Set[Hazard] = set()
-        violation_seen: Set[ConformanceViolation] = set()
-
-        while queue:
-            code, tracked = queue.popleft()
-            result.num_states += 1
-
-            for signal in self.circuit.drive_conflicts(code):
-                hazard = Hazard("drive-conflict", signal, code)
-                if hazard not in hazard_seen and len(result.hazards) < max_reports:
-                    hazard_seen.add(hazard)
-                    result.hazards.append(hazard)
-
-            events = self.enabled_events(code, tracked)
-            if not events:
-                if len(result.deadlocks) < max_reports:
-                    result.deadlocks.append(Deadlock(code))
-                continue
-
-            gate_events = [e for e in events if e.kind == "gate"]
-            excitation = {e.signal: e.target_value for e in gate_events}
-            for event in events:
-                new_code = self.circuit.fire(code, event.signal, event.target_value)
-                new_tracked = self.environment.advance(
-                    tracked, event.signal, event.target_value
-                )
-                result.num_events_fired += 1
-
-                if event.kind == "gate" and not new_tracked:
-                    violation = ConformanceViolation(
-                        event.signal, event.target_value, code
-                    )
-                    if (
-                        violation not in violation_seen
-                        and len(result.violations) < max_reports
-                    ):
-                        violation_seen.add(violation)
-                        result.violations.append(violation)
-                    # The game has left the specification; exploring further
-                    # along this branch would only compound the violation.
-                    continue
-
-                # Persistence check (semi-modularity): every *other* excited
-                # gate must still be excited towards the same value after the
-                # fired event, otherwise the circuit can glitch.  Skip the
-                # excitation recomputation when no other gate was excited.
-                if len(gate_events) > (1 if event.kind == "gate" else 0):
-                    new_excitation = self.circuit.excitation(new_code)
-                    for signal, _target in disabled_excitations(
-                        excitation, new_excitation, event.signal
-                    ):
-                        hazard = Hazard("non-persistent", signal, code, event.label)
-                        if (
-                            hazard not in hazard_seen
-                            and len(result.hazards) < max_reports
-                        ):
-                            hazard_seen.add(hazard)
-                            result.hazards.append(hazard)
-
-                successor = (new_code, new_tracked)
                 if successor not in seen:
                     if max_states is not None and len(seen) >= max_states:
                         if raise_on_limit:

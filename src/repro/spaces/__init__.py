@@ -37,31 +37,24 @@ def build_state_space(
     stg,
     engine: str = "explicit",
     max_states: Optional[int] = None,
-    packed: Optional[bool] = None,
     max_iterations: Optional[int] = None,
     kernel: Optional[str] = None,
-    fixpoint: str = "saturation",
 ) -> StateSpace:
     """Build the state space of an STG with the requested engine.
 
+    Both engines accept only the nets :class:`~repro.core.PackedNet`
+    accepts and raise :class:`~repro.core.UnsafeNetError` for any other.
     ``max_states`` bounds the reachable-state count for both engines (the
     explicit engine raises during enumeration, the symbolic one from a
-    solution count after each fixed-point pass).  ``packed`` forces/forbids
-    the packed state-graph representation and ``kernel`` selects the BFS /
-    coding-sweep backend (``"auto"``/``None``, ``"numpy"``, ``"python"``;
-    explicit engine only); ``max_iterations`` bounds the symbolic fixed
-    point and ``fixpoint`` selects its schedule (``"saturation"`` or the
-    reference ``"chaining"``; symbolic engine only).
+    solution count after each group saturation).  ``kernel`` selects the
+    BFS / coding-sweep backend (``"auto"``/``None``, ``"numpy"``,
+    ``"python"``; explicit engine only); ``max_iterations`` bounds the
+    symbolic fixed point (symbolic engine only).
     """
     if engine == "explicit":
-        return ExplicitStateSpace(
-            stg, max_states=max_states, packed=packed, kernel=kernel
-        )
+        return ExplicitStateSpace(stg, max_states=max_states, kernel=kernel)
     if engine == "bdd":
         return SymbolicStateSpace(
-            stg,
-            max_states=max_states,
-            max_iterations=max_iterations,
-            fixpoint=fixpoint,
+            stg, max_states=max_states, max_iterations=max_iterations
         )
     raise ValueError("unknown state-space engine %r (choose from %s)" % (engine, ENGINES))

@@ -38,7 +38,6 @@ class ExplicitStateSpace(StateSpace):
         self,
         stg,
         max_states: Optional[int] = None,
-        packed: Optional[bool] = None,
         graph: Optional[StateGraph] = None,
         kernel: Optional[str] = None,
     ) -> None:
@@ -47,7 +46,7 @@ class ExplicitStateSpace(StateSpace):
         #: per-state data (encoding resolution, simulation oracles) unwrap
         #: it; protocol-level consumers never have to.
         self.graph = graph if graph is not None else build_state_graph(
-            stg, max_states=max_states, packed=packed, kernel=kernel
+            stg, max_states=max_states, kernel=kernel
         )
         self.kernel = kernel
         self.max_states = max_states

@@ -49,21 +49,17 @@ class SymbolicStateSpace(StateSpace):
         stg,
         max_states: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        fixpoint: str = "saturation",
-        dynamic_reorder: bool = True,
         _engine: Optional[SymbolicNet] = None,
     ) -> None:
         super().__init__(stg)
         if not stg.has_complete_initial_state():
             stg.infer_initial_state()
-        if not PackedNet.is_packable(stg.net):
-            raise UnsafeNetError(
-                "the symbolic engine requires a safe, weight-1 net"
-            )
+        # One BDD variable per place encodes only safe markings: the packed
+        # core decides which nets qualify, exactly as for the explicit
+        # engine, and raises UnsafeNetError naming the defect otherwise.
+        PackedNet(stg.net)
         self.max_states = max_states
         self.max_iterations = max_iterations
-        self.fixpoint = fixpoint
-        self.dynamic_reorder = dynamic_reorder
         # ``_engine`` lets apply_insertion hand over a prepared (seeded)
         # engine whose fixed point has not run yet; the tail of __init__
         # is identical either way, so the seeded space answers every
@@ -73,8 +69,6 @@ class SymbolicStateSpace(StateSpace):
             stg=stg,
             max_iterations=max_iterations,
             max_states=max_states,
-            fixpoint=fixpoint,
-            dynamic_reorder=dynamic_reorder,
         )
         self._reached = self._engine.reachable_set()
         self._check_well_formed()
@@ -130,8 +124,6 @@ class SymbolicStateSpace(StateSpace):
             stg=stg,
             max_iterations=self.max_iterations,
             max_states=self.max_states,
-            fixpoint=self.fixpoint,
-            dynamic_reorder=self.dynamic_reorder,
         )
         with current_tracer().span(
             "incremental_seed", engine="bdd", stg=stg.name, signal=edit.signal
@@ -144,8 +136,6 @@ class SymbolicStateSpace(StateSpace):
             stg,
             max_states=self.max_states,
             max_iterations=self.max_iterations,
-            fixpoint=self.fixpoint,
-            dynamic_reorder=self.dynamic_reorder,
             _engine=engine,
         )
         space.incremental_stats = {

@@ -72,8 +72,6 @@ __all__ = ["extend_state_graph"]
 
 def _compatible(old_graph: StateGraph, edit) -> bool:
     """True when the old graph's packed words stay valid after the edit."""
-    if not old_graph.is_packed:
-        return False
     if edit.phase_mask is None:
         return False
     new_signals = edit.stg.signals
@@ -113,13 +111,13 @@ def extend_state_graph(
     """State Graph of ``edit.stg``, grown from ``old_graph`` in place of a
     cold rebuild.
 
-    Returns ``None`` when the incremental path does not apply (legacy
-    dict-marking graphs, no phase mask, non-appending rewrites, nets the
-    packed engine cannot hold) -- the caller falls back to
+    Returns ``None`` when the incremental path does not apply (no phase
+    mask, non-appending rewrites) -- the caller falls back to
     :func:`~repro.stategraph.build_state_graph`.  Raises the same errors a
     cold rebuild would surface: :class:`InconsistentSTGError` for phase
     labellings the token game contradicts,
-    :class:`~repro.core.UnsafeNetError` for unsafe firings and
+    :class:`~repro.core.UnsafeNetError` for nets
+    :class:`~repro.core.PackedNet` refuses and for unsafe firings, and
     :class:`~repro.petrinet.StateSpaceLimitExceeded` over the state budget.
 
     The returned graph carries an ``incremental_stats`` dict
@@ -130,8 +128,6 @@ def extend_state_graph(
     if not _compatible(old_graph, edit):
         return None
     stg = edit.stg
-    if not PackedNet.is_packable(stg.net):
-        return None
     pnet = PackedNet(stg.net)
 
     # The old place block must sit unchanged at the bottom of the new

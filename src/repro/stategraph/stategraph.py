@@ -10,9 +10,12 @@ Packed representation
 ---------------------
 States are stored packed (see :mod:`repro.core`): the binary code of state
 ``s`` is one int whose bit ``i`` is the value of signal ``i`` (signal order
-= ``stg.signals``), and for safe weight-1 nets the marking is one int whose
-bit ``j`` is the token count of place ``j``.  Alongside the codes the graph
-keeps two per-state *excitation masks* -- bit ``i`` of
+= ``stg.signals``), and the marking is one int whose bit ``j`` is the token
+count of place ``j``.  Only safe, weight-1 nets have such markings, so
+:func:`build_state_graph` compiles a :class:`~repro.core.PackedNet` first
+and raises :class:`~repro.core.UnsafeNetError` for any other net, or when a
+reachable firing would put a second token on a place.  Alongside the codes
+the graph keeps two per-state *excitation masks* -- bit ``i`` of
 ``excited_plus_mask(s)`` (``excited_minus_mask(s)``) is 1 when a rising
 (falling) transition of signal ``i`` is enabled in ``s`` -- which turn
 region extraction and implied-value queries into single integer operations.
@@ -55,8 +58,8 @@ class StateGraph:
     stg:
         The source STG.
     markings:
-        Reachable markings (index 0 is the initial one); a lazy decoding
-        view when the graph was built by the packed engine.
+        Reachable markings (index 0 is the initial one), a lazy view
+        decoding the packed marking words.
     codes:
         Binary code of every state as tuples ordered like ``stg.signals``
         (an adapter materialised from :attr:`packed_codes` on first use).
@@ -66,7 +69,7 @@ class StateGraph:
         ``(source, transition, target)`` triples.
     """
 
-    def __init__(self, stg: STG, codec=None) -> None:
+    def __init__(self, stg: STG, codec) -> None:
         self.stg = stg
         self.signals: List[str] = stg.signals
         self.signal_table = SignalTable(self.signals)
@@ -83,14 +86,10 @@ class StateGraph:
         self._kernel_excited_plus = None
         self._kernel_excited_minus = None
         self._codec = codec
-        self._packed_markings: Optional[List[int]] = [] if codec is not None else None
-        self._marking_list: Union[List[Marking], LazyDecodedList]
-        if codec is not None:
-            self._marking_list = LazyDecodedList(self._packed_markings, codec.decode)
-        else:
-            self._marking_list = []
-        # Keys are packed ints (packed mode) or Marking objects (legacy mode).
-        self._index: Dict[object, int] = {}
+        self._packed_markings: List[int] = []
+        self._marking_list = LazyDecodedList(self._packed_markings, codec.decode)
+        # Packed marking word -> state index.
+        self._index: Dict[int, int] = {}
         self._successors: Dict[int, List[Tuple[str, int]]] = {}
         self._predecessors: Dict[int, List[Tuple[str, int]]] = {}
         # Per-state excitation bitmasks over signal indices.
@@ -115,29 +114,10 @@ class StateGraph:
     def markings(self):
         return self._marking_list
 
-    @property
-    def is_packed(self) -> bool:
-        """True when markings are stored as bitmask ints."""
-        return self._packed_markings is not None
-
-    def _add_state(self, marking: Marking, code: Tuple[int, ...]) -> int:
-        """Legacy-mode state registration (dict marking + tuple code)."""
-        index = self._index.get(marking)
-        if index is not None:
-            return index
-        index = self._new_state(pack_code(code))
-        self._index[marking] = index
-        self._marking_list.append(marking)
-        return index
-
     def _add_packed_state(self, marking_word: int, code_word: int) -> int:
-        index = self._new_state(code_word)
+        index = len(self._index)
         self._index[marking_word] = index
         self._packed_markings.append(marking_word)
-        return index
-
-    def _new_state(self, code_word: int) -> int:
-        index = len(self._index)
         self.packed_codes.append(code_word)
         self._successors[index] = []
         self._predecessors[index] = []
@@ -238,13 +218,11 @@ class StateGraph:
         return self._codes_cache
 
     def index_of(self, marking: Marking) -> Optional[int]:
-        if self._packed_markings is not None:
-            try:
-                return self._index.get(self._codec.encode(marking))
-            except (UnsafeNetError, KeyError):
-                # Non-safe markings and unknown places are both unreachable.
-                return None
-        return self._index.get(marking)
+        try:
+            return self._index.get(self._codec.encode(marking))
+        except (UnsafeNetError, KeyError):
+            # Non-safe markings and unknown places are both unreachable.
+            return None
 
     def code_of(self, state: int) -> Tuple[int, ...]:
         return unpack_code(self.packed_codes[state], len(self.signals))
@@ -356,51 +334,29 @@ class StateGraph:
 def build_state_graph(
     stg: STG,
     max_states: Optional[int] = None,
-    check_consistency: bool = True,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> StateGraph:
     """Build the State Graph of an STG by breadth-first exploration.
 
     Raises :class:`InconsistentSTGError` when the specification violates
-    consistent state assignment (unless ``check_consistency`` is False, in
-    which case the first code found for a marking is kept) and
-    :class:`StateSpaceLimitExceeded` when the optional state budget is hit.
-
-    ``packed`` forces (``True``) or forbids (``False``) the packed bitmask
-    engine; by default (``None``) the packed engine runs whenever the net
-    is safe and weight-1, falling back transparently otherwise.  Forcing
-    ``packed=True`` on a net that cannot be packed raises
-    :class:`~repro.core.UnsafeNetError` instead of downgrading.
+    consistent state assignment, :class:`~repro.core.UnsafeNetError` when
+    the net is not safe and weight-1 (see :class:`~repro.core.PackedNet`)
+    and :class:`StateSpaceLimitExceeded` when the optional state budget is
+    hit.
 
     ``kernel`` selects the frontier-expansion backend (see
     :func:`repro.kernel.resolve_kernel`): ``"numpy"`` vectorises the packed
     BFS over whole waves, ``"python"`` forces the reference loop, ``None`` /
     ``"auto"`` picks numpy when installed.  The numpy kernel produces a
-    bit-identical graph (state numbering, edge order, excitation masks) and
-    quietly defers to the reference loop for specs it cannot hold
-    (non-packable nets, ``packed=False``); codes of any width fit the
-    kernel's multi-word rows, so signal count is never a fallback reason.
+    bit-identical graph (state numbering, edge order, excitation masks);
+    codes of any width fit the kernel's multi-word rows, so signal count is
+    never a fallback reason.
     """
     if not stg.has_complete_initial_state():
         stg.infer_initial_state()
-    use_kernel = resolve_kernel(kernel) == "numpy" and packed is not False
+    build = _build_kernel if resolve_kernel(kernel) == "numpy" else _build_packed
     with current_tracer().span("reachability", engine="explicit", stg=stg.name) as span:
-        if use_kernel and PackedNet.is_packable(stg.net):
-            try:
-                return _build_kernel(stg, max_states, check_consistency, span)
-            except UnsafeNetError:
-                if packed is True:
-                    raise
-                return _build_legacy(stg, max_states, check_consistency, span)
-        if packed is True:
-            return _build_packed(stg, max_states, check_consistency, span)
-        if packed is None and PackedNet.is_packable(stg.net):
-            try:
-                return _build_packed(stg, max_states, check_consistency, span)
-            except UnsafeNetError:
-                pass  # a reachable marking is not 1-bounded: use the fallback
-        return _build_legacy(stg, max_states, check_consistency, span)
+        return build(stg, PackedNet(stg.net), max_states, span)
 
 
 def _inconsistent_enabled(stg: STG, transition: str) -> InconsistentSTGError:
@@ -425,23 +381,18 @@ def _inconsistent_codes(
 
 
 def _build_kernel(
-    stg: STG, max_states: Optional[int], check_consistency: bool, span=NULL_SPAN
+    stg: STG, pnet: PackedNet, max_states: Optional[int], span=NULL_SPAN
 ) -> StateGraph:
     """Packed BFS on the numpy bitset kernel (identical output, wave-at-a-time)."""
     from ..kernel.bitset import kernel_bfs
 
-    pnet = PackedNet(stg.net)
     graph = StateGraph(stg, codec=pnet.codec)
-    return kernel_bfs(
-        stg, pnet, graph, max_states=max_states,
-        check_consistency=check_consistency, span=span,
-    )
+    return kernel_bfs(stg, pnet, graph, max_states=max_states, span=span)
 
 
 def _build_packed(
-    stg: STG, max_states: Optional[int], check_consistency: bool, span=NULL_SPAN
+    stg: STG, pnet: PackedNet, max_states: Optional[int], span=NULL_SPAN
 ) -> StateGraph:
-    pnet = PackedNet(stg.net)
     graph = StateGraph(stg, codec=pnet.codec)
     nsignals = len(graph.signals)
     signal_index = graph.signal_table.index
@@ -484,7 +435,7 @@ def _build_packed(
             bit = bits[t]
             if bit:
                 target_value = targets[t]
-                if check_consistency and bool(code & bit) != (target_value == 0):
+                if bool(code & bit) != (target_value == 0):
                     # The signal must currently hold the source value.
                     raise _inconsistent_enabled(stg, transitions[t])
                 successor_code = (code | bit) if target_value else (code & ~bit)
@@ -511,7 +462,7 @@ def _build_packed(
                     # empty on the disabled path).
                     if len(depths) % 4096 == 0:
                         span.progress(len(depths), max_states)
-            elif check_consistency and packed_codes[target] != successor_code:
+            elif packed_codes[target] != successor_code:
                 raise _inconsistent_codes(
                     pnet.codec.decode(successor_marking),
                     unpack_code(packed_codes[target], nsignals),
@@ -528,7 +479,6 @@ def _record_bfs_stats(span, graph: StateGraph, depths: List[int]) -> None:
     """End-of-BFS gauges + the per-wave frontier-size series."""
     span.gauge("states", graph.num_states)
     span.gauge("edges", graph.num_edges)
-    span.gauge("packed", graph.is_packed)
     if depths:
         waves: List[int] = []
         for depth in depths:
@@ -538,46 +488,3 @@ def _record_bfs_stats(span, graph: StateGraph, depths: List[int]) -> None:
         for size in waves:
             span.append("frontier_waves", size)
         span.gauge("bfs_depth", len(waves) - 1)
-
-
-def _build_legacy(
-    stg: STG, max_states: Optional[int], check_consistency: bool, span=NULL_SPAN
-) -> StateGraph:
-    graph = StateGraph(stg)
-    initial_code = stg.initial_code()
-    initial = stg.net.initial_marking
-    graph._add_state(initial, initial_code)
-    queue = deque([0])
-    codes: List[Tuple[int, ...]] = [initial_code]
-    depths: List[int] = [0] if span.live else []
-
-    while queue:
-        index = queue.popleft()
-        marking = graph.markings[index]
-        code = codes[index]
-        for transition in stg.net.enabled_transitions(marking):
-            if check_consistency and not stg.code_consistent_with(code, transition):
-                raise _inconsistent_enabled(stg, transition)
-            successor_marking = stg.net.fire(marking, transition)
-            successor_code = stg.next_code(code, transition)
-            existing = graph.index_of(successor_marking)
-            if existing is not None:
-                if check_consistency and codes[existing] != successor_code:
-                    raise _inconsistent_codes(
-                        successor_marking, codes[existing], successor_code
-                    )
-                target = existing
-            else:
-                target = graph._add_state(successor_marking, successor_code)
-                codes.append(successor_code)
-                if max_states is not None and graph.num_states > max_states:
-                    raise StateSpaceLimitExceeded(max_states)
-                queue.append(target)
-                if depths:
-                    depths.append(depths[index] + 1)
-                    if len(depths) % 4096 == 0:
-                        span.progress(len(depths), max_states)
-            graph._add_edge(index, transition, target)
-    if span.live:
-        _record_bfs_stats(span, graph, depths)
-    return graph

@@ -80,7 +80,6 @@ def synthesize_from_sg(
     engine: str = "explicit",
     max_states: Optional[int] = None,
     raise_on_csc: bool = False,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> SGSynthesisResult:
     """Synthesise every implementable signal from the state space.
@@ -99,20 +98,13 @@ def synthesize_from_sg(
     raise_on_csc:
         When True a CSC conflict raises; otherwise the conflicting signals
         are recorded in ``implementation.csc_conflicts`` and skipped.
-    packed:
-        Force (``True``) / forbid (``False``) the packed bitmask state-graph
-        engine (explicit engine only); defaults to packed whenever the net
-        qualifies.  Used by the equivalence test-suite to compare both
-        representations.
     kernel:
         BFS / coding-sweep backend for the explicit engine
         (``"auto"``/``None``, ``"numpy"``, ``"python"``).
     """
     obs = current_tracer()
     start = time.perf_counter()
-    space = build_state_space(
-        stg, engine=engine, max_states=max_states, packed=packed, kernel=kernel
-    )
+    space = build_state_space(stg, engine=engine, max_states=max_states, kernel=kernel)
     build_time = time.perf_counter() - start
 
     signals = stg.signals

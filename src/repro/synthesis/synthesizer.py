@@ -131,7 +131,6 @@ def synthesize(
     architecture: str = "acg",
     raise_on_csc: bool = False,
     max_states: Optional[int] = None,
-    packed: Optional[bool] = None,
     resolve_encoding: bool = False,
     max_csc_signals: int = 3,
     engine: Optional[str] = None,
@@ -142,15 +141,15 @@ def synthesize(
     See the module docstring for the available methods.  ``max_states``
     bounds the state space of the SG methods (both engines) so experiments
     can report "did not finish" instead of running out of memory.
-    ``packed`` forces/forbids the packed state-graph engine of the SG
-    methods (ignored by the unfolding methods, which never build the SG).
-    ``engine`` overrides the state-space backend implied by the SG method
+    Every method accepts only the nets :class:`~repro.core.PackedNet`
+    accepts (safe, weight-1, every transition with an input place) and
+    raises :class:`~repro.core.UnsafeNetError` for any other.  ``engine``
+    overrides the state-space backend implied by the SG method
     name (``"sg-explicit"`` + ``engine="bdd"`` runs symbolically); the
     unfolding methods ignore it.  ``kernel`` selects the vectorised backend
     everywhere one exists (``"auto"``/``None``, ``"numpy"``, ``"python"``):
-    the explicit engine's BFS / coding sweeps, the espresso cover engine of
-    every method, and (explicit ``"numpy"`` only) the unfolder's co-set
-    joins.
+    the explicit engine's BFS / coding sweeps and the espresso cover engine
+    of every method.
 
     With ``resolve_encoding`` the specification's CSC conflicts are first
     resolved by inserting up to ``max_csc_signals`` internal state signals
@@ -179,7 +178,7 @@ def synthesize(
                 encoding = None  # already CSC-clean: nothing to report
 
         result = _dispatch(
-            stg, method, architecture, raise_on_csc, max_states, packed, engine, kernel
+            stg, method, architecture, raise_on_csc, max_states, engine, kernel
         )
         result.encoding = encoding
         if span.live:
@@ -195,7 +194,6 @@ def _dispatch(
     architecture: str,
     raise_on_csc: bool,
     max_states: Optional[int],
-    packed: Optional[bool],
     engine: Optional[str] = None,
     kernel: Optional[str] = None,
 ) -> SynthesisResult:
@@ -233,7 +231,6 @@ def _dispatch(
         engine=engine,
         max_states=max_states,
         raise_on_csc=raise_on_csc,
-        packed=packed,
         kernel=kernel,
     )
     return SynthesisResult(

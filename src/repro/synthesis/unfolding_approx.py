@@ -520,8 +520,7 @@ def synthesize_approx_from_unfolding(
     construction (``unfold_time``), cover approximation + refinement
     (``cover_time``, the paper's "SynTim") and two-level minimisation
     (``minimize_time``, the paper's "EspTim").  ``kernel`` selects the
-    cover-engine backend for the espresso runs (and the unfolder's co-set
-    joins when the segment is built here).
+    cover-engine backend for the espresso runs.
     """
     if architecture != "acg":
         raise ValueError(
@@ -530,7 +529,7 @@ def synthesize_approx_from_unfolding(
         )
     t0 = time.perf_counter()
     if segment is None:
-        segment = unfold(stg, kernel=kernel)
+        segment = unfold(stg)
     unfold_time = time.perf_counter() - t0
 
     signals = stg.signals

@@ -105,12 +105,11 @@ def synthesize_exact_from_unfolding(
     ``segment`` may be passed in when the caller already unfolded the STG
     (e.g. because it was verified first); otherwise it is built here and its
     construction time is reported as ``unfold_time``.  ``kernel`` selects
-    the cover-engine backend for the espresso runs (and the unfolder's
-    co-set joins when the segment is built here).
+    the cover-engine backend for the espresso runs.
     """
     t0 = time.perf_counter()
     if segment is None:
-        segment = unfold(stg, kernel=kernel)
+        segment = unfold(stg)
     unfold_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()

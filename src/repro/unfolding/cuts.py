@@ -29,9 +29,7 @@ event instance at that cut -- no successor state is lost.
 
 The argument needs the whole segment walked from the initial cut, so
 slice-restricted walks (``allowed_events``) and walks from a caller-supplied
-``start`` cut keep per-cut identity pruning (``dedup="cut"``, on the packed
-condition mask), as does the legacy reference mode used by the equivalence
-tests.
+``start`` cut prune on cut identity (the packed condition mask) instead.
 """
 
 from __future__ import annotations
@@ -165,14 +163,16 @@ def enumerate_cuts(
     allowed_events: Optional[Set[int]] = None,
     start: Optional[Cut] = None,
     max_cuts: Optional[int] = None,
-    dedup: Optional[str] = None,
 ) -> Iterator[Cut]:
     """Breadth-first enumeration of the cuts of the segment.
 
-    By default a full walk from the initial cut yields **one representative
-    cut per packed (marking, code) state**, not every cut -- state-equivalent
-    cuts reached through different conditions are pruned (exactly, see the
-    module docstring).  Pass ``dedup="cut"`` to enumerate every cut.
+    A full walk from the initial cut yields **one representative cut per
+    packed (marking, code) state**, not every cut -- state-equivalent cuts
+    reached through different conditions are pruned (exactly, see the
+    module docstring).  A walk given ``allowed_events`` or ``start`` prunes
+    on cut identity (the packed condition mask) and yields every cut it
+    reaches: the exactness argument needs BFS depth to equal configuration
+    size, which only holds from the initial cut over the whole segment.
 
     Parameters
     ----------
@@ -183,21 +183,8 @@ def enumerate_cuts(
         Starting cut; defaults to the initial cut.
     max_cuts:
         Optional safety bound.
-    dedup:
-        ``"state"`` prunes on the packed ``(marking_word, code_word)`` pair
-        (exact only for full-segment walks from the initial cut, see the
-        module docstring); ``"cut"`` prunes on cut identity (the packed
-        condition mask) and is the legacy reference behaviour.  Defaults to
-        ``"state"`` for unrestricted walks from the initial cut and
-        ``"cut"`` when ``allowed_events`` or ``start`` is given (the
-        exactness argument needs BFS depth to equal configuration size,
-        which only holds from the initial cut over the whole segment).
     """
-    if dedup is None:
-        dedup = "cut" if allowed_events is not None or start is not None else "state"
-    if dedup not in ("state", "cut"):
-        raise ValueError("dedup must be 'state' or 'cut', got %r" % (dedup,))
-    by_state = dedup == "state"
+    by_state = allowed_events is None and start is None
 
     first = start if start is not None else initial_cut(segment)
     by_lowest, keyed = _index_by_lowest_condition(segment, allowed_events)
@@ -236,9 +223,7 @@ def enumerate_cuts(
 
 
 def reachable_packed_states(
-    segment: UnfoldingSegment,
-    max_cuts: Optional[int] = None,
-    legacy: bool = False,
+    segment: UnfoldingSegment, max_cuts: Optional[int] = None
 ) -> Dict[int, int]:
     """Recover the packed reachable states ``{marking_word: code_word}``.
 
@@ -247,14 +232,9 @@ def reachable_packed_states(
     A marking reached with two different binary codes violates consistent
     state assignment and raises :class:`UnfoldingError` -- it is never
     silently collapsed, which would mask CSC conflicts downstream.
-
-    ``legacy`` switches to the per-cut-identity reference walk (every cut
-    visited, exponentially slower on choice-rich nets) used by the
-    equivalence tests.
     """
     states: Dict[int, int] = {}
-    dedup = "cut" if legacy else "state"
-    for cut in enumerate_cuts(segment, max_cuts=max_cuts, dedup=dedup):
+    for cut in enumerate_cuts(segment, max_cuts=max_cuts):
         existing = states.get(cut.marking_word)
         if existing is None:
             states[cut.marking_word] = cut.code_word
@@ -272,16 +252,14 @@ def reachable_packed_states(
 
 
 def reachable_states(
-    segment: UnfoldingSegment,
-    max_cuts: Optional[int] = None,
-    legacy: bool = False,
+    segment: UnfoldingSegment, max_cuts: Optional[int] = None
 ) -> Dict[FrozenSet[str], Tuple[int, ...]]:
     """Recover the reachable (marking, code) pairs from the segment.
 
     A decoded view of :func:`reachable_packed_states` (same exactness and
     same :class:`UnfoldingError` on marking/code collisions).
     """
-    packed = reachable_packed_states(segment, max_cuts=max_cuts, legacy=legacy)
+    packed = reachable_packed_states(segment, max_cuts=max_cuts)
     names_in = segment.place_table.names_in
     nsignals = len(segment.signal_table)
     return {

@@ -4,11 +4,15 @@ The segment is a finite prefix of the (in general infinite) branching
 process of the STG, truncated at *cutoff* events: events whose firing
 reaches a state -- a (marking, binary code) pair -- already reached by a
 smaller local configuration (McMillan's criterion, extended with the binary
-code as in the paper's reference [11]).  While the segment is built the two
+code as in the paper's reference [11]).  Like McMillan's prefix, the
+construction assumes a safe, weight-1 net: the segment compiles the net
+into a :class:`~repro.core.PackedNet`, which rejects arc weights above 1,
+an unsafe initial marking and transitions without input places with
+:class:`~repro.core.UnsafeNetError`.  While the segment is built the two
 general correctness criteria that can fail during construction are checked:
 
-* **boundedness / safeness** -- the benchmarks are safe nets; a configuration
-  reaching a non-safe marking aborts the construction,
+* **safeness** -- a configuration reaching a marking with two tokens on a
+  place raises :class:`~repro.core.UnsafeNetError`,
 * **consistent state assignment** -- an event whose signal is already at the
   value the event would set it to reveals an inconsistent specification.
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..core import (
     PackedNet,
@@ -37,70 +41,11 @@ from ..core import (
     popcount,
     unpack_code,
 )
-from ..kernel import resolve_kernel
 from ..obs import current_tracer
 from ..stg import STG, STGError
 from .occurrence_net import Condition, Event, OccurrenceNet
 
 __all__ = ["UnfoldingError", "UnfoldingSegment", "unfold"]
-
-
-class _MatrixCoIndex:
-    """uint64 ``RowMatrix`` mirror of the unfolder's co-row joins.
-
-    Maintains, in step with the python-int rows the occurrence net keeps
-    anyway, one concurrency row per condition, one condition row per
-    original place, and the dead (cutoff-postset) row -- all as
-    ``(rows, words)`` uint64 matrices from :mod:`repro.kernel.cubes`.  The
-    possible-extension co-set joins then run as word-wise row ANDs; set
-    bits come back in ascending cid order, so extensions are emitted in
-    exactly the python-int path's order and the segment is bit-identical.
-    """
-
-    def __init__(self) -> None:
-        from ..kernel import cubes
-
-        self._cubes = cubes
-        self.co = cubes.RowMatrix()
-        self.places = cubes.RowMatrix()
-        self.place_rows: Dict[str, int] = {}
-        self.dead = cubes.RowMatrix()
-        self.dead.append(0)
-
-    def iter_bits(self, row):
-        return self._cubes.iter_row_bits(row)
-
-    def attach(self, event: Event, postset: Sequence[Condition]) -> None:
-        """Mirror ``attach_postset``'s co recurrence for the new conditions."""
-        if not postset:
-            return
-        co = self.co
-        co.ensure_bit(postset[-1].cid)
-        if event.preset:
-            shared = co.match_words(co.row(event.preset[0].cid).copy())
-            for condition in event.preset[1:]:
-                shared = shared & co.match_words(co.row(condition.cid))
-        else:
-            shared = co.zero_row()
-        sibling = co.zero_row()
-        for condition in postset:
-            sibling = sibling | co.bit_row(condition.cid)
-        for condition in postset:
-            index = co.append(0)
-            own = co.bit_row(condition.cid)
-            co.or_into(index, shared | (sibling & ~own))
-            row_index = self.place_rows.get(condition.place)
-            if row_index is None:
-                row_index = self.places.append(0)
-                self.place_rows[condition.place] = row_index
-            self.places.or_bit(row_index, condition.cid)
-        earlier = list(self.iter_bits(shared))
-        if earlier:
-            co.or_rows(earlier, sibling)
-
-    def mark_dead(self, postset: Sequence[Condition]) -> None:
-        for condition in postset:
-            self.dead.or_bit(0, condition.cid)
 
 
 class UnfoldingError(STGError):
@@ -121,9 +66,9 @@ class UnfoldingSegment(OccurrenceNet):
         Interned original places, shared with :attr:`packed_net` so packed
         cut markings are directly comparable with packed net markings.
     packed_net:
-        The compiled token game of the original net (``None`` only when the
-        net cannot be packed, in which case :func:`unfold` refuses it
-        anyway).
+        The compiled token game of the original net; building the segment
+        raises :class:`~repro.core.UnsafeNetError` for a net
+        :class:`~repro.core.PackedNet` refuses.
     initial_code / initial_code_word:
         Binary code of the initial state (assigned to the bottom event), as
         a tuple and packed.
@@ -135,14 +80,10 @@ class UnfoldingSegment(OccurrenceNet):
         super().__init__()
         self.stg = stg
         self.signal_table = SignalTable(stg.signals)
-        try:
-            self.packed_net: Optional[PackedNet] = PackedNet(stg.net)
-        except UnsafeNetError:
-            self.packed_net = None
-        else:
-            # Share the codec's table so condition place bits line up with
-            # the packed token game of the original net.
-            self.place_table = self.packed_net.codec.places
+        self.packed_net = PackedNet(stg.net)
+        # Share the codec's table so condition place bits line up with the
+        # packed token game of the original net.
+        self.place_table = self.packed_net.codec.places
         self.initial_code: Tuple[int, ...] = ()
         self.initial_code_word = 0
         self.cutoffs: List[Event] = []
@@ -271,8 +212,6 @@ class UnfoldingSegment(OccurrenceNet):
         if cached is not None:
             return cached
         pnet = self.packed_net
-        if pnet is None:  # pragma: no cover - unfold() refuses such nets
-            raise UnfoldingError("net is not packable; no packed token game")
         plus: List[int] = []
         minus: List[int] = []
         for transition in self.stg.transitions_of_signal(signal):
@@ -367,13 +306,12 @@ class UnfoldingSegment(OccurrenceNet):
         )
 
 
-def unfold(
-    stg: STG,
-    max_events: int = 20000,
-    check_consistency: bool = True,
-    kernel: Optional[str] = None,
-) -> UnfoldingSegment:
+def unfold(stg: STG, max_events: int = 20000) -> UnfoldingSegment:
     """Build the STG-unfolding segment of a (safe, consistent) STG.
+
+    Raises :class:`~repro.core.UnsafeNetError` for a net outside the safe,
+    weight-1 class and :class:`UnfoldingError` for an event that violates
+    consistent state assignment.
 
     Parameters
     ----------
@@ -383,39 +321,16 @@ def unfold(
     max_events:
         Hard bound on the number of events (guards against unbounded or
         pathological specifications).
-    check_consistency:
-        When True (default), an event violating consistent state assignment
-        aborts the construction with :class:`UnfoldingError`.
-    kernel:
-        Cover-kernel selection for the possible-extension co-set joins.  An
-        explicit ``"numpy"`` runs them over uint64 row matrices
-        (:class:`_MatrixCoIndex`) -- worthwhile on large segments where the
-        python-int co rows grow to thousands of bits; ``None`` / ``"auto"``
-        / ``"python"`` keep the reference int rows.  Both paths emit
-        extensions in the same order, so the segment is bit-identical.
     """
     with current_tracer().span("unfold", stg=stg.name) as span:
-        return _unfold(stg, max_events, check_consistency, span, kernel)
+        return _unfold(stg, max_events, span)
 
 
-def _unfold(
-    stg: STG,
-    max_events: int,
-    check_consistency: bool,
-    span,
-    kernel: Optional[str] = None,
-) -> UnfoldingSegment:
+def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
     if not stg.has_complete_initial_state():
         stg.infer_initial_state()
     net = stg.net
     initial_marking = net.initial_marking
-    if not initial_marking.is_safe():
-        raise UnfoldingError("only safe (1-bounded) STGs are supported")
-    for transition in net.transitions:
-        weights = list(net.preset(transition).values()) + list(net.postset(transition).values())
-        if any(weight != 1 for weight in weights):
-            raise UnfoldingError("arc weights other than 1 are not supported")
-
     segment = UnfoldingSegment(stg)
     segment.initial_code = stg.initial_code()
     segment.initial_code_word = pack_code(segment.initial_code)
@@ -439,15 +354,6 @@ def _unfold(
 
     # Per-place mask of the condition instances of that place.
     conditions_by_place: Dict[str, int] = {}
-
-    # Explicit kernel="numpy" mirrors the co rows into uint64 matrices and
-    # runs the co-set joins over them (resolve_kernel raises loudly when
-    # numpy is missing); otherwise the python-int rows are the join index.
-    matrix = (
-        _MatrixCoIndex()
-        if kernel == "numpy" and resolve_kernel(kernel) == "numpy"
-        else None
-    )
 
     co_masks = segment.co_masks
     all_conditions = segment.conditions
@@ -481,8 +387,8 @@ def _unfold(
 
         ``allowed`` is the running intersection of the co rows of the
         conditions chosen so far, so every candidate kept is concurrent with
-        all of them -- the product-then-``is_coset`` filter of the legacy
-        implementation collapses into one AND per candidate.
+        all of them -- a product-then-``is_coset`` filter collapses into one
+        AND per candidate.
         """
         if not places:
             emit_extension(transition, chosen_mask)
@@ -497,35 +403,8 @@ def _unfold(
                 allowed & co_masks[cid],
             )
 
-    def matrix_collect_cosets(
-        transition: str, places: Sequence[str], chosen_mask: int, allowed
-    ) -> None:
-        """The same join as :func:`collect_cosets`, over uint64 row ANDs.
-
-        ``allowed`` is a word row; candidate bits are walked in ascending
-        cid order, so the recursion visits co-sets exactly like the
-        python-int twin and emits identical extensions.
-        """
-        if not places:
-            emit_extension(transition, chosen_mask)
-            return
-        row_index = matrix.place_rows.get(places[0])
-        if row_index is None:
-            return
-        candidates = matrix.co.match_words(matrix.places.row(row_index)) & allowed
-        rest = places[1:]
-        for cid in matrix.iter_bits(candidates):
-            matrix_collect_cosets(
-                transition,
-                rest,
-                chosen_mask | (1 << cid),
-                allowed & matrix.co.row(cid),
-            )
-
     def push_extensions(new_conditions: Sequence[Condition]) -> None:
         """Find possible extensions involving at least one new condition."""
-        if matrix is not None:
-            live_row = ~matrix.co.match_words(matrix.dead.row(0))
         for new_condition in new_conditions:
             bit = 1 << new_condition.cid
             if bit & dead_mask:
@@ -535,24 +414,14 @@ def _unfold(
                     place for place in net.preset(transition)
                     if place != new_condition.place
                 )
-                if matrix is not None:
-                    matrix_collect_cosets(
-                        transition,
-                        other_places,
-                        bit,
-                        matrix.co.row(new_condition.cid) & live_row,
-                    )
-                else:
-                    collect_cosets(
-                        transition,
-                        other_places,
-                        bit,
-                        co_masks[new_condition.cid] & ~dead_mask,
-                    )
+                collect_cosets(
+                    transition,
+                    other_places,
+                    bit,
+                    co_masks[new_condition.cid] & ~dead_mask,
+                )
 
     register_conditions(bottom.postset)
-    if matrix is not None:
-        matrix.attach(bottom, bottom.postset)
     push_extensions(bottom.postset)
 
     while queue:
@@ -571,8 +440,7 @@ def _unfold(
         causes_mask = config_mask & ~(1 << event.eid)
         cause_code = segment.config_code_word(causes_mask)
         if (
-            check_consistency
-            and event.signal_bit
+            event.signal_bit
             and bool(cause_code & event.signal_bit) != (label.source_value == 1)
         ):
             raise UnfoldingError(
@@ -591,14 +459,12 @@ def _unfold(
         postset_places = sorted(net.postset(transition))
         postset = segment.attach_postset(event, postset_places)
         register_conditions(postset)
-        if matrix is not None:
-            matrix.attach(event, postset)
 
         cut_mask = segment.config_cut_mask(config_mask)
         marking_word = segment.marking_word_of(cut_mask)
         if popcount(marking_word) != popcount(cut_mask):
             # Two conditions of the cut share an original place.
-            raise UnfoldingError(
+            raise UnsafeNetError(
                 "non-safe marking reached by firing %s; only safe STGs are supported"
                 % transition
             )
@@ -617,8 +483,6 @@ def _unfold(
 
         if event.is_cutoff:
             dead_mask |= event.postset_mask
-            if matrix is not None:
-                matrix.mark_dead(postset)
         else:
             push_extensions(postset)
 

@@ -1,0 +1,265 @@
+"""Independent reference implementations the engines are checked against.
+
+None of these shares code with the path it checks:
+
+* :class:`OracleGraph` -- the State Graph from the dict-based token game
+  of :func:`repro.petrinet.explore`, with every code replayed along the
+  walk's edges by ``stg.next_code``;
+* :func:`reference_cut_walk` -- a breadth-first cut walk over a segment
+  that scans every consumer of every condition of each cut;
+* :func:`reference_explore` -- the closed-loop simulator on tuple codes
+  and dict-backed markings, through the dict game of
+  :class:`~repro.sim.environment.SpecEnvironment`.
+"""
+
+from collections import deque
+from typing import Dict, List, Set, Tuple
+
+from repro.boolean import Cube
+from repro.core import iter_set_bits
+from repro.petrinet import StateSpaceLimitExceeded, explore
+from repro.sim.environment import TrackedStates
+from repro.sim.hazards import ConformanceViolation, Deadlock, Hazard
+from repro.sim.simulator import ExplorationResult, disabled_excitations
+from repro.stg.signals import Direction
+from repro.unfolding import Cut, initial_cut
+
+
+# ---------------------------------------------------------------------- #
+# State Graph: dict token game plus code replay
+# ---------------------------------------------------------------------- #
+class OracleGraph:
+    """The State Graph of an STG from the dict walker: markings, codes,
+    edges and excitation masks.
+
+    State ``i`` is the ``i``-th marking :func:`repro.petrinet.explore`
+    discovers; ``excited_plus[i]`` / ``excited_minus[i]`` have bit ``k`` set
+    when a rising / falling transition of signal ``k`` leaves the state.
+    """
+
+    def __init__(self, stg) -> None:
+        if not stg.has_complete_initial_state():
+            stg.infer_initial_state()
+        self.stg = stg
+        walk = explore(stg.net)
+        self.markings = list(walk.markings)
+        self.edges: List[Tuple[int, str, int]] = list(walk.edges)
+        codes = [None] * walk.num_states
+        codes[0] = tuple(stg.initial_code())
+        self.excited_plus = [0] * walk.num_states
+        self.excited_minus = [0] * walk.num_states
+        # BFS discovers every state through an edge from an earlier one, so
+        # replaying the edges in order always starts from a known code.
+        for source, transition, target in self.edges:
+            code = tuple(stg.next_code(codes[source], transition))
+            if codes[target] is None:
+                codes[target] = code
+            assert codes[target] == code, "marking reached with two codes"
+            label = stg.label_of(transition)
+            if label is not None:
+                bit = 1 << stg.signal_index(label.signal)
+                if label.direction is Direction.PLUS:
+                    self.excited_plus[source] |= bit
+                else:
+                    self.excited_minus[source] |= bit
+        self.codes: List[Tuple[int, ...]] = codes
+
+    @property
+    def num_states(self) -> int:
+        return len(self.markings)
+
+    def regions(self, signal: str) -> Dict[str, Set[int]]:
+        """Textbook regions of a signal, from edge labels and codes."""
+        index = self.stg.signal_index(signal)
+        er_plus: Set[int] = set()
+        er_minus: Set[int] = set()
+        for source, transition, _target in self.edges:
+            label = self.stg.label_of(transition)
+            if label is not None and label.signal == signal:
+                (er_plus if label.direction is Direction.PLUS else er_minus).add(source)
+        states = range(self.num_states)
+        qr_high = {s for s in states if self.codes[s][index] == 1 and s not in er_minus}
+        qr_low = {s for s in states if self.codes[s][index] == 0 and s not in er_plus}
+        return {
+            "er_plus": er_plus,
+            "er_minus": er_minus,
+            "on": er_plus | qr_high,
+            "off": er_minus | qr_low,
+        }
+
+    def minterm_cubes(self, states) -> Set[Cube]:
+        """The minterm cubes of the codes of some states."""
+        return {Cube.from_assignment(self.codes[state]) for state in states}
+
+    def coding_conflicts(self, csc: bool) -> List[Tuple[int, int]]:
+        """Sorted state pairs sharing a code (USC), and for CSC also
+        differing in the set of excited implementable signals."""
+        implementable = set(self.stg.implementable_signals)
+        excited: List[Set[str]] = [set() for _ in range(self.num_states)]
+        for source, transition, _target in self.edges:
+            label = self.stg.label_of(transition)
+            if label is not None and label.signal in implementable:
+                excited[source].add(label.signal)
+        by_code: Dict[Tuple[int, ...], List[int]] = {}
+        for state, code in enumerate(self.codes):
+            by_code.setdefault(code, []).append(state)
+        conflicts = []
+        for states in by_code.values():
+            for i, left in enumerate(states):
+                for right in states[i + 1:]:
+                    if not csc or excited[left] != excited[right]:
+                        conflicts.append((left, right))
+        return sorted(conflicts)
+
+
+# ---------------------------------------------------------------------- #
+# Cut walk
+# ---------------------------------------------------------------------- #
+def reference_cut_walk(segment, allowed_events=None, start=None, dedup="state"):
+    """Breadth-first cut walk that scans every consumer of every condition of
+    each cut, firing an event only from its lowest preset condition.
+
+    ``dedup="state"`` prunes on the packed ``(marking, code)`` pair,
+    ``dedup="cut"`` on the condition mask (every cut is visited).
+    """
+    first = start if start is not None else initial_cut(segment)
+
+    def key(cut):
+        return cut.state_key if dedup == "state" else cut.condition_mask
+
+    queue = deque([first])
+    seen = {key(first)}
+    while queue:
+        cut = queue.popleft()
+        yield cut
+        for cid in iter_set_bits(cut.condition_mask):
+            for event in segment.conditions[cid].consumers:
+                if allowed_events is not None and event.eid not in allowed_events:
+                    continue
+                preset_mask = event.preset_mask
+                if preset_mask & ((1 << cid) - 1):
+                    continue
+                if cut.condition_mask & preset_mask != preset_mask:
+                    continue
+                code_word = cut.code_word
+                if event.signal_bit:
+                    if event.target_value:
+                        code_word |= event.signal_bit
+                    else:
+                        code_word &= ~event.signal_bit
+                successor = Cut(
+                    segment,
+                    (cut.condition_mask & ~preset_mask) | event.postset_mask,
+                    (cut.marking_word & ~event.preset_place_mask) | event.postset_place_mask,
+                    code_word,
+                )
+                if key(successor) not in seen:
+                    seen.add(key(successor))
+                    queue.append(successor)
+
+
+def every_cut_states(segment) -> Dict[int, int]:
+    """``{marking_word: code_word}`` over every cut of the segment."""
+    states: Dict[int, int] = {}
+    for cut in reference_cut_walk(segment, dedup="cut"):
+        code = states.setdefault(cut.marking_word, cut.code_word)
+        assert code == cut.code_word, "marking recovered with two codes"
+    return states
+
+
+# ---------------------------------------------------------------------- #
+# Simulator: the tuple/dict closed-loop exploration
+# ---------------------------------------------------------------------- #
+def reference_explore(
+    simulator,
+    max_states=100000,
+    max_reports=25,
+    raise_on_limit=False,
+) -> ExplorationResult:
+    """Exhaustive closed-loop exploration on tuples and dict-backed markings.
+
+    The same breadth-first search as :meth:`repro.sim.Simulator.explore`,
+    but over tuple codes, the circuit's tuple API and the environment's
+    dict-marking game (the one :class:`~repro.sim.RandomWalker` plays).
+    """
+    import time
+
+    start_time = time.perf_counter()
+    result = ExplorationResult(simulator.stg.name, simulator.implementation.architecture)
+
+    initial_code = simulator.circuit.initial_code()
+    initial_tracked = simulator.environment.initial_states()
+    initial = (initial_code, initial_tracked)
+    seen: Set[Tuple[Tuple[int, ...], TrackedStates]] = {initial}
+    queue = deque([initial])
+    hazard_seen: Set[Hazard] = set()
+    violation_seen: Set[ConformanceViolation] = set()
+
+    while queue:
+        code, tracked = queue.popleft()
+        result.num_states += 1
+
+        for signal in simulator.circuit.drive_conflicts(code):
+            hazard = Hazard("drive-conflict", signal, code)
+            if hazard not in hazard_seen and len(result.hazards) < max_reports:
+                hazard_seen.add(hazard)
+                result.hazards.append(hazard)
+
+        events = simulator.enabled_events(code, tracked)
+        if not events:
+            if len(result.deadlocks) < max_reports:
+                result.deadlocks.append(Deadlock(code))
+            continue
+
+        gate_events = [e for e in events if e.kind == "gate"]
+        excitation = {e.signal: e.target_value for e in gate_events}
+        for event in events:
+            new_code = simulator.circuit.fire(code, event.signal, event.target_value)
+            new_tracked = simulator.environment.advance(
+                tracked, event.signal, event.target_value
+            )
+            result.num_events_fired += 1
+
+            if event.kind == "gate" and not new_tracked:
+                violation = ConformanceViolation(
+                    event.signal, event.target_value, code
+                )
+                if (
+                    violation not in violation_seen
+                    and len(result.violations) < max_reports
+                ):
+                    violation_seen.add(violation)
+                    result.violations.append(violation)
+                # The game has left the specification; exploring further
+                # along this branch would only compound the violation.
+                continue
+
+            # Persistence check (semi-modularity): every *other* excited
+            # gate must still be excited towards the same value after the
+            # fired event, otherwise the circuit can glitch.  Skip the
+            # excitation recomputation when no other gate was excited.
+            if len(gate_events) > (1 if event.kind == "gate" else 0):
+                new_excitation = simulator.circuit.excitation(new_code)
+                for signal, _target in disabled_excitations(
+                    excitation, new_excitation, event.signal
+                ):
+                    hazard = Hazard("non-persistent", signal, code, event.label)
+                    if (
+                        hazard not in hazard_seen
+                        and len(result.hazards) < max_reports
+                    ):
+                        hazard_seen.add(hazard)
+                        result.hazards.append(hazard)
+
+            successor = (new_code, new_tracked)
+            if successor not in seen:
+                if max_states is not None and len(seen) >= max_states:
+                    if raise_on_limit:
+                        raise StateSpaceLimitExceeded(max_states)
+                    result.truncated = True
+                    continue
+                seen.add(successor)
+                queue.append(successor)
+
+    result.elapsed = time.perf_counter() - start_time
+    return result

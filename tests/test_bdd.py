@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.bdd import BDD, SymbolicNet, SymbolicReachability, count_reachable_markings, isop
+from repro.bdd import BDD, SymbolicNet, count_reachable_markings, isop
 from repro.petrinet import Marking, explore
 from repro.stg import muller_pipeline, paper_example
 
@@ -270,12 +270,22 @@ def test_isop_rejects_inverted_bounds():
 def test_symbolic_reachability_matches_explicit():
     for stg in (paper_example(), muller_pipeline(3)):
         explicit = explore(stg.net)
-        symbolic = SymbolicReachability(stg.net)
-        assert symbolic.count() == explicit.num_states
-        explicit_markings = {m.places for m in explicit.markings}
-        assert set(symbolic.markings()) == explicit_markings
+        symbolic = SymbolicNet(stg.net)
+        assert symbolic.count_markings() == explicit.num_states
+        reached = symbolic.reachable_set()
+        variable_place = dict(zip(symbolic.place_vars, symbolic.places))
+        symbolic_markings = {
+            frozenset(variable_place[var] for var, value in assignment.items() if value)
+            for assignment in symbolic.bdd.satisfying_assignments(
+                reached, symbolic.place_vars
+            )
+        }
+        assert symbolic_markings == {m.places for m in explicit.markings}
         for marking in explicit.markings:
-            assert symbolic.contains(marking)
+            assignment = {
+                var: marking[place] > 0 for var, place in variable_place.items()
+            }
+            assert symbolic.bdd.evaluate(reached, assignment)
 
 
 def test_count_reachable_markings_helper():

@@ -5,8 +5,8 @@ mark-and-sweep pass may renumber nodes but every surviving id (through the
 returned remap) must denote the same Boolean function; a sifting pass may
 permute levels but node ids are preserved outright; and the saturation
 fixed point -- with GC and reorder checkpoints forced at every single
-firing -- must reach exactly the state space of the historical chaining
-loop on every specification we ship.
+firing -- must reach exactly the states and markings of the explicit State
+Graph, an independent engine, on every specification we ship.
 """
 
 import itertools
@@ -14,9 +14,10 @@ import itertools
 import pytest
 
 from repro.bdd.manager import BDD, _CountingCache
-from repro.bdd.reachability import FIXPOINTS, SymbolicNet
+from repro.bdd.reachability import SymbolicNet
 from repro.petrinet import StateSpaceLimitExceeded
 from repro.spaces import SymbolicStateSpace
+from repro.stategraph import build_state_graph
 from repro.stg import muller_pipeline, table1_suite
 
 
@@ -172,24 +173,24 @@ def test_gc_after_reorder_roundtrip():
 
 
 # --------------------------------------------------------------------- #
-# Saturation vs chaining fixed point
+# Saturation fixed point vs the explicit State Graph
 # --------------------------------------------------------------------- #
-def test_unknown_fixpoint_rejected():
-    stg = muller_pipeline(2)
-    with pytest.raises(ValueError):
-        SymbolicNet(stg.net, stg=stg, fixpoint="jacobi")
-    assert set(FIXPOINTS) == {"saturation", "chaining"}
+def _explicit_counts(stg):
+    """(states, distinct markings) of the explicit State Graph."""
+    graph = build_state_graph(stg)
+    return graph.num_states, len({marking.places for marking in graph.markings})
 
 
 @pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
 def test_saturation_matches_chaining(builder):
+    # Named after the chaining loop the saturation path was first checked
+    # against; the explicit State Graph is the oracle now.
     stg = builder()
-    saturation = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
-    chaining = SymbolicNet(stg.net, stg=stg, fixpoint="chaining")
+    saturation = SymbolicNet(stg.net, stg=stg)
     saturation.reachable_set()
-    chaining.reachable_set()
-    assert saturation.count_states() == chaining.count_states()
-    assert saturation.count_markings() == chaining.count_markings()
+    states, markings = _explicit_counts(builder())
+    assert saturation.count_states() == states
+    assert saturation.count_markings() == markings
 
 
 @pytest.mark.parametrize("stages", [4, 6])
@@ -198,10 +199,9 @@ def test_forced_gc_and_reorder_mid_fixpoint(stages):
     # checkpoint: the reached set must be unaffected no matter where in the
     # fixed point the store is rebuilt or the order permuted.
     stg = muller_pipeline(stages)
-    reference = SymbolicNet(stg.net, stg=stg, fixpoint="chaining")
-    reference.reachable_set()
+    states, markings = _explicit_counts(muller_pipeline(stages))
 
-    stressed = SymbolicNet(stg.net, stg=stg, fixpoint="saturation")
+    stressed = SymbolicNet(stg.net, stg=stg)
     original = stressed._maintain
 
     def maintain(reached, groups):
@@ -213,21 +213,20 @@ def test_forced_gc_and_reorder_mid_fixpoint(stages):
     stressed.reachable_set()
     assert stressed.bdd.gc_runs > 0
     assert stressed.bdd.reorder_passes > 0
-    assert stressed.count_states() == reference.count_states()
-    assert stressed.count_markings() == reference.count_markings()
+    assert stressed.count_states() == states
+    assert stressed.count_markings() == markings
 
 
 def test_saturation_respects_max_states():
     stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, fixpoint="saturation", max_states=5)
+    engine = SymbolicNet(stg.net, stg=stg, max_states=5)
     with pytest.raises(StateSpaceLimitExceeded):
         engine.reachable_set()
 
 
-@pytest.mark.parametrize("fixpoint", FIXPOINTS)
-def test_fixpoints_respect_max_iterations(fixpoint):
+def test_saturation_respects_max_iterations():
     stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, fixpoint=fixpoint, max_iterations=1)
+    engine = SymbolicNet(stg.net, stg=stg, max_iterations=1)
     with pytest.raises(RuntimeError):
         engine.reachable_set()
 
@@ -235,22 +234,6 @@ def test_fixpoints_respect_max_iterations(fixpoint):
 # --------------------------------------------------------------------- #
 # Through the state-space protocol
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "builder",
-    SPEC_BUILDERS[:4] + [lambda: muller_pipeline(5)],
-    ids=SPEC_IDS[:4] + ["muller_5"],
-)
-def test_state_space_fixpoints_agree_on_coding(builder):
-    saturation = SymbolicStateSpace(builder(), fixpoint="saturation")
-    chaining = SymbolicStateSpace(builder(), fixpoint="chaining")
-    assert saturation.num_states == chaining.num_states
-    assert saturation.reachable_code_words() == chaining.reachable_code_words()
-    usc_s, usc_c = saturation.check_usc(), chaining.check_usc()
-    csc_s, csc_c = saturation.check_csc(), chaining.check_csc()
-    assert usc_s.satisfied == usc_c.satisfied
-    assert csc_s.satisfied == csc_c.satisfied
-
-
 def test_state_space_surfaces_maintenance_counters():
     space = SymbolicStateSpace(muller_pipeline(8))
     assert space.peak_bdd_nodes >= space.num_bdd_nodes

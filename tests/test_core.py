@@ -15,7 +15,8 @@ from repro.core import (
     unpack_code,
 )
 from repro.petrinet import Marking, PetriNet, explore
-from repro.stg import benchmark_by_name
+from repro.stategraph import build_state_graph
+from repro.stg import STG, SignalType, benchmark_by_name
 
 
 # ---------------------------------------------------------------------- #
@@ -105,8 +106,17 @@ def test_packed_net_rejects_weighted_arcs():
     net.add_place("p", tokens=1)
     net.add_transition("t")
     net.add_arc("p", "t", weight=2)
-    assert not PackedNet.is_packable(net)
     with pytest.raises(UnsafeNetError):
+        PackedNet(net)
+
+
+def test_packed_net_rejects_transition_without_input_place():
+    # Always enabled: its second firing would mark q twice.
+    net = PetriNet("sourced")
+    net.add_place("q")
+    net.add_transition("t")
+    net.add_arc("t", "q")
+    with pytest.raises(UnsafeNetError, match="transition t has no input place"):
         PackedNet(net)
 
 
@@ -123,46 +133,51 @@ def test_packed_net_detects_unsafe_firing():
 
 
 def test_explore_falls_back_on_non_safe_nets():
+    # The general net layer keeps the dict token game, which reports the
+    # bound of a net the packed core refuses.
     net = PetriNet("unsafe")
     net.add_place("p", tokens=1)
     net.add_place("q", tokens=1)
     net.add_transition("t")
     net.add_arc("p", "t")
     net.add_arc("t", "q")
-    graph = explore(net)  # must transparently use the dict engine
-    assert not graph.is_packed
+    graph = explore(net)
     assert graph.bound() == 2
+    assert not graph.is_safe()
 
 
 def test_explore_forced_packed_raises_instead_of_downgrading():
-    net = PetriNet("unsafe")
-    net.add_place("p", tokens=1)
-    net.add_place("q", tokens=1)
-    net.add_transition("t")
-    net.add_arc("p", "t")
-    net.add_arc("t", "q")
+    # The State Graph has no dict engine to downgrade to: a reachable firing
+    # that marks a place twice raises.
+    stg = STG("unsafe")
+    stg.add_signal("a", SignalType.OUTPUT, initial=0)
+    stg.add_place("p", tokens=1)
+    stg.add_place("q", tokens=1)
+    stg.add_transition("a+")
+    stg.add_arc("p", "a+")
+    stg.add_arc("a+", "q")
     with pytest.raises(UnsafeNetError):
-        explore(net, packed=True)
+        build_state_graph(stg)
 
 
 def test_packed_and_legacy_reachability_agree_on_benchmark():
-    net = benchmark_by_name("nowick").build().net
-    packed = explore(net, packed=True)
-    legacy = explore(net, packed=False)
-    assert packed.is_packed and not legacy.is_packed
+    # The packed State Graph against the dict token game of the net layer.
+    stg = benchmark_by_name("nowick").build()
+    packed = build_state_graph(stg)
+    legacy = explore(stg.net)
     assert packed.num_states == legacy.num_states
     assert [m.places for m in packed.markings] == [m.places for m in legacy.markings]
     assert packed.edges == legacy.edges
-    assert packed.is_safe() and legacy.is_safe()
+    assert legacy.is_safe()
 
 
 def test_packed_graph_marking_lookup_handles_unsafe_markings():
-    net = _toggle_net()
-    graph = explore(net, packed=True)
-    assert graph.index_of(Marking({"p": 1})) == 0
-    assert graph.index_of(Marking({"p": 2})) is None  # unsafe: unreachable
+    stg = benchmark_by_name("nowick").build()
+    graph = build_state_graph(stg)
+    assert graph.index_of(stg.net.initial_marking) == 0
+    place = sorted(stg.net.initial_marking.places)[0]
+    assert graph.index_of(Marking({place: 2})) is None  # unsafe: unreachable
     assert graph.index_of(Marking({"nonexistent": 1})) is None  # unknown place
-    assert not graph.contains(Marking({"nonexistent": 1}))
 
 
 # ---------------------------------------------------------------------- #

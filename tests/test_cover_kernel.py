@@ -5,8 +5,9 @@ cover operation (complement, single-cube containment, espresso itself)
 reproduces the pure-python reference exactly -- same cubes, same order,
 same iteration counts -- and the predicates agree on every probe.  The
 suite sweeps the word boundaries (1, 12, 64, 65 and 128 variables), real
-Table 1 cover jobs, the >64-signal graph kernel, the memoised ranking
-cache and the unfolder's opt-in matrix co-set joins.
+Table 1 cover jobs, the >64-signal graph kernel and the memoised ranking
+cache.  The espresso parity runs force every matrix pass on (expand has
+none) by zeroing ``_MATRIX_MIN_CUBES``.
 """
 
 import random
@@ -15,7 +16,6 @@ import pytest
 
 from repro.boolean import Cover, Cube, espresso
 from repro.boolean import cover as cover_mod
-from repro.boolean import minimize as minimize_mod
 from repro.kernel import HAS_NUMPY
 from repro.stg import csc_arbiter, table1_suite
 
@@ -130,7 +130,6 @@ def test_pack_roundtrip_and_cube_intersection(nvars):
 @pytest.mark.parametrize("nvars", [1, 12])
 def test_espresso_parity_random_with_dc(nvars, monkeypatch):
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     rng = random.Random(300 + nvars)
     for round_ in range(6):
         on = random_cover(rng, nvars, ncubes=rng.randint(1, 8), max_literals=4)
@@ -149,7 +148,6 @@ def test_espresso_parity_wide_with_off(nvars, monkeypatch):
     does) so the workload stays disjoint by construction: on-cubes live in
     the half-space var0=1, blocking cubes in var0=0."""
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     rng = random.Random(400 + nvars)
     for round_ in range(4):
         on = Cover(
@@ -179,7 +177,6 @@ def test_espresso_parity_table1_jobs(monkeypatch):
     from repro.spaces import build_state_space
 
     monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
-    monkeypatch.setattr(minimize_mod, "_EXPAND_MIN_OFF", 0)
     entries = [e for e in table1_suite() if e.expected_signals <= 6][:4]
     assert entries, "table1 suite lost its small benchmarks"
     jobs = 0
@@ -269,24 +266,3 @@ def test_ranking_cache_bounded():
             insertion_mod._COST_CACHE.popitem(last=False)
     assert len(insertion_mod._COST_CACHE) <= insertion_mod._COST_CACHE_MAX
     insertion_mod._COST_CACHE.clear()
-
-
-# ---------------------------------------------------------------------- #
-# Unfolder matrix co-set joins (opt-in)
-# ---------------------------------------------------------------------- #
-@requires_numpy
-@pytest.mark.parametrize(
-    "entry",
-    [e for e in table1_suite() if e.expected_signals <= 8][:3],
-    ids=lambda e: e.name,
-)
-def test_unfolder_matrix_joins_bit_identical(entry):
-    from repro.unfolding import reachable_packed_states, unfold
-
-    ref = unfold(entry.build())
-    vec = unfold(entry.build(), kernel="numpy")
-    assert vec.num_events == ref.num_events
-    assert vec.num_conditions == ref.num_conditions
-    assert vec.co_masks == ref.co_masks
-    assert [e.label for e in vec.cutoffs] == [e.label for e in ref.cutoffs]
-    assert reachable_packed_states(vec) == reachable_packed_states(ref)

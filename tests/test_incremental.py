@@ -247,13 +247,11 @@ def test_incremental_kernels_build_identical_graphs():
 
 
 def test_extend_falls_back_on_incompatible_graphs():
-    """Legacy (unpacked) graphs and mask-less edits refuse the fast path."""
+    """Mask-less edits refuse the fast path."""
     stg = vme_bus_controller()
     graph = build_state_graph(stg)
     edit = _next_edit(stg, graph)
     assert edit is not None
-    legacy = build_state_graph(stg, packed=False)
-    assert extend_state_graph(legacy, edit) is None
     from repro.spaces import InsertionEdit
 
     maskless = InsertionEdit(

@@ -137,17 +137,8 @@ def test_kernel_signature_groups_identical_to_reference(builder):
 
 
 # --------------------------------------------------------------------- #
-# Capability fallback
+# Cached kernel arrays
 # --------------------------------------------------------------------- #
-@requires_numpy
-def test_kernel_falls_back_on_unpackable_request():
-    # packed=False forces the legacy dict-of-tuples representation, which
-    # the kernel cannot drive; the build must silently use the reference.
-    graph = build_state_graph(muller_pipeline(4), packed=False, kernel="numpy")
-    reference = build_state_graph(muller_pipeline(4), packed=False, kernel="python")
-    assert graph.num_states == reference.num_states
-
-
 @requires_numpy
 def test_kernel_arrays_cached_and_consistent():
     from repro.kernel.bitset import graph_arrays

@@ -1,24 +1,27 @@
-"""Packed vs legacy representation equivalence suite.
+"""The packed engines against independent oracles.
 
-The packed bitvector core (:mod:`repro.core`) is a pure fast path: on every
-built-in benchmark of ``table1_suite()`` plus ``muller_pipeline(2..6)`` the
-packed and legacy engines must produce identical state graphs, on-sets,
-region covers, literal counts and simulator verdicts.
-
-Cover equality is asserted on *every* entry; since the minimiser is a
-deterministic function of the covers, it fully determines literal-count
-equality.  The end-to-end dual synthesis (espresso included) additionally
-runs on the entries where the wide-benchmark minimisation stays fast.
+The explicit State Graph and the closed-loop simulator run only on the
+packed core (:mod:`repro.core`).  On every built-in benchmark of
+``table1_suite()`` plus ``muller_pipeline(2..6)`` they must agree with
+reference implementations that share no code with them
+(``tests/oracles.py``): the dict-based token game of
+:func:`repro.petrinet.explore` with codes replayed along its edges, and the
+simulator's search on tuple codes and dict-backed markings.  The two BFS
+kernels (python, numpy) must also synthesise the same gates cube for cube.
 """
 
 import pytest
 
-from repro.sim import simulate_implementation
+from repro.boolean import Cover
+from repro.kernel import HAS_NUMPY
+from repro.sim import Simulator, simulate_implementation
 from repro.stategraph import SignalRegions, build_state_graph, dc_set_cover
 from repro.stategraph.regions import on_set_states
 from repro.stg import muller_pipeline, table1_suite
 from repro.stg.signals import Direction
 from repro.synthesis import synthesize
+
+from oracles import OracleGraph, reference_explore
 
 
 def _specs():
@@ -41,36 +44,40 @@ SMALL = [
 
 @pytest.mark.parametrize("name,build", SPECS, ids=SPEC_IDS)
 def test_state_graphs_identical(name, build):
-    stg = build()
-    packed = build_state_graph(stg, packed=True)
-    legacy = build_state_graph(build(), packed=False)
-    assert packed.is_packed and not legacy.is_packed
-    assert packed.num_states == legacy.num_states
-    assert packed.packed_codes == legacy.packed_codes
-    assert packed.codes == legacy.codes
-    assert [m.places for m in packed.markings] == [m.places for m in legacy.markings]
-    assert packed.edges == legacy.edges
-    for state in range(packed.num_states):
-        assert packed.excited_plus_mask(state) == legacy.excited_plus_mask(state)
-        assert packed.excited_minus_mask(state) == legacy.excited_minus_mask(state)
+    graph = build_state_graph(build())
+    oracle = OracleGraph(build())
+    assert graph.num_states == oracle.num_states
+    assert [m.places for m in graph.markings] == [m.places for m in oracle.markings]
+    assert graph.codes == oracle.codes
+    assert graph.edges == oracle.edges
+    for state in range(graph.num_states):
+        assert graph.excited_plus_mask(state) == oracle.excited_plus[state]
+        assert graph.excited_minus_mask(state) == oracle.excited_minus[state]
 
 
 @pytest.mark.parametrize("name,build", SPECS, ids=SPEC_IDS)
 def test_regions_and_covers_identical(name, build):
     stg = build()
-    packed = build_state_graph(stg, packed=True)
-    legacy = build_state_graph(build(), packed=False)
-    assert set(dc_set_cover(packed).cubes) == set(dc_set_cover(legacy).cubes)
+    graph = build_state_graph(stg)
+    oracle = OracleGraph(build())
+    # The DC set is exactly the codes the walk never reaches.
+    reachable = Cover(len(stg.signals), oracle.minterm_cubes(range(oracle.num_states)))
+    dc = dc_set_cover(graph)
+    assert not dc.intersects(reachable)
+    assert dc.union(reachable).is_tautology()
     for signal in stg.implementable_signals:
-        rp = SignalRegions(packed, signal)
-        rl = SignalRegions(legacy, signal)
-        assert rp.on_states == rl.on_states
-        assert rp.off_states == rl.off_states
-        assert rp.er_plus == rl.er_plus and rp.er_minus == rl.er_minus
-        assert set(rp.on_cover.cubes) == set(rl.on_cover.cubes)
-        assert set(rp.off_cover.cubes) == set(rl.off_cover.cubes)
-        assert set(rp.set_cover.cubes) == set(rl.set_cover.cubes)
-        assert set(rp.reset_cover.cubes) == set(rl.reset_cover.cubes)
+        regions = SignalRegions(graph, signal)
+        expected = oracle.regions(signal)
+        assert regions.on_states == expected["on"]
+        assert regions.off_states == expected["off"]
+        assert regions.er_plus == expected["er_plus"]
+        assert regions.er_minus == expected["er_minus"]
+        assert set(regions.on_cover.cubes) == oracle.minterm_cubes(expected["on"])
+        assert set(regions.off_cover.cubes) == oracle.minterm_cubes(expected["off"])
+        assert set(regions.set_cover.cubes) == oracle.minterm_cubes(expected["er_plus"])
+        assert set(regions.reset_cover.cubes) == oracle.minterm_cubes(
+            expected["er_minus"]
+        )
 
 
 @pytest.mark.parametrize("name,build", SPECS, ids=SPEC_IDS)
@@ -98,13 +105,14 @@ def test_on_sets_match_reference_definition(name, build):
         assert on_set_states(graph, signal) == expected
 
 
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize(
     "name,build", SMALL, ids=[name for name, _build in SMALL]
 )
 def test_literal_counts_identical(name, build):
-    stg = build()
-    rp = synthesize(stg, method="sg-explicit", packed=True)
-    rl = synthesize(build(), method="sg-explicit", packed=False)
+    """The python and numpy BFS kernels synthesise the same gates."""
+    rp = synthesize(build(), method="sg-explicit", kernel="python")
+    rl = synthesize(build(), method="sg-explicit", kernel="numpy")
     assert rp.literal_count == rl.literal_count
     assert sorted(rp.implementation.gates) == sorted(rl.implementation.gates)
     for signal, gate in rp.implementation.gates.items():
@@ -120,6 +128,16 @@ def test_literal_counts_identical(name, build):
             )
 
 
+def _assert_same_exploration(stg, implementation):
+    packed = simulate_implementation(stg, implementation)
+    reference = reference_explore(Simulator(stg, implementation))
+    assert packed.verdict() == reference.verdict()
+    assert packed.num_states == reference.num_states
+    assert packed.num_events_fired == reference.num_events_fired
+    assert len(packed.hazards) == len(reference.hazards)
+    assert len(packed.violations) == len(reference.violations)
+
+
 @pytest.mark.parametrize(
     "name,build", SMALL, ids=[name for name, _build in SMALL]
 )
@@ -128,13 +146,7 @@ def test_simulator_verdicts_identical(name, build):
     implementation = synthesize(stg, method="unfolding-approx").implementation
     if implementation.has_csc_conflict:
         pytest.skip("CSC conflict: nothing to simulate")
-    packed = simulate_implementation(stg, implementation, packed=True)
-    legacy = simulate_implementation(stg, implementation, packed=False)
-    assert packed.verdict() == legacy.verdict()
-    assert packed.num_states == legacy.num_states
-    assert packed.num_events_fired == legacy.num_events_fired
-    assert len(packed.hazards) == len(legacy.hazards)
-    assert len(packed.violations) == len(legacy.violations)
+    _assert_same_exploration(stg, implementation)
 
 
 def test_simulator_verdicts_identical_on_large_entries():
@@ -142,7 +154,4 @@ def test_simulator_verdicts_identical_on_large_entries():
     entry = next(e for e in table1_suite() if e.name == "mp-forward-pkt")
     stg = entry.build()
     implementation = synthesize(stg, method="unfolding-approx").implementation
-    packed = simulate_implementation(stg, implementation, packed=True)
-    legacy = simulate_implementation(stg, implementation, packed=False)
-    assert packed.verdict() == legacy.verdict()
-    assert packed.num_states == legacy.num_states
+    _assert_same_exploration(stg, implementation)

@@ -10,12 +10,13 @@ file as the oracle:
 * :func:`reference_offending_parts` compares every on/off part pair;
 * :func:`reference_exact_part_cover` walks a slice's cuts once per part;
 * :func:`reference_refine` is the refinement loop built on those two;
-* :func:`reference_cut_walk` scans every consumer of every condition of a cut;
+* :func:`~oracles.reference_cut_walk` scans every consumer of every
+  condition of a cut (in ``tests/oracles.py``, which the unfolding tests
+  share);
 * :func:`reference_conflict` tests every condition both configurations consume.
 """
 
 import random
-from collections import deque
 from typing import List, Set
 
 import pytest
@@ -45,10 +46,11 @@ from repro.unfolding import (
     Condition,
     Cut,
     enumerate_cuts,
-    initial_cut,
     slices_for_signal,
     unfold,
 )
+
+from oracles import reference_cut_walk
 
 # ---------------------------------------------------------------------- #
 # Reference versions
@@ -119,45 +121,6 @@ def reference_refine(segment, covers: ApproxSignalCovers):
         if not progressed:
             covers.csc_conflict = True
             return covers, walks
-
-
-def reference_cut_walk(segment, allowed_events=None, start=None, dedup="state"):
-    """Breadth-first cut walk that scans every consumer of every condition of
-    each cut, firing an event only from its lowest preset condition."""
-    first = start if start is not None else initial_cut(segment)
-
-    def key(cut):
-        return cut.state_key if dedup == "state" else cut.condition_mask
-
-    queue = deque([first])
-    seen = {key(first)}
-    while queue:
-        cut = queue.popleft()
-        yield cut.condition_mask
-        for cid in iter_set_bits(cut.condition_mask):
-            for event in segment.conditions[cid].consumers:
-                if allowed_events is not None and event.eid not in allowed_events:
-                    continue
-                preset_mask = event.preset_mask
-                if preset_mask & ((1 << cid) - 1):
-                    continue
-                if cut.condition_mask & preset_mask != preset_mask:
-                    continue
-                code_word = cut.code_word
-                if event.signal_bit:
-                    if event.target_value:
-                        code_word |= event.signal_bit
-                    else:
-                        code_word &= ~event.signal_bit
-                successor = Cut(
-                    segment,
-                    (cut.condition_mask & ~preset_mask) | event.postset_mask,
-                    (cut.marking_word & ~event.preset_place_mask) | event.postset_place_mask,
-                    code_word,
-                )
-                if key(successor) not in seen:
-                    seen.add(key(successor))
-                    queue.append(successor)
 
 
 def reference_conflict(net, left, right) -> bool:
@@ -333,23 +296,25 @@ def test_refine_span_carries_the_refinement_counters():
 # ---------------------------------------------------------------------- #
 # (d) indexed cut walk == the consumer-scanning walk
 # ---------------------------------------------------------------------- #
+def _masks(cuts):
+    return [cut.condition_mask for cut in cuts]
+
+
 @pytest.mark.parametrize("name, build", WALKS, ids=_ids(WALKS))
 def test_cut_walk_matches_reference_walk(name, build):
     stg = build()
     segment = unfold(stg)
-    for dedup in ("state", "cut"):
-        walked = [cut.condition_mask for cut in enumerate_cuts(segment, dedup=dedup)]
-        assert walked == list(reference_cut_walk(segment, dedup=dedup)), dedup
+    assert _masks(enumerate_cuts(segment)) == _masks(reference_cut_walk(segment))
     for signal in stg.implementable_signals:
         for phase in (0, 1):
             for slice_ in slices_for_signal(segment, signal, phase):
-                walked = [cut.condition_mask for cut in slice_.cuts()]
                 mask = slice_.min_cut_mask
                 start = Cut(segment, mask, segment.marking_word_of(mask), slice_.min_code_word)
                 reference = reference_cut_walk(
                     segment, slice_.allowed_event_ids(), start, dedup="cut"
                 )
-                assert walked == list(reference), (signal, phase, slice_.entry)
+                walked = _masks(slice_.cuts())
+                assert walked == _masks(reference), (signal, phase, slice_.entry)
 
 
 # ---------------------------------------------------------------------- #

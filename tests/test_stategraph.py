@@ -3,6 +3,7 @@
 import pytest
 
 from repro.boolean import Cover
+from repro.core import MarkingCodec
 from repro.petrinet import StateSpaceLimitExceeded
 from repro.stategraph import (
     InconsistentSTGError,
@@ -25,6 +26,8 @@ from repro.stg import (
     table1_suite,
     vme_bus_controller,
 )
+
+from oracles import OracleGraph
 
 
 def test_build_state_graph_codes_are_consistent():
@@ -96,7 +99,7 @@ def test_usc_and_csc_on_good_and_bad_examples():
 def test_csc_report_on_empty_graph():
     """A graph with no states has no conflicts and satisfies both checks."""
     stg = paper_example()
-    empty = StateGraph(stg)
+    empty = StateGraph(stg, MarkingCodec.for_net(stg.net))
     for report in (check_usc(empty), check_csc(empty)):
         assert report.satisfied
         assert bool(report)
@@ -155,22 +158,22 @@ def test_conflict_pairs_reported_sorted():
     ids=lambda e: e.name,
 )
 def test_conflict_sets_equal_between_packed_and_legacy(entry):
-    stg = entry.build()
-    packed = build_state_graph(stg, packed=True)
-    legacy = build_state_graph(entry.build(), packed=False)
-    for check in (check_usc, check_csc):
-        assert check(packed).conflicts == check(legacy).conflicts
+    # "legacy" is the reference walk of tests/oracles.py: conflict pairs
+    # found by grouping the codes it replays.
+    packed = build_state_graph(entry.build())
+    oracle = OracleGraph(entry.build())
+    assert check_usc(packed).conflicts == oracle.coding_conflicts(csc=False)
+    assert check_csc(packed).conflicts == oracle.coding_conflicts(csc=True)
 
 
 def test_conflict_sets_equal_between_packed_and_legacy_non_csc():
     for build in (csc_conflict_example, vme_bus_controller, lambda: csc_arbiter(4)):
-        packed = build_state_graph(build(), packed=True)
-        legacy = build_state_graph(build(), packed=False)
-        for check in (check_usc, check_csc):
-            report_packed = check(packed)
-            report_legacy = check(legacy)
-            assert not report_packed.satisfied or check is check_csc
-            assert report_packed.conflicts == report_legacy.conflicts
+        packed = build_state_graph(build())
+        oracle = OracleGraph(build())
+        usc = check_usc(packed)
+        assert not usc.satisfied
+        assert usc.conflicts == oracle.coding_conflicts(csc=False)
+        assert check_csc(packed).conflicts == oracle.coding_conflicts(csc=True)
 
 
 def test_output_persistency_violation_detected():

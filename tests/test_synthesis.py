@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro import parse_g, write_g
+from repro.core import UnsafeNetError
+from repro.spaces import ENGINES, build_state_space
 from repro.stategraph import build_state_graph
 from repro.stg import (
+    benchmark_by_name,
     choice_controller,
     csc_conflict_example,
     figure4_example,
@@ -142,3 +146,28 @@ def test_implementation_report_rendering():
     assert "total literals" in text
     assert "b =" in text
     assert implementation.equations()
+
+
+def _nowick_asn_without_input_place():
+    """nowick.asn with ``req+ x0_0+ x1_0+`` rewired to ``req+ ack- x1_0+``.
+
+    ``x0_0+`` loses its only input place, so it is always enabled and its
+    second firing marks ``<x0_0+,x0_1+>`` twice.  The unfolder never adds
+    an event without input conditions, so only the packed net's structural
+    check keeps the unfolding methods from synthesising a circuit for it.
+    """
+    text = write_g(benchmark_by_name("nowick.asn").build())
+    assert "req+ x0_0+ x1_0+\n" in text
+    return parse_g(text.replace("req+ x0_0+ x1_0+\n", "req+ ack- x1_0+\n"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transition_without_input_place_rejected_by_every_method(method):
+    with pytest.raises(UnsafeNetError, match="x0_0\\+ has no input place"):
+        synthesize(_nowick_asn_without_input_place(), method=method)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_transition_without_input_place_rejected_by_every_engine(engine):
+    with pytest.raises(UnsafeNetError, match="x0_0\\+ has no input place"):
+        build_state_space(_nowick_asn_without_input_place(), engine=engine)

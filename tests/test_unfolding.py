@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import UnsafeNetError
 from repro.stategraph import build_state_graph
 from repro.stg import (
     STG,
@@ -109,7 +110,7 @@ def test_unfolding_rejects_unsafe_nets():
     plus = stg.add_transition("a+")
     p = stg.add_place("p", tokens=2)
     stg.add_arc(p, plus)
-    with pytest.raises(UnfoldingError):
+    with pytest.raises(UnsafeNetError):
         unfold(stg)
 
 

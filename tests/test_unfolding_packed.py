@@ -1,6 +1,7 @@
-"""Packed unfolding engine: equivalence with the State Graph and the legacy
-reference mode, concurrency-row correctness, and regressions for the
-state-recovery bugfixes (marking-keyed dedup, hard-coded bottom id, cut key).
+"""Packed unfolding engine: equivalence with the State Graph and with the
+every-cut reference walk (``tests/oracles.py``), concurrency-row
+correctness, and regressions for the state-recovery bugfixes (marking-keyed
+dedup, hard-coded bottom id, cut key).
 """
 
 import pytest
@@ -17,6 +18,8 @@ from repro.unfolding import (
     reachable_states,
     unfold,
 )
+
+from oracles import every_cut_states, reference_cut_walk
 
 
 def _specs():
@@ -48,14 +51,13 @@ def test_recovered_states_match_state_graph(name, build):
 
 @pytest.mark.parametrize("name,build", SMALL, ids=SMALL_IDS)
 def test_state_dedup_matches_legacy_reference(name, build):
-    """The state-pruned walk and the per-cut legacy reference walk recover
+    """The state-pruned walk and the every-cut reference walk recover
     identical packed states, and the pruned walk never visits more cuts."""
     segment = unfold(build())
     packed = reachable_packed_states(segment)
-    legacy = reachable_packed_states(segment, legacy=True)
-    assert packed == legacy
-    pruned_cuts = sum(1 for _ in enumerate_cuts(segment, dedup="state"))
-    all_cuts = sum(1 for _ in enumerate_cuts(segment, dedup="cut"))
+    assert packed == every_cut_states(segment)
+    pruned_cuts = sum(1 for _ in enumerate_cuts(segment))
+    all_cuts = sum(1 for _ in reference_cut_walk(segment, dedup="cut"))
     assert pruned_cuts <= all_cuts
     assert pruned_cuts == len(packed)
 
@@ -65,7 +67,7 @@ def test_exact_covers_and_csc_match_legacy_reference(name, build):
     stg = build()
     segment = unfold(stg)
     packed_states = reachable_packed_states(segment)
-    legacy_states = reachable_packed_states(segment, legacy=True)
+    legacy_states = every_cut_states(segment)
     for signal in stg.implementable_signals:
         on_p, off_p, csc_p = exact_signal_covers(segment, signal, packed_states)
         on_l, off_l, csc_l = exact_signal_covers(segment, signal, legacy_states)
@@ -204,8 +206,6 @@ def test_reachable_states_raises_on_marking_code_collision():
     with pytest.raises(UnfoldingError, match="two codes"):
         reachable_states(segment)
     with pytest.raises(UnfoldingError, match="two codes"):
-        reachable_states(segment, legacy=True)
-    with pytest.raises(UnfoldingError, match="two codes"):
         reachable_packed_states(segment)
 
 
@@ -214,7 +214,7 @@ def test_collision_states_are_not_silently_collapsed():
     ``setdefault`` kept only the first and dropped the second)."""
     segment = unfold(_marking_code_collision_stg())
     states = {
-        (cut.marking, cut.code) for cut in enumerate_cuts(segment, dedup="state")
+        (cut.marking, cut.code) for cut in enumerate_cuts(segment)
     }
     shared = {code for marking, code in states if marking == frozenset({"p1"})}
     assert shared == {(1, 0), (0, 1)}
