@@ -15,8 +15,8 @@ table is printed at the end of the session.
 Machine-readable mode: ``python benchmarks/bench_table1.py --json`` writes
 ``BENCH_table1.json`` with per-row times plus packed-engine timings
 (state-graph states/sec, the ``muller_pipeline(8)`` sg-explicit end-to-end
-before/after numbers, and the unfolding engine's state-recovery rate on
-the state-pruned packed walk), so the perf trajectory of the packed state
+seconds, and the unfolding engine's state-recovery rate on the
+state-pruned packed walk), so the perf trajectory of the packed state
 core is tracked commit over commit.  The Table 1 rows include the unfolding-exact method next to
 unfolding-approx and the SG baseline.  Three encoding-layer entries ride
 along: ``csc_check_states_per_sec`` (rate of the packed USC+CSC sweep on
@@ -25,10 +25,8 @@ along: ``csc_check_states_per_sec`` (rate of the packed USC+CSC sweep on
 ``csc_incremental_resolution`` (per-round incremental State Graph
 maintenance vs full rebuild across that resolution, with the dirty states
 re-explored per round).  The cover engine contributes two more:
-``espresso_cubes_per_sec`` (throughput of the auto-resolved espresso
-kernel over the real Table 1 cover workload, with the python reference
-timed alongside for the speedup and a literal-count parity check) and
-``csc_ranking_seconds`` (candidate ranking of one ``csc_arbiter(8)``
+``espresso_cubes_per_sec`` (throughput of espresso over the real Table 1
+cover workload) and ``csc_ranking_seconds`` (candidate ranking of one ``csc_arbiter(8)``
 resolution round, cold vs served from the memoised literal-cost cache).
 Two symbolic-engine entries track the ``repro.spaces`` BDD backend:
 ``symbolic_reachability_states_per_sec`` (characteristic-function fixed
@@ -40,14 +38,8 @@ fixed point adds three more: ``bdd_reorder_muller16`` (peak and allocated
 node counts of the GC'd/reorderable saturation loop),
 ``symbolic_saturation_muller24`` (the saturation fixed point on a 16.7M
 state pipeline, reachability only) and ``explicit_kernel_states_per_sec``
-(python-loop vs numpy-bitset BFS of the full ``muller_pipeline(16)``
-graph).
-
-When ``--baseline`` / ``--unfolding-baseline`` are not given, the
-pre-refactor comparison points are backfilled from the previous history
-entry of the existing report file: the last run's measured seconds *are*
-the pre-refactor numbers of this run, so the speedup columns track
-commit-over-commit drift instead of sitting at ``null`` forever.
+(the numpy-bitset BFS of the full ``muller_pipeline(16)`` graph; ``null``
+without numpy).
 """
 
 import argparse
@@ -277,46 +269,34 @@ def _time_symbolic_saturation(stages=24):
 
 
 def _time_explicit_kernel(stages=16):
-    """Python-loop vs numpy-bitset BFS of the full muller_pipeline graph.
+    """The numpy-bitset BFS of the full muller_pipeline graph.
 
     Only the graph build is timed (BFS + excitation sweeps); the numpy
-    block is skipped (``None``) when the optional extra is missing."""
+    block is ``None`` when the optional extra is missing."""
     from repro.kernel import HAS_NUMPY
 
-    def one(kernel):
+    numpy = None
+    if HAS_NUMPY:
         stg = muller_pipeline(stages)
         t0 = time.perf_counter()
-        graph = build_state_graph(stg, kernel=kernel)
+        graph = build_state_graph(stg)
         seconds = time.perf_counter() - t0
-        return {
+        numpy = {
             "seconds": round(seconds, 4),
             "states": graph.num_states,
             "states_per_sec": (
                 round(graph.num_states / seconds) if seconds > 0 else None
             ),
         }
-
-    python = one("python")
-    numpy = one("numpy") if HAS_NUMPY else None
-    return {
-        "stages": stages,
-        "python": python,
-        "numpy": numpy,
-        "speedup": (
-            round(python["seconds"] / numpy["seconds"], 2)
-            if numpy and numpy["seconds"]
-            else None
-        ),
-    }
+    return {"stages": stages, "numpy": numpy}
 
 
 def _time_espresso_cover_engine(max_signals=14):
-    """Auto-resolved cover kernel vs the python reference over the Table 1
-    espresso workload: every implementable, conflict-free signal of every
-    suite benchmark contributes its real ``(on_cover, dc)`` job, so the
-    throughput tracks exactly what the synthesis flows feed the minimiser."""
+    """Espresso over the Table 1 cover workload: every implementable,
+    conflict-free signal of every suite benchmark contributes its real
+    ``(on_cover, dc)`` job, so the throughput tracks exactly what the
+    synthesis flows feed the minimiser."""
     from repro.boolean import espresso
-    from repro.kernel import resolve_kernel
     from repro.spaces import build_state_space
 
     jobs = []
@@ -335,30 +315,15 @@ def _time_espresso_cover_engine(max_signals=14):
             jobs.append((on, dc))
             input_cubes += len(on) + len(dc)
 
-    def run(kernel):
-        t0 = time.perf_counter()
-        literals = sum(
-            espresso(on, dc, kernel=kernel).cover.literal_count for on, dc in jobs
-        )
-        return time.perf_counter() - t0, literals
-
-    engine = resolve_kernel(None)
-    engine_seconds, engine_literals = run(engine)
-    python_seconds, python_literals = run("python")
+    t0 = time.perf_counter()
+    literals = sum(espresso(on, dc).cover.literal_count for on, dc in jobs)
+    seconds = time.perf_counter() - t0
     return {
-        "engine": engine,
         "jobs": len(jobs),
         "input_cubes": input_cubes,
-        "seconds": round(engine_seconds, 4),
-        "cubes_per_sec": (
-            round(input_cubes / engine_seconds) if engine_seconds > 0 else None
-        ),
-        "python_reference_seconds": round(python_seconds, 4),
-        "speedup_vs_python": (
-            round(python_seconds / engine_seconds, 2) if engine_seconds > 0 else None
-        ),
-        "literals": engine_literals,
-        "literals_match_python": engine_literals == python_literals,
+        "seconds": round(seconds, 4),
+        "cubes_per_sec": round(input_cubes / seconds) if seconds > 0 else None,
+        "literals": literals,
     }
 
 
@@ -424,9 +389,9 @@ def _time_csc_incremental_resolution(clients=8, max_signals=6, repeats=5):
     resolution and times, per round, growing the current graph through the
     edit (:func:`repro.stategraph.extend_state_graph`) against rebuilding
     it from the initial state -- the work the incremental path actually
-    replaces.  End-to-end ``resolve_csc`` wall times in both modes ride
-    along for context (they also include the mode-independent candidate
-    ranking, which dominates on this generator).
+    replaces.  The end-to-end ``resolve_csc`` wall time rides along for
+    context (it also includes the candidate ranking, which dominates on
+    this generator).
     """
     import random
 
@@ -441,15 +406,8 @@ def _time_csc_incremental_resolution(clients=8, max_signals=6, repeats=5):
     from repro.stategraph import InconsistentSTGError, extend_state_graph
 
     start = time.perf_counter()
-    inc_result = resolve_csc(
-        csc_arbiter(clients), max_signals=max_signals, incremental=True
-    )
+    inc_result = resolve_csc(csc_arbiter(clients), max_signals=max_signals)
     resolve_incremental = time.perf_counter() - start
-    start = time.perf_counter()
-    full_result = resolve_csc(
-        csc_arbiter(clients), max_signals=max_signals, incremental=False
-    )
-    resolve_full = time.perf_counter() - start
 
     stg = csc_arbiter(clients)
     graph = build_state_graph(stg)
@@ -499,13 +457,12 @@ def _time_csc_incremental_resolution(clients=8, max_signals=6, repeats=5):
         "full_rebuild_seconds": round(t_full, 4),
         "speedup": round(t_full / t_inc, 2) if t_inc else None,
         "resolve_incremental_seconds": round(resolve_incremental, 4),
-        "resolve_full_seconds": round(resolve_full, 4),
         "signals_added": inc_result.num_inserted,
-        "resolved": bool(inc_result.resolved and full_result.resolved),
+        "resolved": inc_result.resolved,
     }
 
 
-def collect_json(max_signals=14, baseline_seconds=None, unfolding_baseline_seconds=None):
+def collect_json(max_signals=14):
     """Measure the perf numbers the repo tracks across commits."""
     entries = [e for e in table1_suite() if e.expected_signals <= max_signals]
     rows = run_table1(
@@ -516,24 +473,8 @@ def collect_json(max_signals=14, baseline_seconds=None, unfolding_baseline_secon
     unf_packed = _time_unfolding_recovery(muller_pipeline(12))
     report = {
         "generated_by": "benchmarks/bench_table1.py --json",
-        "muller8_sg_explicit": {
-            "packed_engine": packed,
-            "pre_refactor_seconds": baseline_seconds,
-            "speedup_vs_pre_refactor": (
-                round(baseline_seconds / packed["seconds"], 2)
-                if baseline_seconds and packed["seconds"]
-                else None
-            ),
-        },
-        "muller12_unfolding_state_recovery": {
-            "packed_state_dedup": unf_packed,
-            "pre_refactor_seconds": unfolding_baseline_seconds,
-            "speedup_vs_pre_refactor": (
-                round(unfolding_baseline_seconds / unf_packed["seconds"], 2)
-                if unfolding_baseline_seconds and unf_packed["seconds"]
-                else None
-            ),
-        },
+        "muller8_sg_explicit": {"packed_engine": packed},
+        "muller12_unfolding_state_recovery": {"packed_state_dedup": unf_packed},
         "csc_check_states_per_sec": _time_csc_check(),
         "espresso_cubes_per_sec": _time_espresso_cover_engine(),
         "csc_ranking_seconds": _time_csc_ranking(),
@@ -549,58 +490,12 @@ def collect_json(max_signals=14, baseline_seconds=None, unfolding_baseline_secon
     return report
 
 
-def _dig(entry, *path):
-    """Nested dict lookup returning None on any miss or non-number leaf."""
-    value = entry
-    for key in path:
-        if not isinstance(value, dict):
-            return None
-        value = value.get(key)
-    return value if isinstance(value, (int, float)) else None
-
-
-def backfill_baselines(existing, baseline, unfolding_baseline):
-    """Fill missing --baseline flags from the previous run on record.
-
-    The last recorded run's *measured* seconds become this run's
-    pre-refactor comparison points, so the ``speedup_vs_pre_refactor``
-    fields stop decaying to ``null`` whenever nobody passes the flags.
-    Explicitly given flags always win.
-    """
-    if not isinstance(existing, dict):
-        return baseline, unfolding_baseline
-    if baseline is None:
-        baseline = _dig(
-            existing, "muller8_sg_explicit", "packed_engine", "seconds"
-        )
-    if unfolding_baseline is None:
-        unfolding_baseline = _dig(
-            existing,
-            "muller12_unfolding_state_recovery",
-            "packed_state_dedup",
-            "seconds",
-        )
-    return baseline, unfolding_baseline
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Table 1 perf measurement")
     parser.add_argument("--json", action="store_true", help="write BENCH_table1.json")
     parser.add_argument("-o", "--output", default="BENCH_table1.json")
     parser.add_argument(
         "--max-signals", type=int, default=14, help="largest benchmarks to include"
-    )
-    parser.add_argument(
-        "--baseline",
-        type=float,
-        default=None,
-        help="pre-refactor muller_pipeline(8) sg-explicit seconds, recorded as-is",
-    )
-    parser.add_argument(
-        "--unfolding-baseline",
-        type=float,
-        default=None,
-        help="pre-refactor muller_pipeline(12) state-recovery seconds, recorded as-is",
     )
     args = parser.parse_args(argv)
     try:
@@ -610,14 +505,7 @@ def main(argv=None):
         existing = None
     if not isinstance(existing, dict):
         existing = None
-    baseline, unfolding_baseline = backfill_baselines(
-        existing, args.baseline, args.unfolding_baseline
-    )
-    report = collect_json(
-        max_signals=args.max_signals,
-        baseline_seconds=baseline,
-        unfolding_baseline_seconds=unfolding_baseline,
-    )
+    report = collect_json(max_signals=args.max_signals)
     if args.json:
         # Stamp the run (ISO timestamp + git revision) and fold it into the
         # history carried by the existing report file, so `repro-synth
@@ -650,17 +538,8 @@ def main(argv=None):
     )
     cover = report["espresso_cubes_per_sec"]
     print(
-        "table1 espresso workload (%d jobs, %d cubes): %s %.3fs "
-        "(%s cubes/s, x%s vs python %.3fs)"
-        % (
-            cover["jobs"],
-            cover["input_cubes"],
-            cover["engine"],
-            cover["seconds"],
-            cover["cubes_per_sec"],
-            cover["speedup_vs_python"],
-            cover["python_reference_seconds"],
-        )
+        "table1 espresso workload (%d jobs, %d cubes): %.3fs (%s cubes/s)"
+        % (cover["jobs"], cover["input_cubes"], cover["seconds"], cover["cubes_per_sec"])
     )
     ranking = report["csc_ranking_seconds"]
     print(
@@ -736,12 +615,10 @@ def main(argv=None):
     explicit_kernel = report["explicit_kernel_states_per_sec"]
     numpy_block = explicit_kernel["numpy"]
     print(
-        "muller_pipeline(%d) explicit BFS: python %.3fs / numpy %s (x%s)"
+        "muller_pipeline(%d) explicit BFS: numpy %s"
         % (
             explicit_kernel["stages"],
-            explicit_kernel["python"]["seconds"],
             "%.3fs" % numpy_block["seconds"] if numpy_block else "n/a",
-            explicit_kernel["speedup"],
         )
     )
     return 0

@@ -14,10 +14,13 @@ class provides tautology checking and single-cube containment, both via the
 standard unate-recursive paradigm, which are the primitives required by the
 Espresso-style minimiser in :mod:`repro.boolean.minimize`.
 
-The hot loops (pairwise intersection, cofactoring, containment) work on the
-cubes' ``(ones, zeros)`` integer masks directly and deduplicate through a
-set of mask pairs, because covers built from packed State-Graph codes reach
-thousands of cubes and these operations dominate synthesis time.
+This module and :mod:`repro.boolean.minimize` are the one cover engine.
+Every loop works on the cubes' ``(ones, zeros)`` integer masks directly and
+deduplicates through sets of mask pairs, because covers built from packed
+State-Graph codes reach thousands of cubes and these operations dominate
+synthesis time.  The recursions below follow the textbook Cube-object
+recursions cube for cube; those recursions are kept in the test suite as the
+engine's oracle.
 """
 
 from __future__ import annotations
@@ -28,30 +31,8 @@ from .cube import Cube, CubeError
 
 __all__ = ["Cover", "minterm_cover"]
 
-#: Covers smaller than this stay on the pure-python reference under
-#: ``kernel=None``/``"auto"`` -- per-call numpy dispatch overhead beats the
-#: win on tiny covers.  An explicit ``kernel="numpy"`` always takes the
-#: matrix path (and still fails loudly when numpy is missing).
-_MATRIX_MIN_CUBES = 32
-
-
-def _matrix_kernel(kernel, size: int):
-    """The cube-matrix kernel module when the matrix path should run.
-
-    Returns :mod:`repro.kernel.cubes` when the resolved kernel is numpy
-    (subject to the small-cover gate under auto), else ``None`` for the
-    pure-python reference.  Both paths are bit-identical, so the gate is a
-    pure performance decision.
-    """
-    if (kernel is None or kernel == "auto") and size < _MATRIX_MIN_CUBES:
-        return None
-    from ..kernel import resolve_kernel
-
-    if resolve_kernel(kernel) != "numpy":
-        return None
-    from ..kernel import cubes
-
-    return cubes
+#: A cube as its raw ``(ones, zeros)`` literal masks.
+Pair = Tuple[int, int]
 
 
 def minterm_cover(nvars: int, code_words: Iterable[int]) -> "Cover":
@@ -293,72 +274,50 @@ class Cover:
             result = result.sharp(cube)
         return result
 
-    def complement(self, kernel: Optional[str] = None) -> "Cover":
+    def complement(self) -> "Cover":
         """Return a cover of the complement function.
 
         Uses recursive Shannon expansion on the most-bound variable, which is
         efficient enough for the signal counts of asynchronous controller
-        benchmarks (tens of variables).  With the numpy kernel the same
-        recursion runs over uint64 cube matrices, bit-identically.
+        benchmarks (tens of variables).
         """
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            return matrix.complement_cover(self)
-        return Cover(self.nvars, _complement_rec(self, Cube.full(self.nvars)))
+        pieces: List[Pair] = []
+        _complement_pairs(self.nvars, self._pairs(), 0, 0, pieces)
+        return Cover.from_mask_pairs(self.nvars, pieces)
 
     # ------------------------------------------------------------------ #
     # Tautology / containment
     # ------------------------------------------------------------------ #
-    def is_tautology(self, kernel: Optional[str] = None) -> bool:
+    def is_tautology(self) -> bool:
         """Return True if the cover evaluates to 1 for every assignment."""
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            ones, zeros = matrix.pack_cover(self)
-            return matrix.is_tautology_rows(self.nvars, ones, zeros)
-        return _tautology_rec(self)
+        return _tautology_pairs(self.nvars, self._pairs())
 
-    def contains_cube(self, cube: Cube, kernel: Optional[str] = None) -> bool:
+    def contains_cube(self, cube: Cube) -> bool:
         """Return True if the cover covers every minterm of the cube."""
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            ones, zeros = matrix.pack_cover(self)
-            words = matrix.words_for(self.nvars)
-            return matrix.contains_cube_rows(
-                self.nvars,
-                ones,
-                zeros,
-                matrix.pack_row(cube.ones, words),
-                matrix.pack_row(cube.zeros, words),
-            )
-        return self.cofactor(cube).is_tautology(kernel=kernel)
+        return _tautology_pairs(
+            self.nvars, _cofactor_pairs(self._pairs(), cube.ones, cube.zeros)
+        )
 
-    def contains_cover(self, other: "Cover", kernel: Optional[str] = None) -> bool:
+    def contains_cover(self, other: "Cover") -> bool:
         """Return True if every cube of ``other`` is contained in this cover."""
         self._check_compatible(other)
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            ones, zeros = matrix.pack_cover(self)
-            other_ones, other_zeros = matrix.pack_cover(other)
-            # Fully-specified cubes (minterm covers, the synthesis common
-            # case) take one batched point sweep; only genuinely wider
-            # cubes need the cofactor/tautology recursion.
-            counts = matrix.literal_counts(other_ones, other_zeros)
-            points = counts == self.nvars
-            if points.any():
-                if not bool(
-                    matrix.covered_points(
-                        ones, zeros, other_ones[points], other_zeros[points]
-                    ).all()
+        pairs = self._pairs()
+        full = (1 << self.nvars) - 1
+        for cube in other._cubes:
+            ones = cube.ones
+            zeros = cube.zeros
+            if ones | zeros == full:
+                # A fully specified cube is one point (minterm covers are
+                # the synthesis common case): some cube must hold it, i.e.
+                # have literals that are a subset of the point's.
+                if all(
+                    (own_ones & zeros) | (own_zeros & ones)
+                    for own_ones, own_zeros in pairs
                 ):
                     return False
-            wide = matrix.np.flatnonzero(~points)
-            return all(
-                matrix.contains_cube_rows(
-                    self.nvars, ones, zeros, other_ones[row], other_zeros[row]
-                )
-                for row in wide
-            )
-        return all(self.contains_cube(cube, kernel=kernel) for cube in other)
+            elif not _tautology_pairs(self.nvars, _cofactor_pairs(pairs, ones, zeros)):
+                return False
+        return True
 
     def equivalent(self, other: "Cover") -> bool:
         """Return True if both covers denote the same Boolean function."""
@@ -367,37 +326,48 @@ class Cover:
     # ------------------------------------------------------------------ #
     # Normalisation
     # ------------------------------------------------------------------ #
-    def single_cube_containment(self, kernel: Optional[str] = None) -> "Cover":
-        """Drop cubes contained in a single other cube of the cover."""
-        matrix = _matrix_kernel(kernel, len(self._cubes))
-        if matrix is not None:
-            return matrix.single_cube_containment_cover(self)
+    def single_cube_containment(self) -> "Cover":
+        """Drop cubes contained in a single other cube of the cover.
+
+        Cubes are visited in ascending literal count (stable), and a cube is
+        dropped when a kept cube's literals are a subset of its own.  Among
+        cubes with equal literal counts only an identical cube can contain
+        another, so each cube is compared with the kept cubes that have
+        strictly fewer literals plus the set of kept masks; on minterm
+        covers the check is linear.
+        """
         kept: List[Cube] = []
-        cubes = sorted(self._cubes, key=lambda c: c.num_literals)
-        for cube in cubes:
+        kept_keys: Set[Pair] = set()
+        fewer: List[Pair] = []  # kept masks with fewer literals than the cube
+        level: List[Pair] = []  # kept masks with the cube's literal count
+        count = -1
+        for cube in sorted(self._cubes, key=lambda c: c.num_literals):
+            if cube.num_literals != count:
+                count = cube.num_literals
+                fewer.extend(level)
+                level = []
             ones = cube.ones
             zeros = cube.zeros
-            # A kept (weaker-or-equal literal count) cube contains this one
-            # iff its literals are a subset of this cube's literals.
-            if any(
-                not (other.ones & ~ones) and not (other.zeros & ~zeros)
-                for other in kept
+            key = (ones, zeros)
+            if key in kept_keys or any(
+                not (other_ones & ~ones) and not (other_zeros & ~zeros)
+                for other_ones, other_zeros in fewer
             ):
                 continue
             kept.append(cube)
+            kept_keys.add(key)
+            level.append(key)
         return Cover(self.nvars, kept)
 
-    def irredundant(
-        self, dc: Optional["Cover"] = None, kernel: Optional[str] = None
-    ) -> "Cover":
+    def irredundant(self, dc: Optional["Cover"] = None) -> "Cover":
         """Remove cubes covered by the rest of the cover plus the DC-set."""
-        cubes = list(self.single_cube_containment(kernel=kernel))
+        cubes = list(self.single_cube_containment())
         index = 0
         while index < len(cubes):
             rest = Cover(self.nvars, cubes[:index] + cubes[index + 1:])
             if dc is not None:
                 rest = rest.union(dc)
-            if rest.contains_cube(cubes[index], kernel=kernel):
+            if rest.contains_cube(cubes[index]):
                 cubes.pop(index)
             else:
                 index += 1
@@ -433,6 +403,9 @@ class Cover:
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
+    def _pairs(self) -> List[Pair]:
+        return [(cube.ones, cube.zeros) for cube in self._cubes]
+
     def _append_checked(self, cube: Cube) -> None:
         if cube.nvars != self.nvars:
             raise CubeError(
@@ -450,13 +423,13 @@ class Cover:
 
 
 # ---------------------------------------------------------------------- #
-# Recursive helpers (unate recursive paradigm)
+# Recursive helpers (unate recursive paradigm) on (ones, zeros) mask pairs
 # ---------------------------------------------------------------------- #
-def _select_splitting_var(cover: Cover) -> Optional[int]:
-    """Pick the variable appearing in the largest number of cubes."""
-    counts = [0] * cover.nvars
-    for cube in cover:
-        mask = cube.ones | cube.zeros
+def _split_var_pairs(nvars: int, pairs: Sequence[Pair]) -> Optional[int]:
+    """The variable bound in the most cubes, lowest index on ties."""
+    counts = [0] * nvars
+    for ones, zeros in pairs:
+        mask = ones | zeros
         while mask:
             low = mask & -mask
             counts[low.bit_length() - 1] += 1
@@ -470,42 +443,149 @@ def _select_splitting_var(cover: Cover) -> Optional[int]:
     return best_var
 
 
-def _tautology_rec(cover: Cover) -> bool:
-    """Recursive tautology check."""
-    for cube in cover:
-        if cube.is_full():
+def _cofactor_pairs(
+    pairs: Iterable[Pair], cube_ones: int, cube_zeros: int
+) -> List[Pair]:
+    """Generalised Shannon cofactor against one cube, first occurrence kept."""
+    fixed = cube_ones | cube_zeros
+    out = []
+    seen = set()
+    for ones, zeros in pairs:
+        if (ones & cube_zeros) | (zeros & cube_ones):
+            continue  # distance > 0: the cube lies outside the cofactor
+        key = (ones & ~fixed, zeros & ~fixed)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+def _tautology_pairs(nvars: int, pairs: List[Pair]) -> bool:
+    """Recursive tautology check.
+
+    Tautology is semantic, so this recursion is free to apply the classic
+    unate reductions the constructive recursions cannot: cubes with a
+    literal of a unate variable never help cover the opposite half-space
+    (taut(C) == taut(C cofactored against the unate orientation)), and the
+    split variable only needs to be binate.
+    """
+    while True:
+        if not pairs:
+            return False
+        if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
             return True
-    if cover.is_empty():
-        return False
-    var = _select_splitting_var(cover)
-    if var is None:
-        # No literals anywhere but no full cube either: impossible since a
-        # cube without literals *is* the full cube; defensive fallback.
-        return False
-    positive = cover.cofactor(Cube.full(cover.nvars).with_literal(var, 1))
-    if not _tautology_rec(positive):
-        return False
-    negative = cover.cofactor(Cube.full(cover.nvars).with_literal(var, 0))
-    return _tautology_rec(negative)
-
-
-def _complement_rec(cover: Cover, context: Cube) -> List[Cube]:
-    """Return cubes covering ``context AND NOT cover``."""
-    # Quick exits.
-    if cover.is_empty():
-        return [context]
-    for cube in cover:
-        if cube.is_full():
-            return []
-    var = _select_splitting_var(cover)
-    if var is None:
-        return []
-    results: List[Cube] = []
-    for value in (1, 0):
-        branch_context = context.cofactor(var, value)
-        if branch_context is None:
+        or_ones = 0
+        or_zeros = 0
+        for ones, zeros in pairs:
+            or_ones |= ones
+            or_zeros |= zeros
+        binate = or_ones & or_zeros
+        pos_unate = or_ones & ~binate
+        neg_unate = or_zeros & ~binate
+        if pos_unate | neg_unate:
+            pairs = [
+                (ones, zeros)
+                for ones, zeros in pairs
+                if not ((ones & pos_unate) | (zeros & neg_unate))
+            ]
             continue
-        branch_context = branch_context.with_literal(var, value)
-        branch = cover.cofactor(Cube.full(cover.nvars).with_literal(var, value))
-        results.extend(_complement_rec(branch, branch_context))
-    return results
+        if binate == 0:
+            return False
+        counts = [0] * nvars
+        for ones, zeros in pairs:
+            mask = (ones | zeros) & binate
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
+        var = max(range(nvars), key=lambda index: counts[index])
+        bit = 1 << var
+        if not _tautology_pairs(nvars, _cofactor_pairs(pairs, bit, 0)):
+            return False
+        pairs = _cofactor_pairs(pairs, 0, bit)
+
+
+def _branches(bit: int, ctx_ones: int, ctx_zeros: int):
+    """The ``var=1`` then the ``var=0`` half of a context cube, skipping the
+    half the context excludes, as ``(literal, context)`` mask-pair pairs."""
+    if not ctx_zeros & bit:
+        yield (bit, 0), (ctx_ones | bit, ctx_zeros)
+    if not ctx_ones & bit:
+        yield (0, bit), (ctx_ones, ctx_zeros | bit)
+
+
+def _complement_pairs(
+    nvars: int, pairs: List[Pair], ctx_ones: int, ctx_zeros: int, pieces: List[Pair]
+) -> None:
+    """Append cubes covering ``context AND NOT pairs`` to ``pieces``.
+
+    Splits on the most-bound variable (lowest index on ties, counted over
+    the first-occurrence-deduplicated cofactors), positive branch first,
+    and emits each accumulated branch context: the output cubes depend on
+    this order, which is the textbook recursion's.
+    """
+    if not pairs:
+        pieces.append((ctx_ones, ctx_zeros))
+        return
+    if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
+        return
+    var = _split_var_pairs(nvars, pairs)
+    if var is None:
+        return
+    bit = 1 << var
+    for literal, context in _branches(bit, ctx_ones, ctx_zeros):
+        branch = _cofactor_pairs(pairs, *literal)
+        _complement_pairs(nvars, branch, context[0], context[1], pieces)
+
+
+def _bounding_pairs(
+    nvars: int, ctx_ones: int, ctx_zeros: int, pairs: List[Pair]
+) -> Optional[Pair]:
+    """Smallest cube covering ``context AND NOT pairs``, or None when empty.
+
+    ``pairs`` must already be cofactored against the context.  Espresso's
+    REDUCE folds ``supercube`` over an explicit disjoint cover of the
+    difference; the supercube of *any* cover of a set is the set's bounding
+    box (a variable is bound iff every minterm agrees on it), so recursing
+    on the boxes gives the same cube without building the difference.  The
+    box is semantic, which licenses one more reduction: a single-literal
+    cube ``x=v`` covers the whole ``x=v`` half of the context, so the
+    difference lives in ``x=not v`` -- bind that into the context and
+    cofactor instead of branching.
+    """
+    while True:
+        if not pairs:
+            return ctx_ones, ctx_zeros
+        if any(ones == 0 and zeros == 0 for ones, zeros in pairs):
+            return None
+        single = None
+        for ones, zeros in pairs:
+            mask = ones | zeros
+            if mask and not (mask & (mask - 1)):
+                single = (ones, mask)
+                break
+        if single is None:
+            break
+        ones, bit = single
+        if ones:
+            ctx_zeros |= bit
+            pairs = _cofactor_pairs(pairs, 0, bit)
+        else:
+            ctx_ones |= bit
+            pairs = _cofactor_pairs(pairs, bit, 0)
+    var = _split_var_pairs(nvars, pairs)
+    if var is None:  # pragma: no cover - defensive: a literal-free cube is full
+        return None
+    bit = 1 << var
+    box = None
+    for literal, context in _branches(bit, ctx_ones, ctx_zeros):
+        branch = _cofactor_pairs(pairs, *literal)
+        piece = _bounding_pairs(nvars, context[0], context[1], branch)
+        if piece is None:
+            continue
+        box = piece if box is None else (box[0] & piece[0], box[1] & piece[1])
+        if box == (ctx_ones, ctx_zeros):
+            # The box only loses literals as pieces merge, and the context
+            # bounds it below: the remaining branch cannot change it.
+            return box
+    return box

@@ -6,7 +6,9 @@ don't-care set, to reduce the literal count of the final implementation
 
 * :func:`espresso` -- a heuristic expand / irredundant / reduce loop in the
   style of Espresso-II.  It never changes the function on the care set and
-  is the minimiser used by the synthesis flow.
+  is the minimiser used by the synthesis flow.  Like :mod:`.cover`, whose
+  mask-pair recursions it uses, it runs on the cubes' integer masks only;
+  the test suite checks it against a Cube-object oracle cube for cube.
 * :func:`quine_mccluskey` -- an exact minimiser (prime generation plus a
   greedy/Petrick covering step) usable for small variable counts; the test
   suite uses it to cross-check the heuristic minimiser.
@@ -18,14 +20,10 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import current_tracer
-from .cover import Cover, _matrix_kernel
+from .cover import Cover, Pair, _bounding_pairs, _cofactor_pairs
 from .cube import Cube
 
 __all__ = ["espresso", "quine_mccluskey", "MinimizationResult"]
-
-#: Matrix-backed phase passes executed since import; espresso() snapshots
-#: this around its loop to feed the ``espresso_matrix_passes`` obs counter.
-_matrix_passes = 0
 
 
 class MinimizationResult:
@@ -63,7 +61,6 @@ def espresso(
     dc: Optional[Cover] = None,
     max_iterations: int = 4,
     off: Optional[Cover] = None,
-    kernel: Optional[str] = None,
 ) -> MinimizationResult:
     """Minimise ``on`` against the don't-care set ``dc``.
 
@@ -76,12 +73,6 @@ def espresso(
     complement can be expensive for wide specifications.  Everything outside
     ``on + off`` is then treated as a don't care.
 
-    ``kernel`` selects the cover engine backend (``"auto"`` / ``"numpy"`` /
-    ``"python"``, see :func:`repro.kernel.resolve_kernel`): under numpy the
-    irredundant/reduce passes run over uint64 cube matrices (expand keeps
-    its scalar scan).  Both backends produce the identical
-    :class:`MinimizationResult` -- same cubes, same order, same iteration
-    count.
     """
     nvars = on.nvars
     if dc is None:
@@ -91,15 +82,12 @@ def espresso(
 
     care_on = on
     initial_literals = on.literal_count
-    passes_before = _matrix_passes
     if off is None:
-        off = on.union(dc).complement(kernel=kernel).single_cube_containment(
-            kernel=kernel
-        )
+        off = on.union(dc).complement().single_cube_containment()
     else:
-        off = off.single_cube_containment(kernel=kernel)
+        off = off.single_cube_containment()
 
-    current = on.single_cube_containment(kernel=kernel)
+    current = on.single_cube_containment()
     iterations = 0
     previous_cost = _cost(current)
     # Expansion depends only on (cube, off) and off is fixed for the whole
@@ -109,18 +97,18 @@ def espresso(
     for _ in range(max_iterations):
         iterations += 1
         current = _expand(current, off, expand_cache)
-        current = _irredundant_care(current, care_on, dc, kernel)
-        current = _reduce(current, dc, kernel)
+        current = _irredundant_care(current, care_on, dc)
+        current = _reduce(current, dc)
         current = _expand(current, off, expand_cache)
-        current = _irredundant_care(current, care_on, dc, kernel)
+        current = _irredundant_care(current, care_on, dc)
         cost = _cost(current)
         if cost >= previous_cost:
             break
         previous_cost = cost
 
     # Safety: the minimised cover must still cover the original on-set.
-    if not current.union(dc).contains_cover(care_on, kernel=kernel):  # pragma: no cover - guard
-        current = care_on.single_cube_containment(kernel=kernel)
+    if not current.union(dc).contains_cover(care_on):  # pragma: no cover - guard
+        current = care_on.single_cube_containment()
     obs = current_tracer()
     if obs.enabled:
         span = obs.current
@@ -128,8 +116,6 @@ def espresso(
         span.counter("espresso_iterations", iterations)
         span.counter("espresso_input_cubes", len(on))
         span.counter("espresso_output_cubes", len(current))
-        if _matrix_passes > passes_before:
-            span.counter("espresso_matrix_passes", _matrix_passes - passes_before)
     return MinimizationResult(current, iterations, initial_literals)
 
 
@@ -137,120 +123,75 @@ def _cost(cover: Cover) -> Tuple[int, int]:
     return (len(cover), cover.literal_count)
 
 
-def _irredundant_care(
-    cover: Cover, care_on: Cover, dc: Cover, kernel: Optional[str] = None
-) -> Cover:
+def _irredundant_care(cover: Cover, care_on: Cover, dc: Cover) -> Cover:
     """Drop cubes whose *care* minterms are covered by the rest of the cover.
 
     A cube is redundant when every minterm it covers that belongs to the
     original on-set is also covered by the remaining cubes (plus the DC-set).
     Working with the care set directly avoids complementing the cover, which
-    matters for wide specifications.
+    matters for wide specifications.  Cubes are tried in order and each
+    verdict sees the cubes dropped before it.
     """
-    matrix = _matrix_kernel(kernel, len(cover) + len(dc))
-    if matrix is not None:
-        return _irredundant_care_matrix(cover, care_on, dc, kernel, matrix)
-    cubes = list(cover.single_cube_containment(kernel=kernel))
+    nvars = cover.nvars
+    cubes = list(cover.single_cube_containment())
+    full = (1 << nvars) - 1
+    points = [(cube.ones, cube.zeros) for cube in care_on]
+    if all(ones | zeros == full for ones, zeros in points):
+        return Cover(nvars, _irredundant_points(cubes, points, dc))
     index = 0
     while index < len(cubes):
         candidate = cubes[index]
-        rest = Cover(cover.nvars, cubes[:index] + cubes[index + 1:])
+        rest = Cover(nvars, cubes[:index] + cubes[index + 1:])
         if not dc.is_empty():
             rest = rest.union(dc)
         care_part = care_on.intersect_cube(candidate)
-        if rest.contains_cover(care_part, kernel=kernel):
+        if rest.contains_cover(care_part):
             cubes.pop(index)
         else:
             index += 1
-    return Cover(cover.nvars, cubes)
+    return Cover(nvars, cubes)
 
 
-def _irredundant_care_matrix(
-    cover: Cover, care_on: Cover, dc: Cover, kernel: Optional[str], matrix
-) -> Cover:
-    """Matrix twin of :func:`_irredundant_care` (bit-identical).
+def _irredundant_points(
+    cubes: List[Cube], points: List[Pair], dc: Cover
+) -> List[Cube]:
+    """:func:`_irredundant_care` for a care set of minterms (the synthesis
+    common case), by coverage counting.
 
-    The drop decision is a semantic containment check, so only the
-    sequential candidate order needs replicating; the per-candidate
-    cofactor/tautology recursions run over packed rows.
+    "The rest plus the DC-set covers every care point of the candidate" is,
+    for points, "each such point is covered by some other live cube or by
+    the DC-set".  So count, per point, the live cubes covering it plus one
+    when the DC-set covers it; a cube drops when every one of its points
+    counts at least 2, and its points then lose one count each.
     """
-    global _matrix_passes
-    _matrix_passes += 1
-    np = matrix.np
-    nvars = cover.nvars
-    words = matrix.words_for(nvars)
-    cubes = list(cover.single_cube_containment(kernel=kernel))
-    all_ones, all_zeros = matrix.pack_pairs(
-        [(c.ones, c.zeros) for c in cubes], words
-    )
-    dc_ones, dc_zeros = matrix.pack_cover(dc)
-    care_ones, care_zeros = matrix.pack_cover(care_on)
-    care_counts = matrix.literal_counts(care_ones, care_zeros)
-    if len(care_counts) == 0 or bool((care_counts == nvars).all()):
-        # Minterm care set (the synthesis common case): the sequential
-        # drop loop collapses to coverage counting.  "The rest plus the
-        # DC-set covers every care point of the candidate" is, for
-        # points, "each such point is covered by some other live row" --
-        # so track how many live rows cover each point and decrement as
-        # cubes drop.  Bit-identical to the reference's sequential scan.
-        cov = matrix.cover_point_matrix(all_ones, all_zeros, care_ones, care_zeros)
-        counts = cov.sum(axis=0)
-        if len(dc):
-            # DC coverage never decrements, so a bool contribution of 1
-            # is enough to keep covered points above the drop threshold.
-            counts = counts + matrix.covered_points(
-                dc_ones, dc_zeros, care_ones, care_zeros
-            ).astype(counts.dtype)
-        kept: List[Cube] = []
-        for index, cube in enumerate(cubes):
-            mine = cov[index]
-            if bool((counts[mine] >= 2).all()):
-                counts[mine] -= 1
-            else:
-                kept.append(cube)
-        return Cover(nvars, kept)
-    alive = list(range(len(cubes)))
-    index = 0
-    while index < len(alive):
-        candidate = cubes[alive[index]]
-        rest_index = np.array(
-            alive[:index] + alive[index + 1:], dtype=np.intp
+
+    # A cube holds a point iff it has no literal the point contradicts.
+    def held_by(ones: int, zeros: int) -> List[int]:
+        return [
+            index
+            for index, (point_ones, point_zeros) in enumerate(points)
+            if not ((ones & point_zeros) | (zeros & point_ones))
+        ]
+
+    dc_pairs = [(cube.ones, cube.zeros) for cube in dc]
+    counts = []
+    for point_ones, point_zeros in points:
+        in_dc = not all(
+            (ones & point_zeros) | (zeros & point_ones) for ones, zeros in dc_pairs
         )
-        rest_ones = np.concatenate([all_ones[rest_index], dc_ones])
-        rest_zeros = np.concatenate([all_zeros[rest_index], dc_zeros])
-        part_ones, part_zeros = matrix.intersect_cube_rows(
-            care_ones,
-            care_zeros,
-            matrix.pack_row(candidate.ones, words),
-            matrix.pack_row(candidate.zeros, words),
-        )
-        # No dedup: the drop decision is semantic, and duplicate care rows
-        # cannot change a containment verdict.
-        # Fully-specified care cubes (the common case: synthesis on-sets
-        # are minterm covers) get a single batched point-containment
-        # sweep; only genuinely wider cubes need the tautology recursion.
-        part_counts = matrix.literal_counts(part_ones, part_zeros)
-        points = part_counts == nvars
-        contained = True
-        if points.any():
-            contained = bool(
-                matrix.covered_points(
-                    rest_ones, rest_zeros, part_ones[points], part_zeros[points]
-                ).all()
-            )
-        if contained:
-            wide = np.flatnonzero(~points)
-            contained = all(
-                matrix.contains_cube_rows(
-                    nvars, rest_ones, rest_zeros, part_ones[row], part_zeros[row]
-                )
-                for row in wide
-            )
-        if contained:
-            alive.pop(index)
+        counts.append(1 if in_dc else 0)
+    held = [held_by(cube.ones, cube.zeros) for cube in cubes]
+    for indices in held:
+        for index in indices:
+            counts[index] += 1
+    kept: List[Cube] = []
+    for cube, indices in zip(cubes, held):
+        if all(counts[index] >= 2 for index in indices):
+            for index in indices:
+                counts[index] -= 1
         else:
-            index += 1
-    return Cover(nvars, [cubes[i] for i in alive])
+            kept.append(cube)
+    return kept
 
 
 def _expand(
@@ -264,12 +205,6 @@ def _expand(
     is idempotent -- a literal whose drop was blocked stays blocked as the
     cube only ever grows -- so every grown cube is also recorded as its
     own expansion, which makes re-expanding an already-maximal cover free.
-
-    Expand runs on the scalar scan under every kernel: most literal drops
-    are blocked by the first off-cube tested, so its early exit beat a
-    batched matrix pass, which always computes the full conflict tensor,
-    at every measured off-set size (the Table 1 covers, off-sets of 9-400
-    cubes, and synthetic minterm off-sets up to 5000 rows).
     """
     if cache is None:
         cache = {}
@@ -331,72 +266,28 @@ def _expand_cube(cube: Cube, off_masks: Sequence[Tuple[int, int]]) -> Cube:
     return Cube(cube.nvars, ones, zeros)
 
 
-def _reduce(cover: Cover, dc: Cover, kernel: Optional[str] = None) -> Cover:
-    """Shrink each cube to the smallest cube covering its essential part."""
-    matrix = _matrix_kernel(kernel, len(cover) + len(dc))
-    if matrix is not None:
-        return _reduce_matrix(cover, dc, matrix)
-    cubes = list(cover)
-    reduced: List[Cube] = []
-    for index, cube in enumerate(cubes):
-        # Earlier cubes are taken in their already-reduced form, later cubes
-        # in their original form (standard Espresso REDUCE ordering).
-        rest = Cover(cover.nvars, reduced + cubes[index + 1:])
-        rest = rest.union(dc)
-        essential = Cover(cover.nvars, [cube]).difference(rest)
-        if essential.is_empty():
-            # Entirely covered elsewhere; keep as-is, irredundant pass drops it.
-            reduced.append(cube)
-            continue
-        smallest = essential[0]
-        for piece in essential:
-            smallest = smallest.supercube(piece)
-        reduced.append(smallest)
-    return Cover(cover.nvars, reduced)
+def _reduce(cover: Cover, dc: Cover) -> Cover:
+    """Shrink each cube to the smallest cube covering its essential part.
 
-
-def _reduce_matrix(cover: Cover, dc: Cover, matrix) -> Cover:
-    """Matrix twin of :func:`_reduce` (bit-identical).
-
-    The reduced cube is the bounding box of ``cube minus rest``; the
-    reference's supercube fold over an explicit difference cover computes
-    exactly that box, so :func:`repro.kernel.cubes.bounding_difference`
-    reproduces it without materialising the difference.
+    The essential part of a cube is the cube minus the rest of the cover
+    and the DC-set; earlier cubes are taken in their already-reduced form,
+    later cubes in their original form (standard Espresso REDUCE ordering).
+    A cube whose essential part is empty is kept as it is, and the
+    irredundant pass drops it.
     """
-    global _matrix_passes
-    _matrix_passes += 1
-    np = matrix.np
     nvars = cover.nvars
-    words = matrix.words_for(nvars)
-    cubes = list(cover)
-    count = len(cubes)
-    all_ones, all_zeros = matrix.pack_pairs(
-        [(c.ones, c.zeros) for c in cubes], words
-    )
-    dc_ones, dc_zeros = matrix.pack_cover(dc)
-    # Earlier cubes participate in their already-reduced form (standard
-    # Espresso REDUCE ordering); rows are rewritten in place as we go.
-    done_ones = np.zeros((count, words), dtype=np.uint64)
-    done_zeros = np.zeros((count, words), dtype=np.uint64)
+    pairs = [(cube.ones, cube.zeros) for cube in cover]
+    dc_pairs = [(cube.ones, cube.zeros) for cube in dc]
     reduced: List[Cube] = []
-    for index, cube in enumerate(cubes):
-        rest_ones = np.concatenate(
-            [done_ones[:index], all_ones[index + 1:], dc_ones]
+    for index, cube in enumerate(cover):
+        rest = pairs[:index] + pairs[index + 1:] + dc_pairs
+        box = _bounding_pairs(
+            nvars, cube.ones, cube.zeros, _cofactor_pairs(rest, cube.ones, cube.zeros)
         )
-        rest_zeros = np.concatenate(
-            [done_zeros[:index], all_zeros[index + 1:], dc_zeros]
-        )
-        box = matrix.bounding_difference(
-            nvars, cube.ones, cube.zeros, rest_ones, rest_zeros
-        )
-        if box is None:
-            # Entirely covered elsewhere; keep as-is, irredundant pass drops it.
-            smallest = cube
-        else:
-            smallest = Cube(nvars, box[0], box[1])
-        reduced.append(smallest)
-        done_ones[index] = matrix.pack_row(smallest.ones, words)
-        done_zeros[index] = matrix.pack_row(smallest.zeros, words)
+        if box is not None:
+            cube = Cube(nvars, box[0], box[1])
+            pairs[index] = box
+        reduced.append(cube)
     return Cover(nvars, reduced)
 
 

@@ -25,7 +25,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .kernel import KERNELS
 from .obs import (
     EventStream,
     FileSink,
@@ -54,18 +53,6 @@ from .stg import benchmark_by_name, parse_g_file, write_g, write_g_file
 from .synthesis import METHODS, synthesize, verify_implementation
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_kernel_flag(command: argparse.ArgumentParser) -> None:
-    """Attach the vectorised-kernel selector (see :mod:`repro.kernel`)."""
-    command.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="vectorised backend for BFS/coding sweeps and the espresso "
-        "cover engine: auto picks numpy when installed, python forces "
-        "the reference loops",
-    )
 
 
 def _add_obs_flags(command: argparse.ArgumentParser) -> None:
@@ -135,13 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the rows (with metrics blobs when collected) to this JSON file",
     )
-    _add_kernel_flag(table1)
     _add_obs_flags(table1)
 
     fig6 = sub.add_parser("figure6", help="reproduce the Figure 6 scaling experiment")
     fig6.add_argument("--stages", nargs="+", type=int, default=[2, 4, 6, 8, 10])
     fig6.add_argument("--methods", nargs="+", default=["unfolding-approx", "sg-explicit", "sg-bdd"])
-    _add_kernel_flag(fig6)
     _add_obs_flags(fig6)
 
     sub.add_parser("counterflow", help="synthesise the 34-signal counterflow stand-in")
@@ -196,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="diagnose a worker as stalled (and capture its stack over "
         "SIGUSR1) after this long without progress evidence (default: 150)",
     )
-    _add_kernel_flag(batch)
     _add_obs_flags(batch)
 
     csc = sub.add_parser(
@@ -223,21 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resolve", action="store_true", help="only report conflicts, do not insert"
     )
     csc.add_argument("--seed", type=int, default=0, help="candidate tie-break seed")
-    # Paired flags instead of BooleanOptionalAction: the CLI supports 3.9.
-    csc.add_argument(
-        "--incremental",
-        dest="incremental",
-        action="store_true",
-        default=True,
-        help="update the State Graph in place per insertion round, "
-        "re-exploring only the splice's dirty region (default)",
-    )
-    csc.add_argument(
-        "--no-incremental",
-        dest="incremental",
-        action="store_false",
-        help="rebuild the State Graph from the initial state every round",
-    )
     csc.add_argument(
         "--fail-on-unresolved",
         action="store_true",
@@ -249,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved STG as a .g file (single spec only)",
     )
-    _add_kernel_flag(csc)
     _add_obs_flags(csc)
 
     simulate = sub.add_parser(
@@ -357,7 +325,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         conformance=not args.no_conformance,
         resolve_encoding=args.resolve_encoding,
         engine=args.engine,
-        kernel=args.kernel,
         collect_metrics=args.metrics or bool(args.json_path),
     )
     columns = ["benchmark", "signals", "UnfTim", "SynTim", "EspTim", "TotTim", "LitCnt"]
@@ -383,7 +350,6 @@ def _cmd_figure6(args: argparse.Namespace) -> int:
     rows = run_figure6(
         stage_counts=args.stages,
         methods=args.methods,
-        kernel=args.kernel,
         collect_metrics=args.metrics,
     )
     columns = ["stages", "signals"] + list(args.methods)
@@ -402,7 +368,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             conformance=not args.no_conformance,
             resolve_encoding=args.resolve_encoding,
             engine=args.engine,
-            kernel=args.kernel,
             collect_metrics=args.metrics,
             stall_after=args.stall_after,
         )
@@ -422,7 +387,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             methods=args.methods,
             jobs=args.jobs,
             task_timeout=args.timeout,
-            kernel=args.kernel,
             collect_metrics=args.metrics,
             stall_after=args.stall_after,
         )
@@ -465,9 +429,7 @@ def _cmd_csc(args: argparse.Namespace) -> int:
         # the reachable set, state count and CSC verdict are all computed
         # symbolically, so specifications far beyond the explicit budget can
         # still be *checked*.
-        space = build_state_space(
-            stg, engine=args.engine, max_states=args.max_states, kernel=args.kernel
-        )
+        space = build_state_space(stg, engine=args.engine, max_states=args.max_states)
         before = space.check_csc()
         row = {
             "benchmark": stg.name,
@@ -490,8 +452,6 @@ def _cmd_csc(args: argparse.Namespace) -> int:
                 max_signals=args.max_signals,
                 seed=args.seed,
                 max_states=args.max_states,
-                kernel=args.kernel,
-                incremental=args.incremental,
             )
             row["inserted"] = ",".join(result.inserted)
             row["conflicts_after"] = result.conflicts_after

@@ -75,9 +75,7 @@ def _cover_digest(cover: Cover) -> bytes:
     return digest.digest()
 
 
-def _cached_literal_cost(
-    on: Cover, dc: Cover, off: Cover, dc_digest: bytes, kernel: Optional[str]
-) -> int:
+def _cached_literal_cost(on: Cover, dc: Cover, off: Cover, dc_digest: bytes) -> int:
     key = (on.nvars, _cover_digest(on), dc_digest)
     cached = _COST_CACHE.get(key)
     obs = current_tracer()
@@ -86,7 +84,7 @@ def _cached_literal_cost(
         if obs.enabled:
             obs.current.counter("ranking_cache_hits")
         return cached
-    cost = espresso(on, dc, off=off, kernel=kernel).cover.literal_count
+    cost = espresso(on, dc, off=off).cover.literal_count
     _COST_CACHE[key] = cost
     if len(_COST_CACHE) > _COST_CACHE_MAX:
         _COST_CACHE.popitem(last=False)
@@ -97,7 +95,6 @@ def estimate_cost(
     graph: StateGraph,
     region: InsertionRegion,
     dc: Optional[Cover] = None,
-    kernel: Optional[str] = None,
 ) -> int:
     """Estimated literal cost of implementing the new signal.
 
@@ -137,8 +134,8 @@ def estimate_cost(
 
     block_on = minterms(sorted(off_codes - on_codes))
     block_off = minterms(sorted(on_codes - off_codes))
-    cost = _cached_literal_cost(on_cover, dc, block_on, dc_digest, kernel)
-    cost += _cached_literal_cost(off_cover, dc, block_off, dc_digest, kernel)
+    cost = _cached_literal_cost(on_cover, dc, block_on, dc_digest)
+    cost += _cached_literal_cost(off_cover, dc, block_off, dc_digest)
     return cost
 
 
@@ -147,7 +144,6 @@ def choose_insertion(
     cores: List[ConflictCore],
     regions: List[InsertionRegion],
     rng: Optional[random.Random] = None,
-    kernel: Optional[str] = None,
 ) -> List[Tuple[int, InsertionRegion]]:
     """Rank candidate regions for one insertion round.
 
@@ -177,7 +173,7 @@ def choose_insertion(
         # candidate of the round; the per-candidate espresso runs hit the
         # ranking cache for any on-set already costed.
         dc = dc_set_cover(graph)
-        head.sort(key=lambda item: estimate_cost(graph, item[1], dc, kernel))
+        head.sort(key=lambda item: estimate_cost(graph, item[1], dc))
     return head + tail
 
 

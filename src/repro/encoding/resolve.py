@@ -3,9 +3,9 @@
 ``resolve_csc`` drives the whole encoding subsystem: detect conflict cores
 on the packed State Graph, enumerate legal insertion regions, greedily
 insert one fresh internal signal per round and update the (packed) State
-Graph -- incrementally by default, re-exploring only the dirty region the
-splice perturbs (:func:`~repro.stategraph.extend_state_graph`), cold
-rebuild on request or as fallback -- until Complete State Coding holds or
+Graph -- incrementally, re-exploring only the dirty region the splice
+perturbs (:func:`~repro.stategraph.extend_state_graph`), with a cold
+rebuild as the automatic fallback -- until Complete State Coding holds or
 the signal budget is exhausted.
 
 Every accepted insertion is *validated on the rebuilt graph*: the rewritten
@@ -37,7 +37,6 @@ from ..stg import STG
 from .conflicts import conflict_cores, num_conflict_pairs
 from .conformance import ProjectionReport, projection_conforms
 from .insertion import (
-    apply_insertion,
     choose_insertion,
     fresh_signal_name,
     make_insertion_edit,
@@ -75,8 +74,7 @@ class EncodingResult:
         Wall-clock seconds spent resolving.
     rounds_incremental:
         How many accepted rounds extended the graph in place instead of
-        rebuilding it (0 when ``incremental=False`` or the fast path never
-        applied).
+        rebuilding it (0 when the fast path never applied).
     states_reexplored:
         Per accepted incremental round, the number of dirty states the
         extension actually re-explored (``None`` when no round was
@@ -137,8 +135,6 @@ def resolve_csc(
     seed: int = 0,
     max_states: Optional[int] = None,
     validate: bool = True,
-    kernel: Optional[str] = None,
-    incremental: bool = True,
 ) -> EncodingResult:
     """Resolve the CSC conflicts of an STG by inserting internal signals.
 
@@ -160,19 +156,13 @@ def resolve_csc(
         When True (default), every accepted insertion must not add output
         persistency violations, and the final result is checked for
         projection conformance against the original specification.
-    kernel:
-        BFS backend for the State Graph builds (``"auto"``/``None``,
-        ``"numpy"``, ``"python"``) -- used by both the full rebuilds and
-        the dirty-region BFS of the incremental path.
-    incremental:
-        When True (default), each validated candidate extends the current
-        graph in place via
-        :func:`~repro.stategraph.extend_state_graph` -- re-exploring only
-        the dirty region around the splice -- instead of rebuilding from
-        the initial state; the cold rebuild remains as an automatic
-        fallback whenever the fast path does not apply.  The accepted
-        resolution is identical either way (the equivalence suite checks
-        this per round); only the cost differs.
+
+    Each validated candidate extends the current graph in place via
+    :func:`~repro.stategraph.extend_state_graph`, re-exploring only the
+    dirty region around the splice; when that fast path does not apply the
+    candidate's graph is rebuilt cold from the initial state.  The accepted
+    resolution is the same either way (the equivalence suite checks this
+    per round); only the cost differs.
     """
     with current_tracer().span("csc", stage="resolve", stg=stg.name) as span:
         return _resolve_csc(
@@ -182,8 +172,6 @@ def resolve_csc(
             seed,
             max_states,
             validate,
-            kernel,
-            incremental,
             span,
         )
 
@@ -195,13 +183,11 @@ def _resolve_csc(
     seed: int,
     max_states: Optional[int],
     validate: bool,
-    kernel: Optional[str],
-    incremental: bool,
     span,
 ) -> EncodingResult:
     start = time.perf_counter()
     if graph is None:
-        graph = build_state_graph(stg, max_states=max_states, kernel=kernel)
+        graph = build_state_graph(stg, max_states=max_states)
     original_stg = stg
     rng = random.Random(seed)
 
@@ -217,42 +203,31 @@ def _resolve_csc(
     while cores and len(inserted) < max_signals:
         span.counter("rounds")
         regions = candidate_regions(graph)
-        ranked = choose_insertion(graph, cores, regions, rng, kernel=kernel)
+        ranked = choose_insertion(graph, cores, regions, rng)
         current_pairs = num_conflict_pairs(cores)
         signal = fresh_signal_name(stg)
         # Measure the top-ranked regions on their resulting graph and keep
         # the one that leaves the fewest conflicting pairs: the static gain
         # ignores both the intermediate states an insertion adds and the
-        # conflicts the new signal's own excitation can create.  Under
-        # ``incremental`` the measuring graph is grown from the current one
-        # (dirty-region re-exploration); otherwise it is rebuilt cold.
+        # conflicts the new signal's own excitation can create.  The
+        # measuring graph is grown from the current one (dirty-region
+        # re-exploration), or rebuilt cold when that does not apply.
         best = None  # (pairs_after, stg, graph, cores, reexplored)
         for _gain, region in ranked[:MAX_VALIDATIONS_PER_ROUND]:
             span.counter("candidates_validated")
-            candidate_graph = None
+            edit = make_insertion_edit(stg, region, signal)
+            candidate_stg = edit.stg
             reexplored = None
-            if incremental:
-                edit = make_insertion_edit(stg, region, signal)
-                candidate_stg = edit.stg
-                try:
-                    candidate_graph = extend_state_graph(
-                        graph, edit, max_states=max_states, kernel=kernel
-                    )
-                except InconsistentSTGError:
-                    continue  # phase labelling was coincidental, not causal
-                if candidate_graph is not None:
+            try:
+                candidate_graph = extend_state_graph(graph, edit, max_states=max_states)
+                if candidate_graph is None:
+                    candidate_graph = build_state_graph(candidate_stg, max_states=max_states)
+                else:
                     reexplored = candidate_graph.incremental_stats[
                         "states_reexplored"
                     ]
-            else:
-                candidate_stg = apply_insertion(stg, region, signal)
-            if candidate_graph is None:
-                try:
-                    candidate_graph = build_state_graph(
-                        candidate_stg, max_states=max_states, kernel=kernel
-                    )
-                except InconsistentSTGError:
-                    continue  # phase labelling was coincidental, not causal
+            except InconsistentSTGError:
+                continue  # phase labelling was coincidental, not causal
             candidate_cores = conflict_cores(candidate_graph)
             pairs_after = num_conflict_pairs(candidate_cores)
             if pairs_after >= current_pairs:
@@ -292,7 +267,6 @@ def _resolve_csc(
         span.gauge("signals_inserted", len(inserted))
         span.gauge("conflicts_before", conflicts_before)
         span.gauge("conflicts_after", num_conflict_pairs(cores))
-        span.gauge("incremental", incremental)
         span.gauge("rounds_incremental", rounds_incremental)
         span.gauge("resolved", report.satisfied and (projection is None or projection.ok))
     return EncodingResult(

@@ -223,7 +223,6 @@ def _table1_row_task(args: Dict[str, object]) -> Dict[str, object]:
             timeout=args["timeout"],
             resolve_encoding=args.get("resolve_encoding", False),
             engine=args.get("engine"),
-            kernel=args.get("kernel"),
             collect_metrics=args.get("collect_metrics", False),
             progress=_partial_writer(args.get("partial_path")),
         )
@@ -240,7 +239,6 @@ def _figure6_row_task(args: Dict[str, object]) -> Dict[str, object]:
             method_limits=args["method_limits"],
             max_states=args["max_states"],
             timeout=args["timeout"],
-            kernel=args.get("kernel"),
             collect_metrics=args.get("collect_metrics", False),
             progress=_partial_writer(args.get("partial_path")),
         )
@@ -562,7 +560,6 @@ def run_table1_batch(
     conformance_max_states: Optional[int] = 100000,
     resolve_encoding: bool = False,
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
     collect_metrics: bool = False,
     stall_after: Optional[float] = None,
 ) -> List[Dict[str, object]]:
@@ -571,9 +568,8 @@ def run_table1_batch(
     Returns the same merged rows as the serial :func:`run_table1` (plus the
     aggregate ``outcome`` column), in suite order; ``resolve_encoding``
     threads the CSC-resolution pass (and its ``csc_signals_added`` /
-    ``csc_resolved`` columns) into every worker, ``engine`` retargets
-    the SG methods onto one state-space backend in every worker and
-    ``kernel`` selects the explicit engine's BFS/coding-sweep backend.
+    ``csc_resolved`` columns) into every worker and ``engine`` retargets
+    the SG methods onto one state-space backend in every worker.
     ``collect_metrics`` activates a per-worker tracer so every row carries
     ``<method>_metrics`` blobs (see :mod:`repro.obs`).
     """
@@ -589,7 +585,6 @@ def run_table1_batch(
             "timeout": task_timeout,
             "resolve_encoding": resolve_encoding,
             "engine": engine,
-            "kernel": kernel,
             "collect_metrics": collect_metrics,
         }
         for name in names
@@ -608,7 +603,6 @@ def run_figure6_batch(
     jobs: Optional[int] = None,
     task_timeout: Optional[float] = None,
     max_states: Optional[int] = 300000,
-    kernel: Optional[str] = None,
     collect_metrics: bool = False,
     stall_after: Optional[float] = None,
 ) -> List[Dict[str, object]]:
@@ -620,7 +614,6 @@ def run_figure6_batch(
             "method_limits": method_limits,
             "max_states": max_states,
             "timeout": task_timeout,
-            "kernel": kernel,
             "collect_metrics": collect_metrics,
         }
         for stages in stage_counts

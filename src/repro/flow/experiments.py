@@ -111,7 +111,6 @@ def _synthesize_timed(
     max_states: Optional[int],
     timeout: Optional[float],
     metrics_box: Optional[Dict[str, object]] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[Optional[object], float, str]:
     """Run one synthesis under an optional wall-clock budget.
 
@@ -123,16 +122,12 @@ def _synthesize_timed(
     """
     work_stg = stg if timeout is None else stg.copy()
     if metrics_box is None:
-        task = lambda: synthesize(
-            work_stg, method=method, max_states=max_states, kernel=kernel
-        )
+        task = lambda: synthesize(work_stg, method=method, max_states=max_states)
     else:
 
         def task():
             with current_tracer().span("method", method=method) as span:
-                result = synthesize(
-                    work_stg, method=method, max_states=max_states, kernel=kernel
-                )
+                result = synthesize(work_stg, method=method, max_states=max_states)
             if span.live:
                 metrics_box[method] = span_summary(span)
             return result
@@ -145,8 +140,6 @@ def _resolve_timed(
     max_states: Optional[int],
     timeout: Optional[float],
     metrics_box: Optional[Dict[str, object]] = None,
-    kernel: Optional[str] = None,
-    incremental: bool = True,
 ) -> Tuple[Optional[object], float, str]:
     """Run one CSC resolution under the same wall-clock regime as synthesis.
 
@@ -157,19 +150,12 @@ def _resolve_timed(
 
     work_stg = stg if timeout is None else stg.copy()
     if metrics_box is None:
-        task = lambda: resolve_csc(
-            work_stg, max_states=max_states, kernel=kernel, incremental=incremental
-        )
+        task = lambda: resolve_csc(work_stg, max_states=max_states)
     else:
 
         def task():
             with current_tracer().span("method", method="csc-resolve") as span:
-                result = resolve_csc(
-                    work_stg,
-                    max_states=max_states,
-                    kernel=kernel,
-                    incremental=incremental,
-                )
+                result = resolve_csc(work_stg, max_states=max_states)
             if span.live:
                 metrics_box["csc"] = span_summary(span)
             return result
@@ -185,9 +171,7 @@ def run_table1(
     conformance_max_states: Optional[int] = 100000,
     timeout: Optional[float] = None,
     resolve_encoding: bool = False,
-    incremental: bool = True,
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
     collect_metrics: bool = False,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> List[Table1Row]:
@@ -219,15 +203,12 @@ def run_table1(
     resolution pass, which counts towards the row's aggregate outcome).
     Without it the columns are still present: ``csc_signals_added`` is 0 and
     ``csc_resolved`` reports whether the specification needed no encoding
-    work.  ``incremental`` selects in-place State Graph maintenance during
-    the resolution pass (the default) versus a cold rebuild every round.
+    work.
 
     ``engine`` retargets the SG-based methods onto one state-space backend
     (see :func:`apply_engine`); every row reports the backend in its
     ``engine`` column, plus a per-method ``<method>_engine`` column for the
-    SG methods.  ``kernel`` selects the explicit engine's BFS/coding-sweep
-    backend (``"auto"``/``None``, ``"numpy"``, ``"python"``) for the SG
-    methods and the shared CSC resolution pass.
+    SG methods.
 
     With ``collect_metrics`` every row gains ``<method>_metrics`` blobs
     (elapsed / peak RSS / subtree counters / per-phase times, see
@@ -281,7 +262,7 @@ def run_table1(
                 method_stg = stg
                 if resolve_encoding:
                     encoding, _elapsed, resolve_outcome = _resolve_timed(
-                        stg, max_states, timeout, metrics_box, kernel, incremental
+                        stg, max_states, timeout, metrics_box
                     )
                     row["csc_outcome"] = resolve_outcome
                     if metrics_box is not None and "csc" in metrics_box:
@@ -296,7 +277,7 @@ def run_table1(
                 simulated_method: Optional[str] = None
                 for method in methods:
                     result, elapsed, outcome = _synthesize_timed(
-                        method_stg, method, max_states, timeout, metrics_box, kernel
+                        method_stg, method, max_states, timeout, metrics_box
                     )
                     prefix = method
                     row["%s_outcome" % prefix] = outcome
@@ -369,7 +350,6 @@ def run_figure6(
     max_states: Optional[int] = 300000,
     timeout: Optional[float] = None,
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
     collect_metrics: bool = False,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> List[Dict[str, object]]:
@@ -379,8 +359,8 @@ def run_figure6(
     it is attempted on (mirroring how the paper reports SIS and Petrify
     dropping out as the specification grows); beyond the limit the method's
     entry is ``None``.  ``timeout`` is a per-method wall-clock budget,
-    ``engine`` retargets the SG methods onto one backend and ``kernel``
-    selects the explicit engine's BFS backend; see :func:`run_table1`.
+    and ``engine`` retargets the SG methods onto one backend; see
+    :func:`run_table1`.
     The genuinely symbolic ``sg-bdd`` engine scales past the explicit
     cut-off, hence its higher default limit.
     """
@@ -409,7 +389,7 @@ def run_figure6(
                         row["%s_outcome" % method] = "skipped"
                         continue
                     result, elapsed, outcome = _synthesize_timed(
-                        stg, method, max_states, timeout, metrics_box, kernel
+                        stg, method, max_states, timeout, metrics_box
                     )
                     row[method] = round(elapsed, 4) if result is not None else None
                     row["%s_outcome" % method] = outcome

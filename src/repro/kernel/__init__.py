@@ -1,35 +1,26 @@
-"""repro.kernel -- optional vectorised hot-path kernels.
+"""repro.kernel -- the numpy bitset kernel of the explicit state-space engine.
 
 The packed core (:mod:`repro.core`) turned every state into a handful of
-Python ints; this layer is the next 10-100x: numpy ``uint64`` bitset
-matrices (states x words) that replace the remaining per-state Python
-loops -- explicit BFS frontier expansion, excitation-mask sweeps and the
-pairwise USC/CSC code-comparison joins -- with whole-frontier array
-operations.
+Python ints; :mod:`repro.kernel.bitset` goes further with numpy ``uint64``
+bitset matrices (states x words) that replace the remaining per-state
+Python loops of the explicit engine -- BFS frontier expansion,
+excitation-mask sweeps and the pairwise USC/CSC code-comparison joins --
+with whole-frontier array operations.
 
-numpy is a *proper optional extra* (``pip install repro-synth[kernel]``):
-this module holds the single capability probe, and every consumer goes
-through :func:`resolve_kernel` with an explicit ``kernel`` choice
-(``"auto"`` / ``"numpy"`` / ``"python"``) instead of silently guessing
-from imports.  The pure-python packed implementations remain the reference
-behind the :class:`~repro.spaces.StateSpace` protocol; requesting
-``kernel="numpy"`` without numpy installed is a hard error, never a silent
-downgrade.
+numpy is an optional extra (``pip install repro-synth[kernel]``).  This
+module holds the single capability probe: the explicit engine reads
+:data:`HAS_NUMPY` at call time and runs the bitset kernel whenever numpy is
+installed, and the pure-python packed loops otherwise.  Both build the same
+graphs; the tests compare them by setting :data:`HAS_NUMPY` to False.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = [
     "HAS_NUMPY",
-    "KERNELS",
     "numpy_or_none",
     "resolve_kernel",
 ]
-
-#: The accepted values of every ``kernel`` parameter / ``--kernel`` flag.
-KERNELS = ("auto", "numpy", "python")
 
 try:  # the single capability probe for the whole package
     import numpy as _np  # type: ignore
@@ -45,24 +36,12 @@ def numpy_or_none():
     return _np
 
 
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve a kernel choice to the concrete backend (``numpy``/``python``).
+def resolve_kernel(choice: None = None) -> str:
+    """The explicit engine's backend: ``"numpy"`` or ``"python"``.
 
-    ``None`` and ``"auto"`` pick numpy when available and fall back to the
-    pure-python reference otherwise; ``"numpy"`` demands the vectorised
-    kernel (raising :class:`RuntimeError` when the optional extra is
-    missing, so batch runs fail loudly instead of silently running 100x
-    slower); ``"python"`` forces the reference implementation.
+    ``choice`` must be ``None``: the backend is not selectable, and the
+    call only reports what :data:`HAS_NUMPY` picks.
     """
-    if kernel is None or kernel == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if kernel == "numpy":
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "kernel='numpy' requested but numpy is not installed "
-                "(pip install repro-synth[kernel])"
-            )
-        return "numpy"
-    if kernel == "python":
-        return "python"
-    raise ValueError("unknown kernel %r (choose from %s)" % (kernel, KERNELS))
+    if choice is not None:
+        raise ValueError("the kernel is not selectable (got %r)" % (choice,))
+    return "numpy" if HAS_NUMPY else "python"

@@ -51,7 +51,7 @@ _MASK64 = (1 << 64) - 1
 
 def _require_numpy():
     np = numpy_or_none()
-    if np is None:  # pragma: no cover - callers gate on resolve_kernel
+    if np is None:  # pragma: no cover - callers gate on HAS_NUMPY
         raise RuntimeError("repro.kernel.bitset requires numpy")
     return np
 

@@ -38,7 +38,6 @@ def build_state_space(
     engine: str = "explicit",
     max_states: Optional[int] = None,
     max_iterations: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> StateSpace:
     """Build the state space of an STG with the requested engine.
 
@@ -46,13 +45,11 @@ def build_state_space(
     accepts and raise :class:`~repro.core.UnsafeNetError` for any other.
     ``max_states`` bounds the reachable-state count for both engines (the
     explicit engine raises during enumeration, the symbolic one from a
-    solution count after each group saturation).  ``kernel`` selects the
-    BFS / coding-sweep backend (``"auto"``/``None``, ``"numpy"``,
-    ``"python"``; explicit engine only); ``max_iterations`` bounds the
-    symbolic fixed point (symbolic engine only).
+    solution count after each group saturation).  ``max_iterations``
+    bounds the symbolic fixed point (symbolic engine only).
     """
     if engine == "explicit":
-        return ExplicitStateSpace(stg, max_states=max_states, kernel=kernel)
+        return ExplicitStateSpace(stg, max_states=max_states)
     if engine == "bdd":
         return SymbolicStateSpace(
             stg, max_states=max_states, max_iterations=max_iterations

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from .. import kernel
 from ..boolean import Cover
-from ..kernel import resolve_kernel
 from ..stategraph import (
     SignalRegions,
     StateGraph,
@@ -39,16 +39,14 @@ class ExplicitStateSpace(StateSpace):
         stg,
         max_states: Optional[int] = None,
         graph: Optional[StateGraph] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__(stg)
         #: The underlying explicit graph -- consumers that genuinely need
         #: per-state data (encoding resolution, simulation oracles) unwrap
         #: it; protocol-level consumers never have to.
         self.graph = graph if graph is not None else build_state_graph(
-            stg, max_states=max_states, kernel=kernel
+            stg, max_states=max_states
         )
-        self.kernel = kernel
         self.max_states = max_states
         self._regions: Dict[str, SignalRegions] = {}
 
@@ -69,14 +67,10 @@ class ExplicitStateSpace(StateSpace):
         state-budget errors propagate exactly as a cold rebuild raises
         them.
         """
-        graph = extend_state_graph(
-            self.graph, edit, max_states=self.max_states, kernel=self.kernel
-        )
+        graph = extend_state_graph(self.graph, edit, max_states=self.max_states)
         if graph is None:
-            return ExplicitStateSpace(
-                edit.stg, max_states=self.max_states, kernel=self.kernel
-            )
-        space = ExplicitStateSpace(edit.stg, graph=graph, kernel=self.kernel)
+            return ExplicitStateSpace(edit.stg, max_states=self.max_states)
+        space = ExplicitStateSpace(edit.stg, graph=graph)
         space.incremental_stats = graph.incremental_stats
         return space
 
@@ -161,11 +155,11 @@ class ExplicitStateSpace(StateSpace):
     # State-coding checks
     # ------------------------------------------------------------------ #
     def check_usc(self) -> CodingReport:
-        report = check_usc(self.graph, kernel=self.kernel)
+        report = check_usc(self.graph)
         return self._coding_report(report, with_signals=False)
 
     def check_csc(self) -> CodingReport:
-        report = check_csc(self.graph, kernel=self.kernel)
+        report = check_csc(self.graph)
         return self._coding_report(report, with_signals=True)
 
     def _coding_report(self, report, with_signals: bool) -> CodingReport:
@@ -192,19 +186,17 @@ class ExplicitStateSpace(StateSpace):
     def signature_groups(self) -> Dict[int, List[Tuple[int, int]]]:
         graph = self.graph
         implementable_mask = graph.signal_table.mask_of(self.stg.implementable_signals)
-        if resolve_kernel(self.kernel) == "numpy":
+        if kernel.HAS_NUMPY:
             from ..kernel.bitset import (
                 graph_arrays,
                 packed_mask,
                 signature_groups_kernel,
             )
 
-            arrays = graph_arrays(graph)
-            if arrays is not None:
-                codes, excited_plus, excited_minus = arrays
-                mask = packed_mask(implementable_mask, codes.shape[1])
-                signatures = (excited_plus | excited_minus) & mask
-                return signature_groups_kernel(codes, signatures)
+            codes, excited_plus, excited_minus = graph_arrays(graph)
+            mask = packed_mask(implementable_mask, codes.shape[1])
+            signatures = (excited_plus | excited_minus) & mask
+            return signature_groups_kernel(codes, signatures)
         plus = graph._excited_plus
         minus = graph._excited_minus
         by_code: Dict[int, Dict[int, int]] = {}

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..boolean import Cover
 from ..bdd import SymbolicNet, isop
 from ..core import PackedNet, UnsafeNetError
-from ..stategraph.stategraph import InconsistentSTGError
+from ..stg import InconsistentSTGError
 from ..stg.signals import Direction
 from .base import CodingReport, StateSpace
 

@@ -13,10 +13,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..kernel import resolve_kernel
-from ..stg.signals import SignalType
+from .. import kernel
 from .stategraph import StateGraph
 
 __all__ = [
@@ -73,30 +72,30 @@ def _as_space_report(graph, kind: str):
     return None
 
 
-def _kernel_arrays(graph, kernel: Optional[str]):
-    """uint64 graph vectors when the numpy kernel should run, else ``None``."""
-    if resolve_kernel(kernel) != "numpy":
+def _kernel_arrays(graph):
+    """uint64 graph vectors when numpy is installed, else ``None``."""
+    if not kernel.HAS_NUMPY:
         return None
     from ..kernel.bitset import graph_arrays
 
     return graph_arrays(graph)
 
 
-def check_usc(graph: StateGraph, kernel: Optional[str] = None) -> CSCReport:
+def check_usc(graph: StateGraph) -> CSCReport:
     """Check Unique State Coding: every reachable marking has a unique code.
 
     Conflict pairs are reported sorted (``(low, high)`` per pair, pairs in
     lexicographic order) so reports are deterministic and directly
     comparable across state-graph engines.  Accepts a
     :class:`~repro.spaces.StateSpace` as well (see :func:`_as_space_report`).
-    ``kernel`` selects the sweep backend: the numpy kernel sorts the code
-    vector once instead of bucketing states through a dict, emitting the
-    identical conflict list.
+    With numpy installed the bitset kernel sorts the code vector once
+    instead of bucketing states through a dict, emitting the identical
+    conflict list.
     """
     report = _as_space_report(graph, "USC")
     if report is not None:
         return report
-    arrays = _kernel_arrays(graph, kernel)
+    arrays = _kernel_arrays(graph)
     if arrays is not None:
         from ..kernel.bitset import coding_conflict_pairs
 
@@ -114,7 +113,7 @@ def check_usc(graph: StateGraph, kernel: Optional[str] = None) -> CSCReport:
     return CSCReport(not conflicts, conflicts, "USC")
 
 
-def check_csc(graph: StateGraph, kernel: Optional[str] = None) -> CSCReport:
+def check_csc(graph: StateGraph) -> CSCReport:
     """Check Complete State Coding.
 
     Two states with equal binary codes must have the same set of excited
@@ -126,14 +125,14 @@ def check_csc(graph: StateGraph, kernel: Optional[str] = None) -> CSCReport:
     implementable signals -- an int comparison instead of set algebra.
     Conflict pairs are reported sorted, like :func:`check_usc`; a
     :class:`~repro.spaces.StateSpace` argument is dispatched to the
-    protocol, and ``kernel`` selects the numpy sorted-run sweep the same
-    way.
+    protocol, and with numpy installed the sweep runs over sorted runs
+    of the code vector the same way.
     """
     report = _as_space_report(graph, "CSC")
     if report is not None:
         return report
     implementable_mask = graph.signal_table.mask_of(graph.stg.implementable_signals)
-    arrays = _kernel_arrays(graph, kernel)
+    arrays = _kernel_arrays(graph)
     if arrays is not None:
         from ..kernel.bitset import coding_conflict_pairs, packed_mask
 

@@ -40,10 +40,11 @@ So the update is:
   same :class:`~repro.stategraph.InconsistentSTGError` a cold rebuild
   would (the phase labelling was coincidental, not causal).
 
-The dirty BFS runs on the pure-python loop or, under ``kernel="numpy"``,
-on the same wave-at-a-time bitset kernel as the full build
-(:func:`repro.kernel.bitset.kernel_incremental_bfs`) -- only the frontier
-cut is ever expanded either way.
+The dirty BFS runs on the same backend as the full build: the
+wave-at-a-time bitset kernel
+(:func:`repro.kernel.bitset.kernel_incremental_bfs`) when numpy is
+installed, else the pure-python loop -- only the frontier cut is ever
+expanded either way.
 
 State numbering and edge order differ from a cold rebuild (survivors keep
 their old indices); every *code-level* artifact -- state/code counts,
@@ -57,7 +58,7 @@ from collections import deque
 from typing import List, Optional, Tuple
 
 from ..core import PackedNet, UnsafeNetError, unpack_code
-from ..kernel import resolve_kernel
+from .. import kernel
 from ..obs import current_tracer
 from ..petrinet import StateSpaceLimitExceeded
 from .stategraph import (
@@ -106,7 +107,6 @@ def extend_state_graph(
     old_graph: StateGraph,
     edit,
     max_states: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Optional[StateGraph]:
     """State Graph of ``edit.stg``, grown from ``old_graph`` in place of a
     cold rebuild.
@@ -139,7 +139,7 @@ def extend_state_graph(
     with current_tracer().span(
         "reachability", engine="explicit", stg=stg.name, mode="incremental"
     ) as span:
-        graph = _extend(old_graph, edit, pnet, max_states, kernel, span)
+        graph = _extend(old_graph, edit, pnet, max_states, span)
     return graph
 
 
@@ -148,7 +148,6 @@ def _extend(
     edit,
     pnet: PackedNet,
     max_states: Optional[int],
-    kernel: Optional[str],
     span,
 ) -> StateGraph:
     stg = edit.stg
@@ -258,10 +257,9 @@ def _extend(
 
     # ------------------------------------------------------------------ #
     # 4. Drain the dirty region with the ordinary packed BFS -- python
-    #    loop or the numpy wave kernel, whichever the caller selected.
+    #    loop or the numpy wave kernel, like the full build.
     # ------------------------------------------------------------------ #
-    use_kernel = resolve_kernel(kernel) == "numpy"
-    if use_kernel:
+    if kernel.HAS_NUMPY:
         from ..kernel.bitset import kernel_incremental_bfs
 
         reexplored = kernel_incremental_bfs(

@@ -37,17 +37,13 @@ from ..core import (
     pack_code,
     unpack_code,
 )
-from ..kernel import resolve_kernel
+from .. import kernel
 from ..obs import NULL_SPAN, current_tracer
 from ..petrinet import Marking, StateSpaceLimitExceeded
-from ..stg import STG, STGError
+from ..stg import STG, InconsistentSTGError
 from ..stg.signals import Direction
 
 __all__ = ["StateGraph", "InconsistentSTGError", "build_state_graph"]
-
-
-class InconsistentSTGError(STGError):
-    """Raised when the STG violates consistent state assignment."""
 
 
 class StateGraph:
@@ -334,7 +330,6 @@ class StateGraph:
 def build_state_graph(
     stg: STG,
     max_states: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> StateGraph:
     """Build the State Graph of an STG by breadth-first exploration.
 
@@ -344,17 +339,15 @@ def build_state_graph(
     and :class:`StateSpaceLimitExceeded` when the optional state budget is
     hit.
 
-    ``kernel`` selects the frontier-expansion backend (see
-    :func:`repro.kernel.resolve_kernel`): ``"numpy"`` vectorises the packed
-    BFS over whole waves, ``"python"`` forces the reference loop, ``None`` /
-    ``"auto"`` picks numpy when installed.  The numpy kernel produces a
-    bit-identical graph (state numbering, edge order, excitation masks);
-    codes of any width fit the kernel's multi-word rows, so signal count is
-    never a fallback reason.
+    With numpy installed (:data:`repro.kernel.HAS_NUMPY`) the packed BFS
+    runs over whole waves on the bitset kernel, else on the pure-python
+    loop.  Both produce the same graph (state numbering, edge order,
+    excitation masks); codes of any width fit the kernel's multi-word rows,
+    so signal count never decides the backend.
     """
     if not stg.has_complete_initial_state():
         stg.infer_initial_state()
-    build = _build_kernel if resolve_kernel(kernel) == "numpy" else _build_packed
+    build = _build_kernel if kernel.HAS_NUMPY else _build_packed
     with current_tracer().span("reachability", engine="explicit", stg=stg.name) as span:
         return build(stg, PackedNet(stg.net), max_states, span)
 

@@ -14,13 +14,22 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 from ..petrinet import Marking, PetriNet, PetriNetError
 from .signals import Direction, SignalError, SignalTransition, SignalType
 
-__all__ = ["STG", "STGError"]
+__all__ = ["STG", "STGError", "InconsistentSTGError"]
 
 LabelLike = Union[str, SignalTransition, None]
 
 
 class STGError(ValueError):
     """Raised for ill-formed STGs (unknown signals, missing initial values...)."""
+
+
+class InconsistentSTGError(STGError):
+    """Raised when the STG violates consistent state assignment.
+
+    Every synthesis method and both state-space engines raise it for the
+    same defect: a transition enabled against its signal's value, or one
+    marking reached with two binary codes.
+    """
 
 
 class STG:

@@ -80,7 +80,6 @@ def synthesize_from_sg(
     engine: str = "explicit",
     max_states: Optional[int] = None,
     raise_on_csc: bool = False,
-    kernel: Optional[str] = None,
 ) -> SGSynthesisResult:
     """Synthesise every implementable signal from the state space.
 
@@ -98,13 +97,10 @@ def synthesize_from_sg(
     raise_on_csc:
         When True a CSC conflict raises; otherwise the conflicting signals
         are recorded in ``implementation.csc_conflicts`` and skipped.
-    kernel:
-        BFS / coding-sweep backend for the explicit engine
-        (``"auto"``/``None``, ``"numpy"``, ``"python"``).
     """
     obs = current_tracer()
     start = time.perf_counter()
-    space = build_state_space(stg, engine=engine, max_states=max_states, kernel=kernel)
+    space = build_state_space(stg, engine=engine, max_states=max_states)
     build_time = time.perf_counter() - start
 
     signals = stg.signals
@@ -142,15 +138,15 @@ def synthesize_from_sg(
             if dc is None:
                 dc = space.dc_cover()
             if architecture == "acg":
-                minimized = espresso(on_cover, dc, kernel=kernel).cover
+                minimized = espresso(on_cover, dc).cover
                 gate = Gate(signal, architecture, function=BooleanFunction(signals, minimized))
             else:
                 # For the set (reset) excitation function the quiescent region at
                 # 1 (0) is a don't care: the memory element holds the value there.
                 set_dc = dc.union(qr_high)
                 reset_dc = dc.union(qr_low)
-                set_cover = espresso(set_on, set_dc, kernel=kernel).cover
-                reset_cover = espresso(reset_on, reset_dc, kernel=kernel).cover
+                set_cover = espresso(set_on, set_dc).cover
+                reset_cover = espresso(reset_on, reset_dc).cover
                 gate = Gate(
                     signal,
                     architecture,

@@ -134,7 +134,6 @@ def synthesize(
     resolve_encoding: bool = False,
     max_csc_signals: int = 3,
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> SynthesisResult:
     """Synthesise a speed-independent implementation of an STG.
 
@@ -146,10 +145,7 @@ def synthesize(
     raises :class:`~repro.core.UnsafeNetError` for any other.  ``engine``
     overrides the state-space backend implied by the SG method
     name (``"sg-explicit"`` + ``engine="bdd"`` runs symbolically); the
-    unfolding methods ignore it.  ``kernel`` selects the vectorised backend
-    everywhere one exists (``"auto"``/``None``, ``"numpy"``, ``"python"``):
-    the explicit engine's BFS / coding sweeps and the espresso cover engine
-    of every method.
+    unfolding methods ignore it.
 
     With ``resolve_encoding`` the specification's CSC conflicts are first
     resolved by inserting up to ``max_csc_signals`` internal state signals
@@ -170,16 +166,14 @@ def synthesize(
             from ..encoding import resolve_csc
 
             encoding = resolve_csc(
-                stg, max_signals=max_csc_signals, max_states=max_states, kernel=kernel
+                stg, max_signals=max_csc_signals, max_states=max_states
             )
             if encoding.inserted:
                 stg = encoding.stg
             elif encoding.resolved:
                 encoding = None  # already CSC-clean: nothing to report
 
-        result = _dispatch(
-            stg, method, architecture, raise_on_csc, max_states, engine, kernel
-        )
+        result = _dispatch(stg, method, architecture, raise_on_csc, max_states, engine)
         result.encoding = encoding
         if span.live:
             span.gauge("literals", result.literal_count)
@@ -195,11 +189,10 @@ def _dispatch(
     raise_on_csc: bool,
     max_states: Optional[int],
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> SynthesisResult:
     if method == "unfolding-approx":
         result = synthesize_approx_from_unfolding(
-            stg, architecture=architecture, raise_on_csc=raise_on_csc, kernel=kernel
+            stg, architecture=architecture, raise_on_csc=raise_on_csc
         )
         return SynthesisResult(
             method,
@@ -212,7 +205,7 @@ def _dispatch(
         )
     if method == "unfolding-exact":
         result = synthesize_exact_from_unfolding(
-            stg, architecture=architecture, raise_on_csc=raise_on_csc, kernel=kernel
+            stg, architecture=architecture, raise_on_csc=raise_on_csc
         )
         return SynthesisResult(
             method,
@@ -231,7 +224,6 @@ def _dispatch(
         engine=engine,
         max_states=max_states,
         raise_on_csc=raise_on_csc,
-        kernel=kernel,
     )
     return SynthesisResult(
         method,

@@ -512,15 +512,13 @@ def synthesize_approx_from_unfolding(
     segment: Optional[UnfoldingSegment] = None,
     architecture: str = "acg",
     raise_on_csc: bool = False,
-    kernel: Optional[str] = None,
 ) -> ApproxUnfoldingSynthesisResult:
     """Synthesise every implementable signal with the approximate method.
 
     This is the flow the paper's PUNT-ACG column measures: unfolding
     construction (``unfold_time``), cover approximation + refinement
     (``cover_time``, the paper's "SynTim") and two-level minimisation
-    (``minimize_time``, the paper's "EspTim").  ``kernel`` selects the
-    cover-engine backend for the espresso runs.
+    (``minimize_time``, the paper's "EspTim").
     """
     if architecture != "acg":
         raise ValueError(
@@ -556,7 +554,7 @@ def synthesize_approx_from_unfolding(
         off_cover = covers.off_cover
         # Expansion is blocked by the off-set approximation directly; the
         # (implicit) DC-set is everything outside the two approximations.
-        minimized = espresso(on_cover, off=off_cover, kernel=kernel).cover
+        minimized = espresso(on_cover, off=off_cover).cover
         minimize_time += time.perf_counter() - t2
         implementation.add_gate(
             Gate(signal, architecture, function=BooleanFunction(signals, minimized))

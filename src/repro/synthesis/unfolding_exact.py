@@ -98,14 +98,12 @@ def synthesize_exact_from_unfolding(
     segment: Optional[UnfoldingSegment] = None,
     architecture: str = "acg",
     raise_on_csc: bool = False,
-    kernel: Optional[str] = None,
 ) -> ExactUnfoldingSynthesisResult:
     """Synthesise every implementable signal by exact state recovery.
 
     ``segment`` may be passed in when the caller already unfolded the STG
     (e.g. because it was verified first); otherwise it is built here and its
-    construction time is reported as ``unfold_time``.  ``kernel`` selects
-    the cover-engine backend for the espresso runs.
+    construction time is reported as ``unfold_time``.
     """
     t0 = time.perf_counter()
     if segment is None:
@@ -135,7 +133,7 @@ def synthesize_exact_from_unfolding(
             implementation.csc_conflicts.append(signal)
             continue
         if architecture == "acg":
-            minimized = espresso(on_cover, off=off_cover, kernel=kernel).cover
+            minimized = espresso(on_cover, off=off_cover).cover
             gate = Gate(signal, architecture, function=BooleanFunction(signals, minimized))
         else:
             if dc is None:
@@ -146,11 +144,9 @@ def synthesize_exact_from_unfolding(
             gate = Gate(
                 signal,
                 architecture,
-                set_function=BooleanFunction(
-                    signals, espresso(set_on, set_dc, kernel=kernel).cover
-                ),
+                set_function=BooleanFunction(signals, espresso(set_on, set_dc).cover),
                 reset_function=BooleanFunction(
-                    signals, espresso(reset_on, reset_dc, kernel=kernel).cover
+                    signals, espresso(reset_on, reset_dc).cover
                 ),
             )
         implementation.add_gate(gate)

@@ -38,8 +38,9 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import iter_set_bits, unpack_code
+from ..stg import InconsistentSTGError
 from .occurrence_net import Condition, Event
-from .unfolder import UnfoldingError, UnfoldingSegment
+from .unfolder import UnfoldingSegment
 
 __all__ = [
     "Cut",
@@ -230,8 +231,9 @@ def reachable_packed_states(
     By the completeness of the segment this is exactly the state set of the
     State Graph; it is the ground truth the exact synthesis path works from.
     A marking reached with two different binary codes violates consistent
-    state assignment and raises :class:`UnfoldingError` -- it is never
-    silently collapsed, which would mask CSC conflicts downstream.
+    state assignment and raises :class:`~repro.stg.InconsistentSTGError` --
+    it is never silently collapsed, which would mask CSC conflicts
+    downstream.
     """
     states: Dict[int, int] = {}
     for cut in enumerate_cuts(segment, max_cuts=max_cuts):
@@ -240,7 +242,7 @@ def reachable_packed_states(
             states[cut.marking_word] = cut.code_word
         elif existing != cut.code_word:
             nsignals = len(segment.signal_table)
-            raise UnfoldingError(
+            raise InconsistentSTGError(
                 "inconsistent STG: marking {%s} recovered with two codes %s / %s"
                 % (
                     ", ".join(sorted(segment.place_table.names_in(cut.marking_word))),
@@ -257,7 +259,8 @@ def reachable_states(
     """Recover the reachable (marking, code) pairs from the segment.
 
     A decoded view of :func:`reachable_packed_states` (same exactness and
-    same :class:`UnfoldingError` on marking/code collisions).
+    same :class:`~repro.stg.InconsistentSTGError` on marking/code
+    collisions).
     """
     packed = reachable_packed_states(segment, max_cuts=max_cuts)
     names_in = segment.place_table.names_in

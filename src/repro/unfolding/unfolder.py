@@ -42,7 +42,7 @@ from ..core import (
     unpack_code,
 )
 from ..obs import current_tracer
-from ..stg import STG, STGError
+from ..stg import STG, InconsistentSTGError, STGError
 from .occurrence_net import Condition, Event, OccurrenceNet
 
 __all__ = ["UnfoldingError", "UnfoldingSegment", "unfold"]
@@ -149,7 +149,7 @@ class UnfoldingSegment(OccurrenceNet):
                 if self.precedes(last, candidate):
                     last = candidate
                 elif not self.precedes(candidate, last):
-                    raise UnfoldingError(
+                    raise InconsistentSTGError(
                         "inconsistent STG: concurrent instances of signal %r "
                         "(%s and %s)"
                         % (last.label.signal if last.label else "?", last, candidate)
@@ -310,8 +310,9 @@ def unfold(stg: STG, max_events: int = 20000) -> UnfoldingSegment:
     """Build the STG-unfolding segment of a (safe, consistent) STG.
 
     Raises :class:`~repro.core.UnsafeNetError` for a net outside the safe,
-    weight-1 class and :class:`UnfoldingError` for an event that violates
-    consistent state assignment.
+    weight-1 class, :class:`~repro.stg.InconsistentSTGError` for an event
+    that violates consistent state assignment and :class:`UnfoldingError`
+    past ``max_events``.
 
     Parameters
     ----------
@@ -443,7 +444,7 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
             event.signal_bit
             and bool(cause_code & event.signal_bit) != (label.source_value == 1)
         ):
-            raise UnfoldingError(
+            raise InconsistentSTGError(
                 "inconsistent state assignment: instance of %s enabled while "
                 "%s = %d" % (transition, label.signal, label.target_value)
             )

@@ -9,13 +9,17 @@ None of these shares code with the path it checks:
   that scans every consumer of every condition of each cut;
 * :func:`reference_explore` -- the closed-loop simulator on tuple codes
   and dict-backed markings, through the dict game of
-  :class:`~repro.sim.environment.SpecEnvironment`.
+  :class:`~repro.sim.environment.SpecEnvironment`;
+* :func:`reference_espresso` and its pieces -- the cover engine on Cube
+  objects: the textbook unate recursions for tautology and complement, a
+  sharp-based REDUCE, the sequential irredundant scan, the all-kept
+  single-cube-containment scan and a scalar expand scan.
 """
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.boolean import Cube
+from repro.boolean import Cover, Cube, MinimizationResult
 from repro.core import iter_set_bits
 from repro.petrinet import StateSpaceLimitExceeded, explore
 from repro.sim.environment import TrackedStates
@@ -263,3 +267,178 @@ def reference_explore(
 
     result.elapsed = time.perf_counter() - start_time
     return result
+
+
+# ---------------------------------------------------------------------- #
+# Cover engine: Cube-object recursions and espresso passes
+# ---------------------------------------------------------------------- #
+def select_splitting_var(cover: Cover) -> Optional[int]:
+    """The variable appearing in the largest number of cubes, lowest index
+    on ties."""
+    counts = [0] * cover.nvars
+    for cube in cover:
+        for var, _value in cube.literals():
+            counts[var] += 1
+    best_var = None
+    best_count = 0
+    for var, count in enumerate(counts):
+        if count > best_count:
+            best_var = var
+            best_count = count
+    return best_var
+
+
+def tautology_rec(cover: Cover) -> bool:
+    """Recursive tautology check by Shannon expansion."""
+    if any(cube.is_full() for cube in cover):
+        return True
+    if cover.is_empty():
+        return False
+    var = select_splitting_var(cover)
+    if var is None:
+        return False
+    full = Cube.full(cover.nvars)
+    return tautology_rec(cover.cofactor(full.with_literal(var, 1))) and tautology_rec(
+        cover.cofactor(full.with_literal(var, 0))
+    )
+
+
+def complement_rec(cover: Cover, context: Cube) -> List[Cube]:
+    """Cubes covering ``context AND NOT cover``, positive branch first."""
+    if cover.is_empty():
+        return [context]
+    if any(cube.is_full() for cube in cover):
+        return []
+    var = select_splitting_var(cover)
+    if var is None:
+        return []
+    results: List[Cube] = []
+    for value in (1, 0):
+        branch_context = context.cofactor(var, value)
+        if branch_context is None:
+            continue
+        branch = cover.cofactor(Cube.full(cover.nvars).with_literal(var, value))
+        results.extend(complement_rec(branch, branch_context.with_literal(var, value)))
+    return results
+
+
+def reference_complement(cover: Cover) -> Cover:
+    return Cover(cover.nvars, complement_rec(cover, Cube.full(cover.nvars)))
+
+
+def reference_contains_cube(cover: Cover, cube: Cube) -> bool:
+    return tautology_rec(cover.cofactor(cube))
+
+
+def reference_contains_cover(cover: Cover, other: Cover) -> bool:
+    return all(reference_contains_cube(cover, cube) for cube in other)
+
+
+def reference_single_cube_containment(cover: Cover) -> Cover:
+    """Stable sort by literal count; drop a cube when any kept cube
+    contains it."""
+    kept: List[Cube] = []
+    for cube in sorted(cover, key=lambda c: c.num_literals):
+        if not any(other.contains(cube) for other in kept):
+            kept.append(cube)
+    return Cover(cover.nvars, kept)
+
+
+def reference_irredundant(cover: Cover, dc: Optional[Cover] = None) -> Cover:
+    cubes = list(reference_single_cube_containment(cover))
+    index = 0
+    while index < len(cubes):
+        rest = Cover(cover.nvars, cubes[:index] + cubes[index + 1:])
+        if dc is not None:
+            rest = rest.union(dc)
+        if reference_contains_cube(rest, cubes[index]):
+            cubes.pop(index)
+        else:
+            index += 1
+    return Cover(cover.nvars, cubes)
+
+
+def reference_irredundant_care(cover: Cover, care_on: Cover, dc: Cover) -> Cover:
+    """Drop, in order, each cube whose care minterms the rest plus the
+    DC-set cover."""
+    cubes = list(reference_single_cube_containment(cover))
+    index = 0
+    while index < len(cubes):
+        rest = Cover(cover.nvars, cubes[:index] + cubes[index + 1:]).union(dc)
+        if reference_contains_cover(rest, care_on.intersect_cube(cubes[index])):
+            cubes.pop(index)
+        else:
+            index += 1
+    return Cover(cover.nvars, cubes)
+
+
+def reference_reduce(cover: Cover, dc: Cover) -> Cover:
+    """Each cube shrinks to the supercube of its sharp against the reduced
+    earlier cubes, the later cubes and the DC-set; a cube with an empty
+    essential part is kept as it is."""
+    cubes = list(cover)
+    reduced: List[Cube] = []
+    for index, cube in enumerate(cubes):
+        rest = Cover(cover.nvars, reduced + cubes[index + 1:]).union(dc)
+        essential = Cover(cover.nvars, [cube]).difference(rest)
+        if essential.is_empty():
+            reduced.append(cube)
+            continue
+        smallest = essential[0]
+        for piece in essential:
+            smallest = smallest.supercube(piece)
+        reduced.append(smallest)
+    return Cover(cover.nvars, reduced)
+
+
+def reference_expand(cover: Cover, off: Cover) -> Cover:
+    """Cubes by descending literal count, each freed of its literals in
+    ascending variable order while it misses the off-set; grown cubes that
+    a kept one contains are dropped, and kept ones a grown cube contains
+    leave."""
+    expanded: List[Cube] = []
+    for cube in sorted(cover, key=lambda c: -c.num_literals):
+        grown = cube
+        for var, _value in cube.literals():
+            candidate = grown.without_var(var)
+            if not any(candidate.intersects(blocker) for blocker in off):
+                grown = candidate
+        if any(other.contains(grown) for other in expanded):
+            continue
+        expanded = [other for other in expanded if not grown.contains(other)]
+        expanded.append(grown)
+    return Cover(cover.nvars, expanded)
+
+
+def reference_espresso(
+    on: Cover,
+    dc: Optional[Cover] = None,
+    max_iterations: int = 4,
+    off: Optional[Cover] = None,
+) -> MinimizationResult:
+    """Espresso's expand / irredundant / reduce loop from the pieces above."""
+    nvars = on.nvars
+    if dc is None:
+        dc = Cover.empty(nvars)
+    if on.is_empty():
+        return MinimizationResult(Cover.empty(nvars), 0, 0)
+    if off is None:
+        off = reference_complement(on.union(dc))
+    off = reference_single_cube_containment(off)
+    current = reference_single_cube_containment(on)
+    iterations = 0
+    previous_cost = (len(current), current.literal_count)
+    for _ in range(max_iterations):
+        iterations += 1
+        current = reference_expand(current, off)
+        current = reference_irredundant_care(current, on, dc)
+        current = reference_reduce(current, dc)
+        current = reference_expand(current, off)
+        current = reference_irredundant_care(current, on, dc)
+        cost = (len(current), current.literal_count)
+        if cost >= previous_cost:
+            break
+        previous_cost = cost
+    if not reference_contains_cover(current.union(dc), on):
+        current = reference_single_cube_containment(on)
+    return MinimizationResult(current, iterations, on.literal_count)

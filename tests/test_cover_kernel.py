@@ -1,27 +1,38 @@
-"""Python-vs-numpy equivalence of the cube-matrix cover kernel.
+"""The cover engine against its Cube-object oracle, cube for cube.
 
-The bit-identity contract of :mod:`repro.kernel.cubes`: every constructive
-cover operation (complement, single-cube containment, espresso itself)
-reproduces the pure-python reference exactly -- same cubes, same order,
-same iteration counts -- and the predicates agree on every probe.  The
-suite sweeps the word boundaries (1, 12, 64, 65 and 128 variables), real
-Table 1 cover jobs, the >64-signal graph kernel and the memoised ranking
-cache.  The espresso parity runs force every matrix pass on (expand has
-none) by zeroing ``_MATRIX_MIN_CUBES``.
+:mod:`repro.boolean.cover` and :mod:`repro.boolean.minimize` run every
+recursion on ``(ones, zeros)`` mask pairs; :mod:`tests.oracles` keeps the
+textbook recursions on Cube objects.  Every constructive operation
+(complement, single-cube containment, irredundant, espresso itself) must
+reproduce the oracle exactly -- same cubes, same order, same iteration
+counts -- and the predicates must agree on every probe.  The suite sweeps
+the word boundaries (1, 12, 64, 65 and 128 variables), real Table 1 cover
+jobs, minterm on-sets (the point-counting irredundant path), the
+>64-signal graph kernel and the memoised ranking cache.
 """
 
 import random
 
 import pytest
 
+from repro import kernel as kernel_pkg
 from repro.boolean import Cover, Cube, espresso
-from repro.boolean import cover as cover_mod
 from repro.kernel import HAS_NUMPY
 from repro.stg import csc_arbiter, table1_suite
 
+from oracles import (
+    reference_complement,
+    reference_contains_cover,
+    reference_contains_cube,
+    reference_espresso,
+    reference_irredundant,
+    reference_single_cube_containment,
+    tautology_rec,
+)
+
 requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
-#: Variable counts straddling the uint64 word boundaries.
+#: Variable counts straddling the 64-bit word boundaries.
 WIDTHS = [1, 12, 64, 65, 128]
 
 
@@ -41,113 +52,109 @@ def random_cover(rng, nvars, ncubes, max_literals=6):
     return Cover(nvars, [random_cube(rng, nvars, max_literals) for _ in range(ncubes)])
 
 
+def random_point(rng, nvars):
+    return Cube.from_minterm(nvars, rng.getrandbits(nvars))
+
+
 def assert_same_cover(a, b):
     assert a.nvars == b.nvars
     assert list(a) == list(b)
 
 
+def assert_same_result(result, oracle):
+    assert_same_cover(result.cover, oracle.cover)
+    assert result.iterations == oracle.iterations
+    assert result.initial_literals == oracle.initial_literals
+
+
 # ---------------------------------------------------------------------- #
 # Cover primitives across the word boundaries
 # ---------------------------------------------------------------------- #
-@requires_numpy
 @pytest.mark.parametrize("nvars", WIDTHS)
 def test_cover_predicates_match_reference(nvars):
     rng = random.Random(nvars)
     for round_ in range(8):
         cover = random_cover(rng, nvars, ncubes=rng.randint(0, 10))
         other = random_cover(rng, nvars, ncubes=rng.randint(0, 6))
-        assert cover.is_tautology(kernel="numpy") == cover.is_tautology(
-            kernel="python"
-        )
-        assert cover.contains_cover(other, kernel="numpy") == cover.contains_cover(
-            other, kernel="python"
-        )
+        assert cover.is_tautology() == tautology_rec(cover)
+        assert cover.contains_cover(other) == reference_contains_cover(cover, other)
+        # Fully specified cubes take the point test; mix them with wide ones.
+        points = Cover(nvars, list(other) + [random_point(rng, nvars) for _ in range(3)])
+        assert cover.contains_cover(points) == reference_contains_cover(cover, points)
         for _ in range(4):
             probe = random_cube(rng, nvars)
-            assert cover.contains_cube(probe, kernel="numpy") == cover.contains_cube(
-                probe, kernel="python"
-            )
+            assert cover.contains_cube(probe) == reference_contains_cube(cover, probe)
     # The degenerate fixed points agree too.
-    assert Cover.universe(nvars).is_tautology(kernel="numpy")
-    assert not Cover.empty(nvars).is_tautology(kernel="numpy")
+    assert Cover.universe(nvars).is_tautology()
+    assert not Cover.empty(nvars).is_tautology()
 
 
-@requires_numpy
 @pytest.mark.parametrize("nvars", WIDTHS)
 def test_constructive_cover_ops_bit_identical(nvars):
     rng = random.Random(100 + nvars)
     for round_ in range(8):
         cover = random_cover(rng, nvars, ncubes=rng.randint(0, 8), max_literals=5)
         assert_same_cover(
-            cover.single_cube_containment(kernel="numpy"),
-            cover.single_cube_containment(kernel="python"),
+            cover.single_cube_containment(), reference_single_cube_containment(cover)
         )
-        assert_same_cover(
-            cover.complement(kernel="numpy"), cover.complement(kernel="python")
-        )
+        assert_same_cover(cover.complement(), reference_complement(cover))
         dc = random_cover(rng, nvars, ncubes=rng.randint(0, 3), max_literals=5)
-        assert_same_cover(
-            cover.irredundant(dc, kernel="numpy"),
-            cover.irredundant(dc, kernel="python"),
-        )
+        assert_same_cover(cover.irredundant(dc), reference_irredundant(cover, dc))
 
 
-@requires_numpy
 @pytest.mark.parametrize("nvars", WIDTHS)
 def test_pack_roundtrip_and_cube_intersection(nvars):
-    from repro.kernel import cubes as kernel_cubes
-
+    """The engine's mask pairs rebuild the cover, and cube intersection at
+    the cover level mirrors ``Cube.intersect``: the surviving cubes are
+    exactly the non-empty intersections, in the original order."""
     rng = random.Random(200 + nvars)
     cover = random_cover(rng, nvars, ncubes=12)
-    ones, zeros = kernel_cubes.pack_cover(cover)
-    assert ones.shape == (len(cover), kernel_cubes.words_for(nvars))
-    assert_same_cover(kernel_cubes.unpack_cover(nvars, ones, zeros), cover)
-    # Row-level cube intersection mirrors Cube.intersect: the surviving
-    # rows are exactly the non-empty intersections, in original order.
-    words = kernel_cubes.words_for(nvars)
+    pairs = [(cube.ones, cube.zeros) for cube in cover]
+    assert_same_cover(Cover.from_mask_pairs(nvars, pairs), cover)
     for _ in range(8):
         cube = random_cube(rng, nvars)
-        cube_ones = kernel_cubes.pack_row(cube.ones, words)
-        cube_zeros = kernel_cubes.pack_row(cube.zeros, words)
-        i_ones, i_zeros = kernel_cubes.intersect_cube_rows(
-            ones, zeros, cube_ones, cube_zeros
-        )
-        expected = [
-            other.intersect(cube)
-            for other in cover
-            if other.intersect(cube) is not None
-        ]
-        assert len(i_ones) == len(expected)
-        for idx, inter in enumerate(expected):
-            assert kernel_cubes.row_int(i_ones[idx]) == inter.ones
-            assert kernel_cubes.row_int(i_zeros[idx]) == inter.zeros
+        expected = []
+        for other in cover:
+            inter = other.intersect(cube)
+            if inter is not None and inter not in expected:
+                expected.append(inter)
+        assert list(cover.intersect_cube(cube)) == expected
+
+
+def test_single_cube_containment_duplicates_and_mixed_literal_counts():
+    """Duplicates, equal-count cubes and containers at several literal
+    counts: the engine keeps exactly the oracle's cubes, in its order."""
+    rng = random.Random(7)
+    for nvars in (4, 12, 65):
+        for _ in range(20):
+            base = random_cover(rng, nvars, ncubes=rng.randint(1, 12), max_literals=4)
+            cubes = list(base)
+            cubes += [rng.choice(cubes) for _ in range(rng.randint(0, 6))]
+            cubes += [random_point(rng, nvars) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(cubes)
+            cover = Cover(nvars, cubes)
+            assert_same_cover(
+                cover.single_cube_containment(), reference_single_cube_containment(cover)
+            )
 
 
 # ---------------------------------------------------------------------- #
 # Espresso parity (result covers AND iteration counts)
 # ---------------------------------------------------------------------- #
-@requires_numpy
 @pytest.mark.parametrize("nvars", [1, 12])
-def test_espresso_parity_random_with_dc(nvars, monkeypatch):
-    monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
+def test_espresso_parity_random_with_dc(nvars):
     rng = random.Random(300 + nvars)
     for round_ in range(6):
         on = random_cover(rng, nvars, ncubes=rng.randint(1, 8), max_literals=4)
         dc = random_cover(rng, nvars, ncubes=rng.randint(0, 3), max_literals=4)
-        ref = espresso(on, dc, kernel="python")
-        vec = espresso(on, dc, kernel="numpy")
-        assert_same_cover(vec.cover, ref.cover)
-        assert vec.iterations == ref.iterations
-        assert vec.initial_literals == ref.initial_literals
+        assert_same_result(espresso(on, dc), reference_espresso(on, dc))
 
 
-@requires_numpy
 @pytest.mark.parametrize("nvars", [64, 65, 128])
-def test_espresso_parity_wide_with_off(nvars, monkeypatch):
+def test_espresso_parity_wide_with_off(nvars):
     """Past 64 variables the off-set is given explicitly (like the ACG flow
     does) so the workload stays disjoint by construction: on-cubes live in
     the half-space var0=1, blocking cubes in var0=0."""
-    monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
     rng = random.Random(400 + nvars)
     for round_ in range(4):
         on = Cover(
@@ -164,19 +171,34 @@ def test_espresso_parity_wide_with_off(nvars, monkeypatch):
                 for cube in random_cover(rng, nvars, ncubes=rng.randint(1, 6))
             ],
         )
-        ref = espresso(on, off=off, kernel="python")
-        vec = espresso(on, off=off, kernel="numpy")
-        assert_same_cover(vec.cover, ref.cover)
-        assert vec.iterations == ref.iterations
+        assert_same_result(espresso(on, off=off), reference_espresso(on, off=off))
 
 
-@requires_numpy
-def test_espresso_parity_table1_jobs(monkeypatch):
+@pytest.mark.parametrize("nvars", [5, 9, 12])
+def test_espresso_parity_minterm_on_sets(nvars):
+    """Minterm on-sets (the synthesis common case) take the point-counting
+    irredundant pass, with and without a DC-set, and with an explicit
+    off-set."""
+    rng = random.Random(500 + nvars)
+    for round_ in range(6):
+        codes = rng.sample(range(1 << nvars), rng.randint(1, 40))
+        split = rng.randint(1, len(codes))
+        on = Cover.from_minterms(nvars, codes[:split])
+        rest = codes[split:]
+        dc = Cover.from_minterms(nvars, rest[: len(rest) // 2])
+        dc.extend(random_cover(rng, nvars, ncubes=rng.randint(0, 2), max_literals=nvars - 1))
+        assert_same_result(espresso(on), reference_espresso(on))
+        assert_same_result(espresso(on, dc), reference_espresso(on, dc))
+        off = Cover.from_minterms(nvars, rest[len(rest) // 2:])
+        if not off.is_empty():
+            assert_same_result(espresso(on, off=off), reference_espresso(on, off=off))
+
+
+def test_espresso_parity_table1_jobs():
     """Real cover jobs: the smallest Table 1 benchmarks, every conflict-free
-    implementable signal, python vs numpy, cube-for-cube."""
+    implementable signal, engine vs oracle, cube for cube."""
     from repro.spaces import build_state_space
 
-    monkeypatch.setattr(cover_mod, "_MATRIX_MIN_CUBES", 0)
     entries = [e for e in table1_suite() if e.expected_signals <= 6][:4]
     assert entries, "table1 suite lost its small benchmarks"
     jobs = 0
@@ -189,10 +211,7 @@ def test_espresso_parity_table1_jobs(monkeypatch):
             if signal in conflicting:
                 continue
             on = space.on_cover(signal)
-            ref = espresso(on, dc, kernel="python")
-            vec = espresso(on, dc, kernel="numpy")
-            assert_same_cover(vec.cover, ref.cover)
-            assert vec.iterations == ref.iterations
+            assert_same_result(espresso(on, dc), reference_espresso(on, dc))
             jobs += 1
     assert jobs > 0
 
@@ -201,35 +220,25 @@ def test_espresso_parity_table1_jobs(monkeypatch):
 # Multi-word code matrices: >64 signals stay on the numpy path
 # ---------------------------------------------------------------------- #
 @requires_numpy
-def test_wide_code_graph_kernel_equivalence():
+def test_wide_code_graph_kernel_equivalence(monkeypatch):
     from repro.kernel.bitset import code_words
     from repro.stategraph import build_state_graph, check_csc, check_usc
 
     stg = csc_arbiter(64)
     assert stg.num_signals == 65
     assert code_words(stg.num_signals) == 2  # genuinely multi-word
-    ref = build_state_graph(csc_arbiter(64), kernel="python")
-    vec = build_state_graph(stg, kernel="numpy")
+    vec = build_state_graph(stg)
+    vec_usc, vec_csc = check_usc(vec), check_csc(vec)
+    monkeypatch.setattr(kernel_pkg, "HAS_NUMPY", False)
+    ref = build_state_graph(csc_arbiter(64))
     assert vec.num_states == ref.num_states
     assert vec.packed_codes == ref.packed_codes
-    ref_usc, vec_usc = check_usc(ref), check_usc(vec)
-    ref_csc, vec_csc = check_csc(ref), check_csc(vec)
+    ref_usc, ref_csc = check_usc(ref), check_csc(ref)
     assert vec_usc.num_conflicts == ref_usc.num_conflicts
     assert vec_csc.num_conflicts == ref_csc.num_conflicts
     assert sorted(map(tuple, vec_csc.conflicts)) == sorted(
         map(tuple, ref_csc.conflicts)
     )
-
-
-def test_wide_code_python_fallback_unavailable_numpy(monkeypatch):
-    """Explicit --kernel numpy still fails loudly when numpy is missing --
-    the wide-code lift must not have introduced a silent fallback."""
-    from repro import kernel as kernel_pkg
-    from repro.stategraph import build_state_graph
-
-    monkeypatch.setattr(kernel_pkg, "HAS_NUMPY", False)
-    with pytest.raises(RuntimeError):
-        build_state_graph(csc_arbiter(4), kernel="numpy")
 
 
 # ---------------------------------------------------------------------- #

@@ -10,17 +10,19 @@ legal-region enumeration, separation-gain ranking, strict
 conflict-pair-reduction acceptance, exactly like ``resolve_csc`` -- across
 the Table 1 suite, the VME bus controller and the ``csc_arbiter``
 generators, on both engines and (for the explicit engine) both BFS
-kernels.
+backends: the numpy kernel and the python loops, run by patching
+``repro.kernel.HAS_NUMPY`` off.
 
 On top of the per-round equivalence this file pins the supporting
-machinery: ``resolve_csc(incremental=True)`` returns the same resolution
-as ``incremental=False``, the structural version stamps invalidate the
-``graph_arrays`` kernel cache and ``PackedNet``, and the incompatible-edit
-paths fall back to a cold build instead of mis-extending.
+machinery: ``resolve_csc`` lands the same resolution when every in-place
+extension falls back to a cold rebuild, the structural version stamps
+invalidate the ``graph_arrays`` kernel cache and ``PackedNet``, and the
+incompatible-edit paths fall back to a cold build instead of mis-extending.
 """
 
 import pytest
 
+from repro import kernel as kernel_pkg
 from repro.encoding import (
     conflict_cores,
     make_insertion_edit,
@@ -28,6 +30,7 @@ from repro.encoding import (
     resolve_csc,
     separation_gain,
 )
+from repro.encoding import resolve as resolve_mod
 from repro.encoding.insertion import fresh_signal_name
 from repro.encoding.regions import candidate_regions
 from repro.spaces import build_state_space
@@ -36,7 +39,7 @@ from repro.stategraph import (
     build_state_graph,
     extend_state_graph,
 )
-from repro.stg import csc_arbiter, table1_suite, vme_bus_controller
+from repro.stg import csc_arbiter, table1_suite, vme_bus_controller, write_g
 from repro.stg.signals import Direction
 
 try:
@@ -61,12 +64,24 @@ def _specs():
 SPECS = _specs()
 BUILDERS = dict(SPECS)
 
-# engine, kernel pairs exercised by the per-round equivalence tests
+# engine, BFS backend pairs exercised by the per-round equivalence tests
 CONFIGS = [
     pytest.param("explicit", "python", id="explicit-python"),
     pytest.param("explicit", "numpy", id="explicit-numpy", marks=needs_numpy),
     pytest.param("bdd", None, id="bdd"),
 ]
+
+
+@pytest.fixture
+def backend(monkeypatch):
+    """Select the explicit engine's BFS backend: ``"python"`` patches
+    ``HAS_NUMPY`` off, anything else leaves the probe as it is."""
+
+    def select(name):
+        if name == "python":
+            monkeypatch.setattr(kernel_pkg, "HAS_NUMPY", False)
+
+    return select
 
 # The naive "first positive-gain region" driver provably diverges on
 # csc_arbiter(4) (it lacks resolve_csc's strict pair-reduction check),
@@ -161,9 +176,10 @@ def _assert_covers_equivalent(incremental, cold, stg):
 
 @pytest.mark.parametrize("engine,kernel", CONFIGS)
 @pytest.mark.parametrize("name", [name for name, _build in SPECS])
-def test_apply_insertion_matches_cold_rebuild_per_round(name, engine, kernel):
+def test_apply_insertion_matches_cold_rebuild_per_round(name, engine, kernel, backend):
+    backend(kernel)
     stg = BUILDERS[name]()
-    space = build_state_space(stg, engine=engine, kernel=kernel)
+    space = build_state_space(stg, engine=engine)
     for _round in range(MAX_ROUNDS):
         # Derive the edit from the *incremental* space's own graph: its
         # state numbering is what the region phase masks index.  The
@@ -176,7 +192,7 @@ def test_apply_insertion_matches_cold_rebuild_per_round(name, engine, kernel):
         if edit is None:
             break
         space = space.apply_insertion(edit)
-        cold = build_state_space(edit.stg, engine=engine, kernel=kernel)
+        cold = build_state_space(edit.stg, engine=engine)
         _assert_equivalent(space, cold, edit.stg)
         _assert_covers_equivalent(space, cold, edit.stg)
         stg = edit.stg
@@ -185,10 +201,11 @@ def test_apply_insertion_matches_cold_rebuild_per_round(name, engine, kernel):
 
 
 @pytest.mark.parametrize("engine,kernel", CONFIGS)
-def test_incremental_stats_surface(engine, kernel):
+def test_incremental_stats_surface(engine, kernel, backend):
     """Accepted incremental rounds report their dirty-region size."""
+    backend(kernel)
     stg = vme_bus_controller()
-    space = build_state_space(stg, engine=engine, kernel=kernel)
+    space = build_state_space(stg, engine=engine)
     graph = space.explicit_graph
     if graph is None:
         graph = build_state_graph(stg)
@@ -207,12 +224,22 @@ def test_incremental_stats_surface(engine, kernel):
         assert stats["fixpoint_rounds"] > 0
 
 
-@pytest.mark.parametrize("name", ["vme_read", "csc_arbiter_4"])
-def test_resolve_csc_incremental_parity(name):
-    """The accepted resolution is mode-independent; only the cost differs."""
-    stg = BUILDERS[name]()
-    fast = resolve_csc(stg, max_signals=3, seed=0, incremental=True)
-    cold = resolve_csc(BUILDERS[name](), max_signals=3, seed=0, incremental=False)
+@pytest.mark.parametrize(
+    "name,max_signals",
+    [
+        pytest.param("vme_read", 3, id="vme_read"),
+        pytest.param("csc_arbiter_4", 3, id="csc_arbiter_4"),
+        pytest.param("csc_arbiter_8", 6, id="csc_arbiter_8"),
+    ],
+)
+def test_resolve_csc_incremental_parity(name, max_signals, monkeypatch):
+    """The accepted resolution does not depend on whether the graphs were
+    extended in place or rebuilt cold (the fallback, forced here); only
+    the cost differs.  The resolved ``.g`` files are byte-identical."""
+    fast = resolve_csc(BUILDERS[name](), max_signals=max_signals, seed=0)
+    monkeypatch.setattr(resolve_mod, "extend_state_graph", lambda *a, **k: None)
+    cold = resolve_csc(BUILDERS[name](), max_signals=max_signals, seed=0)
+    assert write_g(fast.stg) == write_g(cold.stg)
     assert fast.inserted == cold.inserted
     assert fast.resolved == cold.resolved
     assert fast.conflicts_before == cold.conflicts_before
@@ -228,18 +255,16 @@ def test_resolve_csc_incremental_parity(name):
 
 
 @needs_numpy
-def test_incremental_kernels_build_identical_graphs():
+def test_incremental_kernels_build_identical_graphs(monkeypatch):
     """python and numpy dirty-region BFS agree state-for-state."""
     stg = vme_bus_controller()
     graph = build_state_graph(stg)
     edit = _next_edit(stg, graph)
     assert edit is not None
-    by_kernel = {}
-    for kernel in ("python", "numpy"):
-        grown = extend_state_graph(graph, edit, kernel=kernel)
-        assert grown is not None
-        by_kernel[kernel] = grown
-    left, right = by_kernel["python"], by_kernel["numpy"]
+    right = extend_state_graph(graph, edit)
+    monkeypatch.setattr(kernel_pkg, "HAS_NUMPY", False)
+    left = extend_state_graph(graph, edit)
+    assert left is not None and right is not None
     assert left.packed_codes == right.packed_codes
     assert left._packed_markings == right._packed_markings
     assert sorted(left.edges) == sorted(right.edges)
@@ -295,7 +320,9 @@ def test_graph_arrays_refresh_after_mutation():
     from repro.kernel.bitset import _int_keys, graph_arrays
 
     stg = vme_bus_controller()
-    graph = build_state_graph(stg, kernel="python")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_pkg, "HAS_NUMPY", False)
+        graph = build_state_graph(stg)
     codes, plus, minus = graph_arrays(graph)
     assert _int_keys(plus) == graph._excited_plus
     # splice in an edge for an already-fired transition: state 0 gains

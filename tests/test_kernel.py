@@ -1,14 +1,14 @@
 """The numpy bitset kernel must be a bit-identical drop-in.
 
-``kernel="numpy"`` replaces the per-state Python loops of the explicit
-engine -- BFS frontier expansion, excitation-mask sweeps, the pairwise
-USC/CSC code joins -- with whole-frontier ``uint64`` array operations.
-These tests pin the contract down hard: across the Table 1 suite and the
-Muller-pipeline family the kernel build must produce the *same graph* as
-the reference (state numbering, packed codes, edges, excitation masks),
-the same USC/CSC conflict lists and the same signature groups, and the
-``resolve_kernel`` probe must fail loudly (never silently downgrade) when
-numpy is demanded but missing.
+With numpy installed the bitset kernel replaces the per-state Python loops
+of the explicit engine -- BFS frontier expansion, excitation-mask sweeps,
+the pairwise USC/CSC code joins -- with whole-frontier ``uint64`` array
+operations.  These tests pin the contract down hard: across the Table 1
+suite and the Muller-pipeline family the kernel build must produce the
+*same graph* as the python loops run with ``HAS_NUMPY`` patched off (state
+numbering, packed codes, edges, excitation masks), the same USC/CSC
+conflict lists and the same signature groups, and ``resolve_kernel`` must
+report the backend the probe picked.
 """
 
 import pytest
@@ -43,14 +43,10 @@ SPEC_BUILDERS = [builder for _, builder in SPECS]
 # --------------------------------------------------------------------- #
 # Probe / resolution
 # --------------------------------------------------------------------- #
-def test_resolve_kernel_auto_and_none_follow_the_probe():
-    expected = "numpy" if HAS_NUMPY else "python"
-    assert resolve_kernel(None) == expected
-    assert resolve_kernel("auto") == expected
-
-
-def test_resolve_kernel_python_is_always_available():
-    assert resolve_kernel("python") == "python"
+def test_resolve_kernel_auto_and_none_follow_the_probe(monkeypatch):
+    assert resolve_kernel(None) == ("numpy" if HAS_NUMPY else "python")
+    monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
+    assert resolve_kernel(None) == "python"
 
 
 def test_resolve_kernel_unknown_rejected():
@@ -58,27 +54,15 @@ def test_resolve_kernel_unknown_rejected():
         resolve_kernel("cuda")
 
 
-def test_resolve_kernel_numpy_demand_fails_loudly_without_numpy(monkeypatch):
-    monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
-    with pytest.raises(RuntimeError):
-        resolve_kernel("numpy")
-    # auto silently falls back instead
-    assert resolve_kernel("auto") == "python"
-
-
-@requires_numpy
-def test_resolve_kernel_numpy_demand_honoured_with_numpy():
-    assert resolve_kernel("numpy") == "numpy"
-
-
 # --------------------------------------------------------------------- #
 # Graph equivalence: kernel BFS vs reference BFS
 # --------------------------------------------------------------------- #
 @requires_numpy
 @pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
-def test_kernel_graph_identical_to_reference(builder):
-    reference = build_state_graph(builder(), kernel="python")
-    vectorised = build_state_graph(builder(), kernel="numpy")
+def test_kernel_graph_identical_to_reference(builder, monkeypatch):
+    vectorised = build_state_graph(builder())
+    monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
+    reference = build_state_graph(builder())
     assert vectorised.num_states == reference.num_states
     assert list(vectorised.packed_codes) == list(reference.packed_codes)
     assert list(vectorised.markings) == list(reference.markings)
@@ -94,7 +78,7 @@ def test_kernel_graph_identical_to_reference(builder):
 @requires_numpy
 def test_kernel_honours_max_states():
     with pytest.raises(StateSpaceLimitExceeded):
-        build_state_graph(muller_pipeline(4), max_states=5, kernel="numpy")
+        build_state_graph(muller_pipeline(4), max_states=5)
 
 
 @requires_numpy
@@ -107,7 +91,7 @@ def test_kernel_detects_inconsistent_stg():
     stg.add_arc(start, t1)
     stg.connect(t1, t2)
     with pytest.raises(InconsistentSTGError):
-        build_state_graph(stg, kernel="numpy")
+        build_state_graph(stg)
 
 
 # --------------------------------------------------------------------- #
@@ -115,25 +99,26 @@ def test_kernel_detects_inconsistent_stg():
 # --------------------------------------------------------------------- #
 @requires_numpy
 @pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
-def test_kernel_usc_csc_identical_to_reference(builder):
-    graph = build_state_graph(builder(), kernel="numpy")
-    usc_py = check_usc(graph, kernel="python")
-    usc_np = check_usc(graph, kernel="numpy")
+def test_kernel_usc_csc_identical_to_reference(builder, monkeypatch):
+    graph = build_state_graph(builder())
+    usc_np = check_usc(graph)
+    csc_np = check_csc(graph)
+    monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
+    usc_py = check_usc(graph)
     assert usc_np.satisfied == usc_py.satisfied
     assert usc_np.conflicts == usc_py.conflicts
-    csc_py = check_csc(graph, kernel="python")
-    csc_np = check_csc(graph, kernel="numpy")
+    csc_py = check_csc(graph)
     assert csc_np.satisfied == csc_py.satisfied
     assert csc_np.conflicts == csc_py.conflicts
 
 
 @requires_numpy
 @pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
-def test_kernel_signature_groups_identical_to_reference(builder):
+def test_kernel_signature_groups_identical_to_reference(builder, monkeypatch):
     stg = builder()
-    vectorised = ExplicitStateSpace(stg, kernel="numpy")
-    reference = ExplicitStateSpace(stg, kernel="python")
-    assert vectorised.signature_groups() == reference.signature_groups()
+    vectorised = ExplicitStateSpace(stg).signature_groups()
+    monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
+    assert vectorised == ExplicitStateSpace(stg).signature_groups()
 
 
 # --------------------------------------------------------------------- #
@@ -145,7 +130,7 @@ def test_kernel_arrays_cached_and_consistent():
 
     from repro.kernel.bitset import _int_keys
 
-    graph = build_state_graph(muller_pipeline(4), kernel="numpy")
+    graph = build_state_graph(muller_pipeline(4))
     first = graph_arrays(graph)
     assert first is not None
     codes, plus, minus = first

@@ -7,6 +7,9 @@ from repro.core import UnsafeNetError
 from repro.spaces import ENGINES, build_state_space
 from repro.stategraph import build_state_graph
 from repro.stg import (
+    STG,
+    InconsistentSTGError,
+    SignalType,
     benchmark_by_name,
     choice_controller,
     csc_conflict_example,
@@ -171,3 +174,27 @@ def test_transition_without_input_place_rejected_by_every_method(method):
 def test_transition_without_input_place_rejected_by_every_engine(engine):
     with pytest.raises(UnsafeNetError, match="x0_0\\+ has no input place"):
         build_state_space(_nowick_asn_without_input_place(), engine=engine)
+
+
+def _two_rising_transitions_in_a_row():
+    """``a+`` followed by a second ``a+``: the second is enabled while ``a``
+    is already 1, which violates consistent state assignment."""
+    stg = STG("bad")
+    stg.add_signal("a", SignalType.OUTPUT, initial=0)
+    first = stg.add_transition("a+")
+    second = stg.add_transition("a+")
+    stg.add_arc(stg.add_place("s", tokens=1), first)
+    stg.connect(first, second)
+    return stg
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_inconsistent_spec_rejected_by_every_method(method):
+    with pytest.raises(InconsistentSTGError, match="inconsistent state assignment"):
+        synthesize(_two_rising_transitions_in_a_row(), method=method)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_inconsistent_spec_rejected_by_every_engine(engine):
+    with pytest.raises(InconsistentSTGError, match="inconsistent state assignment"):
+        build_state_space(_two_rising_transitions_in_a_row(), engine=engine)

@@ -6,6 +6,7 @@ from repro.core import UnsafeNetError
 from repro.stategraph import build_state_graph
 from repro.stg import (
     STG,
+    InconsistentSTGError,
     SignalType,
     choice_controller,
     figure4_example,
@@ -122,7 +123,7 @@ def test_unfolding_detects_inconsistency():
     start = stg.add_place("s", tokens=1)
     stg.add_arc(start, t1)
     stg.connect(t1, t2)
-    with pytest.raises(UnfoldingError):
+    with pytest.raises(InconsistentSTGError):
         unfold(stg)
 
 

@@ -7,10 +7,16 @@ dedup, hard-coded bottom id, cut key).
 import pytest
 
 from repro.stategraph import build_state_graph
-from repro.stg import STG, SignalType, muller_pipeline, paper_example, table1_suite
+from repro.stg import (
+    STG,
+    InconsistentSTGError,
+    SignalType,
+    muller_pipeline,
+    paper_example,
+    table1_suite,
+)
 from repro.synthesis import exact_signal_covers, synthesize
 from repro.unfolding import (
-    UnfoldingError,
     cut_enables,
     enumerate_cuts,
     initial_cut,
@@ -203,9 +209,9 @@ def _marking_code_collision_stg():
 
 def test_reachable_states_raises_on_marking_code_collision():
     segment = unfold(_marking_code_collision_stg())
-    with pytest.raises(UnfoldingError, match="two codes"):
+    with pytest.raises(InconsistentSTGError, match="two codes"):
         reachable_states(segment)
-    with pytest.raises(UnfoldingError, match="two codes"):
+    with pytest.raises(InconsistentSTGError, match="two codes"):
         reachable_packed_states(segment)
 
 
