@@ -36,7 +36,7 @@ beyond the explicit CI budget) and ``explicit_vs_symbolic_crossover``
 stage count where the symbolic engine starts winning).  The storage-managed
 fixed point adds three more: ``bdd_reorder_muller16`` (peak and allocated
 node counts of the GC'd/reorderable saturation loop),
-``symbolic_saturation_muller24`` (the saturation fixed point on a 16.7M
+``symbolic_saturation_muller24`` (the saturation fixed point on a 67.1M
 state pipeline, reachability only) and ``explicit_kernel_states_per_sec``
 (the numpy-bitset BFS of the full ``muller_pipeline(16)`` graph; ``null``
 without numpy).
@@ -247,7 +247,7 @@ def _time_bdd_reorder(stages=16):
 
 def _time_symbolic_saturation(stages=24):
     """Saturation fixed point only (no USC/CSC) on a pipeline far beyond
-    any explicit budget: 16.7M states at 24 stages."""
+    any explicit budget: 67.1M states at 24 stages."""
     from repro.bdd import SymbolicNet
 
     stg = muller_pipeline(stages)

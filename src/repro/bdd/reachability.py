@@ -14,12 +14,15 @@ Engine structure
   set ``S`` under one transition is a single relational product
   :meth:`repro.bdd.manager.BDD.and_exists` followed by one conjunction with
   the update cube.  No monolithic transition relation is ever built.
-* **Interleaved variable ordering** -- place variables appear in net order
-  and every signal variable is anchored next to the first place adjacent to
-  one of its transitions, keeping the marking and code parts of the
-  characteristic function correlated locally (the classic ordering lever
-  for pipeline-shaped specifications).  When the primed block is enabled,
-  each variable's primed twin sits directly below it, so the
+* **Structural variable ordering** -- the static order follows the net,
+  not the order the ``.g`` text declares it in: a depth-first token-flow
+  walk from the initially marked places seeds it (each signal enters
+  beside the places of its first transition), and FORCE rounds (Aloul,
+  Markov & Sakallah, GLSVLSI 2003) pull the places and the signal of every
+  transition together, keeping the marking and code parts of the
+  characteristic function correlated locally (the static-ordering lever of
+  Pastor, Cortadella & Roig, IEEE TC 2001).  When the primed block is
+  enabled, each variable's primed twin sits directly below it, so the
   current<->primed rename of the code-equality product is order-preserving.
 * **Saturation fixed point** -- the partitioned relations
   are grouped by the topmost variable they touch and each group is
@@ -44,6 +47,7 @@ only safe markings, so the state-space layer admits only nets
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import current_tracer
@@ -64,6 +68,50 @@ _SIGNAL_PRIMED = "s':"
 #: amortised against real growth instead of firing on every checkpoint.
 _GC_THRESHOLD = 4096
 _REORDER_THRESHOLD = 8192
+
+#: Upper bound on FORCE rounds; the refinement usually settles far sooner.
+_FORCE_ROUNDS = 50
+
+
+def _force(order: List[str], edges: List[List[str]]) -> List[str]:
+    """FORCE refinement (Aloul, Markov & Sakallah, GLSVLSI 2003).
+
+    Each round places every hyperedge at the centre of gravity of its
+    variables, moves every variable to the mean centre of its hyperedges
+    (a variable on no hyperedge keeps its position) and re-sorts, ties
+    broken by the current position.  The order with the least total span
+    (sum over hyperedges of last minus first position) is returned.
+    """
+    incident: Dict[str, List[int]] = {name: [] for name in order}
+    for index, edge in enumerate(edges):
+        for name in edge:
+            incident[name].append(index)
+
+    def span(position: Dict[str, int]) -> int:
+        return sum(
+            max(position[n] for n in edge) - min(position[n] for n in edge)
+            for edge in edges
+        )
+
+    position = {name: i for i, name in enumerate(order)}
+    best, best_span = order, span(position)
+    for _ in range(_FORCE_ROUNDS):
+        centre = [sum(position[n] for n in edge) / len(edge) for edge in edges]
+        target = {
+            name: sum(centre[e] for e in incident[name]) / len(incident[name])
+            if incident[name]
+            else float(position[name])
+            for name in order
+        }
+        moved = sorted(order, key=lambda name: (target[name], position[name]))
+        if moved == order:
+            break
+        order = moved
+        position = {name: i for i, name in enumerate(order)}
+        cost = span(position)
+        if cost < best_span:
+            best, best_span = order, cost
+    return best
 
 
 class SymbolicNet:
@@ -120,37 +168,65 @@ class SymbolicNet:
     # Variable ordering
     # ------------------------------------------------------------------ #
     def _ordering(self) -> List[str]:
-        """Interleaved place/signal order, primed twins adjacent."""
-        place_index = {p: i for i, p in enumerate(self.places)}
-        anchored: Dict[int, List[str]] = {}
-        trailing: List[str] = []
-        for signal in self.signals:
-            anchor = None
-            for transition in self.stg.transitions_of_signal(signal):
-                for place in list(self.net.preset(transition)) + list(
-                    self.net.postset(transition)
-                ):
-                    index = place_index[place]
-                    if anchor is None or index < anchor:
-                        anchor = index
-            if anchor is None:
-                trailing.append(signal)
-            else:
-                anchored.setdefault(anchor, []).append(signal)
+        """Structural static order, each primed twin directly below its variable.
+
+        A depth-first token-flow walk seeds the order.  From every initially
+        marked place it goes place -> consuming transitions -> their output
+        places.  When a transition is first reached, its unseen input
+        places, its signal (unless an earlier transition brought it in) and
+        its unseen output places enter the order, and the walk descends
+        into those places.  FORCE rounds (:func:`_force`) then refine the
+        seed over the same hyperedges, one per transition.  Every set is
+        sorted before use, so the order depends on the net's structure and
+        names only -- not on the declaration order of the ``.g`` text, nor
+        on string hashing.
+        """
+        net = self.net
+        consumers = {_PLACE + p: sorted(net.place_postset(p)) for p in self.places}
+        entering: Dict[str, List[str]] = {}
+        for transition in sorted(net.transitions):
+            label = self.stg.label_of(transition) if self.stg is not None else None
+            preset = sorted(net.preset(transition))
+            postset = sorted(set(net.postset(transition)).difference(preset))
+            entering[transition] = (
+                [_PLACE + p for p in preset]
+                + ([_SIGNAL + label.signal] if label is not None else [])
+                + [_PLACE + p for p in postset]
+            )
+
         order: List[str] = []
+        seen: Set[str] = set()
+        reached: Set[str] = set()
+        marking = net.initial_marking
+        for root in sorted(_PLACE + p for p in self.places if marking[p] > 0):
+            if root in seen:
+                continue
+            seen.add(root)
+            order.append(root)
+            stack = [iter(consumers[root])]
+            while stack:
+                transition = next(stack[-1], None)
+                if transition is None:
+                    stack.pop()
+                    continue
+                if transition in reached:
+                    continue
+                reached.add(transition)
+                fresh = [name for name in entering[transition] if name not in seen]
+                seen.update(fresh)
+                order.extend(fresh)
+                stack.append(
+                    chain.from_iterable(consumers[n] for n in fresh if n in consumers)
+                )
+        rest = [_PLACE + p for p in self.places] + [_SIGNAL + s for s in self.signals]
+        order.extend(sorted(name for name in rest if name not in seen))
 
-        def emit(prefix: str, primed_prefix: str, name: str) -> None:
-            order.append(prefix + name)
-            if self.primed:
-                order.append(primed_prefix + name)
-
-        for index, place in enumerate(self.places):
-            emit(_PLACE, _PLACE_PRIMED, place)
-            for signal in anchored.get(index, ()):
-                emit(_SIGNAL, _SIGNAL_PRIMED, signal)
-        for signal in trailing:
-            emit(_SIGNAL, _SIGNAL_PRIMED, signal)
-        return order
+        order = _force(order, [edge for edge in entering.values() if edge])
+        if not self.primed:
+            return order
+        twin = {_PLACE + p: _PLACE_PRIMED + p for p in self.places}
+        twin.update((_SIGNAL + s, _SIGNAL_PRIMED + s) for s in self.signals)
+        return [name for unprimed in order for name in (unprimed, twin[unprimed])]
 
     # ------------------------------------------------------------------ #
     # Transition compilation (partitioned relations)
