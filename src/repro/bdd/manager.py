@@ -28,11 +28,11 @@ graph (one ``disj``/``conj`` per quantified node) rather than one
 restrict-pair per variable, which matters when projecting 100+ place
 variables out of a characteristic function.
 
-Kernel services (root-pinned storage management)
-------------------------------------------------
-Long fixpoints allocate far more nodes than survive, and a static variable
-order is rarely the best one, so the manager also provides the two classic
-storage services every production BDD package (CUDD, BuDDy) has:
+Kernel service (root-pinned storage management)
+-----------------------------------------------
+Long fixpoints allocate far more nodes than survive, so the manager also
+provides the classic storage service every production BDD package (CUDD,
+BuDDy) has:
 
 * :meth:`BDD.collect_garbage` -- mark-and-sweep from the *pinned roots*
   (:meth:`BDD.pin` / :meth:`BDD.unpin`) plus any extra roots passed in,
@@ -40,15 +40,6 @@ storage services every production BDD package (CUDD, BuDDy) has:
   ``{old: new}`` map lets holders of unpinned ids rewrite them.  Operation
   caches are cleared **in place** (``dict.clear()``), so a swapped-in
   :class:`_CountingCache` keeps counting across rebuilds.
-* :meth:`BDD.reorder` -- dynamic variable reordering by Rudell-style
-  sifting, built on an in-place adjacent-level swap.  Crucially the swap
-  rewrites nodes *in place*: every node id keeps denoting the same Boolean
-  function, so externally held ids stay valid with no remap -- only caches
-  keyed on level sets (``exists``/``forall``/``and_exists`` memos) are
-  invalidated.  Variables can be welded into contiguous *groups* that move
-  as blocks, which is how the symbolic state space preserves its
-  primed-twin adjacency invariant (``rename``/``and_exists`` depend on
-  every primed variable sitting directly below its twin).
 """
 
 from __future__ import annotations
@@ -105,17 +96,12 @@ class BDD:
         self._exists_cache: Dict[Tuple[int, int], int] = {}
         self._forall_cache: Dict[Tuple[int, int], int] = {}
         self._stats_enabled = False
-        # Pinned external roots: node id -> pin count.  GC and reorder treat
-        # every pinned id (plus the interned literal nodes) as live.
+        # Pinned external roots: node id -> pin count.  GC treats every
+        # pinned id (plus the interned literal nodes) as live.
         self._roots: Dict[int, int] = {}
-        # Reorder working state (refcounts + per-level live-node index),
-        # allocated only for the duration of a reorder() call.
-        self._ref: Optional[List[int]] = None
-        self._by_level: Optional[List[Set[int]]] = None
         #: Cumulative storage-management counters (threaded into obs spans).
         self.gc_runs = 0
         self.nodes_reclaimed = 0
-        self.reorder_passes = 0
 
     # ------------------------------------------------------------------ #
     # Statistics (opt-in, for repro.obs tracing)
@@ -598,7 +584,7 @@ class BDD:
     # Garbage collection (root-pinned mark and sweep)
     # ------------------------------------------------------------------ #
     def pin(self, node: int) -> int:
-        """Pin a node as a GC/reorder root; returns the node for chaining.
+        """Pin a node as a GC root; returns the node for chaining.
 
         Pins nest: each ``pin`` needs a matching :meth:`unpin`.
         """
@@ -622,9 +608,8 @@ class BDD:
     def _mark(self, roots: Iterable[int]) -> List[int]:
         """Live internal nodes reachable from ``roots``, children first.
 
-        Post-order DFS: after in-place level swaps node ids are *not*
-        topologically sorted any more, so a sequential id scan cannot be
-        used to rebuild the store.
+        Post-order DFS, so the store rebuild can remap every node's
+        children before the node itself.
         """
         nodes = self._nodes
         order: List[int] = []
@@ -687,267 +672,3 @@ class BDD:
         self.gc_runs += 1
         self.nodes_reclaimed += before - len(new_nodes)
         return remap
-
-    # ------------------------------------------------------------------ #
-    # Dynamic variable reordering (sifting)
-    # ------------------------------------------------------------------ #
-    def _incref(self, node: int) -> None:
-        ref = self._ref
-        nodes = self._nodes
-        by_level = self._by_level
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current < 2:
-                continue
-            ref[current] += 1
-            if ref[current] == 1:
-                level, low, high = nodes[current]
-                by_level[level].add(current)
-                stack.append(low)
-                stack.append(high)
-
-    def _decref(self, node: int) -> None:
-        ref = self._ref
-        nodes = self._nodes
-        by_level = self._by_level
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current < 2:
-                continue
-            ref[current] -= 1
-            if ref[current] == 0:
-                level, low, high = nodes[current]
-                by_level[level].discard(current)
-                stack.append(low)
-                stack.append(high)
-
-    def _reorder_make(self, level: int, low: int, high: int) -> int:
-        """Hash-consed node lookup used inside level swaps.
-
-        May resurrect a currently-dead node with the requested structure
-        (the caller's :meth:`_incref` revives its children); never goes
-        through the operation caches.
-        """
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is None:
-            node = len(self._nodes)
-            self._nodes.append(key)
-            self._ref.append(0)
-            self._unique[key] = node
-        return node
-
-    def _swap_levels(self, i: int) -> None:
-        """Swap adjacent levels ``i`` and ``i+1`` in place (Rudell's primitive).
-
-        Every node id keeps denoting the same function: independent
-        level-``i`` nodes and all level-``i+1`` nodes are renumbered with
-        their variable, and nodes depending on both variables are rewritten
-        in place as ``(i, (i+1, f00, f10), (i+1, f01, f11))``.  Must only
-        run inside :meth:`reorder` (needs the refcount/level index).
-        """
-        nodes = self._nodes
-        unique = self._unique
-        by_level = self._by_level
-        below = i + 1
-        x_nodes = list(by_level[i])
-        y_nodes = list(by_level[below])
-
-        # Read every cofactor before any renumbering mutates the children.
-        dependent: List[Tuple[int, int, int, int, int, int, int]] = []
-        independent: List[int] = []
-        for node in x_nodes:
-            _lvl, f0, f1 = nodes[node]
-            f0_y = f0 > 1 and nodes[f0][0] == below
-            f1_y = f1 > 1 and nodes[f1][0] == below
-            if f0_y or f1_y:
-                f00, f01 = (nodes[f0][1], nodes[f0][2]) if f0_y else (f0, f0)
-                f10, f11 = (nodes[f1][1], nodes[f1][2]) if f1_y else (f1, f1)
-                dependent.append((node, f0, f1, f00, f01, f10, f11))
-            else:
-                independent.append(node)
-
-        # Drop the old unique keys of every touched node first: renumbering
-        # in any interleaved order could transiently collide (an x-node key
-        # moving to level i+1 can equal a not-yet-moved y-node key).
-        for node in x_nodes:
-            del unique[nodes[node]]
-        for node in y_nodes:
-            del unique[nodes[node]]
-
-        # y-independent x-nodes: same structure, variable now at level i+1.
-        for node in independent:
-            _lvl, f0, f1 = nodes[node]
-            key = (below, f0, f1)
-            nodes[node] = key
-            unique[key] = node
-            by_level[i].discard(node)
-            by_level[below].add(node)
-        # y-nodes: same structure, variable now at level i.
-        for node in y_nodes:
-            _lvl, g0, g1 = nodes[node]
-            key = (i, g0, g1)
-            nodes[node] = key
-            unique[key] = node
-            by_level[below].discard(node)
-            by_level[i].add(node)
-        # Both-variable nodes: rewrite in place with the variables exchanged.
-        for node, f0, f1, f00, f01, f10, f11 in dependent:
-            low = self._reorder_make(below, f00, f10)
-            high = self._reorder_make(below, f01, f11)
-            self._incref(low)
-            self._incref(high)
-            key = (i, low, high)
-            nodes[node] = key
-            unique[key] = node
-            self._decref(f0)
-            self._decref(f1)
-
-        name_x = self.variables[i]
-        name_y = self.variables[below]
-        self.variables[i] = name_y
-        self.variables[below] = name_x
-        self._level[name_y] = i
-        self._level[name_x] = below
-
-    def _live_size(self) -> int:
-        return sum(len(level) for level in self._by_level)
-
-    def _swap_blocks(self, start: int, size_a: int, size_b: int) -> None:
-        """Exchange adjacent variable blocks ``[start, start+size_a)`` and
-        ``[start+size_a, start+size_a+size_b)`` via adjacent-level swaps."""
-        for moved in range(size_a):
-            level = start + size_a - 1 - moved
-            for step in range(size_b):
-                self._swap_levels(level + step)
-
-    def reorder(
-        self,
-        roots: Iterable[int] = (),
-        groups: Optional[Sequence[Sequence[str]]] = None,
-        max_growth: float = 1.5,
-    ) -> int:
-        """Sift variables (or variable groups) to shrink the live node count.
-
-        ``roots`` supplements the pinned roots for liveness.  ``groups``
-        welds named variables into contiguous blocks that move as one
-        (each group's variables must be adjacent in the current order);
-        ungrouped variables sift individually.  A group's walk aborts once
-        the live size exceeds ``max_growth`` times the size at its start,
-        and every group settles at the best position seen.
-
-        Node ids are preserved (only levels change), so held ids stay
-        valid; level-keyed memo caches are invalidated in place.  Returns
-        the live node count after the pass.
-        """
-        self._ref = [0] * len(self._nodes)
-        self._by_level = [set() for _ in self.variables]
-        for root in self._all_roots(roots):
-            self._incref(root)
-
-        # Build the block structure over the current order.
-        grouped: Dict[str, int] = {}
-        group_list = [list(group) for group in (groups or ())]
-        for gid, names in enumerate(group_list):
-            for name in names:
-                grouped[name] = gid
-        blocks: List[List[str]] = []
-        level = 0
-        total = len(self.variables)
-        while level < total:
-            name = self.variables[level]
-            gid = grouped.get(name)
-            if gid is None:
-                blocks.append([name])
-                level += 1
-                continue
-            names = group_list[gid]
-            block = self.variables[level : level + len(names)]
-            if sorted(block) != sorted(names):
-                self._ref = None
-                self._by_level = None
-                raise ValueError(
-                    "reorder group %r is not contiguous in the current order"
-                    % (names,)
-                )
-            blocks.append(list(block))
-            level += len(names)
-
-        def block_start(position: int) -> int:
-            return sum(len(blocks[k]) for k in range(position))
-
-        def block_size(position: int) -> int:
-            start = block_start(position)
-            return sum(
-                len(self._by_level[start + offset])
-                for offset in range(len(blocks[position]))
-            )
-
-        # Sift heaviest blocks first (block objects, not positions: the
-        # block list is permuted by every shift).
-        agenda = sorted(
-            range(len(blocks)), key=block_size, reverse=True
-        )
-        agenda_blocks = [blocks[p] for p in agenda]
-        for block in agenda_blocks:
-            position = next(p for p, b in enumerate(blocks) if b is block)
-            start_size = self._live_size()
-            limit = max_growth * start_size
-            best_size = start_size
-            best_position = position
-
-            def shift(from_pos: int, to_pos: int) -> None:
-                """Move the sifted block one step at a time, no bookkeeping."""
-                p = from_pos
-                while p < to_pos:
-                    self._swap_blocks(
-                        block_start(p), len(blocks[p]), len(blocks[p + 1])
-                    )
-                    blocks[p], blocks[p + 1] = blocks[p + 1], blocks[p]
-                    p += 1
-                while p > to_pos:
-                    self._swap_blocks(
-                        block_start(p - 1), len(blocks[p - 1]), len(blocks[p])
-                    )
-                    blocks[p - 1], blocks[p] = blocks[p], blocks[p - 1]
-                    p -= 1
-
-            # Walk down to the bottom, then up to the top, tracking the best.
-            p = position
-            while p < len(blocks) - 1:
-                shift(p, p + 1)
-                p += 1
-                size = self._live_size()
-                if size < best_size:
-                    best_size, best_position = size, p
-                if size > limit:
-                    break
-            while p > 0:
-                shift(p, p - 1)
-                p -= 1
-                size = self._live_size()
-                if size < best_size:
-                    best_size, best_position = size, p
-                if size > limit and p < best_position:
-                    break
-            shift(p, best_position)
-
-        live = self._live_size() + 2
-        self._ref = None
-        self._by_level = None
-        # Level-keyed memos are stale after any swap; identity-preserving
-        # clear keeps counting caches counting.  The ite cache keys only on
-        # node ids, whose functions are unchanged, so it stays valid.
-        self._quant_ids.clear()
-        for cache in (
-            self._and_exists_cache,
-            self._exists_cache,
-            self._forall_cache,
-        ):
-            cache.clear()
-        self.reorder_passes += 1
-        return live

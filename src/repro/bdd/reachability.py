@@ -33,10 +33,9 @@ Engine structure
   saturation lever: the intermediate BDDs stay near their final shape
   instead of ballooning per global pass.  Between group saturations the
   engine checkpoints the manager -- mark-and-sweep garbage collection once
-  the store doubles past a threshold, and group-sifting reordering (primed
-  twins welded together) when the *live* size keeps growing -- so peak
-  node counts track the problem, not the churn.  The tests check the
-  reached set against the explicit State Graph, an independent engine.
+  the store doubles past a threshold -- so peak node counts track the
+  problem, not the churn.  The tests check the reached set against the
+  explicit State Graph, an independent engine.
 
 :class:`SymbolicNet` is the engine consumed by
 :class:`repro.spaces.SymbolicStateSpace`; without an STG it tracks markings
@@ -61,13 +60,11 @@ _PLACE_PRIMED = "p':"
 _SIGNAL = "s:"
 _SIGNAL_PRIMED = "s':"
 
-#: Store-size floors for the saturation path's maintenance checkpoint.
-#: GC fires when the node store outgrows the threshold; reordering when
-#: the *live* count after GC still exceeds its own.  Both double to twice
-#: the surviving live size after every run, so maintenance cost stays
+#: Store-size floor for the saturation path's maintenance checkpoint.
+#: GC fires when the node store outgrows the threshold, which then
+#: doubles to twice the surviving store size, so maintenance cost stays
 #: amortised against real growth instead of firing on every checkpoint.
 _GC_THRESHOLD = 4096
-_REORDER_THRESHOLD = 8192
 
 #: Upper bound on FORCE rounds; the refinement usually settles far sooner.
 _FORCE_ROUNDS = 50
@@ -150,7 +147,6 @@ class SymbolicNet:
         self.saturation_fires = 0
         self.peak_nodes = 0
         self._gc_threshold = _GC_THRESHOLD
-        self._reorder_threshold = _REORDER_THRESHOLD
         self.places: List[str] = list(net.places)
         self.signals: List[str] = list(stg.signals) if stg is not None else []
         self.primed = stg is not None
@@ -328,7 +324,6 @@ class SymbolicNet:
                 span.counter("saturation_fires", self.saturation_fires)
                 span.counter("gc_runs", bdd.gc_runs)
                 span.counter("nodes_reclaimed", bdd.nodes_reclaimed)
-                span.counter("reorder_passes", bdd.reorder_passes)
                 for key, value in bdd.stats().items():
                     if key.endswith(("_lookups", "_hits", "_entries")):
                         span.gauge(key, value)
@@ -354,21 +349,6 @@ class SymbolicNet:
             groups.setdefault(top, []).append(index)
         return [groups[top] for top in sorted(groups, reverse=True)]
 
-    def _twin_groups(self) -> Optional[List[List[str]]]:
-        """Sifting groups welding every variable to its primed twin.
-
-        ``and_exists`` relational products and the order-preserving
-        ``rename`` both rely on each primed variable sitting directly
-        below its unprimed twin, so reordering must move the pair as one
-        rigid block.  Without a primed block every variable may sift
-        freely.
-        """
-        if not self.primed:
-            return None
-        groups = [[_PLACE + p, _PLACE_PRIMED + p] for p in self.places]
-        groups.extend([_SIGNAL + s, _SIGNAL_PRIMED + s] for s in self.signals)
-        return groups
-
     def _held_ids(self) -> List[int]:
         """Every node id this engine holds across maintenance."""
         ids = [self._initial]
@@ -392,37 +372,27 @@ class SymbolicNet:
             self._reached = remap[self._reached]
         return tuple(remap[f] for f in extra)
 
-    def _maintain(
-        self, reached: int, groups: List[List[int]]
-    ) -> Tuple[int, List[List[int]]]:
+    def _maintain(self, reached: int) -> int:
         """Checkpoint the manager between group saturations.
 
-        GC once the store doubles past the threshold; if the *live* count
-        after GC still exceeds the reorder threshold, sift (primed twins
-        welded), then GC again to drop the nodes sifting left dead.  After
-        a reorder the saturation groups are rebuilt -- their level keys
-        are stale.  Thresholds double to twice the surviving size.
+        GC once the store outgrows the threshold; the threshold then
+        doubles to twice the surviving size.
         """
         bdd = self.bdd
         if bdd.num_nodes > self.peak_nodes:
             self.peak_nodes = bdd.num_nodes
         if bdd.num_nodes <= self._gc_threshold:
-            return reached, groups
+            return reached
         # Rebuilding the store clears the memo caches, so only do it when a
         # decent fraction of the store is actually dead; otherwise let it
-        # grow and check again at twice the size.  Both thresholds double
-        # monotonically, so each maintenance flavour runs O(log peak) times
-        # per fixed point instead of once per group saturation.
+        # grow and check again at twice the size.  The threshold doubles
+        # monotonically, so GC runs O(log peak) times per fixed point
+        # instead of once per group saturation.
         live = bdd.num_live_nodes(self._held_ids() + [reached])
         if 4 * live <= 3 * bdd.num_nodes:
             (reached,) = self._collect(reached)
-        if live > self._reorder_threshold:
-            bdd.reorder(roots=self._held_ids() + [reached], groups=self._twin_groups())
-            (reached,) = self._collect(reached)
-            self._reorder_threshold = max(2 * self._reorder_threshold, 2 * bdd.num_nodes)
-            groups = self._saturation_groups()
         self._gc_threshold = max(2 * self._gc_threshold, 2 * bdd.num_nodes)
-        return reached, groups
+        return reached
 
     def _saturation_fixpoint(self, span) -> int:
         """Saturate level groups deepest-first, restarting on re-enabling.
@@ -474,13 +444,7 @@ class SymbolicNet:
                     progress = True
                     self.saturation_fires += 1
                     self._check_states(reached)
-                    reached, regrouped = self._maintain(reached, groups)
-                    if regrouped is not groups:
-                        # Reordered: level keys moved, so the group list was
-                        # rebuilt and every stamp is stale.
-                        groups = regrouped
-                        saturated = [-1] * len(groups)
-                        break
+                    reached = self._maintain(reached)
                     if position > 0:
                         break  # may have re-enabled a deeper group: restart
             if span.live:

@@ -31,10 +31,6 @@ from .obs import (
     LiveRenderer,
     Tracer,
     attach_stream,
-    evaluate,
-    format_report,
-    load_history,
-    render_dashboard,
     set_tracer,
     span_summary,
 )
@@ -252,37 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("spec", help="path to a .g file or a built-in benchmark name")
     export.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
 
-    dashboard = sub.add_parser(
-        "dashboard",
-        help="render the BENCH_table1.json run history as a markdown dashboard",
-    )
-    dashboard.add_argument(
-        "input",
-        nargs="?",
-        default="BENCH_table1.json",
-        help="benchmark report file (flat or with history; default: BENCH_table1.json)",
-    )
-    dashboard.add_argument(
-        "-o", "--output", default=None, help="output markdown path (default: stdout)"
-    )
-    dashboard.add_argument(
-        "--max-entries", type=int, default=20, help="history rows to show (newest last)"
-    )
-    dashboard.add_argument(
-        "--check",
-        action="store_true",
-        help="run the perf-regression sentinel instead of rendering: compare "
-        "the newest history entry against the median of the prior runs and "
-        "exit non-zero if a tracked metric regressed beyond its threshold",
-    )
-    dashboard.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="override every per-metric threshold with this percentage "
-        "(e.g. 25 means flag any >25%% regression)",
-    )
     return parser
 
 
@@ -517,25 +482,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dashboard(args: argparse.Namespace) -> int:
-    history = load_history(args.input)
-    if not history:
-        raise SystemExit("no benchmark history in %r" % args.input)
-    if args.check:
-        threshold = args.threshold / 100.0 if args.threshold is not None else None
-        checks = evaluate(history, threshold=threshold)
-        print(format_report(checks))
-        return 1 if any(check.regressed for check in checks) else 0
-    text = render_dashboard(history, max_entries=args.max_entries)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print("# wrote %s" % args.output)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -548,7 +494,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "csc": _cmd_csc,
         "simulate": _cmd_simulate,
         "export": _cmd_export,
-        "dashboard": _cmd_dashboard,
     }
     handler = handlers[args.command]
     trace_path = getattr(args, "trace_path", None)

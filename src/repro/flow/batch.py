@@ -366,22 +366,37 @@ class _StallWatchdog:
         # handler; give it a beat to land on disk.
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
-            try:
-                with open(path) as handle:
-                    text = handle.read()
-            except OSError:
-                text = ""
+            text = self._read_stack(index)
             if text.strip():
                 return text
             time.sleep(0.05)
         return None
 
+    def _read_stack(self, index: int) -> str:
+        path = self.task_args[index].get("stack_path")
+        if path is None:
+            return ""
+        try:
+            with open(path) as handle:
+                return handle.read()
+        except OSError:
+            return ""
+
     def annotate_timeout(self, index: int, row: Dict[str, object]) -> None:
-        """Fold a recorded stall diagnosis into a timed-out row."""
+        """Fold a recorded stall diagnosis into a timed-out row.
+
+        faulthandler writes a dump in many small writes, newest thread
+        first, so the capture may have read only the heartbeat thread's
+        frames.  The stack file is read again here, after the dump has had
+        the whole wait since capture to land, and the longer text kept.
+        """
         diagnosis = self.stalls.get(index)
         if diagnosis is not None:
             row["diagnosis"] = "stalled"
             row["stall_metrics"] = dict(diagnosis)
+            stack = self._read_stack(index)
+            if len(stack) > len(diagnosis.get("stack", "")):
+                row["stall_metrics"]["stack"] = stack
 
 
 def _run_batch(

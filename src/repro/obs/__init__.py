@@ -1,18 +1,15 @@
-"""repro.obs -- zero-dependency tracing, metrics and BENCH dashboards.
+"""repro.obs -- zero-dependency tracing and metrics.
 
 The observability layer of the reproduction: a nested-span :class:`Tracer`
 with a thread/process-safe no-op default (instrumented code pays nothing
 when tracing is off), counter/gauge hooks threaded through the explicit
-BFS, the BDD engine, the unfolder and espresso, JSON export with a schema
-validator, and the BENCH history dashboard behind ``repro-synth
-dashboard``.
+BFS, the BDD engine, the unfolder and espresso, and JSON export with a
+schema validator.
 
 Round 2 adds the *live* half: :mod:`repro.obs.events` streams structured
 JSONL events (span open/close, counter milestones, ``span.progress``)
-into pluggable sinks while a run executes, :mod:`repro.obs.live` renders
-them as a stderr status line, and :mod:`repro.obs.sentinel` closes the
-loop by checking a fresh BENCH report against the recorded history
-(``repro-synth dashboard --check``).
+into pluggable sinks while a run executes, and :mod:`repro.obs.live`
+renders them as a stderr status line.
 
 Typical use::
 
@@ -52,13 +49,6 @@ from .schema import (
     validate_span,
     validate_trace,
 )
-from .dashboard import (
-    git_short_rev,
-    load_history,
-    merge_history,
-    render_dashboard,
-    stamp_report,
-)
 from .events import (
     EVENT_KINDS,
     CallbackSink,
@@ -67,7 +57,6 @@ from .events import (
     attach_stream,
 )
 from .live import LiveRenderer
-from .sentinel import TRACKED_METRICS, evaluate, format_report
 
 __all__ = [
     "Span",
@@ -87,18 +76,10 @@ __all__ = [
     "validate_span",
     "validate_event",
     "validate_events_file",
-    "git_short_rev",
-    "stamp_report",
-    "merge_history",
-    "load_history",
-    "render_dashboard",
     "EVENT_KINDS",
     "EventStream",
     "FileSink",
     "CallbackSink",
     "attach_stream",
     "LiveRenderer",
-    "TRACKED_METRICS",
-    "evaluate",
-    "format_report",
 ]

@@ -168,10 +168,6 @@ class SymbolicStateSpace(StateSpace):
     def nodes_reclaimed(self) -> int:
         return self._engine.bdd.nodes_reclaimed
 
-    @property
-    def reorder_passes(self) -> int:
-        return self._engine.bdd.reorder_passes
-
     # ------------------------------------------------------------------ #
     # Size queries
     # ------------------------------------------------------------------ #

@@ -9,8 +9,9 @@ representative of the named controller class (fork/join handshakes,
 sequencers, and one input-choice controller).  Every substituted entry is
 flagged ``synthetic=True`` so reports can state the provenance.
 
-The suite is the workload for experiment E1 (``benchmarks/bench_table1.py``)
-and for the ablation experiments E4/E5.
+The suite is the workload for experiment E1 (``repro-synth table1`` and the
+``table1`` workload of ``e2ebench/run.py``) and for the ablation
+experiments E4/E5.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Tests for the parallel experiment batch runner and the timeout outcome."""
 
 import json
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -237,6 +240,55 @@ def test_watchdog_fresh_evidence_clears_stall(tmp_path):
     row = {"outcome": "timeout"}
     watchdog.annotate_timeout(0, row)
     assert "diagnosis" not in row
+
+
+# A stand-in worker whose SIGUSR1 handler writes its dump in two halves
+# 0.3 s apart, like a faulthandler dump caught between two of its writes.
+_TWO_HALF_DUMPER = r"""
+import signal, sys, time
+
+def dump(signum, frame):
+    with open(sys.argv[1], "a") as handle:
+        handle.write("first half\n")
+        handle.flush()
+        time.sleep(0.3)
+        handle.write("second half\n")
+
+signal.signal(signal.SIGUSR1, dump)
+print("ready", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGUSR1"), reason="needs SIGUSR1")
+def test_timed_out_row_keeps_the_whole_stack_dump(tmp_path):
+    from repro.flow.batch import _StallWatchdog
+
+    stack = tmp_path / "0.stack"
+    with subprocess.Popen(
+        [sys.executable, "-c", _TWO_HALF_DUMPER, str(stack)],
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as child:
+        try:
+            assert child.stdout.readline().strip() == "ready"
+            watchdog = _StallWatchdog(
+                [{"stack_path": str(stack)}], ["row0"], stall_after=0.2
+            )
+            # The capture returns once the file holds text: the first half.
+            watchdog.stalls[0] = watchdog._capture(0, {"pid": child.pid}, 1.0)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if "second half" in stack.read_text():
+                    break
+                time.sleep(0.05)
+            row = {"outcome": "timeout"}
+            watchdog.annotate_timeout(0, row)
+        finally:
+            child.kill()
+    assert row["diagnosis"] == "stalled"
+    assert "first half" in row["stall_metrics"]["stack"]
+    assert "second half" in row["stall_metrics"]["stack"]
 
 
 def test_worker_observability_writes_beats(tmp_path):

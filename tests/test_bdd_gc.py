@@ -1,12 +1,13 @@
-"""BDD storage management: GC, sifting reorder, saturation fixed point.
+"""BDD storage management: GC and the saturation fixed point.
 
 The manager's maintenance machinery must be invisible to callers: a
 mark-and-sweep pass may renumber nodes but every surviving id (through the
-returned remap) must denote the same Boolean function; a sifting pass may
-permute levels but node ids are preserved outright; and the saturation
-fixed point -- with GC and reorder checkpoints forced at every single
-firing -- must reach exactly the states and markings of the explicit State
-Graph, an independent engine, on every specification we ship.
+returned remap) must denote the same Boolean function; and the saturation
+fixed point -- with a GC checkpoint forced at every single firing -- must
+reach exactly the states and markings of the explicit State Graph, an
+independent engine, on every specification we ship.  The structural
+variable order and GC alone keep the peak store of a 16-stage Muller
+pipeline bounded.
 """
 
 import itertools
@@ -111,68 +112,6 @@ def test_counting_caches_survive_garbage_collection():
 
 
 # --------------------------------------------------------------------- #
-# Sifting reorder
-# --------------------------------------------------------------------- #
-def _pathological_order(n):
-    """f = OR(x_i & y_i) with all x's above all y's: exponential in n."""
-    bdd = BDD(["x%d" % i for i in range(n)] + ["y%d" % i for i in range(n)])
-    f = bdd.disj_all(
-        bdd.conj(bdd.var("x%d" % i), bdd.var("y%d" % i)) for i in range(n)
-    )
-    return bdd, f
-
-
-def test_reorder_preserves_ids_and_shrinks_pathological_order():
-    bdd, f = _pathological_order(4)
-    names = list(bdd.variables)
-    truth = _truth_table(bdd, f, names)
-    before = bdd.num_live_nodes([f])
-    after = bdd.reorder(roots=[f])
-    assert after < before  # sifting must find a (near-)interleaved order
-    assert bdd.reorder_passes == 1
-    # Node ids are preserved: the *same* id still denotes f.
-    assert _truth_table(bdd, f, names) == truth
-
-
-def test_reorder_keeps_groups_adjacent():
-    # Twin blocks must be adjacent going in; the pass keeps them welded.
-    names = []
-    for i in range(3):
-        names += ["x%d" % i, "y%d" % i]
-    bdd = BDD(names)
-    f = bdd.disj_all(
-        bdd.conj(bdd.var("x%d" % i), bdd.var("y%d" % i)) for i in range(3)
-    )
-    groups = [["x%d" % i, "y%d" % i] for i in range(3)]
-    truth = _truth_table(bdd, f, list(bdd.variables))
-    bdd.reorder(roots=[f], groups=[list(g) for g in groups])
-    for pair in groups:
-        positions = sorted(bdd.variables.index(name) for name in pair)
-        assert positions[1] - positions[0] == 1
-    assert _truth_table(bdd, f, list(bdd.variables)) == truth
-
-
-def test_reorder_rejects_non_contiguous_group():
-    bdd = BDD(["a", "b", "c"])
-    f = bdd.conj(bdd.var("a"), bdd.var("c"))
-    with pytest.raises(ValueError):
-        bdd.reorder(roots=[f], groups=[["a", "c"]])
-
-
-def test_gc_after_reorder_roundtrip():
-    # Reorder leaves ids non-topological; the GC's post-order mark must
-    # still rebuild a correct store afterwards.
-    bdd, f = _pathological_order(4)
-    names = list(bdd.variables)
-    truth = _truth_table(bdd, f, names)
-    bdd.reorder(roots=[f])
-    remap = bdd.collect_garbage([f])
-    f = remap[f]
-    assert _truth_table(bdd, f, names) == truth
-    assert bdd.num_live_nodes([f]) == bdd.num_nodes
-
-
-# --------------------------------------------------------------------- #
 # Saturation fixed point vs the explicit State Graph
 # --------------------------------------------------------------------- #
 def _explicit_counts(stg):
@@ -194,25 +133,23 @@ def test_saturation_matches_chaining(builder):
 
 
 @pytest.mark.parametrize("stages", [4, 6])
-def test_forced_gc_and_reorder_mid_fixpoint(stages):
-    # Force a GC-eligibility check and a sifting pass at *every* saturation
-    # checkpoint: the reached set must be unaffected no matter where in the
-    # fixed point the store is rebuilt or the order permuted.
+def test_forced_gc_mid_fixpoint(stages):
+    # Force a GC-eligibility check at *every* saturation checkpoint: the
+    # reached set must be unaffected no matter where in the fixed point the
+    # store is rebuilt.
     stg = muller_pipeline(stages)
     states, markings = _explicit_counts(muller_pipeline(stages))
 
     stressed = SymbolicNet(stg.net, stg=stg)
     original = stressed._maintain
 
-    def maintain(reached, groups):
+    def maintain(reached):
         stressed._gc_threshold = 0
-        stressed._reorder_threshold = 0
-        return original(reached, groups)
+        return original(reached)
 
     stressed._maintain = maintain
     stressed.reachable_set()
     assert stressed.bdd.gc_runs > 0
-    assert stressed.bdd.reorder_passes > 0
     assert stressed.count_states() == states
     assert stressed.count_markings() == markings
 
@@ -239,8 +176,13 @@ def test_state_space_surfaces_maintenance_counters():
     assert space.peak_bdd_nodes >= space.num_bdd_nodes
     assert space.gc_runs >= 0
     assert space.nodes_reclaimed >= 0
-    assert space.reorder_passes >= 0
     # muller_8 crosses the GC threshold, so at least one sweep must have
     # happened and reclaimed the fixpoint's intermediate results.
     assert space.gc_runs > 0
     assert space.nodes_reclaimed > 0
+
+
+def test_peak_nodes_of_muller_16_stay_bounded():
+    # 66,487 nodes under the structural order with GC; the bound leaves
+    # 10% headroom, so a regression in either shows here first.
+    assert SymbolicStateSpace(muller_pipeline(16)).peak_bdd_nodes <= 73_000

@@ -1,5 +1,5 @@
-"""Tests for observability round 2: event streams, the live renderer,
-the event schema, the dashboard delta column and the perf sentinel."""
+"""Tests for observability round 2: event streams, the live renderer
+and the event schema."""
 
 import io
 import json
@@ -16,16 +16,12 @@ from repro.obs import (
     NULL_SPAN,
     Tracer,
     attach_stream,
-    evaluate,
-    format_report,
-    render_dashboard,
     tracing,
     validate_event,
     validate_events_file,
 )
 from repro.obs.schema import TraceSchemaError, main as schema_main
 from repro.obs.live import LiveRenderer
-from repro.obs.sentinel import TRACKED_METRICS
 
 
 def _collecting_stream(min_interval=0.0):
@@ -231,119 +227,6 @@ def test_live_renderer_tty_rewrites_in_place():
 
 
 # ---------------------------------------------------------------------- #
-# Dashboard delta column
-# ---------------------------------------------------------------------- #
-def test_dashboard_shows_delta_vs_previous_entry():
-    history = [
-        {"generated_by": "test",
-         "muller8_sg_explicit": {"packed_engine": {"seconds": 0.5}}},
-        {"generated_by": "test",
-         "muller8_sg_explicit": {"packed_engine": {"seconds": 0.6}}},
-    ]
-    text = render_dashboard(history)
-    assert "0.600 (+20.0%)" in text
-    # The first entry has no predecessor: plain value, no delta.
-    assert "0.500 (" not in text
-
-
-# ---------------------------------------------------------------------- #
-# Perf sentinel
-# ---------------------------------------------------------------------- #
-def _sentinel_entry(rate=1000.0, seconds=1.0, nodes=50000):
-    return {
-        "muller8_sg_explicit": {"packed_engine": {"seconds": seconds}},
-        "muller12_unfolding_state_recovery": {
-            "packed_state_dedup": {"states_per_sec": rate}
-        },
-        "csc_check_states_per_sec": {"states_per_sec": rate},
-        "csc_resolution_largest": {"seconds": seconds},
-        "symbolic_reachability_states_per_sec": {"states_per_sec": rate},
-        "symbolic_saturation_muller24": {"seconds": seconds},
-        "explicit_kernel_states_per_sec": {
-            "numpy": {"states_per_sec": rate}
-        },
-        "bdd_reorder_muller16": {"peak_nodes_saturation": nodes},
-    }
-
-
-def test_sentinel_passes_on_stable_history():
-    history = [_sentinel_entry() for _ in range(4)]
-    checks = evaluate(history)
-    assert not any(check.regressed for check in checks)
-    assert "ok:" in format_report(checks)
-
-
-def test_sentinel_flags_rate_drop_and_seconds_rise():
-    history = [_sentinel_entry() for _ in range(3)]
-    history.append(_sentinel_entry(rate=100.0))  # rates collapse: regression
-    checks = evaluate(history)
-    regressed = {check.metric.key for check in checks if check.regressed}
-    assert "csc_check_states_per_sec" in regressed
-    assert "symbolic_reach_states_per_sec" in regressed
-    # seconds unchanged: the lower-is-better metrics stay green.
-    assert "muller8_explicit_seconds" not in regressed
-    assert "REGRESSION" in format_report(checks)
-
-    history = [_sentinel_entry() for _ in range(3)]
-    history.append(_sentinel_entry(seconds=10.0))  # wall clocks blow up
-    checks = evaluate(history)
-    regressed = {check.metric.key for check in checks if check.regressed}
-    assert "muller8_explicit_seconds" in regressed
-    assert "csc_resolution_seconds" in regressed
-    assert "csc_check_states_per_sec" not in regressed
-
-
-def test_sentinel_improvements_never_flag():
-    history = [_sentinel_entry() for _ in range(3)]
-    history.append(_sentinel_entry(rate=10000.0, seconds=0.1, nodes=10000))
-    checks = evaluate(history)
-    assert not any(check.regressed for check in checks)
-
-
-def test_sentinel_uses_median_of_prior_runs():
-    # One outlier baseline entry must not move the bar: the median of
-    # (1000, 1000, 10) is 1000, so a latest of 900 is within 40%.
-    history = [
-        _sentinel_entry(rate=1000.0),
-        _sentinel_entry(rate=10.0),
-        _sentinel_entry(rate=1000.0),
-        _sentinel_entry(rate=900.0),
-    ]
-    checks = evaluate(history)
-    assert not any(check.regressed for check in checks)
-
-
-def test_sentinel_skips_missing_metrics():
-    history = [{"muller8_sg_explicit": {"packed_engine": {"seconds": 1.0}}}
-               for _ in range(3)]
-    checks = evaluate(history)
-    skipped = {check.metric.key for check in checks if check.skipped}
-    assert "csc_check_states_per_sec" in skipped
-    assert not any(check.regressed for check in checks)
-    # A single entry has no baseline at all: everything skips, nothing fails.
-    checks = evaluate([_sentinel_entry()])
-    assert all(check.skipped for check in checks)
-    with pytest.raises(ValueError):
-        evaluate([])
-
-
-def test_sentinel_threshold_override():
-    history = [_sentinel_entry() for _ in range(3)]
-    history.append(_sentinel_entry(seconds=1.2))  # +20%
-    assert not any(check.regressed for check in evaluate(history))
-    checks = evaluate(history, threshold=0.10)
-    assert any(
-        check.regressed and check.metric.key == "muller8_explicit_seconds"
-        for check in checks
-    )
-
-
-def test_tracked_metrics_cover_both_directions():
-    directions = {metric.direction for metric in TRACKED_METRICS}
-    assert directions == {"higher", "lower"}
-
-
-# ---------------------------------------------------------------------- #
 # CLI integration
 # ---------------------------------------------------------------------- #
 def test_cli_table1_events_flag_writes_valid_stream(tmp_path, capsys):
@@ -360,28 +243,3 @@ def test_cli_table1_events_flag_writes_valid_stream(tmp_path, capsys):
     assert events[-1]["kind"] == "span_close" and events[-1]["path"] == "table1"
     assert any(event["kind"] == "progress" for event in events)
     assert all(event["kind"] in EVENT_KINDS for event in events)
-
-
-def test_cli_dashboard_check_exit_codes(tmp_path, capsys):
-    stable = tmp_path / "stable.json"
-    entries = [_sentinel_entry() for _ in range(4)]
-    stable.write_text(json.dumps({"history": entries}))
-    assert main(["dashboard", str(stable), "--check"]) == 0
-    assert "ok:" in capsys.readouterr().out
-
-    regressing = tmp_path / "regressing.json"
-    entries = [_sentinel_entry() for _ in range(3)] + [
-        _sentinel_entry(rate=10.0, seconds=30.0)
-    ]
-    regressing.write_text(json.dumps({"history": entries}))
-    assert main(["dashboard", str(regressing), "--check"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-    # --threshold tightens every limit from the command line.
-    mild = tmp_path / "mild.json"
-    entries = [_sentinel_entry() for _ in range(3)] + [_sentinel_entry(seconds=1.2)]
-    mild.write_text(json.dumps({"history": entries}))
-    assert main(["dashboard", str(mild), "--check"]) == 0
-    capsys.readouterr()
-    assert main(["dashboard", str(mild), "--check", "--threshold", "10"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out

@@ -7,8 +7,7 @@ Pins the core guarantees of the tracing contract:
   RSS live outside the counters);
 * every instrumented call site works -- and stays silent -- under the
   default no-op tracer;
-* exported traces over the Table 1 flow validate against the schema;
-* the BENCH history stamping/merging/rendering round-trips.
+* exported traces over the Table 1 flow validate against the schema.
 """
 
 import json
@@ -25,15 +24,11 @@ from repro.obs import (
     Tracer,
     TraceSchemaError,
     current_tracer,
-    merge_history,
-    render_dashboard,
     set_tracer,
     span_summary,
-    stamp_report,
     tracing,
     validate_trace,
 )
-from repro.obs.dashboard import load_history
 from repro.obs.schema import main as schema_main
 from repro.sim import simulate_spec
 from repro.stategraph import build_state_graph
@@ -336,74 +331,3 @@ def test_schema_rejects_malformed_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad_version))
     assert schema_main([str(path)]) == 1
-
-
-# ---------------------------------------------------------------------- #
-# BENCH history + dashboard
-# ---------------------------------------------------------------------- #
-def _report(n):
-    return {
-        "generated_by": "test",
-        "muller8_sg_explicit": {"packed_engine": {"seconds": 0.1 * n}},
-        "table1_rows": [
-            {
-                "benchmark": "nowick",
-                "signals": 6,
-                "sg-explicit_outcome": "ok",
-                "sg-explicit_total": 0.01 * n,
-                "sg-explicit_literals": 10,
-            }
-        ],
-    }
-
-
-def test_stamp_report_adds_timestamp_and_rev():
-    stamped = stamp_report(_report(1))
-    assert "T" in stamped["timestamp"]  # ISO 8601
-    rev = stamped["git_rev"]
-    assert rev is None or (isinstance(rev, str) and len(rev) >= 7)
-
-
-def test_merge_history_adopts_flat_file_and_trims():
-    flat = _report(1)  # pre-history snapshot, no "history" key
-    merged = merge_history(stamp_report(_report(2)), flat)
-    assert len(merged["history"]) == 2
-    assert merged["history"][0]["generated_by"] == "test"
-    assert "history" not in merged["history"][0]
-    # Latest fields stay at the top level (old flat-format consumers).
-    assert merged["muller8_sg_explicit"]["packed_engine"]["seconds"] == 0.2
-
-    for n in range(3, 10):
-        merged = merge_history(stamp_report(_report(n)), merged, max_entries=4)
-    assert len(merged["history"]) == 4
-    assert merged["history"][-1]["muller8_sg_explicit"]["packed_engine"][
-        "seconds"
-    ] == pytest.approx(0.9)
-
-
-def test_load_history_both_formats(tmp_path):
-    flat_path = tmp_path / "flat.json"
-    flat_path.write_text(json.dumps(_report(1)))
-    assert len(load_history(str(flat_path))) == 1
-
-    merged = merge_history(stamp_report(_report(2)), _report(1))
-    hist_path = tmp_path / "hist.json"
-    hist_path.write_text(json.dumps(merged))
-    entries = load_history(str(hist_path))
-    assert len(entries) == 2
-    assert all("history" not in entry for entry in entries)
-
-
-def test_render_dashboard_contains_method_tables():
-    history = [stamp_report(_report(n)) for n in (1, 2)]
-    text = render_dashboard(history)
-    assert text.startswith("# BENCH dashboard")
-    assert "## Run history" in text
-    assert "## Per-method suite totals" in text
-    assert "sg-explicit (s)" in text
-    assert "1/1" in text  # ok/rows for the single table1 row
-    assert "nowick" in text
-
-
-def test_render_dashboard_empty_history():
-    assert "(no history)" in render_dashboard([])
