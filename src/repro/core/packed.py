@@ -38,10 +38,10 @@ class UnsafeNetError(RuntimeError):
     """A marking or firing is not representable as a safe-net bitmask.
 
     Raised when a token count exceeds 1, an arc weight exceeds 1, a
-    transition has no input place, or a firing would place a second token
-    on a marked place.  Every STG flow raises it for such nets; only the
-    general net layer (:func:`repro.petrinet.explore`) plays the dict-based
-    token game on them.
+    transition has no input or no output place, or a firing would place a
+    second token on a marked place.  Every STG flow raises it for such
+    nets; only the general net layer (:func:`repro.petrinet.explore`)
+    plays the dict-based token game on them.
     """
 
 

@@ -11,11 +11,15 @@
   :class:`~repro.core.packed.UnsafeNetError` is raised.
 
 Compiling the net is the one gate every STG flow passes: a net with an arc
-weight above 1, an unsafe initial marking or a transition without input
-places raises :class:`~repro.core.packed.UnsafeNetError` here, before any
-exploration starts.  A transition without input places is always enabled,
-so it fires again and again; the unfolder would never even add it, since
-it looks for possible extensions only from new conditions.
+weight above 1, an unsafe initial marking, a transition without input
+places or a transition without output places raises
+:class:`~repro.core.packed.UnsafeNetError` here, before any exploration
+starts.  A transition without input places is always enabled, so it fires
+again and again; the unfolder would never even add it, since it looks for
+possible extensions only from new conditions.  A transition without output
+places is the dual: firing it destroys tokens, and when it takes the last
+ones the marking is empty -- a state that no condition of the unfolding
+segment marks, so the slice-based cover approximation has no cube for it.
 
 Self-loops (a place in both preset and postset) are handled naturally:
 ``(m & ~preset) | postset`` re-produces the consumed token.
@@ -128,6 +132,8 @@ def _packable(net) -> Tuple[bool, str]:
         preset = net.preset(transition)
         if not preset:
             return False, "transition %s has no input place" % transition
+        if not net.postset(transition):
+            return False, "transition %s has no output place" % transition
         for place, weight in preset.items():
             if weight > 1:
                 return False, "arc %s -> %s has weight %d" % (place, transition, weight)

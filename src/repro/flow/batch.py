@@ -617,11 +617,12 @@ def run_figure6_batch(
     method_limits: Optional[Dict[str, int]] = None,
     jobs: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    max_states: Optional[int] = 300000,
+    max_states: Optional[int] = None,
     collect_metrics: bool = False,
     stall_after: Optional[float] = None,
 ) -> List[Dict[str, object]]:
-    """Run Figure 6 rows in parallel, one stage count per worker process."""
+    """Run Figure 6 rows in parallel, one stage count per worker process
+    (``method_limits`` and ``max_states`` as in :func:`run_figure6`)."""
     task_args = [
         {
             "stages": stages,

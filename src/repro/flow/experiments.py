@@ -344,10 +344,10 @@ def run_table1(
 
 
 def run_figure6(
-    stage_counts: Sequence[int] = (2, 4, 6, 8, 10, 12),
+    stage_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 16, 20, 24),
     methods: Sequence[str] = DEFAULT_METHODS,
     method_limits: Optional[Dict[str, int]] = None,
-    max_states: Optional[int] = 300000,
+    max_states: Optional[int] = None,
     timeout: Optional[float] = None,
     engine: Optional[str] = None,
     collect_metrics: bool = False,
@@ -358,14 +358,17 @@ def run_figure6(
     ``method_limits`` maps a method name to the largest number of *signals*
     it is attempted on (mirroring how the paper reports SIS and Petrify
     dropping out as the specification grows); beyond the limit the method's
-    entry is ``None``.  ``timeout`` is a per-method wall-clock budget,
-    and ``engine`` retargets the SG methods onto one backend; see
-    :func:`run_table1`.
+    entry is ``None``.  ``max_states`` bounds the reachable states of the
+    SG methods (none by default: the signal limits keep the explicit engine
+    small, and the symbolic one counts far more states than it builds
+    nodes).  ``timeout`` is a per-method wall-clock budget, and ``engine``
+    retargets the SG methods onto one backend; see :func:`run_table1`.
     The genuinely symbolic ``sg-bdd`` engine scales past the explicit
-    cut-off, hence its higher default limit.
+    cut-off, hence its higher default limit: the default sweep runs it, and
+    the paper's flow, up to 24 stages.
     """
     if method_limits is None:
-        method_limits = {"sg-explicit": 12, "sg-bdd": 18, "unfolding-exact": 14}
+        method_limits = {"sg-explicit": 12, "sg-bdd": 26, "unfolding-exact": 14}
     methods = apply_engine(methods, engine)
     own_tracer = (
         tracing("figure6")

@@ -11,7 +11,11 @@ states:
   per condition of the slice (sequential to the entry), again substituting
   don't-cares for concurrent-in-slice signals; conditions feeding the *next*
   instance of the signal get the restricted covers of the paper so that the
-  approximation does not bleed into the opposite excitation region.
+  approximation does not bleed into the opposite excitation region.  A
+  slice that runs into a cutoff before the signal fires again has no
+  ``next`` instance; its frontier boundaries (the instances the unfolder
+  dropped past the cutoff, :attr:`~repro.unfolding.Slice.frontier_boundaries`)
+  take their place.
 
 The approximations over-cover their slices by construction (no state is
 lost), so the only thing that can go wrong is that the on- and off-set
@@ -38,8 +42,15 @@ No step is repeated, and no cube differs from the direct definitions:
   another those that fix it to 0; the off-cubes disjoint from an on-cube are
   the OR of the masks opposite its literals, so each on-cube costs O(nvars)
   int operations.
+* Tier 1 restricts against the frontier boundaries where a slice has no
+  ``next`` instance.  On the CSC-clean Table 1 specs and the Figure 6
+  pipelines no part then reaches tier 2; tier 2 still proves every CSC
+  conflict.
 * Tier 2 groups the still-offending parts by slice and walks each slice's
   cuts once, testing every part's element against each cut.
+* The don't-care signals of a part cost one AND per signal: a slice's
+  members are one event mask, and the segment keeps per condition the mask
+  of the events concurrent with it.
 * Every round that continues sets ``restricted`` or ``refined`` on some part
   for the first time, so refinement ends within ``2 * |parts| + 1`` rounds
   without a cap.
@@ -54,10 +65,20 @@ from ..boolean import BooleanFunction, Cover, Cube, espresso, minterm_cover
 from ..core import iter_set_bits
 from ..obs import current_tracer
 from ..stg import STG
-from ..unfolding import Condition, Event, Slice, UnfoldingSegment, off_slices, on_slices, unfold
+from ..unfolding import (
+    Condition,
+    Event,
+    FrontierEvent,
+    Slice,
+    UnfoldingSegment,
+    off_slices,
+    on_slices,
+    unfold,
+)
 from .netlist import Gate, Implementation
 
 Element = Union[Event, Condition]
+Boundary = Union[Event, FrontierEvent]
 
 __all__ = [
     "CoverPart",
@@ -175,16 +196,23 @@ def _er_part(stg: STG, slice_: Slice) -> Optional[CoverPart]:
     return CoverPart("er", slice_, entry, Cover(nvars, [cube]))
 
 
+def _boundaries(slice_: Slice) -> List[Boundary]:
+    """The instances that bound a slice's covers: its ``next`` instances,
+    or its frontier boundaries when the slice runs into a cutoff first."""
+    return slice_.next_events or slice_.frontier_boundaries
+
+
 def _restricted_mr_cover(
-    stg: STG, slice_: Slice, condition: Condition, boundaries: Sequence[Event]
+    stg: STG, slice_: Slice, condition: Condition, boundaries: Sequence[Boundary]
 ) -> Cover:
     """Marked-region approximation of a condition restricted by boundary events.
 
-    For every boundary event (an instance from ``next``) the returned cover
-    keeps at least one of the boundary's trigger signals at its pre-firing
-    value, so the cover cannot reach markings that enable the boundary.  This
-    is the paper's restricted-cover construction (Section 4.2), also reused
-    as the first refinement step (Section 4.3).
+    For every boundary event (an instance from ``next``, or a frontier
+    pseudo-event beyond a cutoff) the returned cover keeps at least one of
+    the boundary's trigger signals at its pre-firing value, so the cover
+    cannot reach markings that enable the boundary.  This is the paper's
+    restricted-cover construction (Section 4.2), also reused as the first
+    refinement step (Section 4.3).
     """
     segment = slice_.segment
     nvars = len(stg.signals)
@@ -235,7 +263,7 @@ def _restricted_mr_cover(
 def _mr_part(stg: STG, slice_: Slice, condition: Condition) -> CoverPart:
     """Marked-region cover approximation ``C*_mr`` of one slice condition."""
     nvars = len(stg.signals)
-    feeding = [g for g in slice_.next_events if condition in g.preset]
+    feeding = [g for g in _boundaries(slice_) if condition in g.preset]
     if not feeding:
         signal_bit = slice_.segment.signal_table.bit(slice_.signal)
         dont_care = slice_.concurrent_signal_mask_with_condition(condition)
@@ -326,22 +354,23 @@ def _restrict_part(segment: UnfoldingSegment, part: CoverPart) -> Cover:
     """First refinement tier: apply the restricted-cover construction.
 
     The offending part's cover is intersected with the restricted
-    marked-region cover of its own element with respect to *all* ``next``
-    instances of the slice.  This keeps, for every boundary instance, at
-    least one trigger signal at its pre-firing value, which removes the
-    states of the opposite excitation region from the approximation without
-    enumerating any cuts.
+    marked-region cover of its own element with respect to *all* boundaries
+    of the slice (its ``next`` instances, or its frontier boundaries).  This
+    keeps, for every boundary instance, at least one trigger signal at its
+    pre-firing value, which removes the states of the opposite excitation
+    region from the approximation without enumerating any cuts.
     """
     stg = segment.stg
     slice_ = part.slice
-    if not slice_.next_events:
+    boundaries = _boundaries(slice_)
+    if not boundaries:
         return part.cover
     if not isinstance(part.element, Condition):
         # Excitation-region parts are left untouched by this tier: the entry
         # has not fired in any state they represent, so a boundary instance
         # (which causally follows the entry) cannot be enabled there.
         return part.cover
-    restricted = _restricted_mr_cover(stg, slice_, part.element, slice_.next_events)
+    restricted = _restricted_mr_cover(stg, slice_, part.element, boundaries)
     if restricted.is_empty():
         # The condition cannot contribute any state of this phase (every
         # marking of it enables the boundary or lies past it); drop it.

@@ -1,7 +1,7 @@
 """STG-unfolding segments: construction, cuts, slices and checks."""
 
 from .occurrence_net import Condition, Event, OccurrenceNet
-from .unfolder import UnfoldingError, UnfoldingSegment, unfold
+from .unfolder import FrontierEvent, UnfoldingError, UnfoldingSegment, unfold
 from .cuts import (
     Cut,
     cut_enables,
@@ -17,6 +17,7 @@ __all__ = [
     "Condition",
     "Event",
     "OccurrenceNet",
+    "FrontierEvent",
     "UnfoldingError",
     "UnfoldingSegment",
     "unfold",

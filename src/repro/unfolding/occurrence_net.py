@@ -14,12 +14,17 @@ The net keeps every derived relation as bitmask ints (see :mod:`repro.core`):
 * a set of conditions is an int whose bit ``cid`` is condition ``cid``
   (cuts, co-sets, presets and postsets are all such masks);
 * a set of events is an int whose bit ``eid`` is event ``eid`` (local
-  configurations, ancestor sets);
+  configurations, ancestor, descendant and conflict sets, slice members);
 * the concurrency relation is stored as one *co row* per condition
   (``co_masks[cid]`` = mask of the conditions concurrent with ``cid``),
   maintained incrementally as postsets are attached with the standard
   occurrence-net recurrence ``co(b) = (AND of co(preset)) | siblings``, so
   ``x co y`` is one AND and a co-set check is one AND per member;
+* once the net is finished, each event keeps its descendant and conflict
+  masks, each condition the mask of the events concurrent with it (the
+  transpose of the events' co rows) and each signal the mask of its
+  instances, so conflict is one shift and the signals with an instance
+  concurrent with a condition inside an event set cost one AND per signal;
 * every condition carries the bit of its original place
   (``condition.place_bit``) in the net's :class:`~repro.core.PlaceTable`,
   so the marking of a cut is an OR over the cut mask;
@@ -212,15 +217,20 @@ class OccurrenceNet:
     *concurrency* ``x co y`` -- are kept packed:
 
     * per-event ancestor masks (``[e]`` as an event mask) answer causality
-      with one shift;
-    * per-event consumed-condition masks plus per-condition consumer masks
-      answer configuration conflict with a handful of ANDs, over the choice
-      conditions (two or more consumers) only;
+      with one shift, and per-event descendant masks give every event at or
+      after an event;
+    * per-event conflict masks answer conflict with one shift;
     * per-condition co rows (:attr:`co_masks`) answer condition concurrency
-      with one AND and are maintained incrementally while the net grows.
+      with one AND and are maintained incrementally while the net grows;
+      their transpose, per condition the mask of the events concurrent with
+      it, and per-signal masks of the signals' instances turn "which
+      signals have an instance in this event set concurrent with this
+      condition" into one AND per signal.
 
-    All three are exposed for events and for conditions (a condition is
-    identified with its producer event plus itself).
+    The descendant, conflict, transposed and signal masks are built together
+    on first use, once the net is finished.  All three relations are exposed
+    for events and for conditions (a condition is identified with its
+    producer event plus itself).
     """
 
     def __init__(self) -> None:
@@ -230,17 +240,20 @@ class OccurrenceNet:
         self.signal_table: Optional[SignalTable] = None
         # Per-condition concurrency rows (bit cid' of co_masks[cid] == cid co cid').
         self.co_masks: List[int] = []
-        # Per-condition mask of consuming events.
-        self._consumer_masks: List[int] = []
-        # Conditions with two or more consumers (the only conflict witnesses).
-        self._choice_mask = 0
         # Cached per-event ancestor masks ([e] as event mask, including self).
         self._ancestor_masks: Dict[int, int] = {}
         # Cached per-event masks of the conditions consumed by [e].
         self._consumed_masks: Dict[int, int] = {}
         # Cached per-event masks of the conditions concurrent with the event.
         self._event_co_masks: Dict[int, int] = {}
-        self._conflict_cache: Dict[Tuple[int, int], bool] = {}
+        # Relation masks of the finished net, built together on first use:
+        # per-event descendant and conflict masks, per-condition masks of the
+        # events concurrent with the condition, and per-signal-bit masks of
+        # the signal's instances.
+        self._descendant_masks: Optional[List[int]] = None
+        self._conflict_masks: List[int] = []
+        self._condition_co_event_masks: List[int] = []
+        self._signal_event_masks: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction (used by the unfolder)
@@ -250,7 +263,6 @@ class OccurrenceNet:
         condition = Condition(len(self.conditions), place, place_bit, producer)
         self.conditions.append(condition)
         self.co_masks.append(0)
-        self._consumer_masks.append(0)
         return condition
 
     def new_event(
@@ -261,13 +273,8 @@ class OccurrenceNet:
     ) -> Event:
         event = Event(len(self.events), self, transition, label, preset)
         self.events.append(event)
-        bit = 1 << event.eid
-        consumer_masks = self._consumer_masks
         for condition in preset:
             condition.consumers.append(event)
-            if consumer_masks[condition.cid]:
-                self._choice_mask |= 1 << condition.cid
-            consumer_masks[condition.cid] |= bit
         return event
 
     def attach_postset(self, event: Event, places: Iterable[str]) -> List[Condition]:
@@ -384,43 +391,24 @@ class OccurrenceNet:
         """True when the event is in the causal past of the condition."""
         return self.precedes(event, condition.producer)
 
+    def descendant_mask_of(self, event: Event) -> int:
+        """Event mask of the events at or after ``event`` (``event <= f``)."""
+        if self._descendant_masks is None:
+            self._build_relation_masks()
+        return self._descendant_masks[event.eid]
+
     # ------------------------------------------------------------------ #
     # Conflict
     # ------------------------------------------------------------------ #
+    def conflict_mask_of(self, event: Event) -> int:
+        """Event mask of the events in conflict with ``event``."""
+        if self._descendant_masks is None:
+            self._build_relation_masks()
+        return self._conflict_masks[event.eid]
+
     def in_conflict(self, left: Event, right: Event) -> bool:
-        """Structural conflict between two events."""
-        if left.eid == right.eid:
-            return False
-        key = (min(left.eid, right.eid), max(left.eid, right.eid))
-        cached = self._conflict_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._configs_in_conflict(left, right)
-        self._conflict_cache[key] = result
-        return result
-
-    def _configs_in_conflict(self, left: Event, right: Event) -> bool:
-        """Conflict between the local configurations of two events.
-
-        Two configurations conflict when some condition is consumed by
-        *different* events across them; inside one (conflict-free)
-        configuration a condition has at most one consumer, so comparing the
-        per-condition consumer masks restricted to each side suffices.  A
-        condition with a single consumer has that consumer on both sides, so
-        only choice conditions (two or more consumers) can witness a
-        conflict.  The consumed masks come from the memoized per-event cache.
-        """
-        shared = self.consumed_mask_of(left) & self.consumed_mask_of(right) & self._choice_mask
-        if not shared:
-            return False
-        left_config = self.ancestor_mask_of(left)
-        right_config = self.ancestor_mask_of(right)
-        consumer_masks = self._consumer_masks
-        for cid in iter_set_bits(shared):
-            consumers = consumer_masks[cid]
-            if consumers & left_config != consumers & right_config:
-                return True
-        return False
+        """Structural conflict between two events (one shift on a mask)."""
+        return bool(self.conflict_mask_of(left) >> right.eid & 1)
 
     def conditions_in_conflict(self, left: Condition, right: Condition) -> bool:
         """Conflict between two conditions (via their producers)."""
@@ -472,6 +460,86 @@ class OccurrenceNet:
     def concurrent_event_condition(self, event: Event, condition: Condition) -> bool:
         """Concurrency between an event and a condition."""
         return bool(self.event_co_mask(event) >> condition.cid & 1)
+
+    def events_concurrent_with_event(self, event: Event) -> int:
+        """Event mask of the events concurrent with ``event``: those neither
+        before it, after it nor in conflict with it."""
+        every_event = (1 << len(self.events)) - 1
+        return every_event & ~(
+            self.ancestor_mask_of(event)
+            | self.descendant_mask_of(event)
+            | self.conflict_mask_of(event)
+        )
+
+    def events_concurrent_with_condition(self, condition: Condition) -> int:
+        """Event mask of the events concurrent with ``condition``: the
+        transpose of the :meth:`event_co_mask` rows."""
+        if self._descendant_masks is None:
+            self._build_relation_masks()
+        return self._condition_co_event_masks[condition.cid]
+
+    def signal_mask_of_events(self, event_mask: int) -> int:
+        """Signal mask of the signals with an instance in an event mask
+        (one AND per signal)."""
+        if self._descendant_masks is None:
+            self._build_relation_masks()
+        signal_mask = 0
+        for signal_bit, instances in self._signal_event_masks.items():
+            if instances & event_mask:
+                signal_mask |= signal_bit
+        return signal_mask
+
+    # ------------------------------------------------------------------ #
+    # Relation masks of the finished net
+    # ------------------------------------------------------------------ #
+    def _build_relation_masks(self) -> None:
+        """Build the descendant, conflict, condition-concurrency and signal
+        masks once, on first use.  Only valid once the net is fully built.
+
+        Event ids are topological (an event's input conditions come from
+        events with smaller ids), so descendants accumulate in reverse id
+        order and conflicts in id order.  ``e # f`` exactly when some event
+        of ``[e]`` shares an input condition with a *different* event at or
+        before ``f``: the conflict mask of ``e`` ORs the descendant masks of
+        its own rivals with the conflict masks of its causes.  An event is
+        concurrent with a condition unless it is at or before the condition's
+        producer, in conflict with it, or at or after one of the condition's
+        consumers.
+        """
+        events = self.events
+        descendants = [0] * len(events)
+        for event in reversed(events):
+            mask = 1 << event.eid
+            for condition in event.postset:
+                for consumer in condition.consumers:
+                    mask |= descendants[consumer.eid]
+            descendants[event.eid] = mask
+        conflicts = [0] * len(events)
+        signal_masks: Dict[int, int] = {}
+        for event in events:
+            mask = 0
+            for condition in event.preset:
+                mask |= conflicts[condition.producer.eid]
+                for rival in condition.consumers:
+                    if rival is not event:
+                        mask |= descendants[rival.eid]
+            conflicts[event.eid] = mask
+            if event.signal_bit:
+                signal_masks[event.signal_bit] = (
+                    signal_masks.get(event.signal_bit, 0) | 1 << event.eid
+                )
+        every_event = (1 << len(events)) - 1
+        co_events: List[int] = []
+        for condition in self.conditions:
+            producer = condition.producer
+            mask = every_event & ~(self.ancestor_mask_of(producer) | conflicts[producer.eid])
+            for consumer in condition.consumers:
+                mask &= ~descendants[consumer.eid]
+            co_events.append(mask)
+        self._descendant_masks = descendants
+        self._conflict_masks = conflicts
+        self._condition_co_event_masks = co_events
+        self._signal_event_masks = signal_masks
 
     # ------------------------------------------------------------------ #
     # Co-sets

@@ -18,17 +18,30 @@ don't-care signal sets are carried packed (condition masks / code words /
 signal masks); implied values are answered by mask-ANDing the packed cut
 marking against the original net's transition presets, with no per-state
 :class:`~repro.petrinet.marking.Marking` allocation.
+
+Membership is one event mask, built from the segment's relation masks:
+every event except the bottom, minus the entry's causal past and conflict
+set, minus everything at or after a ``next`` instance.  The signals with an
+instance concurrent with an event or a condition inside the slice are then
+one AND per signal against that mask.
+
+A slice that runs into a cutoff before the signal fires again has an empty
+``next`` set.  The segment's frontier (:attr:`UnfoldingSegment.frontier`)
+still shows where the signal would fire next beyond the cutoff; those
+pseudo-events are the slice's :attr:`Slice.frontier_boundaries`.  They bound
+the cover approximation only: they are not events of the segment, so they
+take no part in membership or in cut walks.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core import unpack_code
+from ..core import iter_set_bits, unpack_code
 from ..stg.signals import Direction
 from .cuts import Cut, enumerate_cuts
 from .occurrence_net import Condition, Event
-from .unfolder import UnfoldingSegment
+from .unfolder import FrontierEvent, UnfoldingSegment
 
 __all__ = ["Slice", "on_slices", "off_slices", "slices_for_signal"]
 
@@ -48,8 +61,15 @@ class Slice:
     entry:
         The entry event (an instance of ``a+``/``a-`` or the bottom event).
     next_events:
-        The ``next`` same-signal instances bounding the slice (may be empty
-        when the slice is bounded by cutoffs or deadlocks).
+        The ``next`` same-signal instances bounding the slice.  Empty when
+        the signal does not fire again inside the segment after the entry:
+        the slice runs into cutoffs or deadlocks.
+    frontier_boundaries:
+        Only when ``next_events`` is empty: the segment's frontier instances
+        of the signal whose causal past holds the entry.  With ``next``
+        empty, no later instance of the signal exists to be in that past.
+        They are pseudo-events beyond a cutoff, and membership never tests
+        against them.
     """
 
     def __init__(
@@ -67,6 +87,15 @@ class Slice:
             self.next_events = segment.first_instances(signal)
         else:
             self.next_events = segment.next_instances_of_signal(entry, signal)
+        self.frontier_boundaries: List[FrontierEvent] = []
+        if not self.next_events:
+            signal_bit = segment.signal_table.bit(signal)
+            self.frontier_boundaries = [
+                pseudo
+                for pseudo in segment.frontier
+                if pseudo.signal_bit == signal_bit and pseudo.past_mask >> entry.eid & 1
+            ]
+        self._member_mask: Optional[int] = None
         self._member_events: Optional[List[Event]] = None
         self._member_conditions: Optional[List[Condition]] = None
 
@@ -96,34 +125,32 @@ class Slice:
     # ------------------------------------------------------------------ #
     # Membership
     # ------------------------------------------------------------------ #
-    def member_events(self) -> List[Event]:
-        """Events belonging to the slice.
+    @property
+    def member_mask(self) -> int:
+        """Event mask of the slice's member events.
 
-        An event belongs to the slice when it is not in the causal past of
-        the entry, is conflict-free with it, and is not at or beyond a
-        ``next`` instance of the signal.
+        An event belongs to the slice when it is not the bottom event, not
+        in the causal past of the entry, not in conflict with it, and not at
+        or beyond a ``next`` instance of the signal.
         """
-        if self._member_events is not None:
-            return self._member_events
-        segment = self.segment
-        entry = self.entry
-        members: List[Event] = []
-        for event in segment.non_bottom_events():
-            if event is entry:
-                continue
+        if self._member_mask is None:
+            segment = self.segment
+            entry = self.entry
+            mask = ((1 << segment.num_events) - 1) & ~(1 << segment.bottom.eid)
             if not entry.is_bottom:
-                if segment.strictly_precedes(event, entry):
-                    continue
-                if segment.in_conflict(event, entry):
-                    continue
-            if any(
-                boundary is event or segment.precedes(boundary, event)
-                for boundary in self.next_events
-            ):
-                continue
-            members.append(event)
-        self._member_events = members
-        return members
+                mask &= ~(segment.ancestor_mask_of(entry) | segment.conflict_mask_of(entry))
+            for boundary in self.next_events:
+                mask &= ~segment.descendant_mask_of(boundary)
+            self._member_mask = mask
+        return self._member_mask
+
+    def member_events(self) -> List[Event]:
+        """Events belonging to the slice, in ``eid`` order (see
+        :attr:`member_mask`)."""
+        if self._member_events is None:
+            events = self.segment.events
+            self._member_events = [events[eid] for eid in iter_set_bits(self.member_mask)]
+        return self._member_events
 
     def member_conditions(self) -> List[Condition]:
         """Conditions belonging to the slice and sequential to the entry."""
@@ -131,73 +158,45 @@ class Slice:
             return self._member_conditions
         segment = self.segment
         entry = self.entry
-        member_event_ids = {event.eid for event in self.member_events()}
+        # Only conditions *sequential to the entry* participate in the
+        # marked-region approximation (Section 4.2).
+        sequential = -1 if entry.is_bottom else segment.descendant_mask_of(entry)
+        # The conditions come in the iteration order of this set of event
+        # ids: it fixes the order of the cover's parts, which espresso's
+        # result depends on.
+        member_event_ids = set(iter_set_bits(self.member_mask))
         member_event_ids.add(entry.eid)
         conditions: List[Condition] = []
         for event_id in member_event_ids:
-            event = segment.events[event_id]
-            if not entry.is_bottom and not segment.precedes(entry, event):
-                # Only conditions *sequential to the entry* participate in the
-                # marked-region approximation (Section 4.2).
-                continue
-            conditions.extend(event.postset)
+            if sequential >> event_id & 1:
+                conditions.extend(segment.events[event_id].postset)
         self._member_conditions = conditions
         return conditions
 
     def concurrent_signal_mask_with_event(self, event: Event) -> int:
         """Signal mask of slice instances concurrent to the given event."""
         segment = self.segment
-        mask = 0
-        for other in self.member_events():
-            if not other.signal_bit or other.signal_bit & mask:
-                continue
-            if segment.concurrent_events(event, other):
-                mask |= other.signal_bit
-        return mask
-
-    def concurrent_signals_with_event(self, event: Event) -> Set[str]:
-        """Signals with slice instances concurrent to the given event."""
-        return set(
-            self.segment.signal_table.names_in(
-                self.concurrent_signal_mask_with_event(event)
-            )
+        return segment.signal_mask_of_events(
+            self.member_mask & segment.events_concurrent_with_event(event)
         )
 
     def concurrent_signal_mask_with_condition(
         self, condition: Condition, exclude_events: Sequence[Event] = ()
     ) -> int:
-        """Signal mask of slice instances concurrent to the given condition."""
+        """Signal mask of slice instances concurrent to the given condition,
+        ignoring the instances in ``exclude_events``."""
         segment = self.segment
-        excluded = {event.eid for event in exclude_events}
-        mask = 0
-        bit = 1 << condition.cid
-        for other in self.member_events():
-            if not other.signal_bit or other.eid in excluded:
-                continue
-            if other.signal_bit & mask:
-                continue
-            if segment.event_co_mask(other) & bit:
-                mask |= other.signal_bit
-        return mask
-
-    def concurrent_signals_with_condition(
-        self, condition: Condition, exclude_events: Sequence[Event] = ()
-    ) -> Set[str]:
-        """Signals with slice instances concurrent to the given condition."""
-        return set(
-            self.segment.signal_table.names_in(
-                self.concurrent_signal_mask_with_condition(condition, exclude_events)
-            )
-        )
+        candidates = self.member_mask & segment.events_concurrent_with_condition(condition)
+        for event in exclude_events:
+            candidates &= ~(1 << event.eid)
+        return segment.signal_mask_of_events(candidates)
 
     # ------------------------------------------------------------------ #
     # Exact state enumeration (Section 4.1)
     # ------------------------------------------------------------------ #
     def allowed_event_ids(self) -> Set[int]:
         """Events that may fire while staying inside the slice."""
-        allowed = {event.eid for event in self.member_events()}
-        allowed.add(self.entry.eid)
-        return allowed
+        return set(iter_set_bits(self.member_mask | (1 << self.entry.eid)))
 
     def cuts(self) -> Iterator[Cut]:
         """Enumerate the cuts encapsulated by the slice."""

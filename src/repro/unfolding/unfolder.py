@@ -7,9 +7,10 @@ smaller local configuration (McMillan's criterion, extended with the binary
 code as in the paper's reference [11]).  Like McMillan's prefix, the
 construction assumes a safe, weight-1 net: the segment compiles the net
 into a :class:`~repro.core.PackedNet`, which rejects arc weights above 1,
-an unsafe initial marking and transitions without input places with
-:class:`~repro.core.UnsafeNetError`.  While the segment is built the two
-general correctness criteria that can fail during construction are checked:
+an unsafe initial marking and transitions without input or without output
+places with :class:`~repro.core.UnsafeNetError`.  While the segment is
+built the two general correctness criteria that can fail during
+construction are checked:
 
 * **safeness** -- a configuration reaching a marking with two tokens on a
   place raises :class:`~repro.core.UnsafeNetError`,
@@ -24,13 +25,22 @@ found by intersecting per-condition concurrency rows (one AND per candidate
 place instead of an ``is_coset`` product check), configurations are event
 masks, codes/markings are packed ints and the cutoff table is keyed on
 packed ``(marking_word, code_word)`` pairs.
+
+The frontier
+------------
+The unfolder never extends an output condition of a cutoff.  Once the
+segment is finished it enumerates, on the same co rows, the possible
+extensions it dropped for that reason and keeps them as
+:class:`FrontierEvent` pseudo-events (:attr:`UnfoldingSegment.frontier`).
+They tell a slice that runs into a cutoff where its signal would fire next
+(see :mod:`repro.unfolding.slices`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..core import (
     PackedNet,
@@ -45,11 +55,53 @@ from ..obs import current_tracer
 from ..stg import STG, InconsistentSTGError, STGError
 from .occurrence_net import Condition, Event, OccurrenceNet
 
-__all__ = ["UnfoldingError", "UnfoldingSegment", "unfold"]
+__all__ = ["FrontierEvent", "UnfoldingError", "UnfoldingSegment", "unfold"]
 
 
 class UnfoldingError(STGError):
     """Raised when the segment cannot be constructed."""
+
+
+class FrontierEvent:
+    """A possible extension the unfolder dropped at a cutoff.
+
+    Its preset holds an output condition of a cutoff, so the segment never
+    grows it; it is kept as a pseudo-event over real conditions.  It has no
+    event id and no co row, is not among the segment's events and never
+    appears in a cut.
+
+    Attributes
+    ----------
+    transition / label:
+        The original STG transition and the signal transition labelling it
+        (``None`` for a dummy).
+    preset / preset_mask:
+        Its input conditions (a co-set of the segment) as a tuple and as a
+        condition mask.
+    signal_bit:
+        Bit of the labelling signal (0 for a dummy).
+    past_mask:
+        Event mask of its causal past: the union of the local
+        configurations of its input conditions' producers.
+    """
+
+    __slots__ = ("transition", "label", "preset", "preset_mask", "signal_bit", "past_mask")
+
+    def __init__(self, segment: "UnfoldingSegment", transition: str, preset_mask: int) -> None:
+        self.transition = transition
+        self.label = segment.stg.label_of(transition)
+        self.preset: Tuple[Condition, ...] = tuple(segment.conditions_in(preset_mask))
+        self.preset_mask = preset_mask
+        self.signal_bit = (
+            segment.signal_table.bit(self.label.signal) if self.label is not None else 0
+        )
+        past = 0
+        for condition in self.preset:
+            past |= segment.ancestor_mask_of(condition.producer)
+        self.past_mask = past
+
+    def __repr__(self) -> str:
+        return "FrontierEvent(%s, %s)" % (self.transition, list(self.preset))
 
 
 class UnfoldingSegment(OccurrenceNet):
@@ -74,6 +126,10 @@ class UnfoldingSegment(OccurrenceNet):
         a tuple and packed.
     cutoffs:
         The cutoff events of the segment.
+    frontier:
+        The :class:`FrontierEvent` pseudo-events: every possible extension
+        whose preset holds an output condition of a cutoff, in sorted
+        ``(transition, preset_mask)`` order.
     """
 
     def __init__(self, stg: STG) -> None:
@@ -87,6 +143,7 @@ class UnfoldingSegment(OccurrenceNet):
         self.initial_code: Tuple[int, ...] = ()
         self.initial_code_word = 0
         self.cutoffs: List[Event] = []
+        self.frontier: List[FrontierEvent] = []
         # (direction-split) per-signal transition preset masks for implied
         # value queries, built lazily.
         self._signal_presets: Dict[str, Tuple[List[int], List[int]]] = {}
@@ -382,17 +439,21 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
         )
 
     def collect_cosets(
-        transition: str, places: Sequence[str], chosen_mask: int, allowed: int
+        transition: str,
+        places: Sequence[str],
+        chosen_mask: int,
+        allowed: int,
+        emit: Callable[[str, int], None],
     ) -> None:
         """Enumerate co-sets matching the remaining preset places.
 
         ``allowed`` is the running intersection of the co rows of the
         conditions chosen so far, so every candidate kept is concurrent with
         all of them -- a product-then-``is_coset`` filter collapses into one
-        AND per candidate.
+        AND per candidate.  ``emit`` receives each complete preset mask.
         """
         if not places:
-            emit_extension(transition, chosen_mask)
+            emit(transition, chosen_mask)
             return
         candidates = conditions_by_place.get(places[0], 0) & allowed
         rest = places[1:]
@@ -402,6 +463,7 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
                 rest,
                 chosen_mask | (1 << cid),
                 allowed & co_masks[cid],
+                emit,
             )
 
     def push_extensions(new_conditions: Sequence[Condition]) -> None:
@@ -420,6 +482,7 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
                     other_places,
                     bit,
                     co_masks[new_condition.cid] & ~dead_mask,
+                    emit_extension,
                 )
 
     register_conditions(bottom.postset)
@@ -497,11 +560,31 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
         if span.live and segment.num_events % 512 == 0:
             span.progress(segment.num_events, max_events)
 
+    # The frontier: the extensions dropped above because their preset holds
+    # a cutoff's output condition, found on the finished co rows.
+    dropped: Set[Tuple[str, int]] = set()
+    for cid in iter_set_bits(dead_mask):
+        place = all_conditions[cid].place
+        for transition in net.place_postset(place):
+            other_places = sorted(p for p in net.preset(transition) if p != place)
+            collect_cosets(
+                transition,
+                other_places,
+                1 << cid,
+                co_masks[cid],
+                lambda *extension: dropped.add(extension),
+            )
+    segment.frontier = [
+        FrontierEvent(segment, transition, preset_mask)
+        for transition, preset_mask in sorted(dropped)
+    ]
+
     # End-of-run gauges only: the unfolding loop itself stays untouched.
     if span.live:
         span.gauge("events", segment.num_events - 1)
         span.gauge("conditions", segment.num_conditions)
         span.gauge("cutoffs", len(segment.cutoffs))
+        span.gauge("frontier", len(segment.frontier))
         span.gauge("extensions_tried", len(seen_extensions))
         span.gauge("extensions_added", segment.num_events - 1)
         span.gauge("cutoff_table", len(state_sizes))

@@ -7,6 +7,12 @@ None of these shares code with the path it checks:
   walk's edges by ``stg.next_code``;
 * :func:`reference_cut_walk` -- a breadth-first cut walk over a segment
   that scans every consumer of every condition of each cut;
+* :func:`reference_conflict` -- conflict of two local configurations,
+  tested on every condition both consume;
+* :func:`reference_member_events`, :func:`reference_member_conditions` and
+  the two ``reference_concurrent_signal_mask_*`` loops -- slice membership
+  and in-slice concurrency, one member event at a time, in place of the
+  segment's relation masks;
 * :func:`reference_explore` -- the closed-loop simulator on tuple codes
   and dict-backed markings, through the dict game of
   :class:`~repro.sim.environment.SpecEnvironment`;
@@ -169,6 +175,95 @@ def every_cut_states(segment) -> Dict[int, int]:
         code = states.setdefault(cut.marking_word, cut.code_word)
         assert code == cut.code_word, "marking recovered with two codes"
     return states
+
+
+# ---------------------------------------------------------------------- #
+# Conflict and slice membership, one event at a time
+# ---------------------------------------------------------------------- #
+def reference_conflict(net, left, right) -> bool:
+    """Conflict of two local configurations, tested on every condition both
+    consume: some such condition has different consumers on the two sides."""
+    if left.eid == right.eid:
+        return False
+    shared = net.consumed_mask_of(left) & net.consumed_mask_of(right)
+    left_config = net.ancestor_mask_of(left)
+    right_config = net.ancestor_mask_of(right)
+    for cid in iter_set_bits(shared):
+        consumers = 0
+        for event in net.conditions[cid].consumers:
+            consumers |= 1 << event.eid
+        if consumers & left_config != consumers & right_config:
+            return True
+    return False
+
+
+def reference_member_events(slice_) -> list:
+    """A slice's events: every event tested against the entry (causal past,
+    conflict) and against each ``next`` instance (at or beyond it)."""
+    segment = slice_.segment
+    entry = slice_.entry
+    members = []
+    for event in segment.non_bottom_events():
+        if event is entry:
+            continue
+        if not entry.is_bottom:
+            if segment.strictly_precedes(event, entry):
+                continue
+            if reference_conflict(segment, event, entry):
+                continue
+        if any(
+            boundary is event or segment.precedes(boundary, event)
+            for boundary in slice_.next_events
+        ):
+            continue
+        members.append(event)
+    return members
+
+
+def reference_member_conditions(slice_, members) -> list:
+    """The postsets of the entry and of the members sequential to it, in
+    the iteration order of the set of their ids."""
+    segment = slice_.segment
+    entry = slice_.entry
+    member_event_ids = {event.eid for event in members}
+    member_event_ids.add(entry.eid)
+    conditions = []
+    for event_id in member_event_ids:
+        event = segment.events[event_id]
+        if not entry.is_bottom and not segment.precedes(entry, event):
+            continue
+        conditions.extend(event.postset)
+    return conditions
+
+
+def reference_concurrent_signal_mask_with_event(segment, members, event) -> int:
+    """Signals of the members concurrent with an event, by the event's co
+    row, one member at a time."""
+    mask = 0
+    for other in members:
+        if not other.signal_bit or other.signal_bit & mask:
+            continue
+        if segment.concurrent_events(event, other):
+            mask |= other.signal_bit
+    return mask
+
+
+def reference_concurrent_signal_mask_with_condition(
+    segment, members, condition, exclude_events=()
+) -> int:
+    """Signals of the members (but ``exclude_events``) concurrent with a
+    condition, by each member's co row."""
+    excluded = {event.eid for event in exclude_events}
+    mask = 0
+    bit = 1 << condition.cid
+    for other in members:
+        if not other.signal_bit or other.eid in excluded:
+            continue
+        if other.signal_bit & mask:
+            continue
+        if segment.event_co_mask(other) & bit:
+            mask |= other.signal_bit
+    return mask
 
 
 # ---------------------------------------------------------------------- #

@@ -120,6 +120,16 @@ def test_packed_net_rejects_transition_without_input_place():
         PackedNet(net)
 
 
+def test_packed_net_rejects_transition_without_output_place():
+    # Firing it destroys the token: the marking becomes empty.
+    net = PetriNet("sunk")
+    net.add_place("p", tokens=1)
+    net.add_transition("t")
+    net.add_arc("p", "t")
+    with pytest.raises(UnsafeNetError, match="transition t has no output place"):
+        PackedNet(net)
+
+
 def test_packed_net_detects_unsafe_firing():
     net = PetriNet("unsafe")
     net.add_place("p", tokens=1)

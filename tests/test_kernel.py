@@ -90,6 +90,7 @@ def test_kernel_detects_inconsistent_stg():
     start = stg.add_place("s", tokens=1)
     stg.add_arc(start, t1)
     stg.connect(t1, t2)
+    stg.add_arc(t2, stg.add_place("end"))
     with pytest.raises(InconsistentSTGError):
         build_state_graph(stg)
 

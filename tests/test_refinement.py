@@ -13,7 +13,15 @@ file as the oracle:
 * :func:`~oracles.reference_cut_walk` scans every consumer of every
   condition of a cut (in ``tests/oracles.py``, which the unfolding tests
   share);
-* :func:`reference_conflict` tests every condition both configurations consume.
+* :func:`~oracles.reference_conflict` tests every condition both
+  configurations consume;
+* :func:`~oracles.reference_member_events` and the other slice loops of
+  ``tests/oracles.py`` test one member event at a time where a slice now
+  ANDs relation masks.
+
+The frontier boundary of a slice that runs into a cutoff is checked by
+Definition 2.1 on every CSC-clean signal, and by the absence of any cut walk
+on the CSC-clean Table 1 and Figure 6 specs.
 """
 
 import random
@@ -23,18 +31,24 @@ import pytest
 
 from repro import parse_g, write_g
 from repro.boolean import Cover, Cube, minterm_cover
-from repro.core import iter_set_bits
 from repro.obs import tracing
 from repro.stg import (
     choice_controller,
     counterflow_pipeline,
+    csc_arbiter,
+    csc_conflict_example,
+    figure4_example,
     muller_pipeline,
+    paper_example,
     table1_suite,
+    vme_bus_controller,
 )
 from repro.synthesis import (
     ApproxSignalCovers,
     CoverPart,
     approximate_signal_covers,
+    covers_are_correct,
+    exact_signal_covers,
     synthesize_approx_from_unfolding,
 )
 from repro.synthesis.unfolding_approx import (
@@ -46,11 +60,19 @@ from repro.unfolding import (
     Condition,
     Cut,
     enumerate_cuts,
+    reachable_packed_states,
     slices_for_signal,
     unfold,
 )
 
-from oracles import reference_cut_walk
+from oracles import (
+    reference_concurrent_signal_mask_with_condition,
+    reference_concurrent_signal_mask_with_event,
+    reference_conflict,
+    reference_cut_walk,
+    reference_member_conditions,
+    reference_member_events,
+)
 
 # ---------------------------------------------------------------------- #
 # Reference versions
@@ -121,23 +143,6 @@ def reference_refine(segment, covers: ApproxSignalCovers):
         if not progressed:
             covers.csc_conflict = True
             return covers, walks
-
-
-def reference_conflict(net, left, right) -> bool:
-    """Conflict of two local configurations, tested on every condition both
-    consume: some such condition has different consumers on the two sides."""
-    if left.eid == right.eid:
-        return False
-    shared = net.consumed_mask_of(left) & net.consumed_mask_of(right)
-    left_config = net.ancestor_mask_of(left)
-    right_config = net.ancestor_mask_of(right)
-    for cid in iter_set_bits(shared):
-        consumers = 0
-        for event in net.conditions[cid].consumers:
-            consumers |= 1 << event.eid
-        if consumers & left_config != consumers & right_config:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------- #
@@ -262,18 +267,18 @@ def test_refinement_matches_reference_flow(name, build):
 # ---------------------------------------------------------------------- #
 # (c) one walk per slice
 # ---------------------------------------------------------------------- #
-def test_one_cut_walk_per_slice_on_muller_pipeline_8():
-    stg = muller_pipeline(8)
+def test_one_cut_walk_per_slice_on_figure4_example():
+    stg = figure4_example()
     segment = unfold(stg)
     result = synthesize_approx_from_unfolding(stg, segment=segment)
-    assert result.total_slices_walked == 2
-    assert result.total_parts_fully_refined == 17
-    assert result.total_cuts_enumerated == 1280
+    assert result.total_slices_walked == 6
+    assert result.total_parts_fully_refined == 12
+    assert result.total_cuts_enumerated == 192
     walks = sum(
         reference_refine(segment, approximate_signal_covers(segment, signal))[1]
         for signal in stg.implementable_signals
     )
-    assert walks == 17
+    assert walks == 12
 
 
 def test_refine_span_carries_the_refinement_counters():
@@ -334,3 +339,145 @@ def test_conflict_matches_reference_on_every_event_pair(name, build):
             conflicts += expected
     if name == "choice_controller":
         assert conflicts > 0
+
+
+# ---------------------------------------------------------------------- #
+# (f) frontier boundaries: correct covers without cut walks
+# ---------------------------------------------------------------------- #
+EXAMPLES = [
+    ("paper_example", paper_example),
+    ("figure4_example", figure4_example),
+    ("choice_controller", choice_controller),
+]
+CLEAN = (
+    TABLE1
+    + [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in (2, 3, 4, 5, 6, 8)]
+    + [("counterflow_pipeline_%d" % n, lambda n=n: counterflow_pipeline(n)) for n in (2, 3, 4)]
+    + EXAMPLES
+)
+
+
+@pytest.mark.parametrize("name, build", CLEAN, ids=_ids(CLEAN))
+def test_refined_covers_satisfy_definition_2_1(name, build):
+    stg = _from_g_text(name, build)
+    segment = unfold(stg)
+    states = reachable_packed_states(segment)
+    result = synthesize_approx_from_unfolding(stg, segment=segment)
+    assert not result.implementation.csc_conflicts
+    for signal, covers in result.signal_covers.items():
+        on_exact, off_exact, conflict = exact_signal_covers(segment, signal, states)
+        assert not conflict, signal
+        assert covers_are_correct(covers.on_cover, covers.off_cover, on_exact, off_exact), signal
+
+
+NO_WALKS = TABLE1 + FIG6 + [
+    ("muller_pipeline_16", lambda: muller_pipeline(16)),
+    ("counterflow_pipeline_8", lambda: counterflow_pipeline(8)),
+]
+
+
+@pytest.mark.parametrize("name, build", NO_WALKS, ids=_ids(NO_WALKS))
+def test_no_slice_is_walked_on_csc_clean_specs(name, build):
+    result = synthesize_approx_from_unfolding(_from_g_text(name, build))
+    assert not result.implementation.csc_conflicts
+    assert result.total_slices_walked == 0
+    assert result.total_parts_fully_refined == 0
+    assert result.total_cuts_enumerated == 0
+
+
+CONFLICTING = [
+    ("csc_conflict", csc_conflict_example, {"x", "y"}),
+    ("vme_read", vme_bus_controller, {"d", "lds"}),
+] + [
+    ("csc_arbiter_%d" % n, lambda n=n: csc_arbiter(n), {"g%d" % i for i in range(n)})
+    for n in (4, 6, 8)
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, expected", CONFLICTING, ids=[name for name, _b, _e in CONFLICTING]
+)
+def test_full_refinement_still_proves_csc_conflicts(name, build, expected):
+    result = synthesize_approx_from_unfolding(_from_g_text(name, build))
+    assert set(result.implementation.csc_conflicts) == expected
+    assert result.total_slices_walked > 0
+    assert result.total_cuts_enumerated <= 276
+
+
+def test_frontier_of_muller_pipeline_8_is_one_rise_of_c8_past_the_cutoff():
+    segment = unfold(muller_pipeline(8))
+    [cutoff] = segment.cutoffs
+    assert cutoff.transition == "rack-"
+    [pseudo] = segment.frontier
+    assert pseudo.transition == "c8+"
+    assert sorted(c.producer.transition for c in pseudo.preset) == ["c7+", "rack-"]
+    assert cutoff.postset_mask & pseudo.preset_mask
+    assert pseudo not in segment.events
+    # Only the off-slice entered by c8- runs into the cutoff, and the
+    # pseudo-event bounds it without joining its members.
+    bounded = [
+        slice_
+        for phase in (0, 1)
+        for slice_ in slices_for_signal(segment, "c8", phase)
+        if slice_.frontier_boundaries
+    ]
+    assert [(s.phase, s.entry.transition) for s in bounded] == [(0, "c8-")]
+    assert bounded[0].next_events == []
+    assert bounded[0].frontier_boundaries == [pseudo]
+
+
+# ---------------------------------------------------------------------- #
+# (g) relation masks == the per-event loops
+# ---------------------------------------------------------------------- #
+MASKS = (
+    TABLE1
+    + [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in (3, 6, 8)]
+    + [("counterflow_pipeline_%d" % n, lambda n=n: counterflow_pipeline(n)) for n in (2, 4)]
+    + EXAMPLES
+    + [(name, build) for name, build, _expected in CONFLICTING if name != "csc_arbiter_6"]
+)
+
+
+@pytest.mark.parametrize("name, build", MASKS, ids=_ids(MASKS))
+def test_relation_masks_match_the_relations(name, build):
+    segment = unfold(build())
+    events = segment.events
+    for event in events:
+        assert segment.descendant_mask_of(event) == sum(
+            1 << other.eid for other in events if segment.precedes(event, other)
+        )
+    for condition in segment.conditions:
+        assert segment.events_concurrent_with_condition(condition) == sum(
+            1 << event.eid
+            for event in events
+            if segment.event_co_mask(event) >> condition.cid & 1
+        )
+
+
+@pytest.mark.parametrize("name, build", MASKS, ids=_ids(MASKS))
+def test_slice_masks_match_the_member_loops(name, build):
+    segment = unfold(build())
+    for signal in segment.stg.signals:
+        for phase in (0, 1):
+            for slice_ in slices_for_signal(segment, signal, phase):
+                members = reference_member_events(slice_)
+                assert slice_.member_events() == members
+                assert slice_.member_conditions() == reference_member_conditions(
+                    slice_, members
+                )
+                for event in segment.events:
+                    assert slice_.concurrent_signal_mask_with_event(
+                        event
+                    ) == reference_concurrent_signal_mask_with_event(segment, members, event)
+                for condition in segment.conditions:
+                    concurrent = [
+                        member
+                        for member in members
+                        if segment.event_co_mask(member) >> condition.cid & 1
+                    ]
+                    for excluded in ((), concurrent[:1], concurrent[1:]):
+                        assert slice_.concurrent_signal_mask_with_condition(
+                            condition, excluded
+                        ) == reference_concurrent_signal_mask_with_condition(
+                            segment, members, condition, excluded
+                        )

@@ -120,11 +120,11 @@ def test_refined_covers_are_correct_for_all_outputs():
 def test_refinement_statistics_are_exposed():
     stg = muller_pipeline(3)
     result = synthesize_approx_from_unfolding(stg)
-    assert result.total_refinement_rounds == 4
-    assert result.total_parts_refined == 39
-    assert result.total_parts_fully_refined == 7
-    assert result.total_slices_walked == 2
-    assert result.total_cuts_enumerated == 40
+    assert result.total_refinement_rounds == 3
+    assert result.total_parts_refined == 36
+    assert result.total_parts_fully_refined == 0
+    assert result.total_slices_walked == 0
+    assert result.total_cuts_enumerated == 0
     assert result.implementation.total_literals == 18
 
 
@@ -176,6 +176,31 @@ def test_transition_without_input_place_rejected_by_every_engine(engine):
         build_state_space(_nowick_asn_without_input_place(), engine=engine)
 
 
+def _paper_example_with_sink_transition():
+    """paper_example with ``c- p9`` cut down to ``c-``.
+
+    ``c-`` loses its only output place, so its firing empties the marking.
+    No condition of the unfolding segment marks the empty cut, so no
+    marked-region cube of the paper's flow covers that state (a=0, b=1,
+    c=0), and ``b``'s on-cover would miss it.
+    """
+    text = write_g(paper_example())
+    assert "c- p9\n" in text
+    return parse_g(text.replace("c- p9\n", "c-\n"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transition_without_output_place_rejected_by_every_method(method):
+    with pytest.raises(UnsafeNetError, match="c- has no output place"):
+        synthesize(_paper_example_with_sink_transition(), method=method)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_transition_without_output_place_rejected_by_every_engine(engine):
+    with pytest.raises(UnsafeNetError, match="c- has no output place"):
+        build_state_space(_paper_example_with_sink_transition(), engine=engine)
+
+
 def _two_rising_transitions_in_a_row():
     """``a+`` followed by a second ``a+``: the second is enabled while ``a``
     is already 1, which violates consistent state assignment."""
@@ -185,6 +210,7 @@ def _two_rising_transitions_in_a_row():
     second = stg.add_transition("a+")
     stg.add_arc(stg.add_place("s", tokens=1), first)
     stg.connect(first, second)
+    stg.add_arc(second, stg.add_place("end"))
     return stg
 
 

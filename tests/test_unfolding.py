@@ -123,6 +123,7 @@ def test_unfolding_detects_inconsistency():
     start = stg.add_place("s", tokens=1)
     stg.add_arc(start, t1)
     stg.connect(t1, t2)
+    stg.add_arc(t2, stg.add_place("end"))
     with pytest.raises(InconsistentSTGError):
         unfold(stg)
 
