@@ -11,6 +11,11 @@ minterm (the explicit engine's starting point).
 Cubes are returned as ``(ones, zeros)`` bit-mask pairs over caller-chosen
 bit positions, the exact shape :class:`repro.boolean.cube.Cube` stores, so
 no per-bit translation is needed downstream.
+
+Like the manager's own operators, the walk reads each operand's
+``(level, low, high)`` tuple once, straight from the manager's node store:
+the terminals sit at level ``n``, below every variable (the "Node layout"
+of :mod:`repro.bdd.manager`), so they need no special case.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
     for name, bit in bit_of.items():
         level_bit[bdd._level[name]] = bit
     cache: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+    nodes = bdd._nodes
     # Recursion-depth high-water mark, reported when tracing is active.
     depth_stats = [0, 0]  # current depth, max depth
 
@@ -61,7 +67,15 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
         depth_stats[0] += 1
         if depth_stats[0] > depth_stats[1]:
             depth_stats[1] = depth_stats[0]
-        level = min(bdd._level_of(low), bdd._level_of(up))
+        low_level, low0, low1 = nodes[low]
+        up_level, up0, up1 = nodes[up]
+        if low_level < up_level:
+            level = low_level
+            up0 = up1 = up
+        else:
+            level = up_level
+            if low_level != level:
+                low0 = low1 = low
         try:
             bit = level_bit[level]
         except KeyError:
@@ -69,8 +83,6 @@ def isop(bdd: BDD, lower: int, upper: int, bit_of: Dict[str, int]) -> List[Tuple
                 "isop support variable %r has no output bit"
                 % bdd.variables[level]
             )
-        low0, low1 = bdd._cofactors(low, level)
-        up0, up1 = bdd._cofactors(up, level)
         # Minterms that can only be covered by cubes carrying the literal.
         need0 = bdd.conj(low0, bdd.negate(up1))
         need1 = bdd.conj(low1, bdd.negate(up0))

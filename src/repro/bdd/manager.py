@@ -10,6 +10,20 @@ The implementation follows Bryant's original formulation: nodes are
 ``(level, low, high)`` triples, terminals are ``0`` and ``1``, and every
 operation is memoised on node identity.
 
+Node layout
+-----------
+The two terminals are stored like any other node, as ``(n, 0, 0)`` and
+``(n, 1, 1)`` with ``n = len(variables)``: one level below the last
+variable, with themselves as both cofactors.  So ``_nodes[u][0]`` is the
+level of every node, terminals included, and every recursive operator
+reads each operand's ``(level, low, high)`` tuple once per step and takes
+the top level and the cofactors straight from it, as in the ``ite`` core of
+Brace, Rudell & Bryant ("Efficient implementation of a BDD package", DAC
+1990).  An operand whose level is below the top level is its own cofactor;
+a terminal always is.  ``ite`` and :meth:`BDD.and_exists` hash-cons their
+result inline.  Every recursion visits low before high, so node ids follow
+the creation order of the textbook recursion exactly.
+
 Beyond the classic core the manager provides the three operations the
 symbolic state-space backend (:mod:`repro.spaces`) is built on:
 
@@ -36,10 +50,11 @@ BuDDy) has:
 
 * :meth:`BDD.collect_garbage` -- mark-and-sweep from the *pinned roots*
   (:meth:`BDD.pin` / :meth:`BDD.unpin`) plus any extra roots passed in,
-  with a full unique-table rebuild.  Node ids change; the returned
-  ``{old: new}`` map lets holders of unpinned ids rewrite them.  Operation
-  caches are cleared **in place** (``dict.clear()``), so a swapped-in
-  :class:`_CountingCache` keeps counting across rebuilds.
+  with a full rebuild of the node list and the unique table, both **in
+  place**.  Node ids change; the returned ``{old: new}`` map lets holders
+  of unpinned ids rewrite them.  Operation caches are cleared in place
+  too (``dict.clear()``), so a swapped-in :class:`_CountingCache` keeps
+  counting across rebuilds.
 """
 
 from __future__ import annotations
@@ -83,8 +98,9 @@ class BDD:
             raise ValueError("duplicate variable names in BDD ordering")
         self.variables: List[str] = list(variables)
         self._level: Dict[str, int] = {name: i for i, name in enumerate(variables)}
-        # Node storage: node id -> (level, low, high).  Ids 0/1 are terminals.
-        self._nodes: List[Tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        # Node storage: node id -> (level, low, high).  Ids 0/1 are the
+        # terminals, stored one level below the last variable.
+        self._nodes: List[Tuple[int, int, int]] = self._terminal_nodes()
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._var_nodes: Dict[str, int] = {}
@@ -147,6 +163,11 @@ class BDD:
     # ------------------------------------------------------------------ #
     # Node management
     # ------------------------------------------------------------------ #
+    def _terminal_nodes(self) -> List[Tuple[int, int, int]]:
+        """The store's first two entries: FALSE and TRUE at level ``n``."""
+        total = len(self.variables)
+        return [(total, 0, 0), (total, 1, 1)]
+
     def _make_node(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
@@ -176,43 +197,49 @@ class BDD:
         """Total number of allocated nodes (including terminals)."""
         return len(self._nodes)
 
-    def _level_of(self, node: int) -> int:
-        if node in (self.FALSE, self.TRUE):
-            return len(self.variables)
-        return self._nodes[node][0]
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if node in (self.FALSE, self.TRUE):
-            return node, node
-        node_level, low, high = self._nodes[node]
-        if node_level == level:
-            return low, high
-        return node, node
-
     # ------------------------------------------------------------------ #
     # Core: if-then-else
     # ------------------------------------------------------------------ #
     def ite(self, f: int, g: int, h: int) -> int:
         """``if f then g else h`` -- the universal BDD operation."""
-        if f == self.TRUE:
+        if f == 1:
             return g
-        if f == self.FALSE:
+        if f == 0:
             return h
         if g == h:
             return g
-        if g == self.TRUE and h == self.FALSE:
+        if g == 1 and h == 0:
             return f
         key = (f, g, h)
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level_of(f), self._level_of(g), self._level_of(h))
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        h0, h1 = self._cofactors(h, level)
+        nodes = self._nodes
+        f_level, f0, f1 = nodes[f]
+        g_level, g0, g1 = nodes[g]
+        h_level, h0, h1 = nodes[h]
+        level = f_level
+        if g_level < level:
+            level = g_level
+        if h_level < level:
+            level = h_level
+        if f_level != level:
+            f0 = f1 = f
+        if g_level != level:
+            g0 = g1 = g
+        if h_level != level:
+            h0 = h1 = h
         low = self.ite(f0, g0, h0)
         high = self.ite(f1, g1, h1)
-        result = self._make_node(level, low, high)
+        if low == high:
+            result = low
+        else:
+            triple = (level, low, high)
+            result = self._unique.get(triple)
+            if result is None:
+                result = len(nodes)
+                nodes.append(triple)
+                self._unique[triple] = result
         self._ite_cache[key] = result
         return result
 
@@ -259,7 +286,7 @@ class BDD:
         cache: Dict[int, int] = {}
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:
                 return node
             cached = cache.get(node)
             if cached is not None:
@@ -301,7 +328,7 @@ class BDD:
         nodes = self._nodes
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:
                 return node
             key = (node, qid)
             cached = cache.get(key)
@@ -327,7 +354,7 @@ class BDD:
         nodes = self._nodes
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:
                 return node
             key = (node, qid)
             cached = cache.get(key)
@@ -355,32 +382,49 @@ class BDD:
         levels = self._levels_of(names)
         qid = self._quant_id(levels)
         cache = self._and_exists_cache
-        total = len(self.variables)
+        nodes = self._nodes
+        unique = self._unique
+        ite = self.ite
 
         def walk(f_node: int, g_node: int) -> int:
-            if f_node == self.FALSE or g_node == self.FALSE:
-                return self.FALSE
-            if f_node == self.TRUE and g_node == self.TRUE:
-                return self.TRUE
+            if f_node == 0 or g_node == 0:
+                return 0
+            if f_node == 1 and g_node == 1:
+                return 1
             if g_node < f_node:
                 f_node, g_node = g_node, f_node  # conjunction is symmetric
             key = (f_node, g_node, qid)
             cached = cache.get(key)
             if cached is not None:
                 return cached
-            level = min(self._level_of(f_node), self._level_of(g_node))
-            if level >= total:  # both terminal TRUE handled above
-                return self.TRUE
-            f0, f1 = self._cofactors(f_node, level)
-            g0, g1 = self._cofactors(g_node, level)
+            # At most one operand is TRUE here, so ``level`` is a variable's.
+            f_level, f0, f1 = nodes[f_node]
+            g_level, g0, g1 = nodes[g_node]
+            if f_level < g_level:
+                level = f_level
+                g0 = g1 = g_node
+            else:
+                level = g_level
+                if f_level != level:
+                    f0 = f1 = f_node
             if level in levels:
                 low = walk(f0, g0)
-                if low == self.TRUE:
-                    result = self.TRUE
+                if low == 1:
+                    result = 1
                 else:
-                    result = self.disj(low, walk(f1, g1))
+                    result = ite(low, 1, walk(f1, g1))
             else:
-                result = self._make_node(level, walk(f0, g0), walk(f1, g1))
+                low = walk(f0, g0)
+                high = walk(f1, g1)
+                if low == high:
+                    result = low
+                else:
+                    triple = (level, low, high)
+                    result = unique.get(triple)
+                    if result is None:
+                        result = len(nodes)
+                        nodes.append(triple)
+                        unique[triple] = result
             cache[key] = result
             return result
 
@@ -409,7 +453,7 @@ class BDD:
         cache: Dict[int, int] = {}
 
         def walk(node: int) -> int:
-            if node in (self.FALSE, self.TRUE):
+            if node < 2:
                 return node
             cached = cache.get(node)
             if cached is not None:
@@ -458,7 +502,7 @@ class BDD:
         stack = [f]
         while stack:
             node = stack.pop()
-            if node in (self.FALSE, self.TRUE) or node in seen:
+            if node < 2 or node in seen:
                 continue
             seen.add(node)
             level, low, high = self._nodes[node]
@@ -526,6 +570,7 @@ class BDD:
         the enumeration ill-defined).
         """
         total_vars = len(self.variables)
+        nodes = self._nodes
         subset: Optional[Set[str]] = None
         if names is not None:
             subset = set(names)
@@ -543,7 +588,7 @@ class BDD:
                 yield dict(partial)
                 return
             name = self.variables[level]
-            node_level = self._level_of(node)
+            node_level = nodes[node][0]
             if subset is not None and name not in subset:
                 # Outside the subset the function cannot depend on the
                 # variable (support was checked): skip the level entirely.
@@ -555,7 +600,7 @@ class BDD:
                     yield from walk(node, level + 1, partial)
                 del partial[name]
             else:
-                _lvl, low, high = self._nodes[node]
+                _lvl, low, high = nodes[node]
                 partial[name] = False
                 yield from walk(low, level + 1, partial)
                 partial[name] = True
@@ -567,7 +612,7 @@ class BDD:
     def evaluate(self, f: int, assignment: Dict[str, bool]) -> bool:
         """Evaluate ``f`` under a complete variable assignment."""
         node = f
-        while node not in (self.FALSE, self.TRUE):
+        while node > 1:
             level, low, high = self._nodes[node]
             node = high if assignment[self.variables[level]] else low
         return node == self.TRUE
@@ -643,21 +688,25 @@ class BDD:
         (terminals map to themselves).  Holders of *unpinned* ids must
         rewrite them through the map -- ids absent from it are dead.
         Operation caches are cleared in place so swapped-in counting caches
-        (:meth:`enable_stats`) survive the rebuild with their totals.
+        (:meth:`enable_stats`) survive the rebuild with their totals.  The
+        node list and the unique table are rebuilt in place too: the
+        operators' recursive closures hold them, and a finished closure
+        lives on until Python's cycle collector finds it, so a fresh store
+        would leave the old one allocated until then.
         """
         order = self._mark(self._all_roots(roots))
         nodes = self._nodes
         before = len(nodes)
         remap: Dict[int, int] = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
-        new_nodes: List[Tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        new_nodes = self._terminal_nodes()
         for node in order:
             level, low, high = nodes[node]
             remap[node] = len(new_nodes)
             new_nodes.append((level, remap[low], remap[high]))
-        self._nodes = new_nodes
-        self._unique = {
-            key: index for index, key in enumerate(new_nodes) if index > 1
-        }
+        nodes[:] = new_nodes
+        unique = self._unique
+        unique.clear()
+        unique.update((key, index) for index, key in enumerate(nodes) if index > 1)
         for cache in (
             self._ite_cache,
             self._and_exists_cache,

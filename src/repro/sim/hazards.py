@@ -12,8 +12,10 @@ The simulator reports three kinds of anomaly:
   specification does not allow in any state consistent with the observed
   trace (failure of the circuit/environment token game);
 * :class:`Deadlock` -- a closed-loop state with no enabled circuit or
-  environment event at all (specified controllers are cyclic, so a genuine
-  deadlock is always worth reporting).
+  environment event although the specification still offers a signal change
+  in some marking it tracks.  A state where the specification itself can no
+  longer move is a terminal state, not a deadlock: a circuit that stops
+  where its specification stops conforms.
 
 All records carry the binary code of the state they were observed in so they
 can be replayed against the State Graph.
@@ -139,7 +141,7 @@ class ConformanceViolation:
 
 
 class Deadlock:
-    """A closed-loop state with no enabled event."""
+    """A closed-loop state with no enabled event where the spec could move."""
 
     __slots__ = ("code",)
 

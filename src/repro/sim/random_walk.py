@@ -105,7 +105,8 @@ class RandomWalker:
     def run(self, steps: int = 1000, max_reports: int = 25, stop_on_anomaly: bool = False) -> Trace:
         """Walk up to ``steps`` events from the initial state.
 
-        The walk ends early on deadlock, on leaving the specification (a
+        The walk ends early when no event is enabled (a deadlock unless the
+        specification has stopped too), on leaving the specification (a
         conformance violation makes further spec tracking meaningless) or --
         with ``stop_on_anomaly`` -- on the first hazard.
         """
@@ -131,7 +132,7 @@ class RandomWalker:
 
             events = enabled_events(self.circuit, self.environment, code, tracked)
             if not events:
-                trace.deadlocked = True
+                trace.deadlocked = bool(self.environment.enabled_changes(tracked))
                 break
             if stop_on_anomaly and not trace.ok:
                 break

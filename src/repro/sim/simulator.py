@@ -263,7 +263,12 @@ class Simulator:
                 )
             )
             if not events:
-                if len(result.deadlocks) < max_reports:
+                # A circuit that stops where its spec stops has terminated;
+                # it deadlocks only if the spec could still move.
+                if (
+                    environment.enabled_changes_packed(tracked)
+                    and len(result.deadlocks) < max_reports
+                ):
                     result.deadlocks.append(Deadlock(unpack_code(word, nsignals)))
                 continue
 

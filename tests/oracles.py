@@ -19,12 +19,20 @@ None of these shares code with the path it checks:
 * :func:`reference_espresso` and its pieces -- the cover engine on Cube
   objects: the textbook unate recursions for tautology and complement, a
   sharp-based REDUCE, the sequential irredundant scan, the all-kept
-  single-cube-containment scan and a scalar expand scan.
+  single-cube-containment scan and a scalar expand scan;
+* :class:`ReferenceBDD` and :func:`reference_isop` -- the recursive BDD
+  operators and the Minato-Morreale walk through the ``_level_of`` /
+  ``_cofactors`` helpers, which special-case the terminals by id, in place
+  of the kernel's one read of each node tuple.  ``ReferenceBDD`` inherits
+  the node store, hash-consing, the connective wrappers and garbage
+  collection from :class:`repro.bdd.BDD`, so the two must build the same
+  store node for node.
 """
 
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bdd import BDD
 from repro.boolean import Cover, Cube, MinimizationResult
 from repro.core import iter_set_bits
 from repro.petrinet import StateSpaceLimitExceeded, explore
@@ -306,7 +314,10 @@ def reference_explore(
 
         events = simulator.enabled_events(code, tracked)
         if not events:
-            if len(result.deadlocks) < max_reports:
+            if (
+                simulator.environment.enabled_changes(tracked)
+                and len(result.deadlocks) < max_reports
+            ):
                 result.deadlocks.append(Deadlock(code))
             continue
 
@@ -537,3 +548,205 @@ def reference_espresso(
     if not reference_contains_cover(current.union(dc), on):
         current = reference_single_cube_containment(on)
     return MinimizationResult(current, iterations, on.literal_count)
+
+
+# ---------------------------------------------------------------------- #
+# BDD kernel: recursion through the level / cofactor helpers
+# ---------------------------------------------------------------------- #
+class ReferenceBDD(BDD):
+    """The BDD operators as textbook recursions over two helpers.
+
+    ``_level_of`` and ``_cofactors`` test a node against the terminal ids
+    before they read its tuple, and every operator calls them once per
+    operand and step.  Hash-consing goes through ``_make_node``.
+    """
+
+    def _level_of(self, node: int) -> int:
+        if node in (self.FALSE, self.TRUE):
+            return len(self.variables)
+        return self._nodes[node][0]
+
+    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
+        if node in (self.FALSE, self.TRUE):
+            return node, node
+        node_level, low, high = self._nodes[node]
+        if node_level == level:
+            return low, high
+        return node, node
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        if f == self.TRUE:
+            return g
+        if f == self.FALSE:
+            return h
+        if g == h:
+            return g
+        if g == self.TRUE and h == self.FALSE:
+            return f
+        key = (f, g, h)
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            return cached
+        level = min(self._level_of(f), self._level_of(g), self._level_of(h))
+        f0, f1 = self._cofactors(f, level)
+        g0, g1 = self._cofactors(g, level)
+        h0, h1 = self._cofactors(h, level)
+        low = self.ite(f0, g0, h0)
+        high = self.ite(f1, g1, h1)
+        result = self._make_node(level, low, high)
+        self._ite_cache[key] = result
+        return result
+
+    def restrict(self, f: int, name: str, value: bool) -> int:
+        level = self._level[name]
+        cache: Dict[int, int] = {}
+
+        def walk(node: int) -> int:
+            if node in (self.FALSE, self.TRUE):
+                return node
+            cached = cache.get(node)
+            if cached is not None:
+                return cached
+            node_level, low, high = self._nodes[node]
+            if node_level > level:
+                result = node
+            elif node_level == level:
+                result = high if value else low
+            else:
+                result = self._make_node(node_level, walk(low), walk(high))
+            cache[node] = result
+            return result
+
+        return walk(f)
+
+    def _quantify(self, f, names, cache, combine) -> int:
+        levels = self._levels_of(names)
+        if not levels:
+            return f
+        qid = self._quant_id(levels)
+
+        def walk(node: int) -> int:
+            if node in (self.FALSE, self.TRUE):
+                return node
+            key = (node, qid)
+            cached = cache.get(key)
+            if cached is not None:
+                return cached
+            level, low, high = self._nodes[node]
+            if level in levels:
+                result = combine(walk(low), walk(high))
+            else:
+                result = self._make_node(level, walk(low), walk(high))
+            cache[key] = result
+            return result
+
+        return walk(f)
+
+    def exists(self, f: int, names) -> int:
+        return self._quantify(f, names, self._exists_cache, self.disj)
+
+    def forall(self, f: int, names) -> int:
+        return self._quantify(f, names, self._forall_cache, self.conj)
+
+    def and_exists(self, f: int, g: int, names) -> int:
+        levels = self._levels_of(names)
+        qid = self._quant_id(levels)
+        cache = self._and_exists_cache
+        total = len(self.variables)
+
+        def walk(f_node: int, g_node: int) -> int:
+            if f_node == self.FALSE or g_node == self.FALSE:
+                return self.FALSE
+            if f_node == self.TRUE and g_node == self.TRUE:
+                return self.TRUE
+            if g_node < f_node:
+                f_node, g_node = g_node, f_node
+            key = (f_node, g_node, qid)
+            cached = cache.get(key)
+            if cached is not None:
+                return cached
+            level = min(self._level_of(f_node), self._level_of(g_node))
+            if level >= total:
+                return self.TRUE
+            f0, f1 = self._cofactors(f_node, level)
+            g0, g1 = self._cofactors(g_node, level)
+            if level in levels:
+                low = walk(f0, g0)
+                if low == self.TRUE:
+                    result = self.TRUE
+                else:
+                    result = self.disj(low, walk(f1, g1))
+            else:
+                result = self._make_node(level, walk(f0, g0), walk(f1, g1))
+            cache[key] = result
+            return result
+
+        return walk(f, g)
+
+    def rename(self, f: int, mapping: Dict[str, str]) -> int:
+        level_map: Dict[int, int] = {}
+        for old, new in mapping.items():
+            level_map[self._level[old]] = self._level[new]
+        if not level_map:
+            return f
+        support_levels = sorted(self._level[name] for name in self.support(f))
+        transformed = [level_map.get(level, level) for level in support_levels]
+        if len(set(transformed)) != len(transformed) or transformed != sorted(transformed):
+            raise ValueError("rename mapping does not preserve the variable order")
+        cache: Dict[int, int] = {}
+
+        def walk(node: int) -> int:
+            if node in (self.FALSE, self.TRUE):
+                return node
+            cached = cache.get(node)
+            if cached is not None:
+                return cached
+            level, low, high = self._nodes[node]
+            result = self._make_node(level_map.get(level, level), walk(low), walk(high))
+            cache[node] = result
+            return result
+
+        return walk(f)
+
+
+def reference_isop(bdd: ReferenceBDD, lower: int, upper: int, bit_of) -> List[Tuple[int, int]]:
+    """The Minato-Morreale cover of :func:`repro.bdd.isop` through the
+    helpers of :class:`ReferenceBDD`: the same cubes in the same order, and
+    the same nodes created."""
+    level_bit = {bdd._level[name]: bit for name, bit in bit_of.items()}
+    cache: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+
+    def walk(low: int, up: int):
+        if low == bdd.FALSE:
+            return bdd.FALSE, ()
+        if up == bdd.TRUE:
+            return bdd.TRUE, ((0, 0),)
+        key = (low, up)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+        level = min(bdd._level_of(low), bdd._level_of(up))
+        bit = level_bit[level]
+        low0, low1 = bdd._cofactors(low, level)
+        up0, up1 = bdd._cofactors(up, level)
+        need0 = bdd.conj(low0, bdd.negate(up1))
+        need1 = bdd.conj(low1, bdd.negate(up0))
+        g0, cubes0 = walk(need0, up0)
+        g1, cubes1 = walk(need1, up1)
+        rest = bdd.disj(
+            bdd.conj(low0, bdd.negate(g0)), bdd.conj(low1, bdd.negate(g1))
+        )
+        gd, cubesd = walk(rest, bdd.conj(up0, up1))
+        cover = bdd.disj(gd, bdd._make_node(level, g0, g1))
+        cubes = (
+            cubesd
+            + tuple((ones, zeros | (1 << bit)) for ones, zeros in cubes0)
+            + tuple((ones | (1 << bit), zeros) for ones, zeros in cubes1)
+        )
+        result = (cover, cubes)
+        cache[key] = result
+        return result
+
+    if bdd.conj(lower, bdd.negate(upper)) != bdd.FALSE:
+        raise ValueError("isop requires lower <= upper")
+    return list(walk(lower, upper)[1])

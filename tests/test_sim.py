@@ -33,7 +33,9 @@ from repro.stg import (
     table1_suite,
     write_g,
 )
-from repro.synthesis import synthesize
+from repro.synthesis import METHODS, synthesize
+
+from oracles import reference_explore
 
 # Three-architecture sweeps stay on the smaller controllers so the suite is
 # quick; the memory-element flows use exact synthesis, which dominates the
@@ -206,6 +208,61 @@ def test_walker_reuse_and_trace_metadata():
     assert trace.architecture == "acg"
     assert trace.seed == 9
     assert len(trace.labels()) == trace.num_steps
+
+
+# ---------------------------------------------------------------------- #
+# A spec that stops: terminal states are not deadlocks
+# ---------------------------------------------------------------------- #
+# Input a rises, output b follows, and then the spec can no longer move.
+TERMINATING_G = """.inputs a
+.outputs b
+.graph
+p0 a+
+a+ p1
+p1 b+
+b+ p2
+.marking { p0 }
+.end
+"""
+
+
+def _same_exploration(stg, implementation):
+    packed = simulate_implementation(stg, implementation)
+    reference = reference_explore(Simulator(stg, implementation))
+    assert packed.verdict() == reference.verdict()
+    assert packed.num_states == reference.num_states
+    assert [d.code for d in packed.deadlocks] == [d.code for d in reference.deadlocks]
+    return packed
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_circuit_that_stops_with_its_spec_conforms(method):
+    stg = parse_g(TERMINATING_G)
+    implementation = synthesize(stg, method=method).implementation
+    result = _same_exploration(stg, implementation)
+    assert result.verdict() == "ok"
+    assert not result.deadlocks
+    trace = random_walk_trace(stg, implementation, steps=20)
+    assert trace.num_steps == 2
+    assert trace.ok and not trace.deadlocked
+
+
+def test_terminating_spec_simulates_ok_on_every_architecture():
+    reports = simulate_spec(parse_g(TERMINATING_G), walk_steps=20)
+    assert [report.architecture for report in reports] == list(ARCHITECTURES)
+    assert [report.verdict() for report in reports] == ["ok"] * len(ARCHITECTURES)
+
+
+def test_stuck_gate_before_the_spec_stops_still_deadlocks():
+    stg = parse_g(TERMINATING_G)
+    implementation = synthesize(stg, method="sg-explicit").implementation
+    gate = implementation.gates["b"]
+    gate.function = BooleanFunction(gate.function.names, Cover.empty(stg.num_signals))
+    result = _same_exploration(stg, implementation)
+    assert result.verdict() == "deadlock"
+    assert [d.describe() for d in result.deadlocks] == ["deadlock in state 10"]
+    trace = random_walk_trace(stg, implementation, steps=20)
+    assert trace.deadlocked and trace.num_steps == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Unit tests for the STG model, the .g parser/writer and consistency."""
 
+import random
+
 import pytest
 
 from repro.stg import (
@@ -9,8 +11,11 @@ from repro.stg import (
     SignalTransition,
     SignalType,
     check_consistency,
+    csc_arbiter,
+    muller_pipeline,
     paper_example,
     parse_g,
+    table1_suite,
     write_g,
 )
 
@@ -142,6 +147,69 @@ def test_malformed_values_raise_parse_error_with_line(old, new, line, cause):
     assert raised.value.line == line
     assert str(raised.value).startswith("line %d: " % line)
     assert type(raised.value.__cause__) is cause
+
+
+# Characters and tokens a mutant may write: every kind of .g punctuation,
+# half-formed markings and instance indices, and section keywords.
+MUTANT_CHARACTERS = "abxz019 {}<>,=/+-~#."
+MUTANT_TOKENS = ["{", "}", "<", ">", "=", "/", "+", "-", "~", "<,>", "{}",
+                 "a+/x", "a+/1/2", "p0=2", "x=", ".graph", ".marking", ".end"]
+
+
+def _mutant(rng, text):
+    """``text`` with one edit on one line: delete or duplicate the line,
+    drop, duplicate or replace one of its tokens, or overwrite one of its
+    characters.  None when the drawn edit needs a token or character the
+    line does not have."""
+    lines = text.splitlines()
+    index = rng.randrange(len(lines))
+    line = lines[index]
+    tokens = line.split()
+    kind = rng.randrange(6)
+    if kind == 0:
+        del lines[index]
+    elif kind == 1:
+        lines.insert(index, line)
+    elif kind == 2:
+        if not line:
+            return None
+        at = rng.randrange(len(line))
+        lines[index] = line[:at] + rng.choice(MUTANT_CHARACTERS) + line[at + 1:]
+    else:
+        if not tokens:
+            return None
+        at = rng.randrange(len(tokens))
+        if kind == 3:
+            del tokens[at]
+        elif kind == 4:
+            tokens.insert(at, tokens[at])
+        else:
+            tokens[at] = rng.choice(text.split() + MUTANT_TOKENS)
+        lines[index] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_g_text_parses_or_names_the_line():
+    """The parser probe: 1,000 single-edit mutants of the Table 1 specs,
+    ``muller_pipeline(3)`` and ``csc_arbiter(4)`` either parse or raise a
+    ParseError that names a line; no other exception escapes."""
+    stgs = [entry.build() for entry in table1_suite()]
+    texts = [write_g(stg) for stg in stgs + [muller_pipeline(3), csc_arbiter(4)]]
+    rng = random.Random(0)
+    outcomes = {"parsed": 0, "rejected": 0}
+    while sum(outcomes.values()) < 1000:
+        text = _mutant(rng, rng.choice(texts))
+        if text is None:
+            continue
+        try:
+            parse_g(text)
+        except ParseError as error:
+            assert error.line is not None, "%s\n%s" % (error, text)
+            outcomes["rejected"] += 1
+        else:
+            outcomes["parsed"] += 1
+    # Both outcomes occur, so the mutants reach past the first line.
+    assert outcomes["parsed"] and outcomes["rejected"]
 
 
 def test_parse_explicit_places_and_choice():
