@@ -465,36 +465,6 @@ class BDD:
 
         return walk(f)
 
-    def transfer(self, f: int, target: "BDD") -> int:
-        """Copy the function ``f`` from this manager into ``target``.
-
-        Variables are matched *by name*: every variable in the support of
-        ``f`` must be declared in ``target``, but the two orderings may
-        differ (the copy is a memoised ``ite`` rebuild bottom-up, not a
-        structural transplant, so the result is reduced under the target's
-        order).  This is how the incremental symbolic path moves an old
-        characteristic function into the extended manager of an edited STG.
-        """
-        if target is self:
-            return f
-        cache: Dict[int, int] = {}
-
-        def walk(node: int) -> int:
-            if node == self.FALSE:
-                return target.FALSE
-            if node == self.TRUE:
-                return target.TRUE
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[node]
-            literal = target.var(self.variables[level])
-            result = target.ite(literal, walk(high), walk(low))
-            cache[node] = result
-            return result
-
-        return walk(f)
-
     def support(self, f: int) -> List[str]:
         """Names of the variables ``f`` actually depends on, in level order."""
         seen: Set[int] = set()

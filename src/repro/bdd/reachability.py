@@ -455,60 +455,6 @@ class SymbolicNet:
         return reached
 
     # ------------------------------------------------------------------ #
-    # Incremental seeding
-    # ------------------------------------------------------------------ #
-    def seed_states(self, states: int) -> None:
-        """Union known-reachable states into the fixed point's start set.
-
-        Must run before :meth:`reachable_set` first computes.  Seeding with
-        states that are provably reachable cannot change the fixed point
-        (``closure(initial | S) == closure(initial)`` whenever ``S`` is a
-        subset of the closure); it only starts the saturation deeper in the
-        graph, which is the whole point of the incremental path.  Seeding
-        *unreachable* states would make the result a strict superset -- the
-        caller owns that proof obligation.
-        """
-        if self._reached is not None:
-            raise RuntimeError(
-                "seed_states must be called before the fixed point is computed"
-            )
-        self._initial = self.bdd.disj(self._initial, states)
-
-    def seed_from_insertion(self, source: "SymbolicNet", edit) -> int:
-        """Seed BDD for a signal-insertion edit, from the pre-edit engine.
-
-        The splice only perturbs the neighbourhood of ``t_on``/``t_off``:
-        every pre-edit state survives the edit with its marking unchanged,
-        the new implicit places empty and the new signal at its phase.  The
-        phase is known without any per-state data exactly on the splice
-        frontiers -- a legal region has ``ER(t_on)`` entirely in phase 0
-        and ``ER(t_off)`` entirely in phase 1 -- so those two slices of the
-        old characteristic function are transferred into this manager
-        (variables match by name) and constrained to clean new variables.
-        The caller unions the result in via :meth:`seed_states`; legality
-        of the edit (it must come from
-        :func:`repro.encoding.candidate_regions`) is what makes the seeds
-        reachable.
-        """
-        bdd = self.bdd
-        seed = bdd.FALSE
-        for transition, phase in ((edit.t_on, False), (edit.t_off, True)):
-            index = source._transition_index.get(transition)
-            if index is None:
-                continue
-            states = source.bdd.conj(
-                source.reachable_set(), source._enable[index]
-            )
-            if states == source.bdd.FALSE:
-                continue
-            copied = source.bdd.transfer(states, bdd)
-            assignment = {_SIGNAL + edit.signal: bool(phase)}
-            for place in edit.new_places:
-                assignment[_PLACE + place] = False
-            seed = bdd.disj(seed, bdd.conj(copied, bdd.cube(assignment)))
-        return seed
-
-    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def count_states(self) -> int:

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..boolean import Cover, Cube, espresso
 from ..obs import current_tracer
-from ..spaces.base import InsertionEdit
-from ..stategraph import StateGraph, dc_set_cover, states_to_cover
+from ..stategraph import InsertionEdit, StateGraph, dc_set_cover, states_to_cover
 from ..stg import STG
 from ..stg.signals import SignalType
 from .conflicts import ConflictCore, separation_gain
@@ -220,22 +219,18 @@ def apply_insertion(stg: STG, region: InsertionRegion, signal: str) -> STG:
 def make_insertion_edit(
     stg: STG, region: InsertionRegion, signal: str
 ) -> InsertionEdit:
-    """Apply a region's rewrite and package it as an :class:`InsertionEdit`.
+    """Apply a region's rewrite and package it as an
+    :class:`~repro.stategraph.InsertionEdit`.
 
-    The edit object is what the state-space engines' incremental
-    :meth:`~repro.spaces.StateSpace.apply_insertion` consumes: the rewritten
-    STG plus the splice pair, the region's packed phase mask over the source
-    graph's state indices, and the implicit places the splice introduced.
+    The edit is what :func:`~repro.stategraph.extend_state_graph` reads to
+    grow the rewritten STG's State Graph from the current one: the
+    rewritten STG, the splice pair and the region's packed phase mask over
+    the source graph's state indices.
     """
-    rewritten = apply_insertion(stg, region, signal)
-    before = set(stg.places)
-    new_places = [place for place in rewritten.places if place not in before]
     return InsertionEdit(
-        rewritten,
+        apply_insertion(stg, region, signal),
         signal,
         region.t_on,
         region.t_off,
-        region.initial_value,
         phase_mask=region.mask_on,
-        new_places=new_places,
     )

@@ -69,7 +69,7 @@ class EncodingResult:
         Number of conflicting state pairs at entry and exit.
     projection:
         Report of the hidden-signal conformance check (``None`` when nothing
-        was inserted or validation was disabled).
+        was inserted).
     elapsed:
         Wall-clock seconds spent resolving.
     rounds_incremental:
@@ -134,7 +134,6 @@ def resolve_csc(
     max_signals: int = 3,
     seed: int = 0,
     max_states: Optional[int] = None,
-    validate: bool = True,
 ) -> EncodingResult:
     """Resolve the CSC conflicts of an STG by inserting internal signals.
 
@@ -152,10 +151,10 @@ def resolve_csc(
         runs with the same seed are fully deterministic.
     max_states:
         Optional state budget for the State Graph rebuilds.
-    validate:
-        When True (default), every accepted insertion must not add output
-        persistency violations, and the final result is checked for
-        projection conformance against the original specification.
+
+    Every accepted insertion must not add output persistency violations,
+    and the final result is checked for projection conformance against the
+    original specification.
 
     Each validated candidate extends the current graph in place via
     :func:`~repro.stategraph.extend_state_graph`, re-exploring only the
@@ -165,15 +164,7 @@ def resolve_csc(
     per round); only the cost differs.
     """
     with current_tracer().span("csc", stage="resolve", stg=stg.name) as span:
-        return _resolve_csc(
-            stg,
-            graph,
-            max_signals,
-            seed,
-            max_states,
-            validate,
-            span,
-        )
+        return _resolve_csc(stg, graph, max_signals, seed, max_states, span)
 
 
 def _resolve_csc(
@@ -182,7 +173,6 @@ def _resolve_csc(
     max_signals: int,
     seed: int,
     max_states: Optional[int],
-    validate: bool,
     span,
 ) -> EncodingResult:
     start = time.perf_counter()
@@ -193,9 +183,7 @@ def _resolve_csc(
 
     cores = conflict_cores(graph)
     conflicts_before = num_conflict_pairs(cores)
-    baseline_violations = (
-        len(check_output_persistency(graph)) if validate and cores else 0
-    )
+    baseline_violations = len(check_output_persistency(graph)) if cores else 0
     inserted: List[str] = []
     rounds_incremental = 0
     reexplored_rounds: List[int] = []
@@ -232,10 +220,9 @@ def _resolve_csc(
             pairs_after = num_conflict_pairs(candidate_cores)
             if pairs_after >= current_pairs:
                 continue
-            if validate:
-                violations = check_output_persistency(candidate_graph)
-                if len(violations) > baseline_violations:
-                    continue
+            violations = check_output_persistency(candidate_graph)
+            if len(violations) > baseline_violations:
+                continue
             if best is None or pairs_after < best[0]:
                 best = (
                     pairs_after,
@@ -259,7 +246,7 @@ def _resolve_csc(
 
     report = check_csc(graph)
     projection: Optional[ProjectionReport] = None
-    if inserted and validate:
+    if inserted:
         projection = projection_conforms(
             original_stg, stg, inserted, resolved_graph=graph
         )

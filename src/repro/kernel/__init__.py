@@ -9,9 +9,11 @@ with whole-frontier array operations.
 
 numpy is an optional extra (``pip install repro-synth[kernel]``).  This
 module holds the single capability probe: the explicit engine reads
-:data:`HAS_NUMPY` at call time and runs the bitset kernel whenever numpy is
-installed, and the pure-python packed loops otherwise.  Both build the same
-graphs; the tests compare them by setting :data:`HAS_NUMPY` to False.
+:data:`HAS_NUMPY` at call time and runs the bitset kernel for cold builds
+and the USC/CSC sweeps whenever numpy is installed, and the pure-python
+packed loops otherwise.  Both build the same graphs; the tests compare them
+by setting :data:`HAS_NUMPY` to False.  Growing a graph after a signal
+insertion always runs on the python loop.
 """
 
 from __future__ import annotations

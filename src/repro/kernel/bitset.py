@@ -27,6 +27,10 @@ The kernel fills the same :class:`~repro.stategraph.StateGraph` object the
 reference builder produces; edges are kept as compact ``uint32`` arrays and
 materialised into ``(source, transition, target)`` tuples / adjacency dicts
 lazily, only for consumers that genuinely walk the graph.
+
+The BFS kernel serves cold builds only.  Growing a graph after a signal
+insertion (:func:`~repro.stategraph.extend_state_graph`) re-explores a few
+states, which the python loop drains faster than wave arrays can be set up.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ from . import numpy_or_none
 
 __all__ = [
     "kernel_bfs",
-    "kernel_incremental_bfs",
     "graph_arrays",
     "coding_conflict_pairs",
     "signature_groups_kernel",
-    "supports_graph",
     "code_words",
     "packed_mask",
 ]
@@ -94,20 +96,12 @@ def _pack_ints(np, values, nwords):
     return rows.astype(np.uint64, copy=False)
 
 
-def supports_graph(stg) -> bool:
-    """True for every STG: multi-word code rows lifted the 64-signal limit.
-
-    Kept for call-site compatibility -- codes of any width now pack into
-    ``(states, code_words)`` matrices.
-    """
-    return True
-
-
 # ---------------------------------------------------------------------- #
 # BFS frontier expansion
 # ---------------------------------------------------------------------- #
 def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
-    """Vectorised packed BFS; fills ``graph`` exactly like ``_build_packed``.
+    """Vectorised packed BFS; fills ``graph`` exactly like the python loop
+    (``repro.stategraph.stategraph._explore``) of the cold build.
 
     Raises the same errors at the same first offending ``(state,
     transition)`` as the reference builder: wave order equals FIFO order
@@ -291,155 +285,6 @@ def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
     return graph
 
 
-def kernel_incremental_bfs(stg, pnet, graph, seeds, max_states=None, span=None):
-    """Vectorised dirty-region BFS for incremental graph extension.
-
-    ``graph`` already holds the adopted survivors plus the freshly interned
-    seed states (``seeds``: their global indices, consecutive from the first
-    one); this drains the dirty region exactly like
-    ``repro.stategraph.incremental._python_dirty_bfs`` but one wave at a
-    time.  The wave arrays hold *only* the dirty states -- position ``p``
-    is global state ``seeds[0] + p`` -- so the cost scales with the region,
-    not the graph.  Edges go through ``graph._add_edge`` one by one (the
-    survivors keep their python adjacency; ``_set_kernel_edges`` would
-    clobber it), in the same candidate order as the reference loop, so the
-    resulting graph is bit-identical either way.  Returns the number of
-    dirty states expanded.
-    """
-    np = _require_numpy()
-    from ..core import UnsafeNetError, unpack_code
-    from ..petrinet import StateSpaceLimitExceeded
-
-    if not seeds:
-        return 0
-    nsignals = len(graph.signals)
-    nplaces = len(pnet.codec.places)
-    nwords = max(1, (nplaces + 63) // 64)
-    transitions = pnet.transitions
-    ntrans = len(transitions)
-
-    pre = np.array(
-        [_words_of(m, nwords) for m in pnet.presets], dtype=np.uint64
-    ).reshape(ntrans, nwords)
-    post = np.array(
-        [_words_of(m, nwords) for m in pnet.postsets], dtype=np.uint64
-    ).reshape(ntrans, nwords)
-
-    signal_index = graph.signal_table.index
-    cwords = code_words(nsignals)
-    bits = np.zeros((ntrans, cwords), dtype=np.uint64)
-    target_one = np.zeros(ntrans, dtype=bool)
-    labelled = np.zeros(ntrans, dtype=bool)
-    for t, name in enumerate(transitions):
-        label = stg.label_of(name)
-        if label is None:
-            continue
-        bits[t] = _words_of(1 << signal_index(label.signal), cwords)
-        target_one[t] = label.target_value == 1
-        labelled[t] = True
-
-    packed_codes = graph.packed_codes
-    packed_markings = graph._packed_markings
-    index_of = graph._index
-    add_state = graph._add_packed_state
-    add_edge = graph._add_edge
-    codec = pnet.codec
-
-    base = seeds[0]
-    count = len(seeds)
-    capacity = 1024
-    while capacity < count:
-        capacity *= 2
-    marks = np.zeros((capacity, nwords), dtype=np.uint64)
-    codes = np.zeros((capacity, cwords), dtype=np.uint64)
-    for p, state in enumerate(seeds):
-        marks[p] = _words_of(packed_markings[state], nwords)
-        codes[p] = _words_of(packed_codes[state], cwords)
-
-    live = span is not None and span.live
-    wave_sizes = [count]
-
-    lo, hi = 0, count
-    while lo < hi:
-        m = marks[lo:hi]
-        c = codes[lo:hi]
-        enabled = ((m[:, None, :] & pre[None, :, :]) == pre[None, :, :]).all(axis=2)
-        src_loc, t_idx = np.nonzero(enabled)
-
-        src_codes = c[src_loc]
-        if src_loc.size:
-            cur_one = (src_codes & bits[t_idx]).any(axis=1)
-            bad = labelled[t_idx] & (cur_one == target_one[t_idx])
-            if bad.any():
-                from ..stategraph.stategraph import _inconsistent_enabled
-
-                first = int(np.argmax(bad))
-                raise _inconsistent_enabled(stg, transitions[int(t_idx[first])])
-
-        remainder = m[src_loc] & ~pre[t_idx]
-        t_post = post[t_idx]
-        unsafe = (remainder & t_post).any(axis=1)
-        if unsafe.any():
-            first = int(np.argmax(unsafe))
-            marking = _int_keys(m[src_loc[first : first + 1]])[0]
-            raise UnsafeNetError(
-                "firing %r from packed marking %#x is not safe"
-                % (transitions[int(t_idx[first])], marking)
-            )
-        succ = remainder | t_post
-        t_bits = bits[t_idx]
-        succ_codes = np.where(
-            target_one[t_idx, None], src_codes | t_bits, src_codes & ~t_bits
-        )
-
-        keys = _int_keys(succ)
-        code_list = _int_keys(succ_codes)
-        src_list = (src_loc + lo + base).tolist()
-        t_list = t_idx.tolist()
-        new_positions: List[int] = []
-        for pos, key in enumerate(keys):
-            existing = index_of.get(key)
-            if existing is None:
-                existing = add_state(key, code_list[pos])
-                if max_states is not None and len(packed_codes) > max_states:
-                    raise StateSpaceLimitExceeded(max_states)
-                new_positions.append(pos)
-            elif packed_codes[existing] != code_list[pos]:
-                from ..stategraph.stategraph import _inconsistent_codes
-
-                raise _inconsistent_codes(
-                    codec.decode(key),
-                    unpack_code(packed_codes[existing], nsignals),
-                    unpack_code(code_list[pos], nsignals),
-                )
-            add_edge(src_list[pos], transitions[t_list[pos]], existing)
-
-        total = len(packed_codes) - base
-        if total > capacity:
-            while capacity < total:
-                capacity *= 2
-            new_marks = np.zeros((capacity, nwords), dtype=np.uint64)
-            new_marks[:hi] = marks[:hi]
-            marks = new_marks
-            new_codes = np.zeros((capacity, cwords), dtype=np.uint64)
-            new_codes[:hi] = codes[:hi]
-            codes = new_codes
-        if new_positions:
-            sel = np.array(new_positions, dtype=np.int64)
-            marks[hi:total] = succ[sel]
-            codes[hi:total] = succ_codes[sel]
-            wave_sizes.append(total - hi)
-        lo, hi = hi, total
-
-    reexplored = len(packed_codes) - base
-    if live:
-        for size in wave_sizes:
-            span.append("dirty_waves", size)
-        span.gauge("kernel", "numpy")
-        span.gauge("dirty_bfs_depth", len(wave_sizes) - 1)
-    return reexplored
-
-
 # ---------------------------------------------------------------------- #
 # USC/CSC sweeps
 # ---------------------------------------------------------------------- #
@@ -450,10 +295,9 @@ def graph_arrays(graph):
     any width.  Kernel-built graphs carry them already; for reference-built
     graphs they are converted from the packed Python-int lists once and
     cached.  The cache is stamped with the graph's mutation version and
-    rebuilt whenever the graph mutated since capture -- incremental
-    extension adds states *and* edges (edges alone change the excitation
-    masks without changing the state count), so a length check is not a
-    staleness check.
+    rebuilt whenever the graph mutated since capture -- an edge alone
+    changes the excitation masks without changing the state count, so a
+    length check is not a staleness check.
     """
     np = _require_numpy()
     cwords = code_words(len(graph.signals))

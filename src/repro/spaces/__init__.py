@@ -16,14 +16,13 @@ layer and the CLI dispatch through.
 
 from typing import Optional
 
-from .base import CodingReport, InsertionEdit, StateSpace
+from .base import CodingReport, StateSpace
 from .explicit import ExplicitStateSpace
 from .symbolic import SymbolicStateSpace
 
 __all__ = [
     "StateSpace",
     "CodingReport",
-    "InsertionEdit",
     "ExplicitStateSpace",
     "SymbolicStateSpace",
     "build_state_space",

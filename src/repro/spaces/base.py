@@ -29,70 +29,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from ..boolean import Cover
 from ..stg.signals import Direction
 
-__all__ = ["StateSpace", "CodingReport", "InsertionEdit"]
-
-
-class InsertionEdit:
-    """One signal-insertion rewrite, packaged for incremental maintenance.
-
-    The CSC resolution loop edits the specification by splicing a fresh
-    internal signal's rising transition after ``t_on`` and its falling
-    transition after ``t_off`` (see :mod:`repro.encoding.insertion`).  An
-    :class:`InsertionEdit` carries everything an engine needs to update an
-    existing state space *in place of* a cold rebuild via
-    :meth:`StateSpace.apply_insertion`:
-
-    Attributes
-    ----------
-    stg:
-        The rewritten STG (the edit already applied).  Its signal list is
-        the source STG's signals plus ``signal`` appended last, and its
-        place list is the source places plus the spliced implicit places
-        appended last -- the index compatibility the explicit engine's
-        survivor reuse rests on.
-    signal:
-        Name of the inserted internal signal.
-    t_on / t_off:
-        The transitions after which ``signal+`` / ``signal-`` were spliced.
-    initial_value:
-        Value of ``signal`` in the initial state.
-    phase_mask:
-        Packed mask over the *source* space's explicit state indices: bit
-        ``s`` is 1 when ``signal`` holds 1 in state ``s``.  ``None`` when
-        the edit was derived without an explicit graph (the symbolic
-        engine does not consume it).
-    new_places:
-        The implicit places the splice introduced (``<t_on,signal+>`` and
-        ``<t_off,signal->``), in ``stg.places`` order.
-    """
-
-    __slots__ = ("stg", "signal", "t_on", "t_off", "initial_value", "phase_mask", "new_places")
-
-    def __init__(
-        self,
-        stg,
-        signal: str,
-        t_on: str,
-        t_off: str,
-        initial_value: int,
-        phase_mask=None,
-        new_places=(),
-    ) -> None:
-        self.stg = stg
-        self.signal = signal
-        self.t_on = t_on
-        self.t_off = t_off
-        self.initial_value = initial_value
-        self.phase_mask = phase_mask
-        self.new_places = tuple(new_places)
-
-    def __repr__(self) -> str:
-        return "InsertionEdit(%r, on=%r, off=%r, initial=%d)" % (
-            self.signal,
-            self.t_on,
-            self.t_off,
-            self.initial_value,
-        )
+__all__ = ["StateSpace", "CodingReport"]
 
 
 class CodingReport:
@@ -149,13 +86,6 @@ class StateSpace(ABC):
 
     #: "explicit" or "bdd" -- which engine answered the queries.
     engine: str = "abstract"
-
-    #: Maintenance counters of the :meth:`apply_insertion` that produced
-    #: this space (``None`` on cold builds and fallback rebuilds).  The
-    #: explicit engine reports ``survivors`` / ``states_reexplored`` /
-    #: ``new_states`` / ``frontier_edges``; the symbolic one ``seeded`` /
-    #: ``nodes_touched`` / ``fixpoint_rounds``.
-    incremental_stats = None
 
     def __init__(self, stg) -> None:
         self.stg = stg
@@ -267,30 +197,6 @@ class StateSpace(ABC):
     def conflicting_signals(self) -> FrozenSet[str]:
         """Implementable signals whose excitation a CSC conflict splits."""
         return self.check_csc().conflicting_signals
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance
-    # ------------------------------------------------------------------ #
-    def apply_insertion(self, edit: "InsertionEdit") -> "StateSpace":
-        """State space of ``edit.stg``, updated from this one when possible.
-
-        The edit loop's fundamental operation: instead of rebuilding the
-        universe after one signal insertion, an engine may reuse everything
-        the splice did not touch -- the explicit engine re-explores only the
-        dirty region behind the splice frontier, the symbolic engine seeds
-        its fixpoint from the spliced transitions' excitation regions.  The
-        returned space answers every protocol query exactly as a cold build
-        of ``edit.stg`` would (the equivalence suite enforces this); engines
-        without an incremental path fall back to a cold build.
-
-        ``edit`` must come from the legal-region enumeration
-        (:func:`repro.encoding.regions.candidate_regions`) applied to *this*
-        space's specification; ill-formed rewrites raise the same
-        consistency errors as a cold build.
-        """
-        from . import build_state_space
-
-        return build_state_space(edit.stg, engine=self.engine)
 
     @abstractmethod
     def signature_groups(self) -> Dict[int, List[Tuple[int, int]]]:

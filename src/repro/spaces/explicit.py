@@ -20,11 +20,10 @@ from ..stategraph import (
     check_csc,
     check_usc,
     dc_set_cover,
-    extend_state_graph,
     states_to_cover,
 )
 from ..stg.signals import Direction
-from .base import CodingReport, InsertionEdit, StateSpace
+from .base import CodingReport, StateSpace
 
 __all__ = ["ExplicitStateSpace"]
 
@@ -47,32 +46,11 @@ class ExplicitStateSpace(StateSpace):
         self.graph = graph if graph is not None else build_state_graph(
             stg, max_states=max_states
         )
-        self.max_states = max_states
         self._regions: Dict[str, SignalRegions] = {}
 
     @property
     def explicit_graph(self) -> StateGraph:
         return self.graph
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance
-    # ------------------------------------------------------------------ #
-    def apply_insertion(self, edit: InsertionEdit) -> "ExplicitStateSpace":
-        """Space of ``edit.stg`` grown from this graph's survivors.
-
-        Delegates to :func:`~repro.stategraph.extend_state_graph` (dirty
-        region re-exploration from the splice frontier); when the fast path
-        does not apply it falls back to a cold rebuild, so the result is
-        always a valid space for the edited STG.  Consistency, safety and
-        state-budget errors propagate exactly as a cold rebuild raises
-        them.
-        """
-        graph = extend_state_graph(self.graph, edit, max_states=self.max_states)
-        if graph is None:
-            return ExplicitStateSpace(edit.stg, max_states=self.max_states)
-        space = ExplicitStateSpace(edit.stg, graph=graph)
-        space.incremental_stats = graph.incremental_stats
-        return space
 
     # ------------------------------------------------------------------ #
     # Size queries

@@ -49,7 +49,6 @@ class SymbolicStateSpace(StateSpace):
         stg,
         max_states: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        _engine: Optional[SymbolicNet] = None,
     ) -> None:
         super().__init__(stg)
         if not stg.has_complete_initial_state():
@@ -58,13 +57,7 @@ class SymbolicStateSpace(StateSpace):
         # core decides which nets qualify, exactly as for the explicit
         # engine, and raises UnsafeNetError naming the defect otherwise.
         PackedNet(stg.net)
-        self.max_states = max_states
-        self.max_iterations = max_iterations
-        # ``_engine`` lets apply_insertion hand over a prepared (seeded)
-        # engine whose fixed point has not run yet; the tail of __init__
-        # is identical either way, so the seeded space answers every
-        # protocol query exactly like a cold build.
-        self._engine = _engine if _engine is not None else SymbolicNet(
+        self._engine = SymbolicNet(
             stg.net,
             stg=stg,
             max_iterations=max_iterations,
@@ -96,54 +89,6 @@ class SymbolicStateSpace(StateSpace):
             raise InconsistentSTGError(
                 "a marking is reachable with two different codes"
             )
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance
-    # ------------------------------------------------------------------ #
-    def apply_insertion(self, edit) -> "SymbolicStateSpace":
-        """Space of ``edit.stg`` whose fixed point is seeded from this one.
-
-        A fresh manager is built for the edited STG (one new signal
-        variable pair, the spliced implicit places); the old
-        characteristic function's splice frontiers -- ``ER(t_on)`` at
-        phase 0, ``ER(t_off)`` at phase 1 -- are transferred across by
-        variable name and unioned into the initial set, so the saturation
-        starts next to the edit instead of from scratch
-        (:meth:`repro.bdd.reachability.SymbolicNet.seed_from_insertion`).
-        The well-formedness witnesses still run on the result; the edit
-        must come from :func:`repro.encoding.candidate_regions` for the
-        seeds to be reachable.
-        """
-        from ..obs import current_tracer
-
-        stg = edit.stg
-        if not stg.has_complete_initial_state():
-            stg.infer_initial_state()
-        engine = SymbolicNet(
-            stg.net,
-            stg=stg,
-            max_iterations=self.max_iterations,
-            max_states=self.max_states,
-        )
-        with current_tracer().span(
-            "incremental_seed", engine="bdd", stg=stg.name, signal=edit.signal
-        ) as span:
-            seed = engine.seed_from_insertion(self._engine, edit)
-            engine.seed_states(seed)
-            if span.live:
-                span.gauge("seed_nodes", engine.bdd.num_nodes)
-        space = SymbolicStateSpace(
-            stg,
-            max_states=self.max_states,
-            max_iterations=self.max_iterations,
-            _engine=engine,
-        )
-        space.incremental_stats = {
-            "seeded": seed != engine.bdd.FALSE,
-            "nodes_touched": engine.bdd.num_nodes,
-            "fixpoint_rounds": engine.iterations,
-        }
-        return space
 
     @property
     def iterations(self) -> int:

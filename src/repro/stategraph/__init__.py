@@ -1,7 +1,7 @@
 """Explicit State Graph construction, regions, and state-coding checks."""
 
 from .stategraph import InconsistentSTGError, StateGraph, build_state_graph
-from .incremental import extend_state_graph
+from .incremental import InsertionEdit, extend_state_graph
 from .regions import (
     SignalRegions,
     compute_regions,
@@ -24,6 +24,7 @@ __all__ = [
     "InconsistentSTGError",
     "StateGraph",
     "build_state_graph",
+    "InsertionEdit",
     "extend_state_graph",
     "SignalRegions",
     "compute_regions",

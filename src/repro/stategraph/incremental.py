@@ -1,10 +1,10 @@
 """Incremental State Graph maintenance for signal-insertion edits.
 
 The CSC resolution loop edits the specification one splice at a time, and
-until now every edit paid for the universe: the whole State Graph was
-rebuilt from the initial marking.  :func:`extend_state_graph` instead
-updates an existing graph after one :class:`~repro.spaces.InsertionEdit`,
-re-exploring only the *dirty region* the splice actually perturbs.
+validates each candidate on the State Graph of the edited STG.
+:func:`extend_state_graph` grows that graph from the current one after one
+:class:`InsertionEdit`, re-exploring only the *dirty region* the splice
+actually perturbs, instead of rebuilding it from the initial marking.
 
 Why the old graph survives the splice
 -------------------------------------
@@ -33,18 +33,17 @@ So the update is:
   labelled ``t_on``/``t_off`` (whose targets are now reached through the
   dirty region);
 * **re-explore** only the dirty region: fire ``t_on``/``t_off`` at every
-  survivor that enabled them (the splice frontier) and run the ordinary
-  packed BFS from those intermediate ``q``-marked states until it drains
-  back into the survivors.  The BFS interns against the combined index, so
-  a dirty path rejoining a survivor with a mismatching code raises the
-  same :class:`~repro.stategraph.InconsistentSTGError` a cold rebuild
-  would (the phase labelling was coincidental, not causal).
+  survivor that enabled them (the splice frontier) and let the ordinary
+  packed BFS run from those intermediate ``q``-marked states until it
+  drains back into the survivors.  The BFS interns against the combined
+  index, so a dirty path rejoining a survivor with a mismatching code
+  raises the same :class:`~repro.stategraph.InconsistentSTGError` a cold
+  rebuild would (the phase labelling was coincidental, not causal).
 
-The dirty BFS runs on the same backend as the full build: the
-wave-at-a-time bitset kernel
-(:func:`repro.kernel.bitset.kernel_incremental_bfs`) when numpy is
-installed, else the pure-python loop -- only the frontier cut is ever
-expanded either way.
+Both steps run on the python loop of the cold build (one firing rule for
+the whole explicit engine), whether or not numpy is installed: a dirty
+region is a few states, too small for the numpy kernel's wave arrays to
+pay for themselves.
 
 State numbering and edge order differ from a cold rebuild (survivors keep
 their old indices); every *code-level* artifact -- state/code counts,
@@ -57,21 +56,55 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Tuple
 
-from ..core import PackedNet, UnsafeNetError, unpack_code
-from .. import kernel
+from ..core import PackedNet
 from ..obs import current_tracer
 from ..petrinet import StateSpaceLimitExceeded
 from .stategraph import (
     InconsistentSTGError,
     StateGraph,
-    _inconsistent_codes,
-    _inconsistent_enabled,
+    _explore,
+    _record_waves,
 )
 
-__all__ = ["extend_state_graph"]
+__all__ = ["InsertionEdit", "extend_state_graph"]
 
 
-def _compatible(old_graph: StateGraph, edit) -> bool:
+class InsertionEdit:
+    """One signal-insertion rewrite, as :func:`extend_state_graph` reads it.
+
+    Built by :func:`repro.encoding.make_insertion_edit`.
+
+    Attributes
+    ----------
+    stg:
+        The rewritten STG (the edit already applied).  Its signal list is
+        the source STG's signals plus ``signal`` appended last, and its
+        place list is the source places plus the spliced implicit places
+        appended last -- the index compatibility survivor reuse rests on.
+    signal:
+        Name of the inserted internal signal.
+    t_on / t_off:
+        The transitions after which ``signal+`` / ``signal-`` were spliced.
+    phase_mask:
+        Packed mask over the *source* graph's state indices: bit ``s`` is 1
+        when ``signal`` holds 1 in state ``s``.  ``None`` refuses the
+        incremental path.
+    """
+
+    __slots__ = ("stg", "signal", "t_on", "t_off", "phase_mask")
+
+    def __init__(self, stg, signal: str, t_on: str, t_off: str, phase_mask=None) -> None:
+        self.stg = stg
+        self.signal = signal
+        self.t_on = t_on
+        self.t_off = t_off
+        self.phase_mask = phase_mask
+
+    def __repr__(self) -> str:
+        return "InsertionEdit(%r, on=%r, off=%r)" % (self.signal, self.t_on, self.t_off)
+
+
+def _compatible(old_graph: StateGraph, edit: InsertionEdit) -> bool:
     """True when the old graph's packed words stay valid after the edit."""
     if edit.phase_mask is None:
         return False
@@ -105,7 +138,7 @@ def _adopt_survivors(
 
 def extend_state_graph(
     old_graph: StateGraph,
-    edit,
+    edit: InsertionEdit,
     max_states: Optional[int] = None,
 ) -> Optional[StateGraph]:
     """State Graph of ``edit.stg``, grown from ``old_graph`` in place of a
@@ -145,14 +178,12 @@ def extend_state_graph(
 
 def _extend(
     old_graph: StateGraph,
-    edit,
+    edit: InsertionEdit,
     pnet: PackedNet,
     max_states: Optional[int],
     span,
 ) -> StateGraph:
-    stg = edit.stg
-    graph = StateGraph(stg, codec=pnet.codec)
-    nsignals = len(graph.signals)
+    graph = StateGraph(edit.stg, codec=pnet.codec)
     x_bit = 1 << graph.signal_table.index(edit.signal)
 
     # ------------------------------------------------------------------ #
@@ -193,154 +224,35 @@ def _extend(
             add_edge(source, transition, target)
 
     # ------------------------------------------------------------------ #
-    # 3. Seed the dirty region: fire the spliced transitions at every
-    #    survivor of the frontier cut.
+    # 3. Fire the spliced transitions at every survivor of the frontier
+    #    cut, then drain the dirty region behind them, on the loop of the
+    #    cold build.
     # ------------------------------------------------------------------ #
-    index_of = graph._index
-    packed_markings = graph._packed_markings
-    transitions = pnet.transitions
-    presets = pnet.presets
-    postsets = pnet.postsets
-    signal_index = graph.signal_table.index
-    bits: List[int] = []
-    targets: List[int] = []
-    for name in transitions:
-        label = stg.label_of(name)
-        if label is None:
-            bits.append(0)
-            targets.append(0)
-        else:
-            bits.append(1 << signal_index(label.signal))
-            targets.append(label.target_value)
-
-    queue = deque()
+    work = deque()
     for source, transition in frontier:
         t = pnet.transition_index(transition)
-        marking = packed_markings[source]
-        preset = presets[t]
-        if marking & preset != preset:
+        preset = pnet.presets[t]
+        if graph._packed_markings[source] & preset != preset:
             # The rewrite changed the transition's preset: not a pure
             # splice, so the survivor reuse argument does not hold.
             raise InconsistentSTGError(
                 "spliced transition %s lost its enabling at a surviving "
                 "state" % transition
             )
-        code = packed_codes[source]
-        bit = bits[t]
-        if bit:
-            if bool(code & bit) != (targets[t] == 0):
-                raise _inconsistent_enabled(stg, transition)
-            successor_code = (code | bit) if targets[t] else (code & ~bit)
-        else:
-            successor_code = code
-        remainder = marking & ~preset
-        postset = postsets[t]
-        if remainder & postset:
-            raise UnsafeNetError(
-                "firing %r from packed marking %#x is not safe"
-                % (transition, marking)
-            )
-        successor_marking = remainder | postset
-        target = index_of.get(successor_marking)
-        if target is None:
-            target = graph._add_packed_state(successor_marking, successor_code)
-            if max_states is not None and graph.num_states > max_states:
-                raise StateSpaceLimitExceeded(max_states)
-            queue.append(target)
-        elif packed_codes[target] != successor_code:
-            raise _inconsistent_codes(
-                pnet.codec.decode(successor_marking),
-                unpack_code(packed_codes[target], nsignals),
-                unpack_code(successor_code, nsignals),
-            )
-        add_edge(source, transition, target)
+        work.append((source, (t,)))
+    waves = _explore(graph, pnet, work, max_states, span)
 
-    # ------------------------------------------------------------------ #
-    # 4. Drain the dirty region with the ordinary packed BFS -- python
-    #    loop or the numpy wave kernel, like the full build.
-    # ------------------------------------------------------------------ #
-    if kernel.HAS_NUMPY:
-        from ..kernel.bitset import kernel_incremental_bfs
-
-        reexplored = kernel_incremental_bfs(
-            stg, pnet, graph, list(queue), max_states=max_states, span=span
-        )
-    else:
-        reexplored = _python_dirty_bfs(
-            stg, pnet, graph, queue, bits, targets, max_states
-        )
-
-    stats = {
+    reexplored = graph.num_states - n_old
+    graph.incremental_stats = {
         "survivors": n_old,
         "states_reexplored": reexplored,
-        "new_states": graph.num_states - n_old,
+        "new_states": reexplored,
         "frontier_edges": len(frontier),
     }
-    graph.incremental_stats = stats
     if span.live:
         span.gauge("states", graph.num_states)
         span.gauge("survivors", n_old)
         span.gauge("frontier_edges", len(frontier))
         span.counter("states_reexplored", reexplored)
+        _record_waves(span, waves, "dirty_waves", "dirty_bfs_depth")
     return graph
-
-
-def _python_dirty_bfs(
-    stg,
-    pnet: PackedNet,
-    graph: StateGraph,
-    queue,
-    bits: List[int],
-    targets: List[int],
-    max_states: Optional[int],
-) -> int:
-    """Reference BFS over the dirty states only (mirrors ``_build_packed``)."""
-    transitions = pnet.transitions
-    presets = pnet.presets
-    postsets = pnet.postsets
-    ntrans = len(transitions)
-    nsignals = len(graph.signals)
-    index_of = graph._index
-    packed_markings = graph._packed_markings
-    packed_codes = graph.packed_codes
-    add_edge = graph._add_edge
-    reexplored = 0
-    while queue:
-        source = queue.popleft()
-        reexplored += 1
-        marking = packed_markings[source]
-        code = packed_codes[source]
-        for t in range(ntrans):
-            preset = presets[t]
-            if marking & preset != preset:
-                continue
-            bit = bits[t]
-            if bit:
-                target_value = targets[t]
-                if bool(code & bit) != (target_value == 0):
-                    raise _inconsistent_enabled(stg, transitions[t])
-                successor_code = (code | bit) if target_value else (code & ~bit)
-            else:
-                successor_code = code
-            remainder = marking & ~preset
-            postset = postsets[t]
-            if remainder & postset:
-                raise UnsafeNetError(
-                    "firing %r from packed marking %#x is not safe"
-                    % (transitions[t], marking)
-                )
-            successor_marking = remainder | postset
-            target = index_of.get(successor_marking)
-            if target is None:
-                target = graph._add_packed_state(successor_marking, successor_code)
-                if max_states is not None and graph.num_states > max_states:
-                    raise StateSpaceLimitExceeded(max_states)
-                queue.append(target)
-            elif packed_codes[target] != successor_code:
-                raise _inconsistent_codes(
-                    pnet.codec.decode(successor_marking),
-                    unpack_code(packed_codes[target], nsignals),
-                    unpack_code(successor_code, nsignals),
-                )
-            add_edge(source, transitions[t], target)
-    return reexplored

@@ -387,14 +387,46 @@ def _build_packed(
     stg: STG, pnet: PackedNet, max_states: Optional[int], span=NULL_SPAN
 ) -> StateGraph:
     graph = StateGraph(stg, codec=pnet.codec)
+    graph._add_packed_state(pnet.initial, pack_code(stg.initial_code()))
+    work = deque([(0, range(len(pnet.transitions)))])
+    waves = _explore(graph, pnet, work, max_states, span)
+    if span.live:
+        span.gauge("states", graph.num_states)
+        span.gauge("edges", graph.num_edges)
+        _record_waves(span, [1] + waves, "frontier_waves", "bfs_depth")
+        span.gauge("interned_markings", len(graph._index))
+    return graph
+
+
+def _explore(
+    graph: StateGraph,
+    pnet: PackedNet,
+    work: deque,
+    max_states: Optional[int],
+    span=NULL_SPAN,
+) -> List[int]:
+    """Drain ``work`` breadth-first: the explicit engine's python firing rule.
+
+    Each item of ``work`` is ``(source, candidates)``: every transition
+    index in ``candidates`` that is enabled in state ``source`` fires, in
+    order.  The firing checks that the signal holds its source value and
+    that no place gets a second token, interns the successor marking
+    (raising when a known marking arrives with another code) and records
+    the edge.  A marking reached for the first time becomes a new state
+    and is queued with every transition as its candidates.  The cold
+    build starts from the initial state; :func:`extend_state_graph` starts
+    from the spliced transitions at the surviving states.
+
+    Returns, when ``span`` is live, the number of new states at each depth
+    from the states ``graph`` held on entry (depth 1 first); else ``[]``.
+    """
+    stg = graph.stg
     nsignals = len(graph.signals)
     signal_index = graph.signal_table.index
-
-    # Compile every transition: (preset, postset, signal_bit, target_value).
-    # Dummies carry signal_bit 0 and leave the code untouched.
     transitions = pnet.transitions
     presets = pnet.presets
     postsets = pnet.postsets
+    # Dummies carry signal bit 0 and leave the code untouched.
     bits: List[int] = []
     targets: List[int] = []
     for name in transitions:
@@ -405,23 +437,23 @@ def _build_packed(
         else:
             bits.append(1 << signal_index(label.signal))
             targets.append(label.target_value)
-    ntrans = len(transitions)
+    every = range(len(transitions))
 
     index_of = graph._index
     packed_markings = graph._packed_markings
     packed_codes = graph.packed_codes
-
-    initial_code = pack_code(stg.initial_code())
-    graph._add_packed_state(pnet.initial, initial_code)
-    queue = deque([0])
-    # BFS depth per state, maintained only when tracing: it turns into the
-    # per-wave frontier-size series without touching the disabled hot path.
-    depths: List[int] = [0] if span.live else []
-    while queue:
-        source = queue.popleft()
+    add_state = graph._add_packed_state
+    add_edge = graph._add_edge
+    # Depth of every new state, kept only while tracing: it turns into the
+    # per-wave size series without touching the disabled hot path.
+    live = span.live
+    base = len(packed_codes)
+    depths: List[int] = []
+    while work:
+        source, candidates = work.popleft()
         marking = packed_markings[source]
         code = packed_codes[source]
-        for t in range(ntrans):
+        for t in candidates:
             preset = presets[t]
             if marking & preset != preset:
                 continue
@@ -444,40 +476,33 @@ def _build_packed(
             successor_marking = remainder | postset
             target = index_of.get(successor_marking)
             if target is None:
-                target = graph._add_packed_state(successor_marking, successor_code)
-                if max_states is not None and graph.num_states > max_states:
+                target = add_state(successor_marking, successor_code)
+                if max_states is not None and len(packed_codes) > max_states:
                     raise StateSpaceLimitExceeded(max_states)
-                queue.append(target)
-                if depths:
-                    depths.append(depths[source] + 1)
+                work.append((target, every))
+                if live:
+                    depths.append(depths[source - base] + 1 if source >= base else 1)
                     # Deterministic throttle: one progress event per 4096
-                    # discovered states (only while tracing -- `depths` is
-                    # empty on the disabled path).
-                    if len(depths) % 4096 == 0:
-                        span.progress(len(depths), max_states)
+                    # states.
+                    if len(packed_codes) % 4096 == 0:
+                        span.progress(len(packed_codes), max_states)
             elif packed_codes[target] != successor_code:
                 raise _inconsistent_codes(
                     pnet.codec.decode(successor_marking),
                     unpack_code(packed_codes[target], nsignals),
                     unpack_code(successor_code, nsignals),
                 )
-            graph._add_edge(source, transitions[t], target)
-    if span.live:
-        _record_bfs_stats(span, graph, depths)
-        span.gauge("interned_markings", len(graph._index))
-    return graph
+            add_edge(source, transitions[t], target)
+    waves: List[int] = []
+    for depth in depths:
+        if depth > len(waves):
+            waves.append(0)
+        waves[depth - 1] += 1
+    return waves
 
 
-def _record_bfs_stats(span, graph: StateGraph, depths: List[int]) -> None:
-    """End-of-BFS gauges + the per-wave frontier-size series."""
-    span.gauge("states", graph.num_states)
-    span.gauge("edges", graph.num_edges)
-    if depths:
-        waves: List[int] = []
-        for depth in depths:
-            if depth == len(waves):
-                waves.append(0)
-            waves[depth] += 1
-        for size in waves:
-            span.append("frontier_waves", size)
-        span.gauge("bfs_depth", len(waves) - 1)
+def _record_waves(span, waves: List[int], series: str, depth: str) -> None:
+    """The per-wave size series of a BFS and its depth."""
+    for size in waves:
+        span.append(series, size)
+    span.gauge(depth, max(len(waves) - 1, 0))

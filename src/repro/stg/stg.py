@@ -9,8 +9,10 @@ signal interpretation, the initial binary state and convenience constructors
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from ..core import PackedNet
 from ..petrinet import Marking, PetriNet, PetriNetError
 from .signals import Direction, SignalError, SignalTransition, SignalType
 
@@ -287,37 +289,40 @@ class STG:
             )
         return tuple(self._initial_values[s] for s in self._signals)
 
-    def infer_initial_state(self, max_states: int = 20000) -> Dict[str, int]:
+    def infer_initial_state(self) -> Dict[str, int]:
         """Infer missing initial signal values from the specification.
 
         For every signal the direction of the *first* change reachable from
         the initial marking determines its initial value (a rising first
-        change implies the signal starts at 0).  The search is a bounded
-        breadth-first exploration of markings; signals with no transitions at
-        all default to 0.
+        change implies the signal starts at 0).  Signals with no transitions
+        at all start at 0.  The others are found by a breadth-first search
+        of the packed markings (:class:`~repro.core.PackedNet`, so a net no
+        flow accepts raises :class:`~repro.core.UnsafeNetError`), which runs
+        until every signal is determined or the reachable markings run out;
+        a signal whose transitions are never enabled keeps 0.
         """
         undetermined = {s for s in self._signals if s not in self._initial_values}
-        if not undetermined:
-            return self.initial_values
-        from collections import deque
-
-        queue = deque([self.net.initial_marking])
-        seen = {self.net.initial_marking}
-        states = 0
-        while queue and undetermined and states < max_states:
-            marking = queue.popleft()
-            states += 1
-            for transition in self.net.enabled_transitions(marking):
-                label = self._labels.get(transition)
-                if label is not None and label.signal in undetermined:
-                    self._initial_values[label.signal] = label.source_value
-                    undetermined.discard(label.signal)
-                successor = self.net.fire(marking, transition)
-                if successor not in seen:
-                    seen.add(successor)
-                    queue.append(successor)
-        for signal in undetermined:
+        labelled = {label.signal for label in self._labels.values() if label is not None}
+        for signal in undetermined - labelled:
             self._initial_values[signal] = 0
+        undetermined &= labelled
+        if undetermined:
+            pnet = PackedNet(self.net)
+            queue = deque([pnet.initial])
+            seen = {pnet.initial}
+            while queue and undetermined:
+                marking = queue.popleft()
+                for index in pnet.enabled_indices(marking):
+                    label = self._labels.get(pnet.transitions[index])
+                    if label is not None and label.signal in undetermined:
+                        self._initial_values[label.signal] = label.source_value
+                        undetermined.discard(label.signal)
+                    successor = pnet.fire(marking, index)
+                    if successor not in seen:
+                        seen.add(successor)
+                        queue.append(successor)
+            for signal in undetermined:
+                self._initial_values[signal] = 0
         return self.initial_values
 
     # ------------------------------------------------------------------ #

@@ -1,27 +1,34 @@
-"""Per-round equivalence suite for incremental state-space maintenance.
+"""Per-round equivalence suite for incremental State Graph maintenance.
 
-The tentpole invariant: after every accepted signal-insertion round,
-``StateSpace.apply_insertion(edit)`` answers every protocol query exactly
-as a cold build of the edited STG would -- state and code counts, the
-reachable code words, every per-signal ER/QR/on/off set and size, the
-USC/CSC reports, the conflict signature groups, and the extracted covers
-(semantically).  The suite drives real resolution rounds -- conflict cores,
-legal-region enumeration, separation-gain ranking, strict
+The invariant: after every accepted signal-insertion round, the graph
+``extend_state_graph`` grows from the current one is the State Graph of
+the edited STG.  The suite drives real resolution rounds -- conflict
+cores, legal-region enumeration, separation-gain ranking, strict
 conflict-pair-reduction acceptance, exactly like ``resolve_csc`` -- across
 the Table 1 suite, the VME bus controller and the ``csc_arbiter``
-generators, on both engines and (for the explicit engine) both BFS
-backends: the numpy kernel and the python loops, run by patching
-``repro.kernel.HAS_NUMPY`` off.
+generators, and checks every extended graph against one family of
+references per configuration:
+
+* ``explicit-python`` (``repro.kernel.HAS_NUMPY`` patched off) and
+  ``explicit-numpy``: the cold explicit build of the edited STG, on every
+  protocol query, and ``OracleGraph``, the dict walker of
+  ``tests/oracles.py``, state for state up to numbering.  Without numpy
+  the cold build and the dirty-region drain run the same loop, so only
+  the oracle is independent of it.
+* ``bdd``: the symbolic engine's cold build of the edited STG, on every
+  protocol query -- the cross-engine check of specs with inserted signals.
 
 On top of the per-round equivalence this file pins the supporting
 machinery: ``resolve_csc`` lands the same resolution when every in-place
-extension falls back to a cold rebuild, the structural version stamps
-invalidate the ``graph_arrays`` kernel cache and ``PackedNet``, and the
-incompatible-edit paths fall back to a cold build instead of mis-extending.
+extension falls back to a cold rebuild and when numpy is missing, a traced
+extension records its dirty region's waves, the structural version stamps
+invalidate the ``graph_arrays`` kernel cache and ``PackedNet``, and
+incompatible edits fall back to a cold build instead of mis-extending.
 """
 
 import pytest
 
+from oracles import OracleGraph
 from repro import kernel as kernel_pkg
 from repro.encoding import (
     conflict_cores,
@@ -33,9 +40,11 @@ from repro.encoding import (
 from repro.encoding import resolve as resolve_mod
 from repro.encoding.insertion import fresh_signal_name
 from repro.encoding.regions import candidate_regions
-from repro.spaces import build_state_space
+from repro.obs import tracing
+from repro.spaces import ExplicitStateSpace, build_state_space
 from repro.stategraph import (
     InconsistentSTGError,
+    InsertionEdit,
     build_state_graph,
     extend_state_graph,
 )
@@ -64,18 +73,19 @@ def _specs():
 SPECS = _specs()
 BUILDERS = dict(SPECS)
 
-# engine, BFS backend pairs exercised by the per-round equivalence tests
-CONFIGS = [
-    pytest.param("explicit", "python", id="explicit-python"),
-    pytest.param("explicit", "numpy", id="explicit-numpy", marks=needs_numpy),
-    pytest.param("bdd", None, id="bdd"),
+# The cold builds' backend of the explicit configurations, and the symbolic
+# reference configuration (the cold builds run on the default backend).
+EXPLICIT_CONFIGS = [
+    pytest.param("python", id="explicit-python"),
+    pytest.param("numpy", id="explicit-numpy", marks=needs_numpy),
 ]
+CONFIGS = EXPLICIT_CONFIGS + [pytest.param("bdd", id="bdd")]
 
 
 @pytest.fixture
 def backend(monkeypatch):
-    """Select the explicit engine's BFS backend: ``"python"`` patches
-    ``HAS_NUMPY`` off, anything else leaves the probe as it is."""
+    """Select the explicit engine's cold-build backend: ``"python"``
+    patches ``HAS_NUMPY`` off, anything else leaves the probe as it is."""
 
     def select(name):
         if name == "python":
@@ -174,54 +184,88 @@ def _assert_covers_equivalent(incremental, cold, stg):
                 ), (signal, kind, word)
 
 
-@pytest.mark.parametrize("engine,kernel", CONFIGS)
+def _assert_matches_oracle(graph, oracle):
+    """The graph is the dict walker's State Graph up to state numbering:
+    the same (marking, code) states, labelled edges between markings and
+    excitation masks per marking."""
+    markings = list(graph.markings)
+    assert graph.num_states == oracle.num_states
+    assert set(zip(markings, graph.codes)) == set(zip(oracle.markings, oracle.codes))
+    assert graph.num_edges == len(oracle.edges)
+    assert {(markings[s], t, markings[g]) for s, t, g in graph.edges} == {
+        (oracle.markings[s], t, oracle.markings[g]) for s, t, g in oracle.edges
+    }
+    masks = {
+        marking: (graph.excited_plus_mask(state), graph.excited_minus_mask(state))
+        for state, marking in enumerate(markings)
+    }
+    assert masks == {
+        marking: (plus, minus)
+        for marking, plus, minus in zip(
+            oracle.markings, oracle.excited_plus, oracle.excited_minus
+        )
+    }
+
+
+@pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("name", [name for name, _build in SPECS])
-def test_apply_insertion_matches_cold_rebuild_per_round(name, engine, kernel, backend):
-    backend(kernel)
+def test_apply_insertion_matches_cold_rebuild_per_round(name, config, backend):
+    backend(config)
     stg = BUILDERS[name]()
-    space = build_state_space(stg, engine=engine)
+    graph = build_state_graph(stg)
     for _round in range(MAX_ROUNDS):
-        # Derive the edit from the *incremental* space's own graph: its
-        # state numbering is what the region phase masks index.  The
-        # symbolic engine has no graph; a cold one stands in (masks are
-        # not consumed on that path).
-        graph = space.explicit_graph
-        if graph is None:
-            graph = build_state_graph(stg)
+        # Derive the edit from the *extended* graph: its state numbering is
+        # what the region phase masks index.
         edit = _next_edit(stg, graph)
         if edit is None:
             break
-        space = space.apply_insertion(edit)
-        cold = build_state_space(edit.stg, engine=engine)
+        grown = extend_state_graph(graph, edit)
+        assert grown is not None
+        space = ExplicitStateSpace(edit.stg, graph=grown)
+        if config == "bdd":
+            cold = build_state_space(edit.stg, engine="bdd")
+        else:
+            cold = build_state_space(edit.stg, engine="explicit")
+            _assert_matches_oracle(grown, OracleGraph(edit.stg))
         _assert_equivalent(space, cold, edit.stg)
         _assert_covers_equivalent(space, cold, edit.stg)
-        stg = edit.stg
-        if not conflict_cores(graph):
+        clean = not conflict_cores(graph)
+        stg, graph = edit.stg, grown
+        if clean:
             break  # clean spec: one survived insertion is the point
 
 
-@pytest.mark.parametrize("engine,kernel", CONFIGS)
-def test_incremental_stats_surface(engine, kernel, backend):
-    """Accepted incremental rounds report their dirty-region size."""
-    backend(kernel)
+@pytest.mark.parametrize("config", EXPLICIT_CONFIGS)
+def test_incremental_stats_surface(config, backend):
+    """An extension reports its dirty-region size."""
+    backend(config)
     stg = vme_bus_controller()
-    space = build_state_space(stg, engine=engine)
-    graph = space.explicit_graph
-    if graph is None:
-        graph = build_state_graph(stg)
+    graph = build_state_graph(stg)
     edit = _next_edit(stg, graph)
     assert edit is not None
-    grown = space.apply_insertion(edit)
+    grown = extend_state_graph(graph, edit)
     stats = grown.incremental_stats
-    if engine == "explicit":
-        assert stats["survivors"] == space.num_states
-        assert stats["new_states"] == grown.num_states - space.num_states
-        assert stats["states_reexplored"] >= stats["new_states"]
-        assert stats["frontier_edges"] > 0
-    else:
-        assert stats["seeded"] is True
-        assert stats["nodes_touched"] > 0
-        assert stats["fixpoint_rounds"] > 0
+    assert stats["survivors"] == graph.num_states
+    assert stats["new_states"] == grown.num_states - graph.num_states
+    assert stats["states_reexplored"] >= stats["new_states"]
+    assert stats["frontier_edges"] > 0
+
+
+def test_traced_extension_records_dirty_waves():
+    """The incremental reachability span splits the dirty region into BFS
+    waves: they sum to the states re-explored, one per depth."""
+    stg = csc_arbiter(4)
+    graph = build_state_graph(stg)
+    edit = _next_edit(stg, graph)
+    assert edit is not None
+    with tracing("extend") as tracer:
+        grown = extend_state_graph(graph, edit)
+    reach = tracer.root.find("reachability")
+    assert reach.attrs["mode"] == "incremental"
+    waves = reach.series["dirty_waves"]
+    assert sum(waves) == grown.incremental_stats["states_reexplored"]
+    assert sum(waves) == reach.counters["states_reexplored"] > 0
+    assert len(waves) == reach.counters["dirty_bfs_depth"] + 1
 
 
 @pytest.mark.parametrize(
@@ -234,9 +278,16 @@ def test_incremental_stats_surface(engine, kernel, backend):
 )
 def test_resolve_csc_incremental_parity(name, max_signals, monkeypatch):
     """The accepted resolution does not depend on whether the graphs were
-    extended in place or rebuilt cold (the fallback, forced here); only
-    the cost differs.  The resolved ``.g`` files are byte-identical."""
+    extended in place or rebuilt cold (the fallback, forced here), nor on
+    whether numpy built the start graph; only the cost differs.  The
+    resolved ``.g`` files are byte-identical."""
     fast = resolve_csc(BUILDERS[name](), max_signals=max_signals, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_pkg, "HAS_NUMPY", False)
+        python = resolve_csc(BUILDERS[name](), max_signals=max_signals, seed=0)
+    assert write_g(python.stg) == write_g(fast.stg)
+    assert python.rounds_incremental == fast.rounds_incremental
+    assert python.states_reexplored == fast.states_reexplored
     monkeypatch.setattr(resolve_mod, "extend_state_graph", lambda *a, **k: None)
     cold = resolve_csc(BUILDERS[name](), max_signals=max_signals, seed=0)
     assert write_g(fast.stg) == write_g(cold.stg)
@@ -254,45 +305,14 @@ def test_resolve_csc_incremental_parity(name, max_signals, monkeypatch):
     assert cold.states_reexplored is None
 
 
-@needs_numpy
-def test_incremental_kernels_build_identical_graphs(monkeypatch):
-    """python and numpy dirty-region BFS agree state-for-state."""
-    stg = vme_bus_controller()
-    graph = build_state_graph(stg)
-    edit = _next_edit(stg, graph)
-    assert edit is not None
-    right = extend_state_graph(graph, edit)
-    monkeypatch.setattr(kernel_pkg, "HAS_NUMPY", False)
-    left = extend_state_graph(graph, edit)
-    assert left is not None and right is not None
-    assert left.packed_codes == right.packed_codes
-    assert left._packed_markings == right._packed_markings
-    assert sorted(left.edges) == sorted(right.edges)
-    assert left.incremental_stats == right.incremental_stats
-
-
 def test_extend_falls_back_on_incompatible_graphs():
     """Mask-less edits refuse the fast path."""
     stg = vme_bus_controller()
     graph = build_state_graph(stg)
     edit = _next_edit(stg, graph)
     assert edit is not None
-    from repro.spaces import InsertionEdit
-
-    maskless = InsertionEdit(
-        edit.stg,
-        edit.signal,
-        edit.t_on,
-        edit.t_off,
-        edit.initial_value,
-        phase_mask=None,
-        new_places=edit.new_places,
-    )
+    maskless = InsertionEdit(edit.stg, edit.signal, edit.t_on, edit.t_off, phase_mask=None)
     assert extend_state_graph(graph, maskless) is None
-    # the protocol still delivers a correct space through the fallback
-    space = build_state_space(stg, engine="explicit")
-    cold = build_state_space(edit.stg, engine="explicit")
-    _assert_equivalent(space.apply_insertion(maskless), cold, edit.stg)
 
 
 def test_structural_version_stamps():
@@ -334,14 +354,3 @@ def test_graph_arrays_refresh_after_mutation():
     codes2, plus2, minus2 = graph_arrays(graph)
     assert _int_keys(plus2) == graph._excited_plus
     assert _int_keys(minus2) == graph._excited_minus
-
-
-def test_symbolic_seeding_rejected_after_fixpoint():
-    """seed_states is a pre-fixpoint operation by contract."""
-    from repro.bdd import SymbolicNet
-
-    stg = vme_bus_controller()
-    engine = SymbolicNet(stg.net, stg=stg)
-    engine.reachable_set()  # forces the fixed point
-    with pytest.raises(RuntimeError):
-        engine.seed_states(engine.bdd.FALSE)

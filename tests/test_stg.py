@@ -78,9 +78,37 @@ def test_next_code_and_consistency_helper():
 
 def test_infer_initial_state():
     stg = paper_example()
+    stg.add_signal("idle", SignalType.INPUT)  # labels no transition
     stg._initial_values.clear()
     inferred = stg.infer_initial_state()
-    assert inferred == {"a": 0, "b": 0, "c": 0}
+    assert inferred == {"a": 0, "b": 0, "c": 0, "idle": 0}
+
+
+def _late_first_change_g() -> str:
+    """14 free input toggles beside one cycle ``w0+ .. w7+ z- w0- .. w7-
+    z+``, with no ``.initial_state``: ``z`` first changes 8 firings deep,
+    after more than 20,000 markings in breadth-first order."""
+    toggles = ["x%d" % i for i in range(14)]
+    ws = ["w%d" % i for i in range(8)]
+    lines = [".inputs " + " ".join(toggles + ws), ".outputs z", ".graph"]
+    for x in toggles:
+        lines += ["%s+ %s-" % (x, x), "%s- %s+" % (x, x)]
+    cycle = [w + "+" for w in ws] + ["z-"] + [w + "-" for w in ws] + ["z+"]
+    lines += ["%s %s" % pair for pair in zip(cycle, cycle[1:] + cycle[:1])]
+    marked = ["<%s-,%s+>" % (x, x) for x in toggles] + ["<z+,w0+>"]
+    lines += [".marking { %s }" % " ".join(marked), ".end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_infer_initial_state_searches_until_every_signal_is_determined():
+    from repro.synthesis import synthesize
+
+    stg = parse_g(_late_first_change_g())
+    inferred = stg.infer_initial_state()
+    assert inferred["z"] == 1  # z falls first
+    assert all(inferred[w] == 0 for w in ("w0", "w7"))
+    result = synthesize(parse_g(_late_first_change_g()), method="unfolding-approx")
+    assert result.literal_count == 1
 
 
 def test_check_consistency_on_paper_example():
