@@ -6,8 +6,9 @@ specification must be a trace of the original one.  This module checks that
 *trace containment* directly with a simulation-style product walk: the
 resolved State Graph generates events, the original specification tracks
 them through :class:`~repro.sim.environment.SpecEnvironment` (the same
-marking-set game the simulator plays), and inserted-signal transitions
-advance the resolved side only -- they are invisible to the specification.
+packed marking-set game the simulator and the random walker play), and
+inserted-signal transitions advance the resolved side only -- they are
+invisible to the specification.
 
 The walk is one-directional: it cannot detect an insertion that *removes*
 behaviour (e.g. an input the environment is no longer offered).  That
@@ -74,7 +75,7 @@ def projection_conforms(
         resolved_graph = build_state_graph(resolved)
     environment = SpecEnvironment(original)
 
-    initial = (0, environment.initial_states())
+    initial = (0, environment.initial_states_packed())
     seen: Set[Tuple[int, object]] = {initial}
     queue = deque([initial])
     while queue:
@@ -85,7 +86,7 @@ def projection_conforms(
             if label is None or label.signal in hidden_set:
                 new_tracked = tracked
             else:
-                new_tracked = environment.advance(
+                new_tracked = environment.advance_packed(
                     tracked, label.signal, label.target_value
                 )
                 if not new_tracked:

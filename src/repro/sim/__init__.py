@@ -17,12 +17,19 @@ Three engines are provided:
   enumerate (Muller pipelines, the counterflow stand-in);
 * :func:`simulate_spec` -- the full synthesize-and-simulate sweep over all
   architectures, as used by ``repro-synth simulate``.
+
+The explorer and the walker play one packed game and share one firing rule
+(:func:`~repro.sim.simulator.fireable_events`).  Both are event-driven: a
+closed-loop state carries its excitation as a bitmask, and firing a signal
+re-evaluates only the gates that read it (:class:`CircuitModel`), while the
+specification side looks each observed change up in per-marking move tables
+(:class:`SpecEnvironment`).
 """
 
 from .hazards import ConformanceViolation, Deadlock, Hazard, format_code
 from .gates import CircuitModel
 from .environment import SpecEnvironment
-from .simulator import ExplorationResult, SimEvent, Simulator
+from .simulator import ExplorationResult, Simulator
 from .random_walk import RandomWalker, Trace, TraceStep
 from .report import (
     ARCHITECTURES,
@@ -40,7 +47,6 @@ __all__ = [
     "CircuitModel",
     "SpecEnvironment",
     "ExplorationResult",
-    "SimEvent",
     "Simulator",
     "RandomWalker",
     "Trace",

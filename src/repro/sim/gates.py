@@ -1,10 +1,10 @@
 """Executable view of a synthesised gate-level implementation.
 
 :class:`CircuitModel` turns an :class:`~repro.synthesis.netlist.Implementation`
-into something the event-driven simulator can run: given the current binary
-code of all signals it answers which gates are *excited* (their output value
-differs from the value their function implies) and what firing one of them
-does to the code.
+into something the event-driven simulator can run on packed codes (bit
+``i`` of a code word = value of signal ``i``): it answers which gates are
+*excited* (their output value differs from the value their function
+implies) and which gates a signal change can affect.
 
 All three architectures are supported:
 
@@ -16,17 +16,25 @@ All three architectures are supported:
   true and the signal is high, and *hazardous* when both functions are true
   at once (a drive conflict).
 
-Each gate cover is compiled once into ``(ones, zeros)`` bitmask pairs over
-the *global* signal space (bit ``i`` = signal ``i``, local variable orders
-remapped through the gate's permutation), so the packed simulation engine
-evaluates a gate on a packed code word with two ANDs per cube
-(``ones & ~word == 0 and zeros & word == 0``).  The sequence-based
-``evaluate``/``excitation`` API remains for the random walker.
+In every architecture an excited gate drives its signal to the complement of
+the signal's current bit, so a state's excitation is one int ``excited``
+(bit ``i`` set when signal ``i``'s gate is excited) and its drive conflicts
+are another, ``conflicts``.  Each gate cover is compiled once into
+``(care, ones)`` mask pairs over the global signal space (local variable
+orders remapped through the gate's permutation): a cube covers a word iff
+``word & care == ones``.  The union of a gate's care masks is its support,
+and ``fanout[bit]`` lists the gates that read the signal at ``bit`` plus
+that signal's own gate, whose excitation depends on its own value.  Firing
+one signal changes one bit, so :meth:`CircuitModel.update` re-evaluates
+only that signal's fanout; the full sweep of :meth:`CircuitModel.excitation`
+runs once, for the initial state.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from ..core import iter_set_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthesis -> sim)
     from ..boolean import BooleanFunction
@@ -35,147 +43,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthesis -> sim)
 
 __all__ = ["CircuitModel"]
 
+#: A cube as ``(care, ones)`` over global signal bits.
+CubeMasks = Tuple[Tuple[int, int], ...]
+#: A compiled gate: ``(bit, set cubes, reset cubes)``.  A complex gate has
+#: no reset cubes (``None``): it drives its signal to the value of its one
+#: function.
+CompiledGate = Tuple[int, CubeMasks, Optional[CubeMasks]]
 
-def _remap_cover_masks(
-    cover, permutation: Optional[List[int]]
-) -> List[Tuple[int, int]]:
-    """Compile a cover into ``(ones, zeros)`` masks over *global* signal bits.
+
+def _compile_cover(
+    function: "BooleanFunction", permutation: Optional[List[int]]
+) -> CubeMasks:
+    """Compile a cover into ``(care, ones)`` masks over *global* signal bits.
 
     Gate covers are defined over the gate's own variable order; remapping
-    each cube's bit positions through the permutation once at compile time
-    lets the simulator evaluate gates directly on packed circuit codes.
+    each cube's bit positions through the permutation once lets the
+    simulator evaluate gates directly on packed circuit codes.
     """
-    pairs: List[Tuple[int, int]] = []
-    for cube in cover:
-        if permutation is None:
-            pairs.append((cube.ones, cube.zeros))
-            continue
-        ones = 0
-        mask = cube.ones
-        while mask:
-            low = mask & -mask
-            ones |= 1 << permutation[low.bit_length() - 1]
-            mask ^= low
-        zeros = 0
-        mask = cube.zeros
-        while mask:
-            low = mask & -mask
-            zeros |= 1 << permutation[low.bit_length() - 1]
-            mask ^= low
-        pairs.append((ones, zeros))
-    return pairs
+    cubes = []
+    for cube in function.cover:
+        ones, zeros = cube.ones, cube.zeros
+        if permutation is not None:
+            ones = sum(1 << permutation[i] for i in iter_set_bits(ones))
+            zeros = sum(1 << permutation[i] for i in iter_set_bits(zeros))
+        cubes.append((ones | zeros, ones))
+    return tuple(cubes)
 
 
-class _CompiledGate:
-    """One gate with its cover inputs mapped to circuit code positions.
-
-    Each cover is additionally compiled to ``(ones, zeros)`` mask pairs in
-    the global signal space so the gate can be evaluated on a packed code
-    word: a cube covers the word iff ``ones & ~word == 0 and
-    zeros & word == 0``.
-    """
-
-    __slots__ = (
-        "signal",
-        "index",
-        "function",
-        "set_function",
-        "reset_function",
-        "permutation",
-        "packed_function",
-        "packed_set",
-        "packed_reset",
-    )
-
-    def __init__(
-        self,
-        signal: str,
-        index: int,
-        function: Optional["BooleanFunction"],
-        set_function: Optional["BooleanFunction"],
-        reset_function: Optional["BooleanFunction"],
-        permutation: Optional[List[int]],
-    ) -> None:
-        self.signal = signal
-        self.index = index
-        self.function = function
-        self.set_function = set_function
-        self.reset_function = reset_function
-        self.permutation = permutation
-        self.packed_function = (
-            _remap_cover_masks(function.cover, permutation)
-            if function is not None
-            else None
-        )
-        self.packed_set = (
-            _remap_cover_masks(set_function.cover, permutation)
-            if set_function is not None
-            else None
-        )
-        self.packed_reset = (
-            _remap_cover_masks(reset_function.cover, permutation)
-            if reset_function is not None
-            else None
-        )
-
-    def _project(self, code: Sequence[int]) -> Sequence[int]:
-        if self.permutation is None:
-            return code
-        return [code[i] for i in self.permutation]
-
-    def evaluate(self, code: Sequence[int]) -> Tuple[Optional[int], bool]:
-        """Return ``(target_value, drive_conflict)`` for the gate in ``code``.
-
-        ``target_value`` is the value the gate drives the signal towards
-        (``None`` when a memory element holds its current value) and
-        ``drive_conflict`` flags set/reset functions both true.
-        """
-        vector = self._project(code)
-        if self.function is not None:
-            return (1 if self.function.evaluate_vector(vector) else 0), False
-        set_high = bool(self.set_function.evaluate_vector(vector))
-        reset_high = bool(self.reset_function.evaluate_vector(vector))
-        if set_high and reset_high:
-            return None, True
-        if set_high:
-            return 1, False
-        if reset_high:
-            return 0, False
-        return None, False
-
-    def evaluate_packed(self, word: int) -> Tuple[Optional[int], bool]:
-        """Packed-code twin of :meth:`evaluate` (``word`` bit i = signal i)."""
-        if self.packed_function is not None:
-            for ones, zeros in self.packed_function:
-                if not (ones & ~word) and not (zeros & word):
-                    return 1, False
-            return 0, False
-        set_high = False
-        for ones, zeros in self.packed_set:
-            if not (ones & ~word) and not (zeros & word):
-                set_high = True
-                break
-        reset_high = False
-        for ones, zeros in self.packed_reset:
-            if not (ones & ~word) and not (zeros & word):
-                reset_high = True
-                break
-        if set_high and reset_high:
-            return None, True
-        if set_high:
-            return 1, False
-        if reset_high:
-            return 0, False
-        return None, False
+def _support(cubes: CubeMasks) -> int:
+    support = 0
+    for care, _ones in cubes:
+        support |= care
+    return support
 
 
 class CircuitModel:
     """Executable closed-circuit model of an implementation.
 
-    The model shares the signal order of the source STG: a circuit state is
-    the binary code tuple ordered like ``stg.signals``.  Input signals have
-    no gate (they are driven by the environment); every output/internal
-    signal must have one, so implementations with CSC conflicts are rejected.
+    The model shares the signal order of the source STG: bit ``i`` of a
+    packed code is signal ``i`` of ``stg.signals``.  Input signals have no
+    gate (they are driven by the environment); every output/internal signal
+    must have one, so implementations with CSC conflicts are rejected.
+
+    Attributes
+    ----------
+    gate_order:
+        ``(bit, signal)`` of every gate in ``stg.implementable_signals``
+        order, which is ascending bit order.
+    gates_by_name:
+        The same pairs sorted by signal name: the order in which the
+        simulator offers gate events.
+    fanout:
+        ``bit -> (mask, gates)`` for every signal: the compiled gates whose
+        excitation can change when that signal changes, and the mask of
+        their bits.
     """
 
     def __init__(self, stg: "STG", implementation: "Implementation") -> None:
@@ -197,7 +118,8 @@ class CircuitModel:
                 % (implementation.stg_name, ", ".join(sorted(missing)))
             )
 
-        self._gates: List[_CompiledGate] = []
+        gates: List[CompiledGate] = []
+        supports: List[int] = []
         for signal in stg.implementable_signals:
             gate = implementation.gates[signal]
             function = gate.function if gate.function is not None else gate.set_function
@@ -211,38 +133,94 @@ class CircuitModel:
                     raise ValueError(
                         "gate %r depends on unknown signal %s" % (signal, exc)
                     )
-            self._gates.append(
-                _CompiledGate(
-                    signal,
-                    self._index[signal],
-                    gate.function,
-                    gate.set_function,
-                    gate.reset_function,
-                    permutation,
-                )
+            bit = 1 << self._index[signal]
+            if gate.function is not None:
+                up = _compile_cover(gate.function, permutation)
+                down = None
+                support = _support(up)
+            else:
+                up = _compile_cover(gate.set_function, permutation)
+                down = _compile_cover(gate.reset_function, permutation)
+                support = _support(up) | _support(down)
+            gates.append((bit, up, down))
+            supports.append(support | bit)
+
+        self.gates: Tuple[CompiledGate, ...] = tuple(gates)
+        self.gate_order: List[Tuple[int, str]] = [
+            (1 << self._index[signal], signal) for signal in stg.implementable_signals
+        ]
+        self.gates_by_name: List[Tuple[int, str]] = sorted(
+            self.gate_order, key=lambda pair: pair[1]
+        )
+        self.fanout: Dict[int, Tuple[int, Tuple[CompiledGate, ...]]] = {}
+        for index in range(len(self.signals)):
+            bit = 1 << index
+            readers = tuple(
+                gate for gate, support in zip(gates, supports) if support & bit
             )
+            mask = 0
+            for reader in readers:
+                mask |= reader[0]
+            self.fanout[bit] = (mask, readers)
 
     # ------------------------------------------------------------------ #
     # Excitation semantics
     # ------------------------------------------------------------------ #
-    def excitation(self, code: Sequence[int]) -> Dict[str, int]:
-        """Excited gates in ``code``: signal -> value it wants to move to."""
-        excited: Dict[str, int] = {}
-        for gate in self._gates:
-            target, _conflict = gate.evaluate(code)
-            if target is not None and target != code[gate.index]:
-                excited[gate.signal] = target
-        return excited
+    @staticmethod
+    def evaluate(word: int, gates: Sequence[CompiledGate]) -> Tuple[int, int]:
+        """``(excited, conflicts)`` bits of ``gates`` in the code ``word``."""
+        excited = conflicts = 0
+        for bit, up, down in gates:
+            for care, ones in up:
+                if word & care == ones:
+                    high = True
+                    break
+            else:
+                high = False
+            if down is None:
+                # A complex gate drives low wherever its function is false.
+                low = not high
+            else:
+                for care, ones in down:
+                    if word & care == ones:
+                        low = True
+                        break
+                else:
+                    low = False
+                if high and low:
+                    conflicts |= bit
+                    continue
+            if word & bit:
+                if low:
+                    excited |= bit
+            elif high:
+                excited |= bit
+        return excited, conflicts
 
-    def drive_conflicts(self, code: Sequence[int]) -> List[str]:
-        """Signals whose set and reset functions are both true in ``code``."""
-        return [gate.signal for gate in self._gates if gate.evaluate(code)[1]]
+    def excitation(self, word: int) -> Tuple[int, int]:
+        """``(excited, conflicts)`` masks of the code ``word``, from every gate."""
+        return self.evaluate(word, self.gates)
 
-    def fire(self, code: Sequence[int], signal: str, target_value: int) -> Tuple[int, ...]:
-        """Binary code after the given signal settles to ``target_value``."""
-        updated = list(code)
-        updated[self._index[signal]] = target_value
-        return tuple(updated)
+    def update(
+        self, word: int, bit: int, excited: int, conflicts: int
+    ) -> Tuple[int, int, int]:
+        """Masks after the signal at ``bit`` changed, giving the code ``word``.
+
+        ``excited`` and ``conflicts`` are the masks before the change; only
+        the gates in the signal's fanout are evaluated again.  Returns the
+        new ``(excited, conflicts)`` and the number of gates evaluated.
+        """
+        mask, readers = self.fanout[bit]
+        new_excited, new_conflicts = self.evaluate(word, readers)
+        return (
+            (excited & ~mask) | new_excited,
+            (conflicts & ~mask) | new_conflicts,
+            len(readers),
+        )
+
+    def gate_signals(self, mask: int) -> List[str]:
+        """Signals of the gates in ``mask``, in gate order."""
+        return [signal for bit, signal in self.gate_order if mask & bit]
 
     def signal_index(self, signal: str) -> int:
         return self._index[signal]
@@ -252,29 +230,6 @@ class CircuitModel:
         if not self.stg.has_complete_initial_state():
             self.stg.infer_initial_state()
         return self.stg.initial_code()
-
-    # ------------------------------------------------------------------ #
-    # Packed-code twins (word bit i = value of signal i)
-    # ------------------------------------------------------------------ #
-    def excitation_packed(self, word: int) -> Dict[str, int]:
-        """Excited gates in the packed code ``word``."""
-        excited: Dict[str, int] = {}
-        for gate in self._gates:
-            target, _conflict = gate.evaluate_packed(word)
-            if target is not None and target != (word >> gate.index) & 1:
-                excited[gate.signal] = target
-        return excited
-
-    def drive_conflicts_packed(self, word: int) -> List[str]:
-        """Signals whose set and reset functions are both true in ``word``."""
-        return [
-            gate.signal for gate in self._gates if gate.evaluate_packed(word)[1]
-        ]
-
-    def fire_packed(self, word: int, signal: str, target_value: int) -> int:
-        """Packed code after the given signal settles to ``target_value``."""
-        bit = 1 << self._index[signal]
-        return (word | bit) if target_value else (word & ~bit)
 
     def initial_packed_code(self) -> int:
         word = 0
@@ -287,5 +242,5 @@ class CircuitModel:
         return "CircuitModel(%r, %s, gates=%d)" % (
             self.implementation.stg_name,
             self.implementation.architecture,
-            len(self._gates),
+            len(self.gates),
         )

@@ -10,6 +10,12 @@ simulator.  Long walks therefore act as statistical smoke tests: they cannot
 prove hazard-freedom, but they demonstrate live, conformant operation over
 millions of events and reliably catch gross defects.
 
+The walker plays the exhaustive simulator's packed game and firing rule: a
+step draws from :func:`~repro.sim.simulator.fireable_events`, flips one bit
+of the packed code, advances the specification's tracked markings and
+re-evaluates only the fired signal's fanout.  Trace steps and anomaly
+records still carry tuple codes.
+
 Determinism: two walks with the same specification, implementation, seed and
 step budget produce byte-for-byte identical traces, which makes failures
 replayable from just ``(benchmark, architecture, seed)``.
@@ -18,13 +24,15 @@ replayable from just ``(benchmark, architecture, seed)``.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import time
+from typing import TYPE_CHECKING, List, Tuple
 
+from ..core import unpack_code
 from ..stg import STG
 from .environment import SpecEnvironment
 from .gates import CircuitModel
 from .hazards import ConformanceViolation, Hazard
-from .simulator import disabled_excitations, enabled_events
+from .simulator import change_label, fireable_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthesis -> sim)
     from ..synthesis.netlist import Implementation
@@ -93,7 +101,14 @@ class Trace:
 
 
 class RandomWalker:
-    """Deterministic seeded random-walk executor."""
+    """Deterministic seeded random-walk executor.
+
+    The walk plays the exhaustive simulator's packed game: it draws from the
+    events of :func:`~repro.sim.simulator.fireable_events`, keeps the
+    excitation masks incrementally with :meth:`CircuitModel.update
+    <repro.sim.gates.CircuitModel.update>` and checks persistence by mask.
+    The hazards of one step are reported in signal-name order.
+    """
 
     def __init__(self, stg: STG, implementation: "Implementation", seed: int = 0) -> None:
         self.stg = stg
@@ -110,14 +125,16 @@ class RandomWalker:
         conformance violation makes further spec tracking meaningless) or --
         with ``stop_on_anomaly`` -- on the first hazard.
         """
-        import time
-
         start_time = time.perf_counter()
         rng = random.Random(self.seed)
         trace = Trace(self.stg.name, self.implementation.architecture, self.seed)
+        circuit = self.circuit
+        environment = self.environment
+        nsignals = len(circuit.signals)
 
-        code = self.circuit.initial_code()
-        tracked = self.environment.initial_states()
+        word = circuit.initial_packed_code()
+        tracked = environment.initial_states_packed()
+        excited, conflicts = circuit.excitation(word)
 
         hazard_seen = set()
 
@@ -127,37 +144,43 @@ class RandomWalker:
                 trace.hazards.append(hazard)
 
         for _step in range(steps):
-            for signal in self.circuit.drive_conflicts(code):
-                report_hazard(Hazard("drive-conflict", signal, code))
+            code = unpack_code(word, nsignals)
+            if conflicts:
+                for signal in circuit.gate_signals(conflicts):
+                    report_hazard(Hazard("drive-conflict", signal, code))
 
-            events = enabled_events(self.circuit, self.environment, code, tracked)
+            events = fireable_events(circuit, environment, word, tracked, excited)
             if not events:
-                trace.deadlocked = bool(self.environment.enabled_changes(tracked))
+                trace.deadlocked = bool(environment.enabled_changes_packed(tracked))
                 break
             if stop_on_anomaly and not trace.ok:
                 break
 
-            event = events[rng.randrange(len(events))]
-            new_code = self.circuit.fire(code, event.signal, event.target_value)
-            new_tracked = self.environment.advance(tracked, event.signal, event.target_value)
-            trace.steps.append(TraceStep(event.kind, event.signal, event.target_value, code))
+            signal, target_value, bit, is_gate = events[rng.randrange(len(events))]
+            new_tracked = environment.advance_packed(tracked, signal, target_value)
+            trace.steps.append(
+                TraceStep("gate" if is_gate else "input", signal, target_value, code)
+            )
 
-            if event.kind == "gate" and not new_tracked:
+            if is_gate and not new_tracked:
                 if len(trace.violations) < max_reports:
                     trace.violations.append(
-                        ConformanceViolation(event.signal, event.target_value, code)
+                        ConformanceViolation(signal, target_value, code)
                     )
                 break
 
-            excitation = {e.signal: e.target_value for e in events if e.kind == "gate"}
-            if len(excitation) > (1 if event.kind == "gate" else 0):
-                new_excitation = self.circuit.excitation(new_code)
-                for signal, _target in disabled_excitations(
-                    excitation, new_excitation, event.signal
-                ):
-                    report_hazard(Hazard("non-persistent", signal, code, event.label))
+            word ^= bit
+            new_excited, conflicts, _evaluated = circuit.update(
+                word, bit, excited, conflicts
+            )
+            disabled = excited & ~bit & ~new_excited
+            if disabled:
+                label = change_label(signal, target_value)
+                for other_bit, other in circuit.gates_by_name:
+                    if disabled & other_bit:
+                        report_hazard(Hazard("non-persistent", other, code, label))
 
-            code, tracked = new_code, new_tracked
+            tracked, excited = new_tracked, new_excited
 
         trace.elapsed = time.perf_counter() - start_time
         return trace

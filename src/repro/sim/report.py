@@ -137,6 +137,8 @@ def simulate_implementation(
         result = simulator.explore(max_states=max_states, max_reports=max_reports)
         if span.live:
             span.gauge("sim_states", result.num_states)
+            span.gauge("events_fired", result.num_events_fired)
+            span.gauge("gate_evaluations", result.gate_evaluations)
             span.gauge("ok", result.ok)
     return result
 

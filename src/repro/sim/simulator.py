@@ -19,23 +19,31 @@ code and the set of specification markings consistent with the trace; the
 exploration is a plain breadth-first search over those pairs with an
 optional state budget for the experiment harnesses.
 
-The search runs on packed states: the code is one int (bit ``i`` = signal
-``i``), the tracked set is a frozenset of marking bitmasks, and gates are
-evaluated on mask pairs compiled into the global signal space.  A
-specification net outside the safe, weight-1 class raises
+The search is event-driven.  The code is one int (bit ``i`` = signal
+``i``), the tracked set is a frozenset of marking bitmasks, and each queued
+state carries its excitation as two masks (see :mod:`repro.sim.gates`):
+``excited`` and the set/reset ``conflicts``.  Firing a signal flips its bit
+and re-evaluates only the gates that read it, and the persistence check is
+one AND: ``excited & ~fired & ~new_excited`` are the excitations the event
+disabled (an excited gate's target is the complement of its own bit, which
+only its own firing changes).  Events are offered in a fixed order: gate
+events by signal name, then input changes by ``(signal, target)``; the
+hazards of one fired event are reported in ``stg.implementable_signals``
+order.  A specification net outside the safe, weight-1 class raises
 :class:`~repro.core.UnsafeNetError` when the environment compiles it, and a
 reachable unsafe firing raises it during the search.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from ..core import unpack_code
 from ..petrinet import StateSpaceLimitExceeded
 from ..stg import STG
-from .environment import SpecEnvironment, TrackedStates
+from .environment import PackedTracked, SpecEnvironment
 from .gates import CircuitModel
 from .hazards import ConformanceViolation, Deadlock, Hazard
 
@@ -43,97 +51,61 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthesis -> sim)
     from ..synthesis.netlist import Implementation
 
 __all__ = [
-    "SimEvent",
     "ExplorationResult",
     "Simulator",
-    "enabled_events",
-    "disabled_excitations",
+    "fireable_events",
 ]
 
-
-class SimEvent:
-    """One fireable event of the closed loop.
-
-    ``kind`` is ``"gate"`` for a circuit-driven change (output/internal
-    signal settling to its excitation target) and ``"input"`` for an
-    environment-driven change allowed by the specification.
-    """
-
-    __slots__ = ("kind", "signal", "target_value")
-
-    def __init__(self, kind: str, signal: str, target_value: int) -> None:
-        self.kind = kind
-        self.signal = signal
-        self.target_value = target_value
-
-    @property
-    def label(self) -> str:
-        return "%s%s" % (self.signal, "+" if self.target_value else "-")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimEvent):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.signal == other.signal
-            and self.target_value == other.target_value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.signal, self.target_value))
-
-    def __repr__(self) -> str:
-        return "SimEvent(%s %s)" % (self.kind, self.label)
+#: A fireable event: ``(signal, target_value, bit, is_gate)``.
+Event = Tuple[str, int, int, bool]
 
 
-def enabled_events(
+def fireable_events(
     circuit: CircuitModel,
     environment: SpecEnvironment,
-    code: Tuple[int, ...],
-    tracked: TrackedStates,
-) -> List[SimEvent]:
+    word: int,
+    tracked: PackedTracked,
+    excited: int,
+) -> List[Event]:
     """All events fireable in a closed-loop state, deterministically ordered.
 
-    Shared by the exhaustive simulator and the random walker so the two
-    engines agree on the speed-independent firing rule.
+    Gate events come first, by signal name, each driving its signal to the
+    complement of its bit; input changes the specification offers and the
+    code allows follow, by ``(signal, target)``.  Shared by the exhaustive
+    simulator and the random walker so the two engines agree on the
+    speed-independent firing rule.
     """
     events = [
-        SimEvent("gate", signal, target)
-        for signal, target in sorted(circuit.excitation(code).items())
+        (signal, 0 if word & bit else 1, bit, True)
+        for bit, signal in circuit.gates_by_name
+        if excited & bit
     ]
-    events.extend(
-        SimEvent("input", signal, target)
-        for signal, target in environment.enabled_input_changes(tracked, code)
-    )
+    for signal, target, bit, required in environment.input_changes_packed(tracked):
+        if word & bit == required:
+            events.append((signal, target, bit, False))
     return events
 
 
-def disabled_excitations(
-    excitation: Dict[str, int],
-    new_excitation: Dict[str, int],
-    fired_signal: str,
-) -> List[Tuple[str, int]]:
-    """Gate excitations that firing another event removed (persistence check).
-
-    Semi-modularity requires every excited gate other than the fired one to
-    stay excited towards the same value; each ``(signal, target)`` returned
-    is a potential glitch.
-    """
-    return [
-        (signal, target)
-        for signal, target in excitation.items()
-        if signal != fired_signal and new_excitation.get(signal) != target
-    ]
+def change_label(signal: str, target_value: int) -> str:
+    """The usual label of a signal change (``a+`` / ``a-``)."""
+    return "%s%s" % (signal, "+" if target_value else "-")
 
 
 class ExplorationResult:
-    """Outcome of an exhaustive closed-loop exploration."""
+    """Outcome of an exhaustive closed-loop exploration.
+
+    ``gate_evaluations`` counts the gates evaluated to keep the excitation
+    masks: every gate once for the initial state, then the fanout of each
+    fired signal whose successor is new or whose firing needs the
+    persistence check.
+    """
 
     def __init__(self, stg_name: str, architecture: str) -> None:
         self.stg_name = stg_name
         self.architecture = architecture
         self.num_states = 0
         self.num_events_fired = 0
+        self.gate_evaluations = 0
         self.hazards: List[Hazard] = []
         self.violations: List[ConformanceViolation] = []
         self.deadlocks: List[Deadlock] = []
@@ -204,18 +176,6 @@ class Simulator:
         self.circuit = CircuitModel(stg, implementation)
         self.environment = SpecEnvironment(stg)
 
-    # ------------------------------------------------------------------ #
-    # Event computation
-    # ------------------------------------------------------------------ #
-    def enabled_events(
-        self, code: Tuple[int, ...], tracked: TrackedStates
-    ) -> List[SimEvent]:
-        """All events fireable in a closed-loop state, deterministically ordered."""
-        return enabled_events(self.circuit, self.environment, code, tracked)
-
-    # ------------------------------------------------------------------ #
-    # Exploration
-    # ------------------------------------------------------------------ #
     def explore(
         self,
         max_states: Optional[int] = 100000,
@@ -230,38 +190,41 @@ class Simulator:
         ``max_reports`` caps each anomaly list so a broken gate on a large
         circuit does not produce millions of identical records.
         """
-        import time
-
         start_time = time.perf_counter()
         result = ExplorationResult(self.stg.name, self.implementation.architecture)
         circuit = self.circuit
         environment = self.environment
+        advance = environment.advance_packed
+        update = circuit.update
         nsignals = len(circuit.signals)
 
-        initial = (circuit.initial_packed_code(), environment.initial_states_packed())
-        seen = {initial}
-        queue = deque([initial])
+        word = circuit.initial_packed_code()
+        tracked = environment.initial_states_packed()
+        excited, conflicts = circuit.excitation(word)
+        evaluations = len(circuit.gates)
+        num_states = 0
+        num_fired = 0
+        seen = {(word, tracked)}
+        queue = deque([(word, tracked, excited, conflicts)])
+        hazards = result.hazards
         hazard_seen: Set[Hazard] = set()
         violation_seen: Set[ConformanceViolation] = set()
 
+        def report(hazard: Hazard) -> None:
+            if hazard not in hazard_seen and len(hazards) < max_reports:
+                hazard_seen.add(hazard)
+                hazards.append(hazard)
+
         while queue:
-            word, tracked = queue.popleft()
-            result.num_states += 1
+            word, tracked, excited, conflicts = queue.popleft()
+            num_states += 1
 
-            for signal in circuit.drive_conflicts_packed(word):
-                hazard = Hazard("drive-conflict", signal, unpack_code(word, nsignals))
-                if hazard not in hazard_seen and len(result.hazards) < max_reports:
-                    hazard_seen.add(hazard)
-                    result.hazards.append(hazard)
+            if conflicts:
+                code = unpack_code(word, nsignals)
+                for signal in circuit.gate_signals(conflicts):
+                    report(Hazard("drive-conflict", signal, code))
 
-            excitation = circuit.excitation_packed(word)
-            events = [("gate", signal, target) for signal, target in sorted(excitation.items())]
-            events.extend(
-                ("input", signal, target)
-                for signal, target in environment.enabled_input_changes_packed(
-                    tracked, word
-                )
-            )
+            events = fireable_events(circuit, environment, word, tracked, excited)
             if not events:
                 # A circuit that stops where its spec stops has terminated;
                 # it deadlocks only if the spec could still move.
@@ -272,13 +235,11 @@ class Simulator:
                     result.deadlocks.append(Deadlock(unpack_code(word, nsignals)))
                 continue
 
-            num_gate_events = len(excitation)
-            for kind, signal, target_value in events:
-                new_word = circuit.fire_packed(word, signal, target_value)
-                new_tracked = environment.advance_packed(tracked, signal, target_value)
-                result.num_events_fired += 1
+            for signal, target_value, bit, is_gate in events:
+                new_tracked = advance(tracked, signal, target_value)
+                num_fired += 1
 
-                if kind == "gate" and not new_tracked:
+                if is_gate and not new_tracked:
                     violation = ConformanceViolation(
                         signal, target_value, unpack_code(word, nsignals)
                     )
@@ -292,37 +253,40 @@ class Simulator:
                     # along this branch would only compound the violation.
                     continue
 
-                # Persistence check (semi-modularity): every *other* excited
-                # gate must still be excited towards the same value after the
-                # fired event, otherwise the circuit can glitch.  Skip the
-                # excitation recomputation when no other gate was excited.
-                if num_gate_events > (1 if kind == "gate" else 0):
-                    new_excitation = circuit.excitation_packed(new_word)
-                    for other, _target in disabled_excitations(
-                        excitation, new_excitation, signal
-                    ):
-                        hazard = Hazard(
-                            "non-persistent",
-                            other,
-                            unpack_code(word, nsignals),
-                            "%s%s" % (signal, "+" if target_value else "-"),
-                        )
-                        if (
-                            hazard not in hazard_seen
-                            and len(result.hazards) < max_reports
-                        ):
-                            hazard_seen.add(hazard)
-                            result.hazards.append(hazard)
-
+                # The successor's masks are needed to queue it, and for the
+                # persistence check when other gates were excited.
+                new_word = word ^ bit
                 successor = (new_word, new_tracked)
-                if successor not in seen:
+                fresh = successor not in seen
+                others = excited & ~bit
+                if not (fresh or others):
+                    continue
+                new_excited, new_conflicts, evaluated = update(
+                    new_word, bit, excited, conflicts
+                )
+                evaluations += evaluated
+
+                # Persistence check (semi-modularity): every *other* excited
+                # gate must still be excited after the fired event, otherwise
+                # the circuit can glitch.
+                disabled = others & ~new_excited
+                if disabled:
+                    code = unpack_code(word, nsignals)
+                    label = change_label(signal, target_value)
+                    for other in circuit.gate_signals(disabled):
+                        report(Hazard("non-persistent", other, code, label))
+
+                if fresh:
                     if max_states is not None and len(seen) >= max_states:
                         if raise_on_limit:
                             raise StateSpaceLimitExceeded(max_states)
                         result.truncated = True
                         continue
                     seen.add(successor)
-                    queue.append(successor)
+                    queue.append((new_word, new_tracked, new_excited, new_conflicts))
 
+        result.num_states = num_states
+        result.num_events_fired = num_fired
+        result.gate_evaluations = evaluations
         result.elapsed = time.perf_counter() - start_time
         return result

@@ -13,9 +13,12 @@ None of these shares code with the path it checks:
   the two ``reference_concurrent_signal_mask_*`` loops -- slice membership
   and in-slice concurrency, one member event at a time, in place of the
   segment's relation masks;
-* :func:`reference_explore` -- the closed-loop simulator on tuple codes
-  and dict-backed markings, through the dict game of
-  :class:`~repro.sim.environment.SpecEnvironment`;
+* :func:`reference_explore` and :func:`reference_walk` -- the closed-loop
+  simulator and the random walker on tuple codes and dict-backed markings:
+  :class:`ReferenceCircuit` evaluates every gate on every query through
+  ``BooleanFunction.evaluate_vector`` (no masks, no fanout), and
+  :class:`ReferenceEnvironment` plays the specification's token game on
+  :class:`~repro.petrinet.Marking` objects (no move tables);
 * :func:`reference_espresso` and its pieces -- the cover engine on Cube
   objects: the textbook unate recursions for tautology and complement, a
   sharp-based REDUCE, the sequential irredundant scan, the all-kept
@@ -29,16 +32,16 @@ None of these shares code with the path it checks:
   store node for node.
 """
 
+import random
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bdd import BDD
 from repro.boolean import Cover, Cube, MinimizationResult
 from repro.core import iter_set_bits
-from repro.petrinet import StateSpaceLimitExceeded, explore
-from repro.sim.environment import TrackedStates
+from repro.petrinet import Marking, StateSpaceLimitExceeded, explore
+from repro.sim import ExplorationResult, Trace, TraceStep
 from repro.sim.hazards import ConformanceViolation, Deadlock, Hazard
-from repro.sim.simulator import ExplorationResult, disabled_excitations
 from repro.stg.signals import Direction
 from repro.unfolding import Cut, initial_cut
 
@@ -275,8 +278,229 @@ def reference_concurrent_signal_mask_with_condition(
 
 
 # ---------------------------------------------------------------------- #
-# Simulator: the tuple/dict closed-loop exploration
+# Simulator: the tuple/dict closed-loop game
 # ---------------------------------------------------------------------- #
+TrackedStates = FrozenSet[Marking]
+
+
+class ReferenceEnvironment:
+    """The specification's token game on dict-backed markings.
+
+    Markings are :class:`repro.petrinet.Marking` objects fired by the
+    general net layer; a tracked set is the frozenset of markings consistent
+    with the observed trace, closed under dummy firing.
+    """
+
+    def __init__(self, stg) -> None:
+        self.stg = stg
+        self.net = stg.net
+        self.input_signals = frozenset(stg.input_signals)
+        # marking -> [(signal, target_value, successor marking)] for labelled
+        # transitions; successors through dummies are handled by the closure.
+        self._labelled: Dict[Marking, List[Tuple[str, int, Marking]]] = {}
+        self._dummy: Dict[Marking, List[Marking]] = {}
+
+    def _expand(self, marking: Marking) -> None:
+        if marking in self._labelled:
+            return
+        labelled: List[Tuple[str, int, Marking]] = []
+        dummy: List[Marking] = []
+        for transition in self.net.enabled_transitions(marking):
+            label = self.stg.label_of(transition)
+            successor = self.net.fire(marking, transition)
+            if label is None:
+                dummy.append(successor)
+            else:
+                labelled.append((label.signal, label.target_value, successor))
+        self._labelled[marking] = labelled
+        self._dummy[marking] = dummy
+
+    def closure(self, markings) -> TrackedStates:
+        """Close a set of markings under dummy-transition firing."""
+        seen: Set[Marking] = set(markings)
+        queue = deque(seen)
+        while queue:
+            marking = queue.popleft()
+            self._expand(marking)
+            for successor in self._dummy[marking]:
+                if successor not in seen:
+                    seen.add(successor)
+                    queue.append(successor)
+        return frozenset(seen)
+
+    def initial_states(self) -> TrackedStates:
+        return self.closure([self.net.initial_marking])
+
+    def enabled_changes(self, tracked: TrackedStates) -> Set[Tuple[str, int]]:
+        """All signal changes enabled in some tracked marking."""
+        changes: Set[Tuple[str, int]] = set()
+        for marking in tracked:
+            self._expand(marking)
+            for signal, target, _successor in self._labelled[marking]:
+                changes.add((signal, target))
+        return changes
+
+    def enabled_input_changes(self, tracked: TrackedStates, code):
+        """Input changes the environment may produce, consistent with ``code``."""
+        allowed: List[Tuple[str, int]] = []
+        for signal, target in sorted(self.enabled_changes(tracked)):
+            if signal not in self.input_signals:
+                continue
+            if code[self.stg.signal_index(signal)] == 1 - target:
+                allowed.append((signal, target))
+        return allowed
+
+    def advance(self, tracked: TrackedStates, signal: str, target_value: int):
+        """Tracked set after observing one signal change (empty: not allowed)."""
+        successors: Set[Marking] = set()
+        for marking in tracked:
+            self._expand(marking)
+            for spec_signal, spec_target, successor in self._labelled[marking]:
+                if spec_signal == signal and spec_target == target_value:
+                    successors.add(successor)
+        if not successors:
+            return frozenset()
+        return self.closure(successors)
+
+
+class _ReferenceGate:
+    """One gate evaluated on tuple codes through ``evaluate_vector``."""
+
+    def __init__(self, signal, index, gate, permutation) -> None:
+        self.signal = signal
+        self.index = index
+        self.function = gate.function
+        self.set_function = gate.set_function
+        self.reset_function = gate.reset_function
+        self.permutation = permutation
+
+    def _project(self, code):
+        if self.permutation is None:
+            return code
+        return [code[i] for i in self.permutation]
+
+    def evaluate(self, code) -> Tuple[Optional[int], bool]:
+        """``(target_value, drive_conflict)``; the target is ``None`` when a
+        memory element holds its value."""
+        vector = self._project(code)
+        if self.function is not None:
+            return (1 if self.function.evaluate_vector(vector) else 0), False
+        set_high = bool(self.set_function.evaluate_vector(vector))
+        reset_high = bool(self.reset_function.evaluate_vector(vector))
+        if set_high and reset_high:
+            return None, True
+        if set_high:
+            return 1, False
+        if reset_high:
+            return 0, False
+        return None, False
+
+
+class ReferenceCircuit:
+    """The circuit's tuple-code API: every gate evaluated on every query."""
+
+    def __init__(self, stg, implementation) -> None:
+        self.stg = stg
+        signals = list(stg.signals)
+        index = {s: i for i, s in enumerate(signals)}
+        self._index = index
+        self._gates: List[_ReferenceGate] = []
+        for signal in stg.implementable_signals:
+            gate = implementation.gates[signal]
+            function = gate.function if gate.function is not None else gate.set_function
+            names = list(function.names)
+            permutation = None if names == signals else [index[n] for n in names]
+            self._gates.append(_ReferenceGate(signal, index[signal], gate, permutation))
+
+    def initial_code(self) -> Tuple[int, ...]:
+        if not self.stg.has_complete_initial_state():
+            self.stg.infer_initial_state()
+        return tuple(self.stg.initial_code())
+
+    def excitation(self, code) -> Dict[str, int]:
+        """Excited gates in ``code``: signal -> value it wants to move to."""
+        excited: Dict[str, int] = {}
+        for gate in self._gates:
+            target, _conflict = gate.evaluate(code)
+            if target is not None and target != code[gate.index]:
+                excited[gate.signal] = target
+        return excited
+
+    def drive_conflicts(self, code) -> List[str]:
+        """Signals whose set and reset functions are both true in ``code``."""
+        return [gate.signal for gate in self._gates if gate.evaluate(code)[1]]
+
+    def fire(self, code, signal: str, target_value: int) -> Tuple[int, ...]:
+        updated = list(code)
+        updated[self._index[signal]] = target_value
+        return tuple(updated)
+
+
+class SimEvent:
+    """One fireable event: a gate (``"gate"``) or an input change (``"input"``)."""
+
+    __slots__ = ("kind", "signal", "target_value")
+
+    def __init__(self, kind: str, signal: str, target_value: int) -> None:
+        self.kind = kind
+        self.signal = signal
+        self.target_value = target_value
+
+    @property
+    def label(self) -> str:
+        return "%s%s" % (self.signal, "+" if self.target_value else "-")
+
+    def __repr__(self) -> str:
+        return "SimEvent(%s %s)" % (self.kind, self.label)
+
+
+def enabled_events(circuit, environment, code, tracked) -> List[SimEvent]:
+    """All events fireable in a closed-loop state: gate events by signal
+    name, then input changes by ``(signal, target)``."""
+    events = [
+        SimEvent("gate", signal, target)
+        for signal, target in sorted(circuit.excitation(code).items())
+    ]
+    events.extend(
+        SimEvent("input", signal, target)
+        for signal, target in environment.enabled_input_changes(tracked, code)
+    )
+    return events
+
+
+def disabled_excitations(excitation, new_excitation, fired_signal):
+    """Excitations other than the fired one that the firing removed or
+    retargeted, in the order of ``excitation``."""
+    return [
+        (signal, target)
+        for signal, target in excitation.items()
+        if signal != fired_signal and new_excitation.get(signal) != target
+    ]
+
+
+def exploration_record(result) -> dict:
+    """Everything an exploration reports, records in order, for ``==``."""
+    return {
+        "verdict": result.verdict(),
+        "num_states": result.num_states,
+        "num_events_fired": result.num_events_fired,
+        "truncated": result.truncated,
+        "hazards": [(h.kind, h.signal, h.code, h.disabled_by) for h in result.hazards],
+        "violations": [(v.signal, v.target_value, v.code) for v in result.violations],
+        "deadlocks": [d.code for d in result.deadlocks],
+    }
+
+
+def walk_record(trace) -> dict:
+    """Everything a walk reports, step for step, for ``==``."""
+    return {
+        "steps": [(s.kind, s.signal, s.target_value, s.code) for s in trace.steps],
+        "hazards": [(h.kind, h.signal, h.code, h.disabled_by) for h in trace.hazards],
+        "violations": [(v.signal, v.target_value, v.code) for v in trace.violations],
+        "deadlocked": trace.deadlocked,
+    }
+
+
 def reference_explore(
     simulator,
     max_states=100000,
@@ -286,16 +510,21 @@ def reference_explore(
     """Exhaustive closed-loop exploration on tuples and dict-backed markings.
 
     The same breadth-first search as :meth:`repro.sim.Simulator.explore`,
-    but over tuple codes, the circuit's tuple API and the environment's
-    dict-marking game (the one :class:`~repro.sim.RandomWalker` plays).
+    over tuple codes, :class:`ReferenceCircuit` (every gate evaluated in
+    every state) and :class:`ReferenceEnvironment`.  Only ``simulator.stg``
+    and ``simulator.implementation`` are read.  ``gate_evaluations`` stays
+    0: the reference keeps no masks.
     """
     import time
 
     start_time = time.perf_counter()
-    result = ExplorationResult(simulator.stg.name, simulator.implementation.architecture)
+    stg = simulator.stg
+    result = ExplorationResult(stg.name, simulator.implementation.architecture)
+    circuit = ReferenceCircuit(stg, simulator.implementation)
+    environment = ReferenceEnvironment(stg)
 
-    initial_code = simulator.circuit.initial_code()
-    initial_tracked = simulator.environment.initial_states()
+    initial_code = circuit.initial_code()
+    initial_tracked = environment.initial_states()
     initial = (initial_code, initial_tracked)
     seen: Set[Tuple[Tuple[int, ...], TrackedStates]] = {initial}
     queue = deque([initial])
@@ -306,34 +535,28 @@ def reference_explore(
         code, tracked = queue.popleft()
         result.num_states += 1
 
-        for signal in simulator.circuit.drive_conflicts(code):
+        for signal in circuit.drive_conflicts(code):
             hazard = Hazard("drive-conflict", signal, code)
             if hazard not in hazard_seen and len(result.hazards) < max_reports:
                 hazard_seen.add(hazard)
                 result.hazards.append(hazard)
 
-        events = simulator.enabled_events(code, tracked)
+        events = enabled_events(circuit, environment, code, tracked)
         if not events:
-            if (
-                simulator.environment.enabled_changes(tracked)
-                and len(result.deadlocks) < max_reports
-            ):
+            spec_moves = environment.enabled_changes(tracked)
+            if spec_moves and len(result.deadlocks) < max_reports:
                 result.deadlocks.append(Deadlock(code))
             continue
 
-        gate_events = [e for e in events if e.kind == "gate"]
-        excitation = {e.signal: e.target_value for e in gate_events}
+        # The hazards of one fired event are reported in gate order.
+        excitation = circuit.excitation(code)
         for event in events:
-            new_code = simulator.circuit.fire(code, event.signal, event.target_value)
-            new_tracked = simulator.environment.advance(
-                tracked, event.signal, event.target_value
-            )
+            new_code = circuit.fire(code, event.signal, event.target_value)
+            new_tracked = environment.advance(tracked, event.signal, event.target_value)
             result.num_events_fired += 1
 
             if event.kind == "gate" and not new_tracked:
-                violation = ConformanceViolation(
-                    event.signal, event.target_value, code
-                )
+                violation = ConformanceViolation(event.signal, event.target_value, code)
                 if (
                     violation not in violation_seen
                     and len(result.violations) < max_reports
@@ -345,21 +568,14 @@ def reference_explore(
                 continue
 
             # Persistence check (semi-modularity): every *other* excited
-            # gate must still be excited towards the same value after the
-            # fired event, otherwise the circuit can glitch.  Skip the
-            # excitation recomputation when no other gate was excited.
-            if len(gate_events) > (1 if event.kind == "gate" else 0):
-                new_excitation = simulator.circuit.excitation(new_code)
-                for signal, _target in disabled_excitations(
-                    excitation, new_excitation, event.signal
-                ):
-                    hazard = Hazard("non-persistent", signal, code, event.label)
-                    if (
-                        hazard not in hazard_seen
-                        and len(result.hazards) < max_reports
-                    ):
-                        hazard_seen.add(hazard)
-                        result.hazards.append(hazard)
+            # gate must still be excited towards the same value.
+            for signal, _target in disabled_excitations(
+                excitation, circuit.excitation(new_code), event.signal
+            ):
+                hazard = Hazard("non-persistent", signal, code, event.label)
+                if hazard not in hazard_seen and len(result.hazards) < max_reports:
+                    hazard_seen.add(hazard)
+                    result.hazards.append(hazard)
 
             successor = (new_code, new_tracked)
             if successor not in seen:
@@ -373,6 +589,62 @@ def reference_explore(
 
     result.elapsed = time.perf_counter() - start_time
     return result
+
+
+def reference_walk(
+    stg, implementation, steps=1000, seed=0, max_reports=25, stop_on_anomaly=False
+) -> Trace:
+    """A seeded random walk on tuples and dict-backed markings.
+
+    The loop :class:`repro.sim.RandomWalker` ran on the dict game: the same
+    draws from the same event order, the hazards of one step reported in
+    signal-name order.
+    """
+    rng = random.Random(seed)
+    trace = Trace(stg.name, implementation.architecture, seed)
+    circuit = ReferenceCircuit(stg, implementation)
+    environment = ReferenceEnvironment(stg)
+    code = circuit.initial_code()
+    tracked = environment.initial_states()
+    hazard_seen = set()
+
+    def report_hazard(hazard: Hazard) -> None:
+        if hazard not in hazard_seen and len(trace.hazards) < max_reports:
+            hazard_seen.add(hazard)
+            trace.hazards.append(hazard)
+
+    for _step in range(steps):
+        for signal in circuit.drive_conflicts(code):
+            report_hazard(Hazard("drive-conflict", signal, code))
+
+        events = enabled_events(circuit, environment, code, tracked)
+        if not events:
+            trace.deadlocked = bool(environment.enabled_changes(tracked))
+            break
+        if stop_on_anomaly and not trace.ok:
+            break
+
+        event = events[rng.randrange(len(events))]
+        new_code = circuit.fire(code, event.signal, event.target_value)
+        new_tracked = environment.advance(tracked, event.signal, event.target_value)
+        trace.steps.append(TraceStep(event.kind, event.signal, event.target_value, code))
+
+        if event.kind == "gate" and not new_tracked:
+            if len(trace.violations) < max_reports:
+                trace.violations.append(
+                    ConformanceViolation(event.signal, event.target_value, code)
+                )
+            break
+
+        excitation = {e.signal: e.target_value for e in events if e.kind == "gate"}
+        for signal, _target in disabled_excitations(
+            excitation, circuit.excitation(new_code), event.signal
+        ):
+            report_hazard(Hazard("non-persistent", signal, code, event.label))
+
+        code, tracked = new_code, new_tracked
+
+    return trace
 
 
 # ---------------------------------------------------------------------- #

@@ -8,10 +8,16 @@ gate) are detected as hazards, drive conflicts and conformance violations
 respectively.
 """
 
+import copy
+import functools
+import random
+
 import pytest
 
 from repro.boolean import BooleanFunction, Cover, Cube
 from repro.cli import main
+from repro.core import bits_of_mask
+from repro.obs import tracing
 from repro.sim import (
     ARCHITECTURES,
     CircuitModel,
@@ -22,6 +28,7 @@ from repro.sim import (
     simulate_implementation,
     simulate_spec,
 )
+from repro.sim.simulator import fireable_events
 from repro.stg import (
     benchmark_by_name,
     csc_conflict_example,
@@ -34,8 +41,9 @@ from repro.stg import (
     write_g,
 )
 from repro.synthesis import METHODS, synthesize
+from repro.synthesis.netlist import Gate, Implementation
 
-from oracles import reference_explore
+from oracles import exploration_record, reference_explore, reference_walk, walk_record
 
 # Three-architecture sweeps stay on the smaller controllers so the suite is
 # quick; the memory-element flows use exact synthesis, which dominates the
@@ -226,12 +234,11 @@ b+ p2
 """
 
 
-def _same_exploration(stg, implementation):
-    packed = simulate_implementation(stg, implementation)
-    reference = reference_explore(Simulator(stg, implementation))
-    assert packed.verdict() == reference.verdict()
-    assert packed.num_states == reference.num_states
-    assert [d.code for d in packed.deadlocks] == [d.code for d in reference.deadlocks]
+def _same_exploration(stg, implementation, **limits):
+    """The packed explore equals ``reference_explore`` record for record."""
+    packed = simulate_implementation(stg, implementation, **limits)
+    reference = reference_explore(Simulator(stg, implementation), **limits)
+    assert exploration_record(packed) == exploration_record(reference)
     return packed
 
 
@@ -271,35 +278,300 @@ def test_stuck_gate_before_the_spec_stops_still_deadlocks():
 def test_environment_tracks_the_token_game():
     stg = paper_example()
     env = SpecEnvironment(stg)
-    tracked = env.initial_states()
+    tracked = env.initial_states_packed()
     assert tracked
-    changes = env.enabled_changes(tracked)
+    changes = env.enabled_changes_packed(tracked)
     assert ("a", 1) in changes or ("c", 1) in changes
+    # the input changes offered are the enabled changes of input signals
+    inputs = [change[:2] for change in env.input_changes_packed(tracked)]
+    assert inputs == sorted(c for c in changes if c[0] in stg.input_signals)
     # advancing through an allowed change keeps the game alive
     signal, target = sorted(changes)[0]
-    advanced = env.advance(tracked, signal, target)
+    advanced = env.advance_packed(tracked, signal, target)
     assert advanced
     # an impossible change empties the tracked set
-    assert env.advance(tracked, "b", 0) == frozenset()
+    assert env.advance_packed(tracked, "b", 0) == frozenset()
 
 
 def test_circuit_model_excitation_matches_implied_values():
     stg = paper_example()
     circuit = CircuitModel(stg, _acg_implementation(stg))
-    code = circuit.initial_code()
-    assert circuit.excitation(code) == {}  # all gates stable initially
-    raised = circuit.fire(code, "a", 1)
-    assert circuit.excitation(raised) == {"b": 1}
+    word = circuit.initial_packed_code()
+    assert circuit.excitation(word) == (0, 0)  # all gates stable initially
+    a_bit = 1 << stg.signal_index("a")
+    b_bit = 1 << stg.signal_index("b")
+    raised = word ^ a_bit
+    assert circuit.excitation(raised) == (b_bit, 0)
+    # a's fanout: b's gate reads a, and a is an input (no gate of its own)
+    assert circuit.update(raised, a_bit, 0, 0) == (b_bit, 0, 1)
+
+
+def test_fanout_holds_every_reader_and_the_own_gate():
+    stg = muller_pipeline(3)
+    for architecture in ARCHITECTURES:
+        implementation = synthesize(
+            stg, method="sg-explicit", architecture=architecture
+        ).implementation
+        circuit = CircuitModel(stg, implementation)
+        for index, signal in enumerate(stg.signals):
+            expected = 0
+            for other, gate in implementation.gates.items():
+                reads = other == signal
+                for function in (gate.function, gate.set_function, gate.reset_function):
+                    if function is None or signal not in function.names:
+                        continue
+                    bit = 1 << function.names.index(signal)
+                    reads |= any(
+                        (cube.ones | cube.zeros) & bit for cube in function.cover
+                    )
+                if reads:
+                    expected |= 1 << stg.signal_index(other)
+            mask, readers = circuit.fanout[1 << index]
+            assert mask == expected, (architecture, signal)
+            assert sorted(bit for bit, _up, _down in readers) == [
+                1 << i for i in bits_of_mask(expected)
+            ]
 
 
 def test_simulator_event_ordering_is_deterministic():
     stg = paper_example()
     simulator = Simulator(stg, _acg_implementation(stg))
-    code = simulator.circuit.initial_code()
-    tracked = simulator.environment.initial_states()
-    events = simulator.enabled_events(code, tracked)
-    assert events == simulator.enabled_events(code, tracked)
-    assert all(e.kind == "input" for e in events)
+    circuit, environment = simulator.circuit, simulator.environment
+    word = circuit.initial_packed_code()
+    tracked = environment.initial_states_packed()
+    excited, _conflicts = circuit.excitation(word)
+    events = fireable_events(circuit, environment, word, tracked, excited)
+    assert events == fireable_events(circuit, environment, word, tracked, excited)
+    assert events and all(not is_gate for _signal, _target, _bit, is_gate in events)
+
+
+# ---------------------------------------------------------------------- #
+# Counters that explain the simulator's cost
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "build,counts",
+    [(paper_example, (8, 10, 8)), (lambda: muller_pipeline(3), (32, 56, 64))],
+    ids=["paper_example", "muller_pipeline_3"],
+)
+def test_exploration_counts_events_and_gate_evaluations(build, counts):
+    stg = build()
+    with tracing("sim") as tracer:
+        result = simulate_implementation(stg, _acg_implementation(stg))
+    assert (result.num_states, result.num_events_fired, result.gate_evaluations) == counts
+    span = tracer.root.find("conformance")
+    assert (
+        span.counters["sim_states"],
+        span.counters["events_fired"],
+        span.counters["gate_evaluations"],
+    ) == counts
+
+
+# ---------------------------------------------------------------------- #
+# Differential: corrupted gates against the tuple/dict reference
+# ---------------------------------------------------------------------- #
+CORRUPTIONS = ("drop-literal", "drop-cube", "add-minterm", "universe")
+SWEEP_BY_NAME = {entry.name: entry for entry in SWEEP_ENTRIES}
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesised(name, architecture):
+    stg = SWEEP_BY_NAME[name].build()
+    implementation = synthesize(
+        stg, method="sg-explicit", architecture=architecture
+    ).implementation
+    return stg, implementation
+
+
+def _corrupt(implementation, rng, kind):
+    """A copy of ``implementation`` with one gate function corrupted, or
+    None when the drawn function has nothing to drop."""
+    signal = rng.choice(sorted(implementation.gates))
+    gate = implementation.gates[signal]
+    if gate.function is not None:
+        attr = "function"
+    else:
+        attr = rng.choice(("set_function", "reset_function"))
+    function = getattr(gate, attr)
+    nvars = len(function.names)
+    cubes = list(function.cover)
+    if kind == "drop-literal":
+        candidates = [i for i, cube in enumerate(cubes) if cube.ones | cube.zeros]
+        if not candidates:
+            return None
+        i = rng.choice(candidates)
+        bit = 1 << rng.choice(bits_of_mask(cubes[i].ones | cubes[i].zeros))
+        cubes[i] = Cube(nvars, cubes[i].ones & ~bit, cubes[i].zeros & ~bit)
+    elif kind == "drop-cube":
+        if not cubes:
+            return None
+        del cubes[rng.randrange(len(cubes))]
+    elif kind == "add-minterm":
+        cubes.append(Cube.from_minterm(nvars, rng.getrandbits(nvars)))
+    else:
+        cubes = list(Cover.universe(nvars))
+    corrupted = copy.copy(gate)
+    setattr(corrupted, attr, BooleanFunction(function.names, Cover(nvars, cubes)))
+    mutant = copy.copy(implementation)
+    mutant.gates = dict(implementation.gates)
+    mutant.gates[signal] = corrupted
+    return mutant
+
+
+def _mutants(name, architecture, per_kind=2):
+    stg, implementation = _synthesised(name, architecture)
+    rng = random.Random("%s/%s" % (name, architecture))
+    for kind in CORRUPTIONS:
+        for _ in range(per_kind):
+            mutant = _corrupt(implementation, rng, kind)
+            if mutant is not None:
+                yield stg, mutant
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("entry", SWEEP_ENTRIES, ids=lambda e: e.name)
+def test_corrupted_gates_explore_like_the_reference(entry, architecture):
+    verdicts = set()
+    for stg, mutant in _mutants(entry.name, architecture):
+        verdicts.add(_same_exploration(stg, mutant, max_states=2000).verdict())
+        _same_exploration(stg, mutant, max_states=12, max_reports=3)
+    assert verdicts - {"ok", "ok(truncated)"}, "no corruption was detected"
+
+
+# Input a forks z+ and y+, which join at a-; input b toggles on its own.
+# The outputs are declared z before y, so gate order is not name order.
+FORK_G = """.inputs a b
+.outputs z y
+.graph
+a+ z+ y+
+z+ a-
+y+ a-
+a- z- y-
+z- a+
+y- a+
+b+ b-
+b- b+
+.marking { <z-,a+> <y-,a+> <b-,b+> }
+.end
+"""
+
+
+def test_hazards_of_one_event_follow_gate_order():
+    """b+ disables both z = a b' and y = a b' at once: the explorer reports
+    them in gate order, the walker in signal-name order."""
+    stg = parse_g(FORK_G)
+    implementation = Implementation(stg.name, "acg", stg.signals)
+    row = "".join({"a": "1", "b": "0"}.get(signal, "-") for signal in stg.signals)
+    for signal in ("z", "y"):
+        implementation.add_gate(
+            Gate(signal, "acg", BooleanFunction(stg.signals, Cover.from_strings([row])))
+        )
+    result = _same_exploration(stg, implementation)
+    assert [(h.signal, h.code, h.disabled_by) for h in result.hazards[:2]] == [
+        ("z", (1, 0, 0, 0), "b+"),
+        ("y", (1, 0, 0, 0), "b+"),
+    ]
+    trace = random_walk_trace(stg, implementation, steps=40, seed=5)
+    assert walk_record(trace) == walk_record(
+        reference_walk(stg, implementation, steps=40, seed=5)
+    )
+    assert [(h.signal, h.disabled_by) for h in trace.hazards] == [
+        ("y", "b+"),
+        ("z", "b+"),
+    ]
+
+
+# After a+, dummies d1 / d2 choose one of two c+ instances: the tracked
+# set holds three markings, and both c+ instances offer the same change.
+DUMMY_CHOICE_G = """.inputs a c
+.outputs b
+.dummy d1 d2
+.graph
+a+ p1
+p1 d1 d2
+d1 p2
+d2 p3
+p2 c+/1
+p3 c+/2
+c+/1 p4
+c+/2 p4
+p4 b+
+b+ a-
+a- c-
+c- b-
+b- a+
+.marking { <b-,a+> }
+.end
+"""
+
+
+def test_environment_tracks_the_dummy_closure():
+    stg = parse_g(DUMMY_CHOICE_G)
+    env = SpecEnvironment(stg)
+    initial = env.initial_states_packed()
+    assert len(initial) == 1
+    tracked = env.advance_packed(initial, "a", 1)
+    assert len(tracked) == 3
+    c_bit = 1 << stg.signal_index("c")
+    assert env.input_changes_packed(tracked) == (("c", 1, c_bit, 0),)
+    assert len(env.advance_packed(tracked, "c", 1)) == 1
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_dummy_specs_explore_and_walk_like_the_reference(architecture):
+    stg = parse_g(DUMMY_CHOICE_G)
+    implementation = synthesize(
+        stg, method="sg-explicit", architecture=architecture
+    ).implementation
+    assert _same_exploration(stg, implementation).verdict() == "ok"
+    rng = random.Random("dummy/%s" % architecture)
+    mutants = [implementation]
+    for kind in CORRUPTIONS:
+        mutant = _corrupt(implementation, rng, kind)
+        if mutant is not None:
+            mutants.append(mutant)
+    for mutant in mutants:
+        _same_exploration(stg, mutant)
+        _same_exploration(stg, mutant, max_states=4, max_reports=1)
+        for seed in (0, 1):
+            assert walk_record(random_walk_trace(stg, mutant, steps=60, seed=seed)) == (
+                walk_record(reference_walk(stg, mutant, steps=60, seed=seed))
+            )
+
+
+WALK_CASES = [
+    ("nowick", "acg"),
+    ("paper_example", "c-element"),
+    ("choice_controller", "rs-latch"),
+    ("sbuf-send-pkt2", "acg"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+@pytest.mark.parametrize("name,architecture", WALK_CASES)
+def test_walks_match_the_reference_walk(name, architecture, seed):
+    stg, implementation = _synthesised(name, architecture)
+    trace = random_walk_trace(stg, implementation, steps=300, seed=seed)
+    reference = reference_walk(stg, implementation, steps=300, seed=seed)
+    assert trace.ok and trace.num_steps == 300
+    assert walk_record(trace) == walk_record(reference)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name,architecture", WALK_CASES)
+def test_corrupted_walks_match_the_reference_walk(name, architecture, seed):
+    anomalies = 0
+    for stg, mutant in _mutants(name, architecture, per_kind=1):
+        trace = random_walk_trace(stg, mutant, steps=120, seed=seed)
+        assert walk_record(trace) == walk_record(
+            reference_walk(stg, mutant, steps=120, seed=seed)
+        )
+        anomalies += not trace.ok
+        walker = RandomWalker(stg, mutant, seed=seed)
+        stopped = walker.run(steps=120, stop_on_anomaly=True)
+        assert walk_record(stopped) == walk_record(
+            reference_walk(stg, mutant, steps=120, seed=seed, stop_on_anomaly=True)
+        )
+    assert anomalies
 
 
 # ---------------------------------------------------------------------- #
