@@ -1,19 +1,20 @@
 """repro.kernel -- the numpy bitset kernel of the explicit state-space engine.
 
 The packed core (:mod:`repro.core`) turned every state into a handful of
-Python ints; :mod:`repro.kernel.bitset` goes further with numpy ``uint64``
-bitset matrices (states x words) that replace the remaining per-state
-Python loops of the explicit engine -- BFS frontier expansion,
-excitation-mask sweeps and the pairwise USC/CSC code-comparison joins --
-with whole-frontier array operations.
+Python ints; :mod:`repro.kernel.bitset` runs the explicit engine's sweeps
+over every state on numpy ``uint64`` words instead.  A cold State Graph
+build expands one BFS wave per fixed sequence of array operations, with no
+Python loop per candidate or per state: only each wave's distinct
+successor markings become Python ints, to meet the graph's marking index.
+The USC/CSC checks join states through one sort of the code rows.
 
 numpy is an optional extra (``pip install repro-synth[kernel]``).  This
 module holds the single capability probe: the explicit engine reads
 :data:`HAS_NUMPY` at call time and runs the bitset kernel for cold builds
 and the USC/CSC sweeps whenever numpy is installed, and the pure-python
-packed loops otherwise.  Both build the same graphs; the tests compare them
-by setting :data:`HAS_NUMPY` to False.  Growing a graph after a signal
-insertion always runs on the python loop.
+packed loops otherwise.  Both build the same graphs and raise the same
+errors; the tests compare them by setting :data:`HAS_NUMPY` to False.
+Growing a graph after a signal insertion always runs on the python loop.
 """
 
 from __future__ import annotations

@@ -1,32 +1,44 @@
 """numpy ``uint64`` bitset kernels for the explicit-engine hot paths.
 
-Three per-state Python-int loops dominate explicit synthesis runs past ~12
-pipeline stages: BFS frontier expansion in
-:func:`~repro.stategraph.stategraph.build_state_graph`, the excitation-mask
-sweep that labels every state, and the pairwise USC/CSC code-comparison
-joins in :func:`~repro.stategraph.csc.check_usc` / ``check_csc``.  This
-module re-expresses all three over ``uint64`` matrices:
+Two sweeps over every reachable state dominate explicit synthesis past ~12
+pipeline stages: the BFS that builds the State Graph in
+:func:`~repro.stategraph.stategraph.build_state_graph`, with the excitation
+masks that label every state, and the pairwise USC/CSC code joins in
+:func:`~repro.stategraph.csc.check_usc` / ``check_csc``.  This module runs
+both on ``uint64`` arrays.
 
-* markings live in a ``(states, words)`` matrix (``words =
-  ceil(places/64)``), codes and excitation masks in ``(states,
-  code_words)`` matrices (``code_words = ceil(signals/64)``), so
-  arbitrarily wide specifications stay on the numpy path -- the historical
-  64-signal limit is gone;
-* one BFS *wave* (all states at one depth -- a contiguous index range, since
-  discovery order is FIFO) is expanded in whole-frontier array ops:
-  ``enabled = ((m & preset) == preset).all(axis=-1)``, ``succ = (m &
-  ~preset) | postset``, with vectorised safety and consistency checks;
-* candidate successors come out of ``np.nonzero`` in row-major order, i.e.
-  exactly the ``(source, transition)`` order of the reference BFS, so state
-  numbering, edge order, excitation masks and every raised error match the
-  pure-python builder bit for bit;
-* USC/CSC joins sort the code vector once and compare only within runs of
-  equal codes, instead of bucketing every state through a Python dict.
+:func:`kernel_bfs` expands one BFS *wave* at a time: all states at one
+depth, a contiguous index range since discovery order is FIFO.  Markings
+and codes are lists of 1-D per-word columns (column ``w`` holds word ``w``
+of every row; ``ceil(places/64)`` marking words, ``ceil(signals/64)`` code
+words), so specifications of any width stay on this path.  A wave is a
+fixed sequence of array operations, with no Python loop per candidate or
+per state:
 
-The kernel fills the same :class:`~repro.stategraph.StateGraph` object the
-reference builder produces; edges are kept as compact ``uint32`` arrays and
-materialised into ``(source, transition, target)`` tuples / adjacency dicts
-lazily, only for consumers that genuinely walk the graph.
+* a ``(wave, transitions)`` enabledness matrix, built one marking word at
+  a time, whose ``nonzero()`` lists the candidates in the python loop's
+  ``(source, transition)`` order;
+* per candidate, the consistency and safety checks and the successor
+  marking and code;
+* one stable sort of the successor rows (``argsort`` for one marking word,
+  ``lexsort`` for more), which puts every run of equal rows behind its
+  first candidate; only the distinct rows become Python ints and meet
+  ``StateGraph._index``, through ``map(dict.get, ...)``;
+* new states numbered in the order of their first candidates -- the python
+  loop's discovery order -- and adopted by the graph in bulk;
+* one vector comparison of every candidate's code with its target's.
+
+Each check marks the candidates it fails in one mask.  The first marked
+candidate in scan order is checked again in Python, with the python loop's
+precedence, to raise its error.  So state numbering, edge order,
+excitation masks and every raised error match the python loop
+(``repro.stategraph.stategraph._explore``) bit for bit.  Edges stay
+compact ``uint32`` arrays; ``(source, transition, target)`` tuples and
+adjacency lists materialise on first use, only for consumers that walk the
+graph.
+
+The USC/CSC joins sort the code rows once and compare only within runs of
+equal codes, instead of bucketing every state through a Python dict.
 
 The BFS kernel serves cold builds only.  Growing a graph after a signal
 insertion (:func:`~repro.stategraph.extend_state_graph`) re-explores a few
@@ -35,7 +47,9 @@ states, which the python loop drains faster than wave arrays can be set up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from operator import lshift, or_
+from typing import Dict, List, Tuple
 
 from . import numpy_or_none
 
@@ -63,18 +77,22 @@ def _words_of(value: int, nwords: int) -> List[int]:
     return [(value >> (64 * w)) & _MASK64 for w in range(nwords)]
 
 
-def _int_keys(rows) -> List[int]:
-    """Recombine a ``(k, words)`` uint64 matrix into Python-int dict keys.
+def _column_ints(columns) -> List[int]:
+    """Python ints from word-major uint64 columns (``columns[w]`` = word ``w``).
 
-    The keys must be plain ints because they are interned into the same
-    ``StateGraph._index`` dict the reference builder uses (so
-    ``index_of()`` keeps working on kernel-built graphs).
+    A graph stores plain ints, as the python loop does: its marking index
+    is keyed by them (so ``index_of()`` works on kernel-built graphs).  The
+    words combine through ``map``, with no Python loop per value.
     """
-    keys = rows[:, 0].tolist()
-    for w in range(1, rows.shape[1]):
-        shift = 64 * w
-        keys = [k | (v << shift) for k, v in zip(keys, rows[:, w].tolist())]
+    keys = columns[0].tolist()
+    for w in range(1, len(columns)):
+        keys = list(map(or_, keys, map(lshift, columns[w].tolist(), repeat(64 * w))))
     return keys
+
+
+def _int_keys(rows) -> List[int]:
+    """Python ints from a ``(k, words)`` uint64 row matrix."""
+    return _column_ints(rows.T)
 
 
 def code_words(nsignals: int) -> int:
@@ -103,56 +121,39 @@ def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
     """Vectorised packed BFS; fills ``graph`` exactly like the python loop
     (``repro.stategraph.stategraph._explore``) of the cold build.
 
-    Raises the same errors at the same first offending ``(state,
-    transition)`` as the reference builder: wave order equals FIFO order
-    and within a wave candidates are scanned in ``(source position,
-    transition index)`` order.
+    Raises the same error as the python loop, at the same first offending
+    ``(state, transition)`` candidate: wave order equals FIFO order, within
+    a wave candidates are scanned in ``(source, transition)`` order, and one
+    candidate is checked like the python loop checks it -- enabled against
+    its signal's value, then unsafe, then a known marking with another code
+    or a new state over ``max_states``.
     """
     np = _require_numpy()
-    from ..core import UnsafeNetError, pack_code, unpack_code
-    from ..petrinet import StateSpaceLimitExceeded
-    from ..stg.signals import Direction
+    from ..core import pack_code
 
-    nsignals = len(graph.signals)
-    nplaces = len(pnet.codec.places)
-    nwords = max(1, (nplaces + 63) // 64)
+    nwords = max(1, (len(pnet.codec.places) + 63) // 64)
+    cwords = code_words(len(graph.signals))
     transitions = pnet.transitions
-    ntrans = len(transitions)
+    plus_bits, minus_bits = _signal_bits(stg, graph, transitions)
+    # Word columns of the transition tables: ``pre[w][t]`` is word ``w`` of
+    # transition ``t``'s preset.
+    pre = _word_columns(np, pnet.presets, nwords)
+    cleared = [~column for column in pre]
+    post = _word_columns(np, pnet.postsets, nwords)
+    plus = _word_columns(np, plus_bits, cwords)
+    # A falling transition needs its signal at 1 and a rising one at 0, so
+    # the minus bits are also the value each transition must see.
+    minus = _word_columns(np, minus_bits, cwords)
+    flip = [p | m for p, m in zip(plus, minus)]
 
-    pre = np.array(
-        [_words_of(m, nwords) for m in pnet.presets], dtype=np.uint64
-    ).reshape(ntrans, nwords)
-    post = np.array(
-        [_words_of(m, nwords) for m in pnet.postsets], dtype=np.uint64
-    ).reshape(ntrans, nwords)
-
-    signal_index = graph.signal_table.index
-    cwords = code_words(nsignals)
-    bits = np.zeros((ntrans, cwords), dtype=np.uint64)
-    target_one = np.zeros(ntrans, dtype=bool)
-    labelled = np.zeros(ntrans, dtype=bool)
-    rising = np.zeros(ntrans, dtype=bool)
-    for t, name in enumerate(transitions):
-        label = stg.label_of(name)
-        if label is None:
-            continue
-        bits[t] = _words_of(1 << signal_index(label.signal), cwords)
-        target_one[t] = label.target_value == 1
-        labelled[t] = True
-        rising[t] = label.direction is Direction.PLUS
-
-    capacity = 1024
-    marks = np.zeros((capacity, nwords), dtype=np.uint64)
-    codes = np.zeros((capacity, cwords), dtype=np.uint64)
-    marks[0] = _words_of(pnet.initial, nwords)
     initial_code = pack_code(stg.initial_code())
-    codes[0] = _words_of(initial_code, cwords)
-    graph._add_packed_state(pnet.initial, initial_code)
-
-    packed_codes = graph.packed_codes
-    index_of = graph._index
-    add_state = graph._add_packed_state
-    codec = pnet.codec
+    graph._adopt_packed_states([pnet.initial], [initial_code])
+    lookup = graph._index.get
+    # Codes of every state so far, one column per code word; markings only
+    # of the wave being expanded (a firing's source is always in it).
+    capacity = 1024
+    codes = _word_columns(np, [initial_code], cwords, capacity)
+    wave = _word_columns(np, [pnet.initial], nwords)
 
     edge_src: List = []
     edge_t: List = []
@@ -164,111 +165,106 @@ def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
     lo, hi = 0, 1
     while lo < hi:
         frontier_words += (hi - lo) * nwords
-        m = marks[lo:hi]
-        c = codes[lo:hi]
-        # (wave, ntrans) enablement; nonzero() yields candidates in
-        # row-major order = the reference (source, transition) scan order.
-        enabled = ((m[:, None, :] & pre[None, :, :]) == pre[None, :, :]).all(axis=2)
-        src_loc, t_idx = np.nonzero(enabled)
+        # (wave, transitions) enabledness; nonzero() lists the candidates
+        # row-major, which is the python loop's (source, transition) order.
+        enabled = (wave[0][:, None] & pre[0]) == pre[0]
+        for w in range(1, nwords):
+            enabled &= (wave[w][:, None] & pre[w]) == pre[w]
+        src, t_idx = enabled.nonzero()
+        ncand = src.size
+        at = src + lo
 
-        src_codes = c[src_loc]
-        if src_loc.size:
-            # An enabled labelled transition must see the source value:
-            # violated exactly when the current bit already equals the target.
-            cur_one = (src_codes & bits[t_idx]).any(axis=1)
-            bad = labelled[t_idx] & (cur_one == target_one[t_idx])
-            if bad.any():
-                from ..stategraph.stategraph import _inconsistent_enabled
+        # ``bad`` marks every offending candidate: its signal does not hold
+        # the source value, the firing is unsafe, or (below) its target is
+        # known with another code.
+        bad = np.zeros(ncand, dtype=bool)
+        succ_codes = []
+        for w in range(cwords):
+            code = codes[w][at]
+            t_flip = flip[w][t_idx]
+            bad |= (code & t_flip) != minus[w][t_idx]
+            succ_codes.append(code ^ t_flip)
+        succ = []
+        for w in range(nwords):
+            remainder = wave[w][src] & cleared[w][t_idx]
+            t_post = post[w][t_idx]
+            bad |= (remainder & t_post) != 0
+            succ.append(remainder | t_post)
 
-                first = int(np.argmax(bad))
-                raise _inconsistent_enabled(stg, transitions[int(t_idx[first])])
+        # One stable sort puts equal successor rows next to each other,
+        # each run led by its first candidate; only the distinct rows
+        # become Python ints and meet the index.
+        order = succ[0].argsort(kind="stable") if nwords == 1 else np.lexsort(succ)
+        head = np.empty(ncand, dtype=bool)
+        head[:1] = True
+        ordered = succ[0][order]
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        for column in succ[1:]:
+            ordered = column[order]
+            head[1:] |= ordered[1:] != ordered[:-1]
+        firsts = order[head]
+        keys = _column_ints([column[firsts] for column in succ])
+        ids = np.fromiter(map(lookup, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+        # New states are numbered in the order of their first candidates,
+        # which is the python loop's discovery order.
+        fresh = (ids < 0).nonzero()[0]
+        new_at = firsts[fresh]
+        rank = new_at.argsort()
+        fresh = fresh[rank]
+        new_at = new_at[rank]
+        total = hi + new_at.size
+        ids[fresh] = np.arange(hi, total)
+        targets = np.empty(ncand, dtype=np.int64)
+        targets[order] = ids[head.cumsum() - 1]
 
-        remainder = m[src_loc] & ~pre[t_idx]
-        t_post = post[t_idx]
-        unsafe = (remainder & t_post).any(axis=1)
-        if unsafe.any():
-            first = int(np.argmax(unsafe))
-            marking = _int_keys(m[src_loc[first : first + 1]])[0]
-            raise UnsafeNetError(
-                "firing %r from packed marking %#x is not safe"
-                % (transitions[int(t_idx[first])], marking)
-            )
-        succ = remainder | t_post
-        t_bits = bits[t_idx]
-        succ_codes = np.where(
-            target_one[t_idx, None], src_codes | t_bits, src_codes & ~t_bits
-        )
-
-        # Interning is the one per-candidate Python loop left: dict get /
-        # insert per candidate, in reference discovery order.
-        keys = _int_keys(succ)
-        code_list = _int_keys(succ_codes)
-        targets: List[int] = []
-        new_positions: List[int] = []
-        for pos, key in enumerate(keys):
-            existing = index_of.get(key)
-            if existing is None:
-                existing = add_state(key, code_list[pos])
-                if max_states is not None and len(packed_codes) > max_states:
-                    raise StateSpaceLimitExceeded(max_states)
-                new_positions.append(pos)
-            elif packed_codes[existing] != code_list[pos]:
-                from ..stategraph.stategraph import _inconsistent_codes
-
-                raise _inconsistent_codes(
-                    codec.decode(key),
-                    unpack_code(packed_codes[existing], nsignals),
-                    unpack_code(code_list[pos], nsignals),
-                )
-            targets.append(existing)
-
-        if src_loc.size:
-            edge_src.append((src_loc + lo).astype(np.uint32))
-            edge_t.append(t_idx.astype(np.uint32))
-            edge_tgt.append(np.array(targets, dtype=np.uint32))
-
-        total = len(packed_codes)
         if total > capacity:
             while capacity < total:
                 capacity *= 2
-            new_marks = np.zeros((capacity, nwords), dtype=np.uint64)
-            new_marks[:hi] = marks[:hi]
-            marks = new_marks
-            new_codes = np.zeros((capacity, cwords), dtype=np.uint64)
-            new_codes[:hi] = codes[:hi]
-            codes = new_codes
-        if new_positions:
-            sel = np.array(new_positions, dtype=np.int64)
-            marks[hi:total] = succ[sel]
-            codes[hi:total] = succ_codes[sel]
-            wave_sizes.append(total - hi)
+            codes = [_grown(np, column, hi, capacity) for column in codes]
+        for w in range(cwords):
+            codes[w][hi:total] = succ_codes[w][new_at]
+            # A new state's first candidate meets its own code here.
+            bad |= codes[w][targets] != succ_codes[w]
+        # The python loop checks the budget as each new state arrives: the
+        # first new state numbered ``max_states`` or above breaks it.
+        over = max_states is not None and total > max(max_states, hi)
+        if over or bad.any():
+            first = int(bad.argmax()) if bad.any() else ncand
+            if over:
+                first = min(first, int(new_at[max(max_states - hi, 0)]))
+            target_code = _column_ints([column[targets[first : first + 1]] for column in codes])
+            _raise_first_error(
+                stg, pnet, graph, int(at[first]), int(t_idx[first]),
+                target_code[0], not bad[first], max_states,
+            )
+
+        edge_src.append(at)
+        edge_t.append(t_idx)
+        edge_tgt.append(targets)
+        if new_at.size:
+            graph._adopt_packed_states(
+                list(map(keys.__getitem__, fresh.tolist())),
+                _column_ints([column[new_at] for column in succ_codes]),
+            )
+            wave_sizes.append(new_at.size)
         if live:
             # One progress event per BFS wave -- wave totals are identical
             # across identical runs, so the trace stays deterministic.
             span.progress(total, max_states)
+        wave = [column[new_at] for column in succ]
         lo, hi = hi, total
 
-    nstates = len(packed_codes)
-    if edge_src:
-        src_all = np.concatenate(edge_src)
-        t_all = np.concatenate(edge_t)
-        tgt_all = np.concatenate(edge_tgt)
-    else:
-        src_all = np.zeros(0, dtype=np.uint32)
-        t_all = np.zeros(0, dtype=np.uint32)
-        tgt_all = np.zeros(0, dtype=np.uint32)
+    nstates = hi
+    src_all = _joined(np, edge_src)
+    t_all = _joined(np, edge_t)
+    tgt_all = _joined(np, edge_tgt)
     graph._set_kernel_edges(src_all, t_all, tgt_all, transitions)
 
-    excited_plus = np.zeros((nstates, cwords), dtype=np.uint64)
-    excited_minus = np.zeros((nstates, cwords), dtype=np.uint64)
-    edge_labelled = labelled[t_all]
-    plus_edges = edge_labelled & rising[t_all]
-    minus_edges = edge_labelled & ~rising[t_all]
-    np.bitwise_or.at(excited_plus, src_all[plus_edges], bits[t_all[plus_edges]])
-    np.bitwise_or.at(excited_minus, src_all[minus_edges], bits[t_all[minus_edges]])
+    excited_plus = _excitation(np, plus, src_all, t_all, nstates)
+    excited_minus = _excitation(np, minus, src_all, t_all, nstates)
     graph._excited_plus = _int_keys(excited_plus)
     graph._excited_minus = _int_keys(excited_minus)
-    graph._kernel_codes = codes[:nstates].copy()
+    graph._kernel_codes = np.stack([column[:nstates] for column in codes], axis=1)
     graph._kernel_excited_plus = excited_plus
     graph._kernel_excited_minus = excited_minus
     graph._kernel_version = graph._version
@@ -283,6 +279,95 @@ def kernel_bfs(stg, pnet, graph, max_states=None, span=None):
         span.counter("kernel_frontier_words", frontier_words)
         span.gauge("interned_markings", len(graph._index))
     return graph
+
+
+def _signal_bits(stg, graph, transitions) -> Tuple[List[int], List[int]]:
+    """Per transition, its signal's bit if it rises / if it falls (else 0)."""
+    signal_index = graph.signal_table.index
+    plus_bits = [0] * len(transitions)
+    minus_bits = [0] * len(transitions)
+    for t, name in enumerate(transitions):
+        label = stg.label_of(name)
+        if label is not None:
+            bits = plus_bits if label.target_value else minus_bits
+            bits[t] = 1 << signal_index(label.signal)
+    return plus_bits, minus_bits
+
+
+def _raise_first_error(stg, pnet, graph, source, t, target_code, over_budget, max_states):
+    """Raise what the python loop raises at candidate ``(source, t)``.
+
+    The checks run in the python loop's order: the signal's value, safety,
+    then the budget (``over_budget``: the candidate found the state that
+    broke ``max_states``) or the code ``target_code`` of a known marking.
+    """
+    from ..core import UnsafeNetError, unpack_code
+    from ..petrinet import StateSpaceLimitExceeded
+    from ..stategraph.stategraph import _inconsistent_codes, _inconsistent_enabled
+
+    name = pnet.transitions[t]
+    marking = graph._packed_markings[source]
+    code = graph.packed_codes[source]
+    label = stg.label_of(name)
+    if label is not None:
+        bit = 1 << graph.signal_table.index(label.signal)
+        if bool(code & bit) != (label.target_value == 0):
+            raise _inconsistent_enabled(stg, name)
+        code ^= bit
+    remainder = marking & ~pnet.presets[t]
+    if remainder & pnet.postsets[t]:
+        raise UnsafeNetError(
+            "firing %r from packed marking %#x is not safe" % (name, marking)
+        )
+    if over_budget:
+        raise StateSpaceLimitExceeded(max_states)
+    nsignals = len(graph.signals)
+    raise _inconsistent_codes(
+        pnet.codec.decode(remainder | pnet.postsets[t]),
+        unpack_code(target_code, nsignals),
+        unpack_code(code, nsignals),
+    )
+
+
+def _word_columns(np, values, nwords, length=None):
+    """Python ints as ``nwords`` uint64 columns (column ``w`` = word ``w``),
+    zero-padded to ``length`` rows."""
+    length = len(values) if length is None else length
+    columns = []
+    for w in range(nwords):
+        column = np.zeros(length, dtype=np.uint64)
+        column[: len(values)] = [(value >> (64 * w)) & _MASK64 for value in values]
+        columns.append(column)
+    return columns
+
+
+def _joined(np, chunks):
+    """The per-wave index arrays as one ``uint32`` array, emptying ``chunks``
+    (state and transition indices stay far below ``2**32``)."""
+    joined = np.concatenate(chunks, dtype=np.uint32, casting="unsafe")
+    chunks.clear()
+    return joined
+
+
+def _grown(np, column, used, capacity):
+    """``column`` copied into a longer zeroed one."""
+    grown = np.zeros(capacity, dtype=np.uint64)
+    grown[:used] = column[:used]
+    return grown
+
+
+def _excitation(np, bits, src, t_idx, nstates):
+    """``(states, words)`` OR of ``bits[w][t]`` over every edge's source.
+
+    ``src`` ascends (edges are recorded in discovery order), so each
+    state's edges form one run and ``reduceat`` ORs the runs.
+    """
+    excited = np.zeros((nstates, len(bits)), dtype=np.uint64)
+    if src.size:
+        starts = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+        for w, column in enumerate(bits):
+            excited[src[starts], w] = np.bitwise_or.reduceat(column[t_idx], starts)
+    return excited
 
 
 # ---------------------------------------------------------------------- #

@@ -119,21 +119,14 @@ def _compatible(old_graph: StateGraph, edit: InsertionEdit) -> bool:
 def _adopt_survivors(
     graph: StateGraph, markings: List[int], codes: List[int]
 ) -> None:
-    """Batch-register the old states into a fresh graph (indices preserved)."""
-    graph.packed_codes.extend(codes)
-    graph._packed_markings.extend(markings)
-    index = graph._index
-    successors = graph._successors
-    predecessors = graph._predecessors
-    for state, marking in enumerate(markings):
-        index[marking] = state
-        successors[state] = []
-        predecessors[state] = []
+    """Batch-register the old states into a fresh graph (indices preserved),
+    with the empty adjacency lists and masks the python loop fills."""
+    graph._adopt_packed_states(markings, codes)
+    states = range(len(codes))
+    graph._successors = {state: [] for state in states}
+    graph._predecessors = {state: [] for state in states}
     graph._excited_plus = [0] * len(codes)
     graph._excited_minus = [0] * len(codes)
-    graph._codes_cache = None
-    graph._code_index = None
-    graph._version += 1
 
 
 def extend_state_graph(

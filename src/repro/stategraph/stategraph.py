@@ -49,6 +49,17 @@ __all__ = ["StateGraph", "InconsistentSTGError", "build_state_graph"]
 class StateGraph:
     """Reachability graph of an STG with binary codes.
 
+    Both backends of :func:`build_state_graph` fill this object.  The
+    python loop (``_explore``) adds one state at a time
+    (``_add_packed_state``) and one edge at a time (``_add_edge``), keeping
+    the adjacency lists and excitation masks current as it goes.  The numpy
+    kernel (:func:`repro.kernel.bitset.kernel_bfs`) adopts each BFS wave's
+    new states in bulk (``_adopt_packed_states`` grows the markings, the
+    codes and the marking index), keeps its edges as ``uint32`` arrays and
+    sets the excitation masks once, at the end; a kernel-built graph
+    creates its edge tuples and its ``_successors`` / ``_predecessors``
+    lists on first use.
+
     Attributes
     ----------
     stg:
@@ -111,6 +122,7 @@ class StateGraph:
         return self._marking_list
 
     def _add_packed_state(self, marking_word: int, code_word: int) -> int:
+        """Append one state with empty adjacency lists (the python loop)."""
         index = len(self._index)
         self._index[marking_word] = index
         self._packed_markings.append(marking_word)
@@ -123,6 +135,20 @@ class StateGraph:
         self._code_index = None
         self._version += 1
         return index
+
+    def _adopt_packed_states(self, markings: List[int], codes: List[int]) -> None:
+        """Append states in bulk, numbered on from the current count.
+
+        Only the state lists and the index grow: adjacency lists and
+        excitation masks are the caller's to set.
+        """
+        start = len(self.packed_codes)
+        self._index.update(zip(markings, range(start, start + len(markings))))
+        self._packed_markings.extend(markings)
+        self.packed_codes.extend(codes)
+        self._codes_cache = None
+        self._code_index = None
+        self._version += 1
 
     def _transition_bit(self, transition: str) -> Tuple[int, int]:
         """``(signal_bit, is_rising)`` of a transition; ``(0, 0)`` for dummies."""
@@ -172,12 +198,15 @@ class StateGraph:
 
     def _materialise_adjacency(self) -> None:
         src, t_idx, tgt, names = self._kernel_edges
-        successors = self._successors
-        predecessors = self._predecessors
+        states = range(self.num_states)
+        successors = {state: [] for state in states}
+        predecessors = {state: [] for state in states}
         for s, t, g in zip(src.tolist(), t_idx.tolist(), tgt.tolist()):
             name = names[t]
             successors[s].append((name, g))
             predecessors[g].append((name, s))
+        self._successors = successors
+        self._predecessors = predecessors
         self._adjacency_ready = True
 
     # ------------------------------------------------------------------ #

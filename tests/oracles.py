@@ -5,6 +5,9 @@ None of these shares code with the path it checks:
 * :class:`OracleGraph` -- the State Graph from the dict-based token game
   of :func:`repro.petrinet.explore`, with every code replayed along the
   walk's edges by ``stg.next_code``;
+* :func:`assert_same_graph` -- two State Graphs compared query by query
+  (numbering, markings, codes, edge order, excitation masks, adjacency
+  and the marking index), for the two backends of the explicit engine;
 * :func:`reference_cut_walk` -- a breadth-first cut walk over a segment
   that scans every consumer of every condition of each cut;
 * :func:`reference_conflict` -- conflict of two local configurations,
@@ -131,6 +134,25 @@ class OracleGraph:
                     if not csc or excited[left] != excited[right]:
                         conflicts.append((left, right))
         return sorted(conflicts)
+
+
+def assert_same_graph(graph, reference) -> None:
+    """Assert that ``graph`` is ``reference``: the same state numbering,
+    markings, codes, edge order, excitation masks, successors,
+    predecessors and deadlocks, and ``index_of`` finds every marking."""
+    assert graph.num_states == reference.num_states
+    assert list(graph.packed_codes) == list(reference.packed_codes)
+    assert list(graph.markings) == list(reference.markings)
+    assert graph.num_edges == reference.num_edges
+    assert list(graph.edges) == list(reference.edges)
+    assert graph._excited_plus == reference._excited_plus
+    assert graph._excited_minus == reference._excited_minus
+    for state in range(reference.num_states):
+        assert graph.successors(state) == reference.successors(state)
+        assert graph.predecessors(state) == reference.predecessors(state)
+    assert graph.deadlock_states() == reference.deadlock_states()
+    for state, marking in enumerate(reference.markings):
+        assert graph.index_of(marking) == state
 
 
 # ---------------------------------------------------------------------- #

@@ -6,14 +6,16 @@ the pairwise USC/CSC code joins -- with whole-frontier ``uint64`` array
 operations.  These tests pin the contract down hard: across the Table 1
 suite and the Muller-pipeline family the kernel build must produce the
 *same graph* as the python loops run with ``HAS_NUMPY`` patched off (state
-numbering, packed codes, edges, excitation masks), the same USC/CSC
-conflict lists and the same signature groups, and ``resolve_kernel`` must
-report the backend the probe picked.
+numbering, packed codes, edges, excitation masks, adjacency), the same
+USC/CSC conflict lists and the same signature groups, both backends must
+name the same defect on a bad spec, and ``resolve_kernel`` must report the
+backend the probe picked.
 """
 
 import pytest
 
 import repro.kernel as kernel_mod
+from repro.core import UnsafeNetError
 from repro.kernel import HAS_NUMPY, resolve_kernel
 from repro.petrinet import StateSpaceLimitExceeded
 from repro.spaces import ExplicitStateSpace
@@ -21,6 +23,8 @@ from repro.stategraph import build_state_graph, check_csc, check_usc
 from repro.stategraph.stategraph import InconsistentSTGError
 from repro.stg import STG, muller_pipeline, table1_suite
 from repro.stg.signals import SignalType
+
+from oracles import assert_same_graph
 
 requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
@@ -61,18 +65,11 @@ def test_resolve_kernel_unknown_rejected():
 @pytest.mark.parametrize("builder", SPEC_BUILDERS, ids=SPEC_IDS)
 def test_kernel_graph_identical_to_reference(builder, monkeypatch):
     vectorised = build_state_graph(builder())
+    # The kernel leaves adjacency to the first query that walks the graph.
+    assert not vectorised._successors and not vectorised._predecessors
     monkeypatch.setattr(kernel_mod, "HAS_NUMPY", False)
     reference = build_state_graph(builder())
-    assert vectorised.num_states == reference.num_states
-    assert list(vectorised.packed_codes) == list(reference.packed_codes)
-    assert list(vectorised.markings) == list(reference.markings)
-    assert vectorised.num_edges == reference.num_edges
-    assert list(vectorised.edges) == list(reference.edges)
-    assert vectorised._excited_plus == reference._excited_plus
-    assert vectorised._excited_minus == reference._excited_minus
-    for state in range(reference.num_states):
-        assert vectorised.successors(state) == reference.successors(state)
-    assert vectorised.deadlock_states() == reference.deadlock_states()
+    assert_same_graph(vectorised, reference)
 
 
 @requires_numpy
@@ -93,6 +90,67 @@ def test_kernel_detects_inconsistent_stg():
     stg.add_arc(t2, stg.add_place("end"))
     with pytest.raises(InconsistentSTGError):
         build_state_graph(stg)
+
+
+def _parity_spec(marked, firings):
+    """Signals ``a`` and ``b`` at 0, places ``p0..p3`` (tokens on the
+    space-separated ``marked``) and one transition per ``(label, source,
+    target)`` firing, declared in that order."""
+    stg = STG("parity")
+    for signal in ("a", "b"):
+        stg.add_signal(signal, SignalType.OUTPUT, initial=0)
+    for place in ("p0", "p1", "p2", "p3"):
+        stg.add_place(place, tokens=1 if place in marked.split() else 0)
+    for label, source, target in firings:
+        transition = stg.add_transition(label)
+        stg.add_arc(source, transition)
+        stg.add_arc(transition, target)
+    return stg
+
+
+A_PLUS = ("a+", "p0", "p2")  # unsafe while p2 is marked
+B_MINUS = ("b-", "p1", "p3")  # enabled while b is already 0
+B_PLUS = ("b+", "p1", "p3")  # unsafe while p3 is marked
+
+#: (id, marked places, firings in declaration order, max_states, the error
+#: the python loop raises).  Each pair of rows declares the same two
+#: offending transitions in both orders: the first offending candidate in
+#: ``(source, transition)`` order names the defect.
+VERDICT_PARITY = [
+    ("unsafe-first", "p0 p1 p2", [A_PLUS, B_MINUS], None, UnsafeNetError),
+    ("inconsistent-first", "p0 p1 p2", [B_MINUS, A_PLUS], None, InconsistentSTGError),
+    ("budget-first", "p0 p1 p3", [A_PLUS, B_PLUS], 1, StateSpaceLimitExceeded),
+    ("unsafe-before-budget", "p0 p1 p3", [B_PLUS, A_PLUS], 1, UnsafeNetError),
+    ("two-codes", "p0", [("a+", "p0", "p1"), ("b+", "p0", "p1")], None, InconsistentSTGError),
+]
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "marked, firings, max_states, expected",
+    [row[1:] for row in VERDICT_PARITY],
+    ids=[row[0] for row in VERDICT_PARITY],
+)
+def test_kernel_names_the_python_loops_defect(marked, firings, max_states, expected, monkeypatch):
+    errors = []
+    for has_numpy in (True, False):
+        monkeypatch.setattr(kernel_mod, "HAS_NUMPY", has_numpy)
+        with pytest.raises(expected) as caught:
+            build_state_graph(_parity_spec(marked, firings), max_states=max_states)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+
+
+@requires_numpy
+def test_kernel_budget_counts_new_states_only(monkeypatch):
+    # A deadlocked initial state is the whole graph, even at max_states=0.
+    graphs = []
+    for has_numpy in (True, False):
+        monkeypatch.setattr(kernel_mod, "HAS_NUMPY", has_numpy)
+        spec = _parity_spec("p0", [("a+", "p1", "p2")])
+        graphs.append(build_state_graph(spec, max_states=0))
+    assert graphs[0].num_states == 1
+    assert_same_graph(*graphs)
 
 
 # --------------------------------------------------------------------- #
