@@ -466,13 +466,16 @@ class SymbolicNet:
         marking_set = self.bdd.exists(self.reachable_set(), self.signal_vars)
         return self.bdd.count_solutions(marking_set, self.place_vars)
 
-    def excited(self, transitions: Sequence[str]) -> int:
-        """Reachable states enabling at least one of the given transitions."""
-        bdd = self.bdd
-        enable = bdd.disj_all(
+    def enabling(self, transitions: Sequence[str]) -> int:
+        """Markings enabling at least one of the given transitions, reachable
+        or not: the OR of their enabling cubes over the place variables."""
+        return self.bdd.disj_all(
             self._enable[self._transition_index[t]] for t in transitions
         )
-        return bdd.conj(self.reachable_set(), enable)
+
+    def excited(self, transitions: Sequence[str]) -> int:
+        """Reachable states enabling at least one of the given transitions."""
+        return self.bdd.conj(self.reachable_set(), self.enabling(transitions))
 
     def project_codes(self, states: int) -> int:
         """Quantify the marking away: the binary codes of a state set."""

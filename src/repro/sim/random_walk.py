@@ -107,7 +107,8 @@ class RandomWalker:
     events of :func:`~repro.sim.simulator.fireable_events`, keeps the
     excitation masks incrementally with :meth:`CircuitModel.update
     <repro.sim.gates.CircuitModel.update>` and checks persistence by mask.
-    The hazards of one step are reported in signal-name order.
+    The hazards of one step are reported in gate order, as the explorer
+    reports those of one fired event.
     """
 
     def __init__(self, stg: STG, implementation: "Implementation", seed: int = 0) -> None:
@@ -176,9 +177,8 @@ class RandomWalker:
             disabled = excited & ~bit & ~new_excited
             if disabled:
                 label = change_label(signal, target_value)
-                for other_bit, other in circuit.gates_by_name:
-                    if disabled & other_bit:
-                        report_hazard(Hazard("non-persistent", other, code, label))
+                for other in circuit.gate_signals(disabled):
+                    report_hazard(Hazard("non-persistent", other, code, label))
 
             tracked, excited = new_tracked, new_excited
 

@@ -164,7 +164,14 @@ class StateSpace(ABC):
 
     @abstractmethod
     def off_cover(self, signal: str) -> Cover:
-        """Cover of the signal's off-set."""
+        """Exact cover of the signal's reachable off-codes.
+
+        It covers every code of a state whose implied value is 0 and no
+        other code: no unreachable code, and no code that is only in the
+        on-set.  Espresso may take it as its ``off`` (blocking) set: for a
+        CSC-clean signal it is the same function as ``complement(on + dc)``,
+        so the minimised cover stays the same cube for cube.
+        """
 
     @abstractmethod
     def set_cover(self, signal: str) -> Cover:

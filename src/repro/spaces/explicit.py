@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import kernel
-from ..boolean import Cover
+from ..boolean import Cover, minterm_cover
 from ..stategraph import (
     SignalRegions,
     StateGraph,
@@ -47,6 +47,7 @@ class ExplicitStateSpace(StateSpace):
             stg, max_states=max_states
         )
         self._regions: Dict[str, SignalRegions] = {}
+        self._dc: Optional[Cover] = None
 
     @property
     def explicit_graph(self) -> StateGraph:
@@ -113,7 +114,16 @@ class ExplicitStateSpace(StateSpace):
         return self._signal_regions(signal).on_cover
 
     def off_cover(self, signal: str) -> Cover:
-        return self._signal_regions(signal).off_cover
+        # complement(on + dc) is the cover espresso would build itself; the
+        # codes the on-set shares with the off-set (a CSC conflict) go back
+        # in as minterms.  The result is the exact reachable off-set, and
+        # the minimiser never receives one cube per off-state.
+        regions = self._signal_regions(signal)
+        cover = regions.on_cover.union(self.dc_cover()).complement()
+        shared = self._codes_of(regions.on_states) & self._codes_of(regions.off_states)
+        if shared:
+            cover = cover.union(minterm_cover(len(self.signals), shared))
+        return cover
 
     def set_cover(self, signal: str) -> Cover:
         return self._signal_regions(signal).set_cover
@@ -127,7 +137,9 @@ class ExplicitStateSpace(StateSpace):
         return states_to_cover(self.graph, sorted(states))
 
     def dc_cover(self) -> Cover:
-        return dc_set_cover(self.graph)
+        if self._dc is None:
+            self._dc = dc_set_cover(self.graph)
+        return self._dc
 
     # ------------------------------------------------------------------ #
     # State-coding checks

@@ -10,15 +10,22 @@ on it without ever enumerating a state list:
 * per-signal regions are one conjunction each (``ER(a+/-)`` from the
   pre-compiled enabling cubes, quiescent regions from the signal literal
   and the negated excitation sets);
+* each signal's on-set and off-set come from one implied-value function,
+  ``R and ite(s, not E-, E+)`` and its complement within ``R`` (``E+/-``:
+  the OR of the enabling cubes of the signal's rising / falling
+  transitions), and are projected to codes once;
 * covers are extracted by the Minato-Morreale ISOP pass
-  (:func:`repro.bdd.isop`) over the signal variables, with the unreachable
-  codes as expansion room, and then handed to the espresso minimiser like
-  any other cube cover;
-* USC/CSC are *code-equality products*: the characteristic function is
-  conjoined with a places-renamed copy of itself (``R(p,s) and R(p',s)``
-  pairs every two states sharing a code), marking inequality / per-signal
-  excitation XOR picks out the conflicting pairs, and counts and conflict
-  code words come straight from the product BDD.
+  (:func:`repro.bdd.isop`) over the signal variables and then handed to
+  the espresso minimiser like any other cube cover.  The on-cover may
+  expand into the unreachable codes; the off-cover is exact, so espresso
+  takes it as its blocking set instead of complementing ``on + dc``;
+* the CSC verdict is per signal: a signal conflicts exactly when its
+  on-codes and off-codes meet (the implied value is the code bit XOR the
+  excitation).  Only a conflicting spec, and USC, build the
+  *code-equality product* ``R(p,s) and R(p',s)``, which pairs every two
+  states sharing a code; marking inequality / per-signal excitation XOR
+  picks out the conflicting pairs, and counts and conflict code words come
+  straight from the product BDD.
 
 Only the (typically tiny) CSC conflict groups of
 :meth:`SymbolicStateSpace.signature_groups` ever enumerate concrete
@@ -66,6 +73,8 @@ class SymbolicStateSpace(StateSpace):
         self._reached = self._engine.reachable_set()
         self._check_well_formed()
         self._exc_cache: Dict[Tuple[str, Direction], int] = {}
+        self._implied_cache: Dict[str, Tuple[int, int, int]] = {}
+        self._conflicting: Optional[FrozenSet[str]] = None
         self._codes_cache: Optional[int] = None
         self._pair_cache: Optional[int] = None
         self._csc_cache: Optional[CodingReport] = None
@@ -159,17 +168,31 @@ class SymbolicStateSpace(StateSpace):
         stable = bdd.negate(self._excitation(signal, direction))
         return bdd.conj(self._reached, bdd.conj(literal, stable))
 
-    def _on_states(self, signal: str) -> int:
-        bdd = self._engine.bdd
-        return bdd.disj(
-            self._excitation(signal, Direction.PLUS), self._quiescent(signal, 1)
-        )
+    def _implied(self, signal: str) -> Tuple[int, int, int]:
+        """``(implied value, on codes, off codes)`` of one signal.
 
-    def _off_states(self, signal: str) -> int:
-        bdd = self._engine.bdd
-        return bdd.disj(
-            self._excitation(signal, Direction.MINUS), self._quiescent(signal, 0)
-        )
+        The implied value is ``ite(s, not E-, E+)``.  Within ``R`` it holds
+        on ``ER+ or QR1`` (the on-set) and fails on ``ER- or QR0`` (the
+        off-set), because the build has already proved consistency: no
+        rising transition is enabled while ``s = 1``, no falling one while
+        ``s = 0``.  Both sets are projected to codes once; sizes, code
+        sets, covers and the CSC verdict read from this cache.
+        """
+        cached = self._implied_cache.get(signal)
+        if cached is None:
+            engine = self._engine
+            bdd = engine.bdd
+            rising = engine.enabling(self.stg.rising_transitions(signal))
+            falling = engine.enabling(self.stg.falling_transitions(signal))
+            implied = bdd.ite(engine.signal_var(signal), bdd.negate(falling), rising)
+            places = engine.place_vars
+            cached = (
+                implied,
+                bdd.and_exists(self._reached, implied, places),
+                bdd.and_exists(self._reached, bdd.negate(implied), places),
+            )
+            self._implied_cache[signal] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # Code sets and sizes
@@ -187,19 +210,22 @@ class SymbolicStateSpace(StateSpace):
         return self._words(self._quiescent(signal, value))
 
     def on_codes(self, signal: str) -> Set[int]:
-        return self._words(self._on_states(signal))
+        return set(self._engine.code_words(self._implied(signal)[1]))
 
     def off_codes(self, signal: str) -> Set[int]:
-        return self._words(self._off_states(signal))
+        return set(self._engine.code_words(self._implied(signal)[2]))
 
     def er_size(self, signal: str, direction: Direction) -> int:
         return self._size(self._excitation(signal, direction))
 
     def on_size(self, signal: str) -> int:
-        return self._size(self._on_states(signal))
+        implied = self._implied(signal)[0]
+        return self._size(self._engine.bdd.conj(self._reached, implied))
 
     def off_size(self, signal: str) -> int:
-        return self._size(self._off_states(signal))
+        bdd = self._engine.bdd
+        implied = self._implied(signal)[0]
+        return self._size(bdd.conj(self._reached, bdd.negate(implied)))
 
     # ------------------------------------------------------------------ #
     # Covers (ISOP extraction)
@@ -222,10 +248,10 @@ class SymbolicStateSpace(StateSpace):
         return self._isop_cover(self._engine.project_codes(states))
 
     def on_cover(self, signal: str) -> Cover:
-        return self._states_cover(self._on_states(signal))
+        return self._isop_cover(self._implied(signal)[1])
 
     def off_cover(self, signal: str) -> Cover:
-        return self._states_cover(self._off_states(signal))
+        return self._isop_cover(self._implied(signal)[2], exact=True)
 
     def set_cover(self, signal: str) -> Cover:
         return self._states_cover(self._excitation(signal, Direction.PLUS))
@@ -241,8 +267,25 @@ class SymbolicStateSpace(StateSpace):
         return self._isop_cover(bdd.negate(self._code_set()), exact=True)
 
     # ------------------------------------------------------------------ #
-    # State-coding checks (code-equality products)
+    # State-coding checks
     # ------------------------------------------------------------------ #
+    def conflicting_signals(self) -> FrozenSet[str]:
+        """Implementable signals whose on-codes and off-codes meet.
+
+        Two states sharing a code carry the same code bit, so they differ in
+        a signal's excitation exactly when they differ in its implied value:
+        the per-signal verdict needs no pair product.
+        """
+        if self._conflicting is None:
+            bdd = self._engine.bdd
+            conflicting = set()
+            for signal in self.stg.implementable_signals:
+                _value, on_codes, off_codes = self._implied(signal)
+                if bdd.and_exists(on_codes, off_codes, bdd.variables) != bdd.FALSE:
+                    conflicting.add(signal)
+            self._conflicting = frozenset(conflicting)
+        return self._conflicting
+
     def _pair_product(self) -> int:
         """``R(p, s) and R(p', s)``: all state pairs sharing a code."""
         if self._pair_cache is None:
@@ -274,35 +317,42 @@ class SymbolicStateSpace(StateSpace):
         return self._usc_cache
 
     def check_csc(self) -> CodingReport:
+        """The per-signal verdict decides; only a conflict builds the pair
+        product, to count the conflicting pairs and list their codes."""
         if self._csc_cache is None:
+            conflicting = self.conflicting_signals()
+            if not conflicting:
+                self._csc_cache = CodingReport("CSC", True, 0, [])
+                return self._csc_cache
             engine = self._engine
             bdd = engine.bdd
-            product = self._pair_product()
-            conflicting: Set[str] = set()
             any_diff = bdd.FALSE
             for signal in self.stg.implementable_signals:
-                excited = bdd.disj(
-                    self._excitation(signal, Direction.PLUS),
-                    self._excitation(signal, Direction.MINUS),
-                )
-                diff = bdd.xor(excited, engine.rename_places_to_primed(excited))
-                if bdd.and_exists(product, diff, bdd.variables) != bdd.FALSE:
-                    conflicting.add(signal)
-                    any_diff = bdd.disj(any_diff, diff)
-            pairs = bdd.conj(product, any_diff)
+                if signal in conflicting:
+                    excited = self._excited_either(signal)
+                    any_diff = bdd.disj(
+                        any_diff,
+                        bdd.xor(excited, engine.rename_places_to_primed(excited)),
+                    )
+            pairs = bdd.conj(self._pair_product(), any_diff)
             num_pairs = bdd.count_solutions(pairs, self._pair_vars()) // 2
             self._csc_cache = CodingReport(
-                "CSC",
-                pairs == bdd.FALSE,
-                num_pairs,
-                self._conflict_words(pairs),
-                frozenset(conflicting),
+                "CSC", False, num_pairs, self._conflict_words(pairs), conflicting
             )
         return self._csc_cache
+
+    def _excited_either(self, signal: str) -> int:
+        """Reachable states where the signal is excited in either direction."""
+        return self._engine.bdd.disj(
+            self._excitation(signal, Direction.PLUS),
+            self._excitation(signal, Direction.MINUS),
+        )
 
     def signature_groups(self) -> Dict[int, List[Tuple[int, int]]]:
         """Enumerate only the conflicting code words' states (usually few)."""
         report = self.check_csc()
+        if report.satisfied:
+            return {}
         engine = self._engine
         bdd = engine.bdd
         implementable = [
@@ -311,11 +361,7 @@ class SymbolicStateSpace(StateSpace):
             if signal in set(self.stg.implementable_signals)
         ]
         excited_of = {
-            signal: bdd.disj(
-                self._excitation(signal, Direction.PLUS),
-                self._excitation(signal, Direction.MINUS),
-            )
-            for signal, _bit in implementable
+            signal: self._excited_either(signal) for signal, _bit in implementable
         }
         groups: Dict[int, List[Tuple[int, int]]] = {}
         for word in report.conflict_code_words:

@@ -620,7 +620,7 @@ def reference_walk(
 
     The loop :class:`repro.sim.RandomWalker` ran on the dict game: the same
     draws from the same event order, the hazards of one step reported in
-    signal-name order.
+    gate order.
     """
     rng = random.Random(seed)
     trace = Trace(stg.name, implementation.architecture, seed)
@@ -658,9 +658,8 @@ def reference_walk(
                 )
             break
 
-        excitation = {e.signal: e.target_value for e in events if e.kind == "gate"}
         for signal, _target in disabled_excitations(
-            excitation, circuit.excitation(new_code), event.signal
+            circuit.excitation(code), circuit.excitation(new_code), event.signal
         ):
             report_hazard(Hazard("non-persistent", signal, code, event.label))
 

@@ -456,8 +456,8 @@ b- b+
 
 
 def test_hazards_of_one_event_follow_gate_order():
-    """b+ disables both z = a b' and y = a b' at once: the explorer reports
-    them in gate order, the walker in signal-name order."""
+    """b+ disables both z = a b' and y = a b' at once: the explorer and the
+    walker both report them in gate order, not in signal-name order."""
     stg = parse_g(FORK_G)
     implementation = Implementation(stg.name, "acg", stg.signals)
     row = "".join({"a": "1", "b": "0"}.get(signal, "-") for signal in stg.signals)
@@ -475,8 +475,8 @@ def test_hazards_of_one_event_follow_gate_order():
         reference_walk(stg, implementation, steps=40, seed=5)
     )
     assert [(h.signal, h.disabled_by) for h in trace.hazards] == [
-        ("y", "b+"),
         ("z", "b+"),
+        ("y", "b+"),
     ]
 
 

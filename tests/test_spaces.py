@@ -6,13 +6,18 @@ USC/CSC conflict reports -- across the Table 1 suite, the Muller-pipeline
 family and the non-CSC generators.  On top of the equivalence checks this
 file guards the tentpole property: ``method="sg-bdd"`` never builds the
 explicit State Graph, and honours the caller's ``max_states`` bound (the
-regression for the old ``_build_graph_via_bdd`` limit-override bug).
+regression for the old ``_build_graph_via_bdd`` limit-override bug).  It
+also pins the ``off_cover`` contract both engines keep -- the exact
+reachable off-set, which espresso takes in place of its own complement --
+and the symbolic CSC verdict that needs no pair product.
 """
 
 import pytest
 
 import repro.spaces.explicit as spaces_explicit
 import repro.stategraph.stategraph as stategraph_module
+from repro.boolean import espresso
+from repro.encoding import resolve_csc
 from repro.petrinet import StateSpaceLimitExceeded
 from repro.spaces import (
     CodingReport,
@@ -23,11 +28,14 @@ from repro.spaces import (
 from repro.stategraph import build_state_graph, check_csc, check_usc
 from repro.stg import (
     benchmark_by_name,
+    counterflow_pipeline,
     csc_arbiter,
     csc_conflict_example,
     muller_pipeline,
+    parse_g,
     table1_suite,
     vme_bus_controller,
+    write_g,
 )
 from repro.stg.signals import Direction
 from repro.synthesis import synthesize, verify_implementation
@@ -43,6 +51,7 @@ def _specs():
     pairs.append(("vme_read", vme_bus_controller))
     pairs.append(("csc_conflict", csc_conflict_example))
     pairs.append(("csc_arbiter_4", lambda: csc_arbiter(4)))
+    pairs.append(("csc_arbiter_6", lambda: csc_arbiter(6)))
     pairs.append(("csc_arbiter_8", lambda: csc_arbiter(8)))
     return pairs
 
@@ -102,6 +111,7 @@ def test_usc_csc_reports_agree(spaces, name):
         left = getattr(explicit, kind)()
         right = getattr(symbolic, kind)()
         assert isinstance(left, CodingReport) and isinstance(right, CodingReport)
+        assert left.kind == right.kind, kind
         assert left.satisfied == right.satisfied, kind
         assert left.num_pairs == right.num_pairs, kind
         assert left.conflict_code_words == right.conflict_code_words, kind
@@ -112,7 +122,8 @@ def test_usc_csc_reports_agree(spaces, name):
 @pytest.mark.parametrize("name", [name for name, _build in SPECS])
 def test_symbolic_covers_are_sound(spaces, name):
     """Symbolic covers contain the exact sets and never leak onto the
-    opposite set (they may use unreachable codes as don't cares)."""
+    opposite set.  The on-cover may use unreachable codes as don't cares;
+    the off-cover is exact (see the next test)."""
     explicit, symbolic, stg = spaces[name]
     for signal in stg.implementable_signals:
         on = explicit.on_codes(signal)
@@ -136,6 +147,113 @@ def test_symbolic_covers_are_sound(spaces, name):
     dc_cover = symbolic.dc_cover()
     for word in explicit.reachable_code_words():
         assert not any(cube.covers_minterm(word) for cube in dc_cover)
+
+
+def _minterms(cube, nvars):
+    """Every code word of a cube: its ones plus each subset of its free bits."""
+    free = ((1 << nvars) - 1) & ~(cube.ones | cube.zeros)
+    subset = free
+    while True:
+        yield cube.ones | subset
+        if not subset:
+            return
+        subset = (subset - 1) & free
+
+
+@pytest.mark.parametrize("name", [name for name, _build in SPECS])
+def test_off_cover_is_the_exact_reachable_off_set(spaces, name):
+    """Both engines' off-covers cover every reachable off-code and nothing
+    else: no unreachable code, and no code that is only in the on-set.  On
+    the conflict specs a code can be in both sets; it stays covered.
+
+    The explicit off-cover is a cube-list complement, the one espresso
+    builds for ``sg-explicit`` anyway; its cost grows fast with the signal
+    count (about 9 s for the 25 signals of tsbmSIBRK), so it is checked up
+    to 16 signals, which takes in every conflict spec."""
+    explicit, symbolic, stg = spaces[name]
+    nvars = len(stg.signals)
+    engines = (explicit, symbolic) if nvars <= 16 else (symbolic,)
+    for signal in stg.implementable_signals:
+        off = explicit.off_codes(signal)
+        for space in engines:
+            covered = set()
+            for cube in space.off_cover(signal):
+                free = nvars - cube.num_literals
+                # a cube wider than the off-set must leave it: fail before
+                # enumerating it
+                assert 1 << free <= len(off), (space.engine, signal, cube)
+                covered.update(_minterms(cube, nvars))
+            assert covered == off, (space.engine, signal)
+
+
+def test_csc_verdict_builds_no_pair_product(monkeypatch):
+    """The per-signal verdict reads the on/off code sets: a CSC-clean spec
+    never builds the code-equality product, and a conflicting one builds it
+    only to count the pairs of ``check_csc``."""
+    built = []
+    pair_product = SymbolicStateSpace._pair_product
+
+    def counted(self):
+        built.append(self.stg.name)
+        return pair_product(self)
+
+    monkeypatch.setattr(SymbolicStateSpace, "_pair_product", counted)
+    clean = build_state_space(benchmark_by_name("nowick").build(), engine="bdd")
+    assert clean.conflicting_signals() == frozenset()
+    report = clean.check_csc()
+    assert report.satisfied and report.num_pairs == 0
+    assert report.conflict_code_words == []
+    assert clean.signature_groups() == {}
+    assert built == []
+
+    stg = vme_bus_controller()
+    conflicting = build_state_space(stg, engine="bdd")
+    explicit = build_state_space(stg, engine="explicit").check_csc()
+    assert conflicting.conflicting_signals() == explicit.conflicting_signals
+    assert built == []
+    report = conflicting.check_csc()
+    assert built == [stg.name]
+    assert not report.satisfied
+    assert report.num_pairs == explicit.num_pairs == 1
+    assert report.conflict_code_words == explicit.conflict_code_words
+    assert report.conflicting_signals == explicit.conflicting_signals
+
+
+def _espresso_agrees(space, stg):
+    """``espresso(on, dc, off=off_cover)`` equals ``espresso(on, dc)`` cube
+    for cube on every non-conflicting implementable signal."""
+    conflicting = space.conflicting_signals()
+    dc = space.dc_cover()
+    signals = [s for s in stg.implementable_signals if s not in conflicting]
+    for signal in signals:
+        on = space.on_cover(signal)
+        given = espresso(on, dc, off=space.off_cover(signal)).cover
+        assert given.cubes == espresso(on, dc).cover.cubes, (space.engine, stg.name, signal)
+    return len(signals)
+
+
+def _espresso_specs():
+    specs = [entry.build() for entry in table1_suite()]
+    specs += [parse_g(write_g(muller_pipeline(n))) for n in (8, 9, 10)]
+    specs.append(counterflow_pipeline(4))
+    for stg in (vme_bus_controller(), csc_arbiter(4)):
+        result = resolve_csc(stg, max_signals=3)
+        assert result.resolved
+        specs.append(result.stg)
+    return specs
+
+
+def test_exact_off_cover_keeps_espresso_cube_for_cube():
+    """Espresso blocks expansion with the space's exact off-cover and gives
+    its own result (the cover it derives by complementing ``on + dc``), on
+    the symbolic engine everywhere and on the explicit engine up to ten
+    signals, where its minterm on-sets stay cheap to minimise."""
+    jobs = 0
+    for stg in _espresso_specs():
+        jobs += _espresso_agrees(build_state_space(stg, engine="bdd"), stg)
+        if stg.num_signals <= 10:
+            jobs += _espresso_agrees(build_state_space(stg, engine="explicit"), stg)
+    assert jobs > 250
 
 
 def test_stategraph_checks_accept_spaces():
