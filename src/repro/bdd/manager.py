@@ -41,20 +41,6 @@ symbolic state-space backend (:mod:`repro.spaces`) is built on:
 graph (one ``disj``/``conj`` per quantified node) rather than one
 restrict-pair per variable, which matters when projecting 100+ place
 variables out of a characteristic function.
-
-Kernel service (root-pinned storage management)
------------------------------------------------
-Long fixpoints allocate far more nodes than survive, so the manager also
-provides the classic storage service every production BDD package (CUDD,
-BuDDy) has:
-
-* :meth:`BDD.collect_garbage` -- mark-and-sweep from the *pinned roots*
-  (:meth:`BDD.pin` / :meth:`BDD.unpin`) plus any extra roots passed in,
-  with a full rebuild of the node list and the unique table, both **in
-  place**.  Node ids change; the returned ``{old: new}`` map lets holders
-  of unpinned ids rewrite them.  Operation caches are cleared in place
-  too (``dict.clear()``), so a swapped-in :class:`_CountingCache` keeps
-  counting across rebuilds.
 """
 
 from __future__ import annotations
@@ -100,7 +86,8 @@ class BDD:
         self._level: Dict[str, int] = {name: i for i, name in enumerate(variables)}
         # Node storage: node id -> (level, low, high).  Ids 0/1 are the
         # terminals, stored one level below the last variable.
-        self._nodes: List[Tuple[int, int, int]] = self._terminal_nodes()
+        total = len(self.variables)
+        self._nodes: List[Tuple[int, int, int]] = [(total, 0, 0), (total, 1, 1)]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._var_nodes: Dict[str, int] = {}
@@ -112,12 +99,6 @@ class BDD:
         self._exists_cache: Dict[Tuple[int, int], int] = {}
         self._forall_cache: Dict[Tuple[int, int], int] = {}
         self._stats_enabled = False
-        # Pinned external roots: node id -> pin count.  GC treats every
-        # pinned id (plus the interned literal nodes) as live.
-        self._roots: Dict[int, int] = {}
-        #: Cumulative storage-management counters (threaded into obs spans).
-        self.gc_runs = 0
-        self.nodes_reclaimed = 0
 
     # ------------------------------------------------------------------ #
     # Statistics (opt-in, for repro.obs tracing)
@@ -163,11 +144,6 @@ class BDD:
     # ------------------------------------------------------------------ #
     # Node management
     # ------------------------------------------------------------------ #
-    def _terminal_nodes(self) -> List[Tuple[int, int, int]]:
-        """The store's first two entries: FALSE and TRUE at level ``n``."""
-        total = len(self.variables)
-        return [(total, 0, 0), (total, 1, 1)]
-
     def _make_node(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
@@ -588,106 +564,15 @@ class BDD:
         return node == self.TRUE
 
     def cube(self, assignment: Dict[str, bool]) -> int:
-        """BDD of a conjunction of literals."""
+        """BDD of a conjunction of literals, built bottom-up: one node per
+        literal, from the deepest level to the shallowest."""
         result = self.TRUE
-        for name, value in assignment.items():
-            literal = self.var(name) if value else self.nvar(name)
-            result = self.conj(result, literal)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Garbage collection (root-pinned mark and sweep)
-    # ------------------------------------------------------------------ #
-    def pin(self, node: int) -> int:
-        """Pin a node as a GC root; returns the node for chaining.
-
-        Pins nest: each ``pin`` needs a matching :meth:`unpin`.
-        """
-        self._roots[node] = self._roots.get(node, 0) + 1
-        return node
-
-    def unpin(self, node: int) -> None:
-        """Drop one pin of a node (a KeyError means it was never pinned)."""
-        count = self._roots[node]
-        if count <= 1:
-            del self._roots[node]
-        else:
-            self._roots[node] = count - 1
-
-    def _all_roots(self, extra: Iterable[int]) -> List[int]:
-        roots = list(self._roots)
-        roots.extend(self._var_nodes.values())
-        roots.extend(extra)
-        return roots
-
-    def _mark(self, roots: Iterable[int]) -> List[int]:
-        """Live internal nodes reachable from ``roots``, children first.
-
-        Post-order DFS, so the store rebuild can remap every node's
-        children before the node itself.
-        """
-        nodes = self._nodes
-        order: List[int] = []
-        seen: Set[int] = set()
-        for root in roots:
-            if root < 2 or root in seen:
-                continue
-            stack: List[Tuple[int, bool]] = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
-                    continue
-                if node < 2 or node in seen:
-                    continue
-                seen.add(node)
-                _level, low, high = nodes[node]
-                stack.append((node, True))
-                stack.append((high, False))
-                stack.append((low, False))
-        return order
-
-    def num_live_nodes(self, roots: Iterable[int] = ()) -> int:
-        """Nodes reachable from the pinned + given roots (incl. terminals)."""
-        return len(self._mark(self._all_roots(roots))) + 2
-
-    def collect_garbage(self, roots: Iterable[int] = ()) -> Dict[int, int]:
-        """Mark-and-sweep from the pinned (+ given) roots; rebuild the store.
-
-        Returns the ``{old id: new id}`` remap of every surviving node
-        (terminals map to themselves).  Holders of *unpinned* ids must
-        rewrite them through the map -- ids absent from it are dead.
-        Operation caches are cleared in place so swapped-in counting caches
-        (:meth:`enable_stats`) survive the rebuild with their totals.  The
-        node list and the unique table are rebuilt in place too: the
-        operators' recursive closures hold them, and a finished closure
-        lives on until Python's cycle collector finds it, so a fresh store
-        would leave the old one allocated until then.
-        """
-        order = self._mark(self._all_roots(roots))
-        nodes = self._nodes
-        before = len(nodes)
-        remap: Dict[int, int] = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
-        new_nodes = self._terminal_nodes()
-        for node in order:
-            level, low, high = nodes[node]
-            remap[node] = len(new_nodes)
-            new_nodes.append((level, remap[low], remap[high]))
-        nodes[:] = new_nodes
-        unique = self._unique
-        unique.clear()
-        unique.update((key, index) for index, key in enumerate(nodes) if index > 1)
-        for cache in (
-            self._ite_cache,
-            self._and_exists_cache,
-            self._exists_cache,
-            self._forall_cache,
+        for level, value in sorted(
+            ((self._level[name], value) for name, value in assignment.items()),
+            reverse=True,
         ):
-            cache.clear()
-        self._var_nodes = {
-            name: remap[node] for name, node in self._var_nodes.items()
-        }
-        self._roots = {remap[node]: count for node, count in self._roots.items()}
-        self.gc_runs += 1
-        self.nodes_reclaimed += before - len(new_nodes)
-        return remap
+            if value:
+                result = self._make_node(level, self.FALSE, result)
+            else:
+                result = self._make_node(level, result, self.FALSE)
+        return result

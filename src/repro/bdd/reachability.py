@@ -10,10 +10,11 @@ ever materialising a state list.
 Engine structure
 ----------------
 * **Partitioned transition relations** -- every transition is pre-compiled
-  into ``(enable cube, changed-variable set, update cube)``; the image of a
-  set ``S`` under one transition is a single relational product
-  :meth:`repro.bdd.manager.BDD.and_exists` followed by one conjunction with
-  the update cube.  No monolithic transition relation is ever built.
+  into the variables it changes, as ``(level, must be 1, new value)``
+  triples sorted by level: a preset place must be marked and stays marked
+  only when it is also in the postset; a postset-only place and the
+  transition's signal take their new value whatever they held.  No
+  monolithic transition relation is ever built.
 * **Structural variable ordering** -- the static order follows the net,
   not the order the ``.g`` text declares it in: a depth-first token-flow
   walk from the initially marked places seeds it (each signal enters
@@ -24,18 +25,19 @@ Engine structure
   Pastor, Cortadella & Roig, IEEE TC 2001).  When the primed block is
   enabled, each variable's primed twin sits directly below it, so the
   current<->primed rename of the code-equality product is order-preserving.
-* **Saturation fixed point** -- the partitioned relations
-  are grouped by the topmost variable they touch and each group is
-  saturated (fired to a local fixed point) deepest-first before shallower
-  groups propagate, restarting from the deepest group whenever a shallow
-  firing may have re-enabled one below it.  Firing a transition to
-  exhaustion while the affected sub-BDDs are still small is the classic
-  saturation lever: the intermediate BDDs stay near their final shape
-  instead of ballooning per global pass.  Between group saturations the
-  engine checkpoints the manager -- mark-and-sweep garbage collection once
-  the store doubles past a threshold -- so peak node counts track the
-  problem, not the churn.  The tests check the reached set against the
-  explicit State Graph, an independent engine.
+* **Node-wise saturation** (Ciardo, Lüttgen & Siminiceanu, "Saturation: an
+  efficient iteration strategy for symbolic state-space generation",
+  TACAS 2001) -- a transition's *top* is the first level it changes, and
+  it touches nothing above it.  Every node is closed, once, under the
+  transitions whose top is its level or deeper: both children first, then
+  the transitions whose top is the node's own level, fired to a local
+  fixed point.  A transition's relational product walks only the sub-BDD
+  below its top, and every node it builds there is saturated in turn, so
+  no firing ever re-images the whole reached set and the intermediate
+  BDDs stay close to the final one.  The tests check the reached set
+  against the explicit State Graph, an independent engine, and node for
+  node against the level-group restart loop that saturation replaced
+  (``tests/oracles.py``).
 
 :class:`SymbolicNet` is the engine consumed by
 :class:`repro.spaces.SymbolicStateSpace`; without an STG it tracks markings
@@ -47,7 +49,7 @@ only safe markings, so the state-space layer admits only nets
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import current_tracer
 from ..petrinet import PetriNet, StateSpaceLimitExceeded
@@ -59,12 +61,6 @@ _PLACE = "p:"
 _PLACE_PRIMED = "p':"
 _SIGNAL = "s:"
 _SIGNAL_PRIMED = "s':"
-
-#: Store-size floor for the saturation path's maintenance checkpoint.
-#: GC fires when the node store outgrows the threshold, which then
-#: doubles to twice the surviving store size, so maintenance cost stays
-#: amortised against real growth instead of firing on every checkpoint.
-_GC_THRESHOLD = 4096
 
 #: Upper bound on FORCE rounds; the refinement usually settles far sooner.
 _FORCE_ROUNDS = 50
@@ -123,12 +119,10 @@ class SymbolicNet:
         labelled transitions toggle their signal's variable, and the primed
         variable block (for the code-equality products of the USC/CSC
         checks) is allocated.
-    max_iterations:
-        Bound on the number of outer saturation rounds.
     max_states:
         Optional bound on the number of reachable states; exceeding it
         raises :class:`~repro.petrinet.StateSpaceLimitExceeded` (checked by
-        a symbolic count after every group saturation -- no state is ever
+        a symbolic count of the fixed point -- no state is ever
         enumerated).
     """
 
@@ -136,17 +130,12 @@ class SymbolicNet:
         self,
         net: PetriNet,
         stg=None,
-        max_iterations: Optional[int] = None,
         max_states: Optional[int] = None,
     ) -> None:
         self.net = net
         self.stg = stg
-        self.max_iterations = max_iterations
         self.max_states = max_states
         self.iterations = 0
-        self.saturation_fires = 0
-        self.peak_nodes = 0
-        self._gc_threshold = _GC_THRESHOLD
         self.places: List[str] = list(net.places)
         self.signals: List[str] = list(stg.signals) if stg is not None else []
         self.primed = stg is not None
@@ -229,42 +218,35 @@ class SymbolicNet:
     # ------------------------------------------------------------------ #
     def _compile_transitions(self) -> None:
         bdd = self.bdd
+        level = bdd._level
         self.transitions: List[str] = list(self.net.transitions)
         self._transition_index = {t: i for i, t in enumerate(self.transitions)}
         self._enable: List[int] = []
-        self._changed: List[FrozenSet[str]] = []
-        self._update: List[int] = []
+        #: Per transition: ``(level, must be 1, new value)`` of every
+        #: variable it changes, sorted by level.
+        self._relation: List[Tuple[Tuple[int, bool, bool], ...]] = []
         self._unsafe_or: List[int] = []
         self._wrong_value: List[int] = []
         for transition in self.transitions:
             preset = sorted(self.net.preset(transition))
-            postset = sorted(self.net.postset(transition))
+            postset = set(self.net.postset(transition))
+            produced = sorted(postset.difference(preset))
             enable = bdd.conj_all(bdd.var(_PLACE + p) for p in preset)
-            changed = {_PLACE + p for p in set(preset) | set(postset)}
-            update = bdd.TRUE
-            for place in postset:
-                update = bdd.conj(update, bdd.var(_PLACE + place))
-            for place in preset:
-                if place not in postset:
-                    update = bdd.conj(update, bdd.nvar(_PLACE + place))
-            unsafe = bdd.disj_all(
-                bdd.var(_PLACE + p) for p in postset if p not in preset
-            )
+            unsafe = bdd.disj_all(bdd.var(_PLACE + p) for p in produced)
+            changes = {level[_PLACE + p]: (True, p in postset) for p in preset}
+            changes.update((level[_PLACE + p], (False, True)) for p in produced)
             wrong = bdd.FALSE
             if self.stg is not None:
                 label = self.stg.label_of(transition)
                 if label is not None:
                     name = _SIGNAL + label.signal
-                    changed.add(name)
-                    if label.target_value:
-                        update = bdd.conj(update, bdd.var(name))
-                        wrong = bdd.var(name)  # firing x+ while x is already 1
-                    else:
-                        update = bdd.conj(update, bdd.nvar(name))
-                        wrong = bdd.nvar(name)
+                    changes[level[name]] = (False, bool(label.target_value))
+                    # firing x+ while x is already 1, or x- while it is 0
+                    wrong = bdd.var(name) if label.target_value else bdd.nvar(name)
             self._enable.append(enable)
-            self._changed.append(frozenset(changed))
-            self._update.append(update)
+            self._relation.append(
+                tuple((at,) + changes[at] for at in sorted(changes))
+            )
             self._unsafe_or.append(unsafe)
             self._wrong_value.append(wrong)
 
@@ -282,27 +264,6 @@ class SymbolicNet:
     # ------------------------------------------------------------------ #
     # Fixed point
     # ------------------------------------------------------------------ #
-    def image(self, current: int, index: int) -> int:
-        """Successor states of ``current`` under one transition."""
-        bdd = self.bdd
-        abstracted = bdd.and_exists(current, self._enable[index], self._changed[index])
-        if abstracted == bdd.FALSE:
-            return bdd.FALSE
-        return bdd.conj(abstracted, self._update[index])
-
-    def _check_iterations(self) -> None:
-        if self.max_iterations is not None and self.iterations > self.max_iterations:
-            raise RuntimeError(
-                "symbolic reachability exceeded %d iterations" % self.max_iterations
-            )
-
-    def _check_states(self, reached: int) -> None:
-        if (
-            self.max_states is not None
-            and self.bdd.count_solutions(reached, self.state_vars) > self.max_states
-        ):
-            raise StateSpaceLimitExceeded(self.max_states)
-
     def reachable_set(self) -> int:
         """BDD of all reachable states (least fixed point)."""
         if self._reached is not None:
@@ -312,146 +273,149 @@ class SymbolicNet:
         if obs.enabled:
             bdd.enable_stats()
         with obs.span("reachability", engine="bdd", net=self.net.name) as span:
-            reached = self._saturation_fixpoint(span)
+            reached = self._saturate(span)
+            if (
+                self.max_states is not None
+                and bdd.count_solutions(reached, self.state_vars) > self.max_states
+            ):
+                raise StateSpaceLimitExceeded(self.max_states)
             self._reached = reached
-            if bdd.num_nodes > self.peak_nodes:
-                self.peak_nodes = bdd.num_nodes
             if span.live:
                 span.gauge("fixpoint_passes", self.iterations)
                 span.gauge("bdd_nodes", bdd.num_nodes)
                 span.gauge("bdd_variables", len(bdd.variables))
-                span.gauge("peak_nodes", self.peak_nodes)
-                span.counter("saturation_fires", self.saturation_fires)
-                span.counter("gc_runs", bdd.gc_runs)
-                span.counter("nodes_reclaimed", bdd.nodes_reclaimed)
                 for key, value in bdd.stats().items():
                     if key.endswith(("_lookups", "_hits", "_entries")):
                         span.gauge(key, value)
         return reached
 
-    # ------------------------------------------------------------------ #
-    # Saturation fixed point with manager maintenance
-    # ------------------------------------------------------------------ #
-    def _saturation_groups(self) -> List[List[int]]:
-        """Transition indices grouped by topmost touched level, deepest first.
+    def _saturate(self, span) -> int:
+        """Node-wise saturation of the initial state.
 
-        A transition's *top* is the smallest level among its changed
-        variables -- the point closest to the root where its relational
-        product starts rewriting the characteristic function.  Grouping by
-        that level and saturating the deepest groups (largest top level)
-        first keeps rewrites local to small sub-BDDs near the terminals
-        before anything shallower stirs the function near the root.
-        """
-        level = self.bdd._level
-        groups: Dict[int, List[int]] = {}
-        for index in range(len(self.transitions)):
-            top = min(level[name] for name in self._changed[index])
-            groups.setdefault(top, []).append(index)
-        return [groups[top] for top in sorted(groups, reverse=True)]
+        ``saturate(f, k)`` is the closure of ``f`` under every transition
+        whose top is at level ``k`` or deeper; it depends on ``k`` only
+        through the first such top, which keys its memo.  ``product(f,
+        index, position, k)`` is the image of ``f`` under the transition's
+        changes from its ``position``-th on, closed under the transitions
+        whose top is ``k`` or deeper; ``f`` already is.  At a changed level
+        it follows the cofactors the change allows and puts the result on
+        the branch of the new value; it passes unchanged levels through and
+        returns ``f`` itself below the last change.  A union of closed sets
+        is closed, so every result is memoised as its own closure too.
+        Like the manager's operators, both visit low before high.
 
-    def _held_ids(self) -> List[int]:
-        """Every node id this engine holds across maintenance."""
-        ids = [self._initial]
-        ids.extend(self._enable)
-        ids.extend(self._update)
-        ids.extend(self._unsafe_or)
-        ids.extend(self._wrong_value)
-        if self._reached is not None:
-            ids.append(self._reached)
-        return ids
-
-    def _collect(self, *extra: int) -> Tuple[int, ...]:
-        """GC with the compiled relations as roots; rewrite all held ids."""
-        remap = self.bdd.collect_garbage(self._held_ids() + list(extra))
-        self._initial = remap[self._initial]
-        self._enable = [remap[f] for f in self._enable]
-        self._update = [remap[f] for f in self._update]
-        self._unsafe_or = [remap[f] for f in self._unsafe_or]
-        self._wrong_value = [remap[f] for f in self._wrong_value]
-        if self._reached is not None:
-            self._reached = remap[self._reached]
-        return tuple(remap[f] for f in extra)
-
-    def _maintain(self, reached: int) -> int:
-        """Checkpoint the manager between group saturations.
-
-        GC once the store outgrows the threshold; the threshold then
-        doubles to twice the surviving size.
+        ``iterations`` counts passes -- one sweep over the transitions of
+        one level -- and the span records the store size after each.
         """
         bdd = self.bdd
-        if bdd.num_nodes > self.peak_nodes:
-            self.peak_nodes = bdd.num_nodes
-        if bdd.num_nodes <= self._gc_threshold:
-            return reached
-        # Rebuilding the store clears the memo caches, so only do it when a
-        # decent fraction of the store is actually dead; otherwise let it
-        # grow and check again at twice the size.  The threshold doubles
-        # monotonically, so GC runs O(log peak) times per fixed point
-        # instead of once per group saturation.
-        live = bdd.num_live_nodes(self._held_ids() + [reached])
-        if 4 * live <= 3 * bdd.num_nodes:
-            (reached,) = self._collect(reached)
-        self._gc_threshold = max(2 * self._gc_threshold, 2 * bdd.num_nodes)
-        return reached
+        nodes = bdd._nodes
+        make = bdd._make_node
+        disj = bdd.disj
+        relations = self._relation
+        bottom = len(bdd.variables)
+        by_top: Dict[int, List[int]] = {}
+        for index, relation in enumerate(relations):
+            if relation:
+                by_top.setdefault(relation[0][0], []).append(index)
+        # next_top[k]: the first level at or below k that is some
+        # transition's top, ``bottom`` when there is none.
+        next_top = [bottom] * (bottom + 1)
+        for level in range(bottom - 1, -1, -1):
+            next_top[level] = level if level in by_top else next_top[level + 1]
+        closed: Dict[Tuple[int, int], int] = {}
+        images: Dict[Tuple[int, int, int, int], int] = {}
+        live = span.live
+        passes = 0
+        fired = 0
 
-    def _saturation_fixpoint(self, span) -> int:
-        """Saturate level groups deepest-first, restarting on re-enabling.
-
-        Each group of transitions is fired to a local fixed point; when a
-        group above the deepest one fires, the new states may re-enable
-        transitions below it, so the round restarts from the deepest
-        group.  An outer round with no firing anywhere is the global fixed
-        point.  ``iterations`` counts outer rounds, ``saturation_fires``
-        counts group saturations that produced new states.
-        """
-        bdd = self.bdd
-        reached = self._initial
-        groups = self._saturation_groups()
-        self.iterations = 0
-        self.saturation_fires = 0
-        images = 0
-        # ``version`` stamps every change of the reached set; a group whose
-        # stamp matches is still saturated with respect to the current set
-        # and is skipped without touching the manager, so restarting from
-        # the deepest group costs nothing for groups nothing re-enabled.
-        version = 0
-        saturated = [-1] * len(groups)
-        progress = True
-        while progress:
-            self.iterations += 1
-            self._check_iterations()
-            progress = False
-            for position, group in enumerate(groups):
-                if saturated[position] == version:
-                    continue
-                fired = False
-                local = True
-                while local:
-                    local = False
+        def saturate(f: int, k: int) -> int:
+            nonlocal passes, fired
+            top = next_top[k]
+            if f < 2 or top == bottom:
+                return f
+            key = (f, top)
+            result = closed.get(key)
+            if result is not None:
+                return result
+            level, low, high = nodes[f]
+            if level < top:
+                result = make(level, saturate(low, level + 1), saturate(high, level + 1))
+            else:
+                if level == top:
+                    low = saturate(low, top + 1)
+                    high = saturate(high, top + 1)
+                else:
+                    low = high = saturate(f, top + 1)
+                group = by_top[top]
+                growing = True
+                while growing:
+                    growing = False
                     for index in group:
-                        img = self.image(reached, index)
-                        images += 1
-                        if img == bdd.FALSE:
-                            continue
-                        union = bdd.disj(reached, img)
-                        if union != reached:
-                            reached = union
-                            version += 1
-                            local = True
-                            fired = True
-                saturated[position] = version
-                if fired:
-                    progress = True
-                    self.saturation_fires += 1
-                    self._check_states(reached)
-                    reached = self._maintain(reached)
-                    if position > 0:
-                        break  # may have re-enabled a deeper group: restart
-            if span.live:
-                # Per-round fixpoint stats: manager size after each round.
-                span.append("pass_nodes", bdd.num_nodes)
-        if span.live:
-            span.counter("images_computed", images)
+                        _, must, new = relations[index][0]
+                        if must:
+                            image = product(high, index, 1, top + 1)
+                        else:
+                            image = disj(
+                                product(low, index, 1, top + 1),
+                                product(high, index, 1, top + 1),
+                            )
+                        fired += 1
+                        if new:
+                            joined = disj(high, image)
+                            if joined != high:
+                                high, growing = joined, True
+                        else:
+                            joined = disj(low, image)
+                            if joined != low:
+                                low, growing = joined, True
+                    passes += 1
+                    if live:
+                        span.append("pass_nodes", len(nodes))
+                result = make(top, low, high)
+            closed[key] = result
+            closed[(result, top)] = result
+            return result
+
+        def product(f: int, index: int, position: int, k: int) -> int:
+            relation = relations[index]
+            if f == 0 or position == len(relation):
+                return f
+            key = (f, index, position, next_top[k])
+            result = images.get(key)
+            if result is not None:
+                return result
+            at, must, new = relation[position]
+            level, low, high = nodes[f]
+            if level < at:
+                result = make(
+                    level,
+                    product(low, index, position, level + 1),
+                    product(high, index, position, level + 1),
+                )
+            else:
+                if level > at:
+                    low = high = f
+                if must:
+                    below = product(high, index, position + 1, at + 1)
+                else:
+                    below = disj(
+                        product(low, index, position + 1, at + 1),
+                        product(high, index, position + 1, at + 1),
+                    )
+                    closed[(below, next_top[at + 1])] = below
+                result = make(at, 0, below) if new else make(at, below, 0)
+            result = saturate(result, k)
+            images[key] = result
+            return result
+
+        reached = saturate(self._initial, 0)
+        # The two closures reference each other, so without this the memo
+        # tables would outlive the call until the cycle collector ran.
+        closed.clear()
+        images.clear()
+        self.iterations = passes
+        if live:
+            span.counter("images_computed", fired)
         return reached
 
     # ------------------------------------------------------------------ #
@@ -524,30 +488,39 @@ class SymbolicNet:
     # ------------------------------------------------------------------ #
     # Well-formedness witnesses (checked after the fixed point)
     # ------------------------------------------------------------------ #
+    def _enabled_with(self, index: int, condition: int) -> bool:
+        """True when a reachable state enables the transition while
+        ``condition`` holds."""
+        bdd = self.bdd
+        if condition == bdd.FALSE:
+            return False
+        guard = bdd.conj(self._enable[index], condition)
+        return bdd.and_exists(self.reachable_set(), guard, bdd.variables) != bdd.FALSE
+
+    def has_firing_defect(self) -> bool:
+        """True when a reachable state enables an unsafe or inconsistent
+        firing: one relational product per transition answers for both
+        witnesses below, which then name the defect."""
+        disj = self.bdd.disj
+        return any(
+            self._enabled_with(index, disj(unsafe, wrong))
+            for index, (unsafe, wrong) in enumerate(zip(self._unsafe_or, self._wrong_value))
+        )
+
     def unsafe_witness(self) -> Optional[str]:
         """Name of a transition whose firing would not be safe, if any."""
-        bdd = self.bdd
-        reached = self.reachable_set()
-        for index, transition in enumerate(self.transitions):
-            if self._unsafe_or[index] == bdd.FALSE:
-                continue
-            guard = bdd.conj(self._enable[index], self._unsafe_or[index])
-            if bdd.and_exists(reached, guard, self.bdd.variables) != bdd.FALSE:
-                return transition
-        return None
+        return next(
+            (t for i, t in enumerate(self.transitions) if self._enabled_with(i, self._unsafe_or[i])),
+            None,
+        )
 
     def inconsistent_enabled_witness(self) -> Optional[str]:
         """A labelled transition enabled while its signal already holds the
         target value (violating consistent state assignment), if any."""
-        bdd = self.bdd
-        reached = self.reachable_set()
-        for index, transition in enumerate(self.transitions):
-            if self._wrong_value[index] == bdd.FALSE:
-                continue
-            guard = bdd.conj(self._enable[index], self._wrong_value[index])
-            if bdd.and_exists(reached, guard, self.bdd.variables) != bdd.FALSE:
-                return transition
-        return None
+        return next(
+            (t for i, t in enumerate(self.transitions) if self._enabled_with(i, self._wrong_value[i])),
+            None,
+        )
 
     def has_code_clash(self) -> bool:
         """True when some marking is reachable with two different codes."""

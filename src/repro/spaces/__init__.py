@@ -36,7 +36,6 @@ def build_state_space(
     stg,
     engine: str = "explicit",
     max_states: Optional[int] = None,
-    max_iterations: Optional[int] = None,
 ) -> StateSpace:
     """Build the state space of an STG with the requested engine.
 
@@ -44,13 +43,10 @@ def build_state_space(
     accepts and raise :class:`~repro.core.UnsafeNetError` for any other.
     ``max_states`` bounds the reachable-state count for both engines (the
     explicit engine raises during enumeration, the symbolic one from a
-    solution count after each group saturation).  ``max_iterations``
-    bounds the symbolic fixed point (symbolic engine only).
+    solution count of its fixed point).
     """
     if engine == "explicit":
         return ExplicitStateSpace(stg, max_states=max_states)
     if engine == "bdd":
-        return SymbolicStateSpace(
-            stg, max_states=max_states, max_iterations=max_iterations
-        )
+        return SymbolicStateSpace(stg, max_states=max_states)
     raise ValueError("unknown state-space engine %r (choose from %s)" % (engine, ENGINES))

@@ -1,8 +1,8 @@
 """Symbolic state space: the BDD characteristic function behind the protocol.
 
 This is the genuinely Petrify-like engine.  One BDD ``R(places, signals)``
--- computed by :class:`~repro.bdd.reachability.SymbolicNet` with partitioned
-per-transition relations and a one-pass relational product -- represents
+-- computed by :class:`~repro.bdd.reachability.SymbolicNet` by node-wise
+saturation over partitioned per-transition relations -- represents
 every reachable (marking, code) pair, and every protocol query is answered
 on it without ever enumerating a state list:
 
@@ -51,12 +51,7 @@ class SymbolicStateSpace(StateSpace):
 
     engine = "bdd"
 
-    def __init__(
-        self,
-        stg,
-        max_states: Optional[int] = None,
-        max_iterations: Optional[int] = None,
-    ) -> None:
+    def __init__(self, stg, max_states: Optional[int] = None) -> None:
         super().__init__(stg)
         if not stg.has_complete_initial_state():
             stg.infer_initial_state()
@@ -64,12 +59,7 @@ class SymbolicStateSpace(StateSpace):
         # core decides which nets qualify, exactly as for the explicit
         # engine, and raises UnsafeNetError naming the defect otherwise.
         PackedNet(stg.net)
-        self._engine = SymbolicNet(
-            stg.net,
-            stg=stg,
-            max_iterations=max_iterations,
-            max_states=max_states,
-        )
+        self._engine = SymbolicNet(stg.net, stg=stg, max_states=max_states)
         self._reached = self._engine.reachable_set()
         self._check_well_formed()
         self._exc_cache: Dict[Tuple[str, Direction], int] = {}
@@ -81,46 +71,41 @@ class SymbolicStateSpace(StateSpace):
         self._usc_cache: Optional[CodingReport] = None
 
     def _check_well_formed(self) -> None:
-        """Reject unsafe nets and inconsistent STGs like the explicit build."""
-        unsafe = self._engine.unsafe_witness()
-        if unsafe is not None:
-            raise UnsafeNetError(
-                "firing %r from a reachable marking is not safe" % unsafe
-            )
-        inconsistent = self._engine.inconsistent_enabled_witness()
-        if inconsistent is not None:
+        """Reject unsafe nets and inconsistent STGs like the explicit build.
+
+        One product per transition decides whether either defect exists;
+        only then do the witness scans name the first unsafe transition,
+        or else the first inconsistent one, in declaration order.
+        """
+        engine = self._engine
+        if engine.has_firing_defect():
+            unsafe = engine.unsafe_witness()
+            if unsafe is not None:
+                raise UnsafeNetError(
+                    "firing %r from a reachable marking is not safe" % unsafe
+                )
+            inconsistent = engine.inconsistent_enabled_witness()
             label = self.stg.label_of(inconsistent)
             raise InconsistentSTGError(
                 "inconsistent state assignment: %s enabled while %s = %d"
                 % (inconsistent, label.signal, label.target_value)
             )
-        if self._engine.has_code_clash():
+        if engine.has_code_clash():
             raise InconsistentSTGError(
                 "a marking is reachable with two different codes"
             )
 
     @property
     def iterations(self) -> int:
-        """Passes/rounds of the symbolic fixed point (diagnostics)."""
+        """Passes of the symbolic fixed point, one per sweep over the
+        transitions of one level (diagnostics)."""
         return self._engine.iterations
 
     @property
-    def num_bdd_nodes(self) -> int:
-        """Allocated BDD nodes (the symbolic analogue of state count)."""
-        return self._engine.bdd.num_nodes
-
-    @property
     def peak_bdd_nodes(self) -> int:
-        """Largest node-store size seen during the fixed point."""
-        return max(self._engine.peak_nodes, self._engine.bdd.num_nodes)
-
-    @property
-    def gc_runs(self) -> int:
-        return self._engine.bdd.gc_runs
-
-    @property
-    def nodes_reclaimed(self) -> int:
-        return self._engine.bdd.nodes_reclaimed
+        """Allocated BDD nodes (the symbolic analogue of state count).  The
+        store never shrinks, so this is also its largest size so far."""
+        return self._engine.bdd.num_nodes
 
     # ------------------------------------------------------------------ #
     # Size queries

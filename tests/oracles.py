@@ -30,9 +30,13 @@ None of these shares code with the path it checks:
   operators and the Minato-Morreale walk through the ``_level_of`` /
   ``_cofactors`` helpers, which special-case the terminals by id, in place
   of the kernel's one read of each node tuple.  ``ReferenceBDD`` inherits
-  the node store, hash-consing, the connective wrappers and garbage
-  collection from :class:`repro.bdd.BDD`, so the two must build the same
-  store node for node.
+  the node store, hash-consing and the connective wrappers from
+  :class:`repro.bdd.BDD`, so the two must build the same store node for
+  node;
+* :func:`reference_reachable_set` -- the symbolic fixed point as a
+  level-group restart loop over whole-set images (one relational product
+  and one update conjunction per transition), in place of node-wise
+  saturation.
 """
 
 import random
@@ -40,6 +44,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bdd import BDD
+from repro.bdd.reachability import _PLACE, _SIGNAL
 from repro.boolean import Cover, Cube, MinimizationResult
 from repro.core import iter_set_bits
 from repro.petrinet import Marking, StateSpaceLimitExceeded, explore
@@ -1043,3 +1048,89 @@ def reference_isop(bdd: ReferenceBDD, lower: int, upper: int, bit_of) -> List[Tu
     if bdd.conj(lower, bdd.negate(upper)) != bdd.FALSE:
         raise ValueError("isop requires lower <= upper")
     return list(walk(lower, upper)[1])
+
+
+# ---------------------------------------------------------------------- #
+# Symbolic reachability: the level-group restart loop
+# ---------------------------------------------------------------------- #
+def _reference_relations(engine) -> List[Tuple[int, FrozenSet[str], int]]:
+    """``(enable cube, changed variables, update cube)`` per transition of
+    ``engine``, in its transition order and in its manager."""
+    bdd = engine.bdd
+    relations = []
+    for transition in engine.transitions:
+        preset = sorted(engine.net.preset(transition))
+        postset = sorted(engine.net.postset(transition))
+        enable = bdd.conj_all(bdd.var(_PLACE + p) for p in preset)
+        changed = {_PLACE + p for p in set(preset) | set(postset)}
+        update = bdd.TRUE
+        for place in postset:
+            update = bdd.conj(update, bdd.var(_PLACE + place))
+        for place in preset:
+            if place not in postset:
+                update = bdd.conj(update, bdd.nvar(_PLACE + place))
+        label = engine.stg.label_of(transition) if engine.stg is not None else None
+        if label is not None:
+            name = _SIGNAL + label.signal
+            changed.add(name)
+            literal = bdd.var(name) if label.target_value else bdd.nvar(name)
+            update = bdd.conj(update, literal)
+        relations.append((enable, frozenset(changed), update))
+    return relations
+
+
+def reference_image(bdd: BDD, current: int, relation) -> int:
+    """Successor states of ``current`` under one transition's relation."""
+    enable, changed, update = relation
+    abstracted = bdd.and_exists(current, enable, changed)
+    if abstracted == bdd.FALSE:
+        return bdd.FALSE
+    return bdd.conj(abstracted, update)
+
+
+def reference_reachable_set(engine) -> int:
+    """The reachable set of ``engine``'s initial state, in its manager.
+
+    Transitions are grouped by the topmost level they change, and each
+    group is fired on the whole reached set to a local fixed point, deepest
+    group first; after a shallower group adds states, the round restarts
+    from the deepest group, which those states may have re-enabled.  A
+    round in which no group adds a state is the fixed point.  BDDs are
+    canonical, so the result is the node id of ``engine.reachable_set()``
+    exactly when the two sets are equal.
+    """
+    bdd = engine.bdd
+    relations = _reference_relations(engine)
+    groups: Dict[int, List[int]] = {}
+    for index, (_, changed, _) in enumerate(relations):
+        if changed:
+            top = min(bdd._level[name] for name in changed)
+            groups.setdefault(top, []).append(index)
+    ordered = [groups[top] for top in sorted(groups, reverse=True)]
+    reached = engine._initial
+    # A group whose stamp matches the reached set's version is still
+    # saturated with respect to it and is skipped.
+    version = 0
+    saturated = [-1] * len(ordered)
+    progress = True
+    while progress:
+        progress = False
+        for position, group in enumerate(ordered):
+            if saturated[position] == version:
+                continue
+            fired = False
+            local = True
+            while local:
+                local = False
+                for index in group:
+                    union = bdd.disj(reached, reference_image(bdd, reached, relations[index]))
+                    if union != reached:
+                        reached = union
+                        version += 1
+                        local = fired = True
+            saturated[position] = version
+            if fired:
+                progress = True
+                if position > 0:
+                    break  # may have re-enabled a deeper group: restart
+    return reached

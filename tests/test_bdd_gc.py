@@ -1,25 +1,35 @@
-"""BDD storage management: GC and the saturation fixed point.
+"""The symbolic fixed point: node-wise saturation against two oracles.
 
-The manager's maintenance machinery must be invisible to callers: a
-mark-and-sweep pass may renumber nodes but every surviving id (through the
-returned remap) must denote the same Boolean function; and the saturation
-fixed point -- with a GC checkpoint forced at every single firing -- must
-reach exactly the states and markings of the explicit State Graph, an
-independent engine, on every specification we ship.  The structural
-variable order and GC alone keep the peak store of a 16-stage Muller
-pipeline bounded.
+Saturation must reach exactly the states and markings of the explicit
+State Graph, an independent engine, on every specification we ship.  It
+must also return the very node that the level-group restart loop it
+replaced (``oracles.reference_reachable_set``) returns in the same
+manager -- BDDs are canonical, so equal ids mean equal sets -- on the
+benchmark's specs parsed from ``.g`` text, and on seeded single-line
+mutants of the Table 1 texts, where the state space must also raise the
+same error under either fixed point.  The peak store of a 16-stage Muller
+pipeline stays pinned.
 """
 
-import itertools
+import os
+import random
+import sys
 
 import pytest
 
-from repro.bdd.manager import BDD, _CountingCache
+from repro import parse_g, write_g
 from repro.bdd.reachability import SymbolicNet
+from repro.core import UnsafeNetError
 from repro.petrinet import StateSpaceLimitExceeded
 from repro.spaces import SymbolicStateSpace
 from repro.stategraph import build_state_graph
-from repro.stg import muller_pipeline, table1_suite
+from repro.stg import ParseError, STGError, muller_pipeline, table1_suite
+
+from oracles import reference_reachable_set
+
+# The benchmark's own input sets, so the oracle runs on exactly its specs.
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "e2ebench"))
+from workloads import build_workload  # noqa: E402
 
 
 def _specs():
@@ -37,82 +47,8 @@ SPEC_IDS = [spec_id for spec_id, _ in SPECS]
 SPEC_BUILDERS = [builder for _, builder in SPECS]
 
 
-def _assignments(names):
-    for bits in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, bits))
-
-
-def _truth_table(bdd, f, names):
-    return [bdd.evaluate(f, assignment) for assignment in _assignments(names)]
-
-
 # --------------------------------------------------------------------- #
-# Mark-and-sweep GC
-# --------------------------------------------------------------------- #
-def test_collect_garbage_shrinks_store_and_preserves_function():
-    names = list("abcdef")
-    bdd = BDD(names)
-    f = bdd.disj(
-        bdd.conj(bdd.var("a"), bdd.var("b")),
-        bdd.conj(bdd.var("c"), bdd.var("d")),
-    )
-    # Litter the store with dead intermediates.
-    for name in names:
-        bdd.xor(f, bdd.var(name))
-    before = bdd.num_nodes
-    truth = _truth_table(bdd, f, names)
-    remap = bdd.collect_garbage([f])
-    assert bdd.num_nodes < before
-    assert bdd.gc_runs == 1
-    assert bdd.nodes_reclaimed == before - bdd.num_nodes
-    f = remap[f]
-    assert _truth_table(bdd, f, names) == truth
-    # After a sweep everything in the store is live.
-    assert bdd.num_live_nodes([f]) == bdd.num_nodes
-
-
-def test_pinned_roots_survive_and_pins_nest():
-    bdd = BDD(["a", "b", "c"])
-    f = bdd.conj(bdd.var("a"), bdd.var("b"))
-    g = bdd.conj(bdd.var("b"), bdd.var("c"))
-    bdd.pin(f)
-    bdd.pin(f)  # nested pin
-    remap = bdd.collect_garbage()
-    assert f in remap
-    assert g not in remap  # unpinned internal node is swept
-    f = remap[f]
-    bdd.unpin(f)  # one pin left: still a root
-    remap = bdd.collect_garbage()
-    assert f in remap
-    f = remap[f]
-    bdd.unpin(f)
-    remap = bdd.collect_garbage()
-    assert f not in remap
-    with pytest.raises(KeyError):
-        bdd.unpin(f)
-
-
-def test_counting_caches_survive_garbage_collection():
-    bdd = BDD(list("abcd"))
-    f = bdd.conj(bdd.var("a"), bdd.var("b"))
-    bdd.enable_stats()
-    g = bdd.disj(f, bdd.var("c"))
-    before = bdd.stats()
-    assert before["ite_cache_lookups"] > 0
-    remap = bdd.collect_garbage([g])
-    # The swapped-in counting caches keep their identity and totals; only
-    # the memoised entries (now stale ids) are dropped.
-    assert isinstance(bdd._ite_cache, _CountingCache)
-    after = bdd.stats()
-    assert after["stats_enabled"]
-    assert after["ite_cache_lookups"] >= before["ite_cache_lookups"]
-    assert after["ite_cache_entries"] == 0
-    bdd.disj(remap[g], bdd.var("d"))
-    assert bdd.stats()["ite_cache_lookups"] > after["ite_cache_lookups"]
-
-
-# --------------------------------------------------------------------- #
-# Saturation fixed point vs the explicit State Graph
+# Saturation vs the explicit State Graph
 # --------------------------------------------------------------------- #
 def _explicit_counts(stg):
     """(states, distinct markings) of the explicit State Graph."""
@@ -132,28 +68,6 @@ def test_saturation_matches_chaining(builder):
     assert saturation.count_markings() == markings
 
 
-@pytest.mark.parametrize("stages", [4, 6])
-def test_forced_gc_mid_fixpoint(stages):
-    # Force a GC-eligibility check at *every* saturation checkpoint: the
-    # reached set must be unaffected no matter where in the fixed point the
-    # store is rebuilt.
-    stg = muller_pipeline(stages)
-    states, markings = _explicit_counts(muller_pipeline(stages))
-
-    stressed = SymbolicNet(stg.net, stg=stg)
-    original = stressed._maintain
-
-    def maintain(reached):
-        stressed._gc_threshold = 0
-        return original(reached)
-
-    stressed._maintain = maintain
-    stressed.reachable_set()
-    assert stressed.bdd.gc_runs > 0
-    assert stressed.count_states() == states
-    assert stressed.count_markings() == markings
-
-
 def test_saturation_respects_max_states():
     stg = muller_pipeline(6)
     engine = SymbolicNet(stg.net, stg=stg, max_states=5)
@@ -161,28 +75,111 @@ def test_saturation_respects_max_states():
         engine.reachable_set()
 
 
-def test_saturation_respects_max_iterations():
-    stg = muller_pipeline(6)
-    engine = SymbolicNet(stg.net, stg=stg, max_iterations=1)
-    with pytest.raises(RuntimeError):
-        engine.reachable_set()
+# --------------------------------------------------------------------- #
+# Saturation vs the restart loop, in one manager
+# --------------------------------------------------------------------- #
+def _benchmark_texts():
+    """Every ``table1``, ``fig6`` and ``csc`` spec of the benchmark at
+    seeds 0 and 1 (``csc`` holds parsed ``muller_pipeline(16)``), each
+    text once."""
+    texts = {}
+    for seed in (0, 1):
+        for workload in ("table1", "fig6", "csc"):
+            for spec in build_workload(workload, seed).specs:
+                texts.setdefault(spec.text, "%s-%d-%s" % (workload, seed, spec.name))
+    return sorted((name, text) for text, name in texts.items())
+
+
+BENCHMARK_TEXTS = _benchmark_texts()
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, text in BENCHMARK_TEXTS], ids=[name for name, _ in BENCHMARK_TEXTS]
+)
+def test_saturation_reaches_the_restart_loops_node(text):
+    stg = parse_g(text)
+    engine = SymbolicNet(stg.net, stg=stg)
+    assert engine.reachable_set() == reference_reachable_set(engine)
+
+
+def _mutant(rng, text):
+    """``text`` with one ``.graph`` line edited: drop the line, or drop,
+    add or swap one of its arc targets.  An added or swapped-in target is
+    another node of the same section; a line's only target is swapped
+    rather than dropped."""
+    lines = text.splitlines()
+    start = lines.index(".graph") + 1
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("."))
+    index = rng.randrange(start, stop)
+    tokens = lines[index].split()
+    nodes = sorted({token for line in lines[start:stop] for token in line.split()})
+    kind = rng.randrange(4)
+    if kind == 0:
+        del lines[index]
+    else:
+        if kind == 1 and len(tokens) > 2:
+            del tokens[rng.randrange(1, len(tokens))]
+        elif kind == 2:
+            tokens.append(rng.choice(nodes))
+        else:
+            tokens[rng.randrange(1, len(tokens))] = rng.choice(nodes)
+        lines[index] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(text):
+    """``(error class, message)`` of the symbolic state space, or
+    ``("ok", states)``."""
+    try:
+        space = SymbolicStateSpace(parse_g(text))
+    except (UnsafeNetError, STGError) as error:
+        return type(error).__name__, str(error)
+    return "ok", space.num_states
+
+
+def test_mutants_reach_the_restart_loops_node_and_verdict(monkeypatch):
+    saturate = SymbolicNet._saturate
+    engines = []
+
+    def checked(engine, span):
+        reached = saturate(engine, span)
+        assert reached == reference_reachable_set(engine)
+        engines.append(engine)
+        return reached
+
+    def restart_loop(engine, span):
+        return reference_reachable_set(engine)
+
+    rng = random.Random(0)
+    texts = [write_g(entry.build()) for entry in table1_suite()]
+    verdicts = {}
+    for _ in range(240):
+        text = _mutant(rng, rng.choice(texts))
+        try:
+            parse_g(text)
+        except ParseError:
+            continue
+        engines.clear()
+        monkeypatch.setattr(SymbolicNet, "_saturate", checked)
+        outcome = _outcome(text)
+        monkeypatch.setattr(SymbolicNet, "_saturate", restart_loop)
+        assert _outcome(text) == outcome, text
+        monkeypatch.undo()
+        if engines:
+            # The one-product gate opens exactly when a witness exists.
+            (engine,) = engines
+            witness = engine.unsafe_witness() or engine.inconsistent_enabled_witness()
+            assert engine.has_firing_defect() == (witness is not None)
+        verdicts[outcome[0]] = verdicts.get(outcome[0], 0) + 1
+    assert verdicts.get("ok", 0) >= 50
+    assert verdicts.get("UnsafeNetError", 0) >= 50
+    assert verdicts.get("InconsistentSTGError", 0) >= 1
 
 
 # --------------------------------------------------------------------- #
 # Through the state-space protocol
 # --------------------------------------------------------------------- #
-def test_state_space_surfaces_maintenance_counters():
-    space = SymbolicStateSpace(muller_pipeline(8))
-    assert space.peak_bdd_nodes >= space.num_bdd_nodes
-    assert space.gc_runs >= 0
-    assert space.nodes_reclaimed >= 0
-    # muller_8 crosses the GC threshold, so at least one sweep must have
-    # happened and reclaimed the fixpoint's intermediate results.
-    assert space.gc_runs > 0
-    assert space.nodes_reclaimed > 0
-
-
 def test_peak_nodes_of_muller_16_stay_bounded():
-    # 66,487 nodes under the structural order with GC; the bound leaves
-    # 10% headroom, so a regression in either shows here first.
-    assert SymbolicStateSpace(muller_pipeline(16)).peak_bdd_nodes <= 73_000
+    # 2,666 nodes under the structural order and saturation; the bound
+    # leaves 10% headroom, so a regression in either shows here first.
+    assert SymbolicStateSpace(muller_pipeline(16)).peak_bdd_nodes <= 2_930

@@ -4,9 +4,8 @@
 once per recursive step, with the terminals stored at level ``n``.
 :class:`oracles.ReferenceBDD` runs the same recursions through the
 ``_level_of`` / ``_cofactors`` helpers.  Both must build the same node
-store: the same ids in the same creation order, the same unique table and
-the same garbage-collection remaps.  Anything downstream (ISOP seeds,
-espresso inputs, literal counts) depends on those ids.
+store: the same ids in the same creation order and the same unique
+table.
 
 (a) seeded random operation sequences over 5-8 variables, compared after
     every operation;
@@ -134,16 +133,6 @@ def _run_sequence(seed):
             )
             pair.check_stores()
 
-        if rng.random() < 1 / 15:
-            pinned = pick(pool)
-            pair.fast.pin(pinned)
-            pair.ref.pin(pinned)
-            roots = [node for node in pool if rng.random() < 0.5]
-            remap = pair.fast.collect_garbage(roots)
-            assert remap == pair.ref.collect_garbage(roots)
-            pair.check_stores()
-            pool = [remap[node] for node in pool if node in remap]
-
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))
 def test_random_sequences_build_the_reference_store(chunk):
@@ -155,24 +144,6 @@ def test_random_sequences_build_the_reference_store(chunk):
 def test_terminals_sit_below_every_variable():
     bdd = BDD(["a", "b", "c"])
     assert bdd._nodes == [(3, 0, 0), (3, 1, 1)]
-    f = bdd.conj(bdd.var("a"), bdd.nvar("c"))
-    bdd.collect_garbage([f])
-    assert bdd._nodes[:2] == [(3, 0, 0), (3, 1, 1)]
-
-
-def test_collect_garbage_rebuilds_the_store_in_place():
-    """A finished operator's closure still holds the node list and the
-    unique table; rebuilding them in place keeps it from pinning a dead
-    store."""
-    bdd = BDD(["a", "b", "c"])
-    nodes, unique = bdd._nodes, bdd._unique
-    f = bdd.and_exists(bdd.var("a"), bdd.disj(bdd.var("b"), bdd.var("c")), ["b"])
-    bdd.xor(f, bdd.var("c"))
-    before = len(nodes)
-    bdd.collect_garbage([f])
-    assert bdd._nodes is nodes and bdd._unique is unique
-    assert len(nodes) < before
-    assert unique == {key: index for index, key in enumerate(nodes) if index > 1}
 
 
 # --------------------------------------------------------------------- #
@@ -199,7 +170,7 @@ def _symbolic_flow(text):
         ]
         for gate in implementation
     }
-    return space.peak_bdd_nodes, space.iterations, space.gc_runs, gates
+    return space.peak_bdd_nodes, space.iterations, gates
 
 
 @pytest.mark.parametrize("name, build", _flow_specs(), ids=[n for n, _ in _flow_specs()])
@@ -209,7 +180,7 @@ def test_symbolic_flow_matches_the_reference_kernel(name, build, monkeypatch):
     monkeypatch.setattr(reachability, "BDD", ReferenceBDD)
     monkeypatch.setattr(symbolic, "isop", reference_isop)
     reference = _symbolic_flow(text)
-    assert shipped[:3] == reference[:3]
-    assert shipped[3] == reference[3]
+    assert shipped[:2] == reference[:2]
+    assert shipped[2] == reference[2]
     if name == "muller_pipeline_16":
-        assert shipped[0] == 66_487
+        assert shipped[0] == 2_666

@@ -368,3 +368,11 @@ def test_symbolic_space_scales_past_explicit_budget():
     assert space.num_states == 262144
     assert space.check_csc().satisfied
     assert space.check_usc().satisfied
+
+
+def test_symbolic_space_counts_a_parsed_48_stage_pipeline():
+    """The top of the Figure 6 sweep, parsed from ``.g`` text as users hand
+    it over: 2^50 states, counted and CSC-checked symbolically."""
+    space = SymbolicStateSpace(parse_g(write_g(muller_pipeline(48))))
+    assert space.num_states == 2 ** 50
+    assert space.check_csc().satisfied
