@@ -451,25 +451,12 @@ class SymbolicNet:
     def rename_places_to_primed(self, f: int) -> int:
         return self.bdd.rename(f, {_PLACE + p: _PLACE_PRIMED + p for p in self.places})
 
-    def rename_signals_to_primed(self, f: int) -> int:
-        return self.bdd.rename(
-            f, {_SIGNAL + s: _SIGNAL_PRIMED + s for s in self.signals}
-        )
-
     def places_differ(self) -> int:
         """BDD of ``exists i . p_i != p'_i`` (marking inequality)."""
         bdd = self.bdd
         return bdd.disj_all(
             bdd.xor(bdd.var(_PLACE + p), bdd.var(_PLACE_PRIMED + p))
             for p in self.places
-        )
-
-    def signals_differ(self) -> int:
-        """BDD of ``exists i . s_i != s'_i`` (code inequality)."""
-        bdd = self.bdd
-        return bdd.disj_all(
-            bdd.xor(bdd.var(_SIGNAL + s), bdd.var(_SIGNAL_PRIMED + s))
-            for s in self.signals
         )
 
     def signal_levels(self) -> Dict[str, int]:
@@ -523,14 +510,15 @@ class SymbolicNet:
         )
 
     def has_code_clash(self) -> bool:
-        """True when some marking is reachable with two different codes."""
-        if not self.primed or not self.signals:
+        """True when some marking is reachable with two different codes.
+
+        Every reachable marking has at least one code, so this holds
+        exactly when there are more reachable states than markings: two
+        solution counts, with no product of the reached set and a copy.
+        """
+        if not self.signals:
             return False
-        bdd = self.bdd
-        reached = self.reachable_set()
-        primed = self.rename_signals_to_primed(reached)
-        clash = bdd.conj(bdd.conj(reached, primed), self.signals_differ())
-        return clash != bdd.FALSE
+        return self.count_states() > self.count_markings()
 
     def __repr__(self) -> str:
         return "SymbolicNet(%r, places=%d, signals=%d, nodes=%d)" % (

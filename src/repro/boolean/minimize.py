@@ -8,7 +8,9 @@ don't-care set, to reduce the literal count of the final implementation
   style of Espresso-II.  It never changes the function on the care set and
   is the minimiser used by the synthesis flow.  Like :mod:`.cover`, whose
   mask-pair recursions it uses, it runs on the cubes' integer masks only;
-  the test suite checks it against a Cube-object oracle cube for cube.
+  expansion and the irredundancy of minterm care sets read the off-set and
+  the care points as bit slices (:mod:`.slices`), built once per call.
+  The test suite checks it against a Cube-object oracle cube for cube.
 * :func:`quine_mccluskey` -- an exact minimiser (prime generation plus a
   greedy/Petrick covering step) usable for small variable counts; the test
   suite uses it to cross-check the heuristic minimiser.
@@ -17,11 +19,12 @@ don't-care set, to reduce the literal count of the final implementation
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import current_tracer
 from .cover import Cover, Pair, _bounding_pairs, _cofactor_pairs
 from .cube import Cube
+from .slices import CubeSlices, suffix_ors
 
 __all__ = ["espresso", "quine_mccluskey", "MinimizationResult"]
 
@@ -83,9 +86,12 @@ def espresso(
     care_on = on
     initial_literals = on.literal_count
     if off is None:
-        off = on.union(dc).complement().single_cube_containment()
-    else:
-        off = off.single_cube_containment()
+        off = on.union(dc).complement()
+    # Expansion asks which off cubes a cube misses, irredundancy which care
+    # points a cube holds: both read fixed sets, so both are transposed
+    # into bit slices once per call.
+    blocking = CubeSlices(nvars, off._pairs())
+    points = _point_table(care_on, dc)
 
     current = on.single_cube_containment()
     iterations = 0
@@ -93,14 +99,14 @@ def espresso(
     # Expansion depends only on (cube, off) and off is fixed for the whole
     # run, so grown cubes are memoised across phases: the post-irredundant
     # expand of each iteration mostly re-expands already-maximal cubes.
-    expand_cache: Dict[Tuple[int, int], Cube] = {}
+    expand_cache: Dict[Pair, Cube] = {}
     for _ in range(max_iterations):
         iterations += 1
-        current = _expand(current, off, expand_cache)
-        current = _irredundant_care(current, care_on, dc)
+        current = _expand(current, blocking, expand_cache)
+        current = _irredundant_care(current, care_on, dc, points)
         current = _reduce(current, dc)
-        current = _expand(current, off, expand_cache)
-        current = _irredundant_care(current, care_on, dc)
+        current = _expand(current, blocking, expand_cache)
+        current = _irredundant_care(current, care_on, dc, points)
         cost = _cost(current)
         if cost >= previous_cost:
             break
@@ -123,7 +129,29 @@ def _cost(cover: Cover) -> Tuple[int, int]:
     return (len(cover), cover.literal_count)
 
 
-def _irredundant_care(cover: Cover, care_on: Cover, dc: Cover) -> Cover:
+#: A care set of minterms as bit slices, with the points the DC-set holds.
+PointTable = Tuple[CubeSlices, int]
+
+
+def _point_table(care_on: Cover, dc: Cover) -> Optional[PointTable]:
+    """The care set's points as slices, when every care cube is a minterm
+    (the synthesis common case), and the mask of the points in the DC-set;
+    None otherwise.  A cube holds a point exactly when it meets it, so the
+    DC-set holds the points its cubes meet."""
+    full = (1 << care_on.nvars) - 1
+    pairs = care_on._pairs()
+    if not all(ones | zeros == full for ones, zeros in pairs):
+        return None
+    points = CubeSlices(care_on.nvars, pairs)
+    in_dc = 0
+    for cube in dc:
+        in_dc |= points.meeting(cube.ones, cube.zeros)
+    return points, in_dc
+
+
+def _irredundant_care(
+    cover: Cover, care_on: Cover, dc: Cover, points: Optional[PointTable]
+) -> Cover:
     """Drop cubes whose *care* minterms are covered by the rest of the cover.
 
     A cube is redundant when every minterm it covers that belongs to the
@@ -134,10 +162,8 @@ def _irredundant_care(cover: Cover, care_on: Cover, dc: Cover) -> Cover:
     """
     nvars = cover.nvars
     cubes = list(cover.single_cube_containment())
-    full = (1 << nvars) - 1
-    points = [(cube.ones, cube.zeros) for cube in care_on]
-    if all(ones | zeros == full for ones, zeros in points):
-        return Cover(nvars, _irredundant_points(cubes, points, dc))
+    if points is not None:
+        return Cover(nvars, _irredundant_points(cubes, *points))
     index = 0
     while index < len(cubes):
         candidate = cubes[index]
@@ -152,73 +178,43 @@ def _irredundant_care(cover: Cover, care_on: Cover, dc: Cover) -> Cover:
     return Cover(nvars, cubes)
 
 
-def _irredundant_points(
-    cubes: List[Cube], points: List[Pair], dc: Cover
-) -> List[Cube]:
-    """:func:`_irredundant_care` for a care set of minterms (the synthesis
-    common case), by coverage counting.
+def _irredundant_points(cubes: List[Cube], points: CubeSlices, in_dc: int) -> List[Cube]:
+    """:func:`_irredundant_care` on a point table.
 
-    "The rest plus the DC-set covers every care point of the candidate" is,
-    for points, "each such point is covered by some other live cube or by
-    the DC-set".  So count, per point, the live cubes covering it plus one
-    when the DC-set covers it; a cube drops when every one of its points
-    counts at least 2, and its points then lose one count each.
+    When cube ``i`` is tried, the live cubes are the ones kept before it,
+    itself and every later one.  So it drops exactly when each point it
+    holds is in the DC-set, in a kept cube or in a later cube (a suffix
+    OR of the held-point masks).
     """
-
-    # A cube holds a point iff it has no literal the point contradicts.
-    def held_by(ones: int, zeros: int) -> List[int]:
-        return [
-            index
-            for index, (point_ones, point_zeros) in enumerate(points)
-            if not ((ones & point_zeros) | (zeros & point_ones))
-        ]
-
-    dc_pairs = [(cube.ones, cube.zeros) for cube in dc]
-    counts = []
-    for point_ones, point_zeros in points:
-        in_dc = not all(
-            (ones & point_zeros) | (zeros & point_ones) for ones, zeros in dc_pairs
-        )
-        counts.append(1 if in_dc else 0)
-    held = [held_by(cube.ones, cube.zeros) for cube in cubes]
-    for indices in held:
-        for index in indices:
-            counts[index] += 1
+    held = [points.meeting(cube.ones, cube.zeros) for cube in cubes]
+    later = suffix_ors(held)
+    covered = in_dc
     kept: List[Cube] = []
-    for cube, indices in zip(cubes, held):
-        if all(counts[index] >= 2 for index in indices):
-            for index in indices:
-                counts[index] -= 1
-        else:
+    for index, cube in enumerate(cubes):
+        if held[index] & ~(covered | later[index + 1]):
             kept.append(cube)
+            covered |= held[index]
     return kept
 
 
-def _expand(
-    cover: Cover,
-    off: Cover,
-    cache: Optional[Dict[Tuple[int, int], Cube]] = None,
-) -> Cover:
-    """Expand every cube maximally without hitting the off-set.
+def _expand(cover: Cover, blocking: CubeSlices, cache: Dict[Pair, Cube]) -> Cover:
+    """Expand every cube to a prime that misses the off-set.
 
     ``cache`` memoises expansions against this (fixed) off-set.  Expansion
     is idempotent -- a literal whose drop was blocked stays blocked as the
     cube only ever grows -- so every grown cube is also recorded as its
     own expansion, which makes re-expanding an already-maximal cover free.
     """
-    if cache is None:
-        cache = {}
-    ordered = sorted(cover, key=lambda c: -c.num_literals)
-    todo = [
-        cube for cube in ordered if (cube.ones, cube.zeros) not in cache
-    ]
-    if todo:
-        off_masks = [(c.ones, c.zeros) for c in off]
-        grown_todo = [_expand_cube(cube, off_masks) for cube in todo]
-        for cube, grown in zip(todo, grown_todo):
-            cache[(cube.ones, cube.zeros)] = grown
+    nvars = cover.nvars
+    grown_cubes = []
+    for cube in sorted(cover, key=lambda c: -c.num_literals):
+        key = (cube.ones, cube.zeros)
+        grown = cache.get(key)
+        if grown is None:
+            grown = Cube(nvars, *blocking.expand(*key))
+            cache[key] = grown
             cache[(grown.ones, grown.zeros)] = grown
-    grown_cubes = [cache[(cube.ones, cube.zeros)] for cube in ordered]
+        grown_cubes.append(grown)
 
     expanded: List[Cube] = []
     for grown in grown_cubes:
@@ -236,34 +232,7 @@ def _expand(
                 if (grown_ones & ~other.ones) or (grown_zeros & ~other.zeros)
             ]
             expanded.append(grown)
-    return Cover(cover.nvars, expanded)
-
-
-def _expand_cube(cube: Cube, off_masks: Sequence[Tuple[int, int]]) -> Cube:
-    """Remove literals one at a time while the cube stays off-set free.
-
-    ``off_masks`` is the off-set as raw ``(ones, zeros)`` pairs; the
-    candidate cube intersects the off-set iff for some pair the combined
-    ones/zeros masks are disjoint, so the whole check is integer ops.
-    """
-    ones = cube.ones
-    zeros = cube.zeros
-    # One ascending scan suffices: a blocked drop stays blocked, because
-    # later drops only grow the cube and intersection with the off-set is
-    # monotone under growth.
-    mask = ones | zeros
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        cand_ones = ones & ~low
-        cand_zeros = zeros & ~low
-        for off_ones, off_zeros in off_masks:
-            if not ((cand_ones | off_ones) & (cand_zeros | off_zeros)):
-                break  # hits the off-set: keep the literal
-        else:
-            ones = cand_ones
-            zeros = cand_zeros
-    return Cube(cube.nvars, ones, zeros)
+    return Cover(nvars, expanded)
 
 
 def _reduce(cover: Cover, dc: Cover) -> Cover:

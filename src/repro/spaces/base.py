@@ -168,9 +168,12 @@ class StateSpace(ABC):
 
         It covers every code of a state whose implied value is 0 and no
         other code: no unreachable code, and no code that is only in the
-        on-set.  Espresso may take it as its ``off`` (blocking) set: for a
-        CSC-clean signal it is the same function as ``complement(on + dc)``,
-        so the minimised cover stays the same cube for cube.
+        on-set.  The contract is this function, not a cube list: the
+        symbolic engine returns an ISOP of it, the explicit engine prime
+        cubes.  Espresso may take it as its ``off`` (blocking) set and
+        reads it only through intersection tests: for a CSC-clean signal
+        it is the same function as ``complement(on + dc)``, so the
+        minimised cover stays the same cube for cube.
         """
 
     @abstractmethod
@@ -187,7 +190,12 @@ class StateSpace(ABC):
 
     @abstractmethod
     def dc_cover(self) -> Cover:
-        """Cover of the unreachable binary codes (the don't-care set)."""
+        """Cover of the unreachable binary codes (the don't-care set).
+
+        The contract is the function, not a cube list: espresso reads the
+        DC-set only through intersection and containment tests, so any
+        cover of these codes minimises to the same result.
+        """
 
     # ------------------------------------------------------------------ #
     # State-coding checks

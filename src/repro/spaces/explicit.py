@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import kernel
-from ..boolean import Cover, minterm_cover
+from ..boolean import Cover
+from ..boolean.slices import prime_cover
 from ..stategraph import (
     SignalRegions,
     StateGraph,
@@ -114,16 +115,17 @@ class ExplicitStateSpace(StateSpace):
         return self._signal_regions(signal).on_cover
 
     def off_cover(self, signal: str) -> Cover:
-        # complement(on + dc) is the cover espresso would build itself; the
-        # codes the on-set shares with the off-set (a CSC conflict) go back
-        # in as minterms.  The result is the exact reachable off-set, and
-        # the minimiser never receives one cube per off-state.
+        # Each off-code grows to a prime that takes in no on-code and no
+        # unreachable code, so the cover is the exact reachable off-set with
+        # no complement run.  A code the on-set shares with the off-set (a
+        # CSC conflict) meets the on-set at once and stays a minterm.
         regions = self._signal_regions(signal)
-        cover = regions.on_cover.union(self.dc_cover()).complement()
-        shared = self._codes_of(regions.on_states) & self._codes_of(regions.off_states)
-        if shared:
-            cover = cover.union(minterm_cover(len(self.signals), shared))
-        return cover
+        nvars = len(self.signals)
+        full = (1 << nvars) - 1
+        blocking = [(code, full & ~code) for code in self._codes_of(regions.on_states)]
+        blocking += [(cube.ones, cube.zeros) for cube in self.dc_cover()]
+        off_codes = sorted(self._codes_of(regions.off_states))
+        return prime_cover(nvars, [(code, full & ~code) for code in off_codes], blocking)
 
     def set_cover(self, signal: str) -> Cover:
         return self._signal_regions(signal).set_cover

@@ -20,6 +20,7 @@ import time
 from typing import Dict, Optional, Tuple
 
 from ..boolean import BooleanFunction, Cover, espresso, minterm_cover
+from ..boolean.slices import code_complement
 from ..stg import STG
 from ..unfolding import UnfoldingSegment, reachable_packed_states, unfold
 from .netlist import Gate, Implementation
@@ -121,7 +122,7 @@ def synthesize_exact_from_unfolding(
     implementation = Implementation(stg.name, architecture, signals)
     t2 = time.perf_counter()
     # The DC-set (unreachable codes) is signal-independent: on/off partition
-    # the reachable codes for every signal, so one complement serves all of
+    # the reachable codes for every signal, so one cover serves all of
     # them.  The ACG path avoids it entirely by blocking expansion with the
     # off-set cover directly.
     dc: Optional[Cover] = None
@@ -137,7 +138,7 @@ def synthesize_exact_from_unfolding(
             gate = Gate(signal, architecture, function=BooleanFunction(signals, minimized))
         else:
             if dc is None:
-                dc = minterm_cover(nvars, set(states.values())).complement()
+                dc = code_complement(nvars, set(states.values()))
             set_on, reset_on = _excitation_covers(segment, signal, states)
             set_dc = dc.union(_quiescent_cover(segment, signal, states, 1))
             reset_dc = dc.union(_quiescent_cover(segment, signal, states, 0))

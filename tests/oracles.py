@@ -25,7 +25,13 @@ None of these shares code with the path it checks:
 * :func:`reference_espresso` and its pieces -- the cover engine on Cube
   objects: the textbook unate recursions for tautology and complement, a
   sharp-based REDUCE, the sequential irredundant scan, the all-kept
-  single-cube-containment scan and a scalar expand scan;
+  single-cube-containment scan and a scalar expand scan, plus the mask
+  loops the bit-sliced primitives replaced: one cube's expansion scanned
+  against every off cube (:func:`reference_expand_cube`) and irredundancy
+  by per-point coverage counts (:func:`reference_irredundant_points`);
+* :func:`reference_dc_set_cover` and :func:`reference_off_cover` -- the
+  explicit engine's don't-care and off-set covers as complements of
+  minterm lists, in place of prime expansion against bit slices;
 * :class:`ReferenceBDD` and :func:`reference_isop` -- the recursive BDD
   operators and the Minato-Morreale walk through the ``_level_of`` /
   ``_cofactors`` helpers, which special-case the terminals by id, in place
@@ -846,6 +852,79 @@ def reference_espresso(
     if not reference_contains_cover(current.union(dc), on):
         current = reference_single_cube_containment(on)
     return MinimizationResult(current, iterations, on.literal_count)
+
+
+def reference_expand_cube(ones: int, zeros: int, off_pairs) -> Tuple[int, int]:
+    """One cube's expansion as a scan over the off-set: literals are tried
+    lowest variable first, and one goes when no off cube meets the cube
+    without it."""
+    mask = ones | zeros
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        cand_ones = ones & ~low
+        cand_zeros = zeros & ~low
+        for off_ones, off_zeros in off_pairs:
+            if not ((cand_ones | off_ones) & (cand_zeros | off_zeros)):
+                break  # meets the off-set: keep the literal
+        else:
+            ones = cand_ones
+            zeros = cand_zeros
+    return ones, zeros
+
+
+def reference_irredundant_points(cubes: List[Cube], points, dc: Cover) -> List[Cube]:
+    """Irredundancy on a care set of minterm pairs by coverage counting:
+    each point counts the cubes holding it plus one when a DC cube does;
+    a cube drops when every point it holds counts at least 2, and its
+    points then lose one count each."""
+
+    def held_by(ones: int, zeros: int) -> List[int]:
+        return [
+            index
+            for index, (point_ones, point_zeros) in enumerate(points)
+            if not ((ones & point_zeros) | (zeros & point_ones))
+        ]
+
+    counts = [
+        0 if all((cube.ones & point_zeros) | (cube.zeros & point_ones) for cube in dc) else 1
+        for point_ones, point_zeros in points
+    ]
+    held = [held_by(cube.ones, cube.zeros) for cube in cubes]
+    for indices in held:
+        for index in indices:
+            counts[index] += 1
+    kept: List[Cube] = []
+    for cube, indices in zip(cubes, held):
+        if all(counts[index] >= 2 for index in indices):
+            for index in indices:
+                counts[index] -= 1
+        else:
+            kept.append(cube)
+    return kept
+
+
+def _minterm_pairs(nvars: int, codes) -> List[Tuple[int, int]]:
+    full = (1 << nvars) - 1
+    return [(code, full & ~code) for code in codes]
+
+
+def reference_dc_set_cover(graph) -> Cover:
+    """The unreachable codes as the complement of the reachable minterms."""
+    nvars = len(graph.signals)
+    reachable = _minterm_pairs(nvars, graph.reachable_packed_codes())
+    return Cover.from_mask_pairs(nvars, reachable).complement()
+
+
+def reference_off_cover(space, signal: str) -> Cover:
+    """The reachable off-codes as ``complement(on + dc)``, with the codes
+    the on-set shares with the off-set added back as minterms."""
+    nvars = len(space.signals)
+    on_codes = space.on_codes(signal)
+    shared = on_codes & space.off_codes(signal)
+    on = Cover.from_mask_pairs(nvars, _minterm_pairs(nvars, sorted(on_codes)))
+    cover = on.union(reference_dc_set_cover(space.explicit_graph)).complement()
+    return cover.union(Cover.from_mask_pairs(nvars, _minterm_pairs(nvars, sorted(shared))))
 
 
 # ---------------------------------------------------------------------- #

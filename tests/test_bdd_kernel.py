@@ -183,4 +183,4 @@ def test_symbolic_flow_matches_the_reference_kernel(name, build, monkeypatch):
     assert shipped[:2] == reference[:2]
     assert shipped[2] == reference[2]
     if name == "muller_pipeline_16":
-        assert shipped[0] == 2_666
+        assert shipped[0] == 1_865

@@ -224,3 +224,34 @@ def test_inconsistent_spec_rejected_by_every_method(method):
 def test_inconsistent_spec_rejected_by_every_engine(engine):
     with pytest.raises(InconsistentSTGError, match="inconsistent state assignment"):
         build_state_space(_two_rising_transitions_in_a_row(), engine=engine)
+
+
+#: ``p0`` chooses ``a+`` or ``b+`` and both lead into ``p1``, so the marking
+#: ``{p1}`` is reached with codes 100 and 010.  No firing is unsafe and none
+#: is enabled while its signal already holds the target value.
+TWO_CODES_G = """\
+.inputs a b
+.outputs c
+.graph
+p0 a+ b+
+a+ p1
+b+ p1
+p1 c+
+c+ p2
+p2 c-
+c- p1
+.marking { p0 }
+.end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_marking_with_two_codes_rejected_by_every_engine(engine):
+    with pytest.raises(InconsistentSTGError, match="two different codes"):
+        build_state_space(parse_g(TWO_CODES_G), engine=engine)
+
+
+@pytest.mark.parametrize("method", ["sg-explicit", "sg-bdd", "unfolding-exact"])
+def test_marking_with_two_codes_rejected_by_exact_methods(method):
+    with pytest.raises(InconsistentSTGError, match="two"):
+        synthesize(parse_g(TWO_CODES_G), method=method)
