@@ -5,10 +5,10 @@ interface: hiding the inserted internal signals, every trace of the resolved
 specification must be a trace of the original one.  This module checks that
 *trace containment* directly with a simulation-style product walk: the
 resolved State Graph generates events, the original specification tracks
-them through :class:`~repro.sim.environment.SpecEnvironment` (the same
-packed marking-set game the simulator and the random walker play), and
-inserted-signal transitions advance the resolved side only -- they are
-invisible to the specification.
+them through its :class:`~repro.sim.environment.SpecEnvironment` (the same
+packed marking-set game, on the same tables, that the simulator and the
+random walker play), and inserted-signal transitions advance the resolved
+side only -- they are invisible to the specification.
 
 The walk is one-directional: it cannot detect an insertion that *removes*
 behaviour (e.g. an input the environment is no longer offered).  That
@@ -73,7 +73,7 @@ def projection_conforms(
     report = ProjectionReport(sorted(hidden_set))
     if resolved_graph is None:
         resolved_graph = build_state_graph(resolved)
-    environment = SpecEnvironment(original)
+    environment = SpecEnvironment.of(original)
 
     initial = (0, environment.initial_states_packed())
     seen: Set[Tuple[int, object]] = {initial}

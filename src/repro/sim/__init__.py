@@ -23,7 +23,7 @@ The explorer and the walker play one packed game and share one firing rule
 closed-loop state carries its excitation as a bitmask, and firing a signal
 re-evaluates only the gates that read it (:class:`CircuitModel`), while the
 specification side looks each observed change up in per-marking move tables
-(:class:`SpecEnvironment`).
+(:class:`SpecEnvironment`), one set of tables per spec.
 """
 
 from .hazards import ConformanceViolation, Deadlock, Hazard, format_code

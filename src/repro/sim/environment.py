@@ -19,13 +19,24 @@ dummy-transition firing.
 The game is played on packed markings: a marking is one int (bit ``i`` =
 token on place ``i``, see :mod:`repro.core`) and a tracked set is a
 frozenset of ints.  Each marking's moves are tabulated once, keyed by the
-signal change they make, so observing a change looks its key up in each
-tracked marking, and so are the input changes it enables.  The simulator,
-the random walker and the projection-conformance
-check all play this one game.  It needs a safe, weight-1 net: building the
-environment compiles a :class:`~repro.core.PackedNet`, which raises
+signal change they make, and so are the input changes it enables.  Each
+distinct successor set is stored once, as a frozenset that every move
+reaching it shares, so observing a change from one tracked marking returns
+a stored set.  The simulator, the random walker and the
+projection-conformance check all play this one game.  It needs a safe,
+weight-1 net: building the environment compiles a
+:class:`~repro.core.PackedNet`, which raises
 :class:`~repro.core.UnsafeNetError` for any other net, and a reachable
 unsafe firing raises it when its marking is first tabulated.
+
+The tables are a function of the spec alone, so they live as long as the
+spec: :meth:`SpecEnvironment.of` keeps one environment on each STG object,
+and every simulation, walk and projection check of that spec shares its
+tables.  The environment is rebuilt when the spec changed since it was
+built; its stamp is the net object, the net's ``structural_version``
+(bumped by every place, transition, arc and initial-marking change) and
+the signal names and types in declaration order (``STG.add_signal`` and
+``STG.set_signal_type`` do not touch the net).
 """
 
 from __future__ import annotations
@@ -49,6 +60,13 @@ InputChange = Tuple[str, int, int, int]
 _EMPTY: PackedTracked = frozenset()
 
 
+def _stamp(stg: STG) -> tuple:
+    """What an environment of ``stg`` was built from: the net object, its
+    structural version, and the signal names and types in order."""
+    net = stg.net
+    return (net, net.structural_version, tuple(stg.signal_types.items()))
+
+
 class SpecEnvironment:
     """Token-game view of the specification.
 
@@ -57,10 +75,15 @@ class SpecEnvironment:
     consumes one signal change (input or output alike) and returns the new
     set; an empty result on an output change is exactly a conformance
     violation.
+
+    ``SpecEnvironment(stg)`` builds fresh tables; :meth:`of` returns the
+    environment every simulation of ``stg`` shares.
     """
 
     def __init__(self, stg: STG) -> None:
         self.stg = stg
+        #: What the tables were built from; :meth:`of` compares it.
+        self.stamp = _stamp(stg)
         self.input_signals = frozenset(stg.input_signals)
         self._packed_net = PackedNet(stg.net)
         signal_bit = {signal: 1 << index for index, signal in enumerate(stg.signals)}
@@ -90,10 +113,31 @@ class SpecEnvironment:
             )
         self._has_dummies = any(entry[3] is None for entry in self._transitions)
         # marking -> {change: successor markings}, its dummy successors and
-        # its input changes, sorted.
-        self._moves: Dict[int, Dict[Change, List[int]]] = {}
+        # its input changes, sorted.  Each distinct successor set is one
+        # frozenset, shared by every move that reaches it.
+        self._moves: Dict[int, Dict[Change, PackedTracked]] = {}
+        self._successor_sets: Dict[PackedTracked, PackedTracked] = {}
         self._dummy: Dict[int, List[int]] = {}
         self._marking_inputs: Dict[int, Tuple[InputChange, ...]] = {}
+
+    @classmethod
+    def of(cls, stg: STG) -> "SpecEnvironment":
+        """The environment shared by every simulation of ``stg``.
+
+        It is kept on the STG object, so it lives exactly as long as the
+        spec (the two reference each other, which the cycle collector
+        frees), and it is rebuilt when the spec's stamp changed since.
+        """
+        environment = getattr(stg, "_spec_environment", None)
+        if environment is None or environment.stamp != _stamp(stg):
+            environment = cls(stg)
+            stg._spec_environment = environment
+        return environment
+
+    @property
+    def num_tabulated(self) -> int:
+        """Markings whose moves are tabulated so far."""
+        return len(self._moves)
 
     # ------------------------------------------------------------------ #
     # Cached token game
@@ -125,6 +169,10 @@ class SpecEnvironment:
             else:
                 found.append(successor)
         inputs.sort()
+        interned = self._successor_sets
+        for change, found in moves.items():
+            successors = frozenset(found)
+            moves[change] = interned.setdefault(successors, successors)
         self._moves[word] = moves
         self._dummy[word] = dummy
         self._marking_inputs[word] = tuple(inputs)
@@ -186,13 +234,14 @@ class SpecEnvironment:
         moves = self._moves
         if len(tracked) == 1:
             for word in tracked:
-                successors = moves[word].get(change)
+                successors = moves[word].get(change, _EMPTY)
         else:
-            successors = set()
+            merged: Set[int] = set()
             for word in tracked:
                 found = moves[word].get(change)
                 if found:
-                    successors.update(found)
+                    merged.update(found)
+            successors = frozenset(merged)
         if not successors:
             return _EMPTY
         if self._has_dummies:
@@ -200,10 +249,10 @@ class SpecEnvironment:
         for word in successors:
             if word not in moves:
                 self._expand_packed(word)
-        return frozenset(successors)
+        return successors
 
     def __repr__(self) -> str:
         return "SpecEnvironment(%r, cached_markings=%d)" % (
             self.stg.name,
-            len(self._moves),
+            self.num_tabulated,
         )

@@ -209,6 +209,9 @@ class CircuitModel:
         ``excited`` and ``conflicts`` are the masks before the change; only
         the gates in the signal's fanout are evaluated again.  Returns the
         new ``(excited, conflicts)`` and the number of gates evaluated.
+        When the masks before are those of ``word ^ bit``, the new ones are
+        exactly ``excitation(word)``: no gate outside the fanout reads the
+        bit.
         """
         mask, readers = self.fanout[bit]
         new_excited, new_conflicts = self.evaluate(word, readers)

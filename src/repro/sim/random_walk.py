@@ -116,7 +116,7 @@ class RandomWalker:
         self.implementation = implementation
         self.seed = seed
         self.circuit = CircuitModel(stg, implementation)
-        self.environment = SpecEnvironment(stg)
+        self.environment = SpecEnvironment.of(stg)
 
     def run(self, steps: int = 1000, max_reports: int = 25, stop_on_anomaly: bool = False) -> Trace:
         """Walk up to ``steps`` events from the initial state.

@@ -131,14 +131,21 @@ def simulate_implementation(
     Explores every interleaving of the closed circuit/environment loop and
     reports hazards (non-persistent excitations, drive conflicts),
     conformance violations and deadlocks.  See :class:`~repro.sim.simulator.Simulator`.
+    The ``conformance`` span's ``markings_tabulated`` counts the spec
+    markings this call added to the spec's shared move table.
     """
     with current_tracer().span("conformance", stg=stg.name) as span:
         simulator = Simulator(stg, implementation)
+        tabulated = simulator.environment.num_tabulated
         result = simulator.explore(max_states=max_states, max_reports=max_reports)
         if span.live:
             span.gauge("sim_states", result.num_states)
             span.gauge("events_fired", result.num_events_fired)
             span.gauge("gate_evaluations", result.gate_evaluations)
+            span.gauge(
+                "markings_tabulated",
+                simulator.environment.num_tabulated - tabulated,
+            )
             span.gauge("ok", result.ok)
     return result
 

@@ -23,15 +23,20 @@ The search is event-driven.  The code is one int (bit ``i`` = signal
 ``i``), the tracked set is a frozenset of marking bitmasks, and each queued
 state carries its excitation as two masks (see :mod:`repro.sim.gates`):
 ``excited`` and the set/reset ``conflicts``.  Firing a signal flips its bit
-and re-evaluates only the gates that read it, and the persistence check is
+and re-evaluates only the gates that read it; the masks are a function of
+the code alone, so each code's are computed once per exploration and
+looked up for every other event that enters it.  The persistence check is
 one AND: ``excited & ~fired & ~new_excited`` are the excitations the event
 disabled (an excited gate's target is the complement of its own bit, which
-only its own firing changes).  Events are offered in a fixed order: gate
-events by signal name, then input changes by ``(signal, target)``; the
-hazards of one fired event are reported in ``stg.implementable_signals``
-order.  A specification net outside the safe, weight-1 class raises
-:class:`~repro.core.UnsafeNetError` when the environment compiles it, and a
-reachable unsafe firing raises it during the search.
+only its own firing changes).  The specification side is the spec's shared
+:class:`~repro.sim.environment.SpecEnvironment`, so a second simulation of
+the same spec finds its moves tabulated.  Events are offered in a fixed
+order: gate events by signal name, then input changes by
+``(signal, target)``; the hazards of one fired event are reported in
+``stg.implementable_signals`` order.  A specification net outside the
+safe, weight-1 class raises :class:`~repro.core.UnsafeNetError` when the
+environment compiles it, and a reachable unsafe firing raises it during
+the search.
 """
 
 from __future__ import annotations
@@ -95,9 +100,10 @@ class ExplorationResult:
     """Outcome of an exhaustive closed-loop exploration.
 
     ``gate_evaluations`` counts the gates evaluated to keep the excitation
-    masks: every gate once for the initial state, then the fanout of each
-    fired signal whose successor is new or whose firing needs the
-    persistence check.
+    masks: every gate once for the initial code, then the fired signal's
+    fanout once for each other code the exploration enters.  An event
+    entering a code already evaluated (a new state or a persistence check
+    alike) reuses its masks and evaluates nothing.
     """
 
     def __init__(self, stg_name: str, architecture: str) -> None:
@@ -174,7 +180,7 @@ class Simulator:
         self.stg = stg
         self.implementation = implementation
         self.circuit = CircuitModel(stg, implementation)
-        self.environment = SpecEnvironment(stg)
+        self.environment = SpecEnvironment.of(stg)
 
     def explore(
         self,
@@ -202,6 +208,8 @@ class Simulator:
         tracked = environment.initial_states_packed()
         excited, conflicts = circuit.excitation(word)
         evaluations = len(circuit.gates)
+        # code -> (excited, conflicts): the masks depend on the code alone.
+        masks = {word: (excited, conflicts)}
         num_states = 0
         num_fired = 0
         seen = {(word, tracked)}
@@ -261,10 +269,17 @@ class Simulator:
                 others = excited & ~bit
                 if not (fresh or others):
                     continue
-                new_excited, new_conflicts, evaluated = update(
-                    new_word, bit, excited, conflicts
-                )
-                evaluations += evaluated
+                known = masks.get(new_word)
+                if known is None:
+                    # Gates outside the fired signal's fanout do not read
+                    # its bit, so this is the whole excitation of new_word.
+                    new_excited, new_conflicts, evaluated = update(
+                        new_word, bit, excited, conflicts
+                    )
+                    evaluations += evaluated
+                    masks[new_word] = (new_excited, new_conflicts)
+                else:
+                    new_excited, new_conflicts = known
 
                 # Persistence check (semi-modularity): every *other* excited
                 # gate must still be excited after the fired event, otherwise

@@ -10,7 +10,9 @@ respectively.
 
 import copy
 import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.boolean import BooleanFunction, Cover, Cube
 from repro.cli import main
 from repro.core import bits_of_mask
 from repro.obs import tracing
+from repro.petrinet import explore
 from repro.sim import (
     ARCHITECTURES,
     CircuitModel,
@@ -30,6 +33,7 @@ from repro.sim import (
 )
 from repro.sim.simulator import fireable_events
 from repro.stg import (
+    SignalType,
     benchmark_by_name,
     csc_conflict_example,
     example_suite,
@@ -348,9 +352,11 @@ def test_simulator_event_ordering_is_deterministic():
 # ---------------------------------------------------------------------- #
 # Counters that explain the simulator's cost
 # ---------------------------------------------------------------------- #
+# Gate evaluations count each code's evaluation once: every gate for the
+# initial code, then one fanout per other code entered.
 @pytest.mark.parametrize(
     "build,counts",
-    [(paper_example, (8, 10, 8)), (lambda: muller_pipeline(3), (32, 56, 64))],
+    [(paper_example, (8, 10, 8)), (lambda: muller_pipeline(3), (32, 56, 52))],
     ids=["paper_example", "muller_pipeline_3"],
 )
 def test_exploration_counts_events_and_gate_evaluations(build, counts):
@@ -364,6 +370,19 @@ def test_exploration_counts_events_and_gate_evaluations(build, counts):
         span.counters["events_fired"],
         span.counters["gate_evaluations"],
     ) == counts
+
+
+def test_conformance_span_counts_the_markings_it_tabulates():
+    """The spec's first simulation tabulates its 32 markings; the second
+    finds them all in the shared table."""
+    stg = muller_pipeline(3)
+    implementation = _acg_implementation(stg)
+    tabulated = []
+    for _ in range(2):
+        with tracing("sim") as tracer:
+            simulate_implementation(stg, implementation)
+        tabulated.append(tracer.root.find("conformance").counters["markings_tabulated"])
+    assert tabulated == [32, 0]
 
 
 # ---------------------------------------------------------------------- #
@@ -572,6 +591,120 @@ def test_corrupted_walks_match_the_reference_walk(name, architecture, seed):
             reference_walk(stg, mutant, steps=120, seed=seed, stop_on_anomaly=True)
         )
     assert anomalies
+
+
+# ---------------------------------------------------------------------- #
+# One environment per spec: shared tables, rebuilt when the spec changes
+# ---------------------------------------------------------------------- #
+def _pipeline_spec():
+    return parse_g(write_g(muller_pipeline(2)))
+
+
+def test_two_simulations_of_one_spec_tabulate_each_marking_once(monkeypatch):
+    stg = parse_g(write_g(muller_pipeline(3)))
+    circuits = [
+        _acg_implementation(stg),
+        synthesize(stg, method="unfolding-approx").implementation,
+    ]
+    tabulated = []
+    expand = SpecEnvironment._expand_packed
+
+    def counting(environment, word):
+        if word not in environment._moves:
+            tabulated.append(word)
+        expand(environment, word)
+
+    monkeypatch.setattr(SpecEnvironment, "_expand_packed", counting)
+    for implementation in circuits:
+        _same_exploration(stg, implementation)
+    environment = SpecEnvironment.of(stg)
+    assert Simulator(stg, circuits[0]).environment is environment
+    assert len(tabulated) == len(set(tabulated)) == explore(stg.net).num_states
+    # Moves that reach the same markings share one stored successor set.
+    stored = [s for moves in environment._moves.values() for s in moves.values()]
+    assert len(set(map(id, stored))) == len(set(stored)) < len(stored)
+
+
+def _add_input_signal(stg):
+    stg.add_signal("x", SignalType.INPUT, initial=0)
+
+
+def _output_becomes_input(stg):
+    stg.set_signal_type("c2", SignalType.INPUT)
+
+
+def _mark_after_lreq_rises(stg):
+    """Start one step later, after lreq+."""
+    marking = stg.net.fire(stg.initial_marking, "lreq+")
+    stg.set_marking(marking.places)
+    stg.set_initial_value("lreq", 1)
+
+
+def _add_rack_self_loop(stg):
+    """A second rack+ that leaves its place marked: the environment may
+    raise rack before c2 rises."""
+    (place,) = stg.net.preset("c2+").keys() & stg.net.postset("rack-").keys()
+    transition = stg.add_transition("rack+/1")
+    stg.add_arc(place, transition)
+    stg.add_arc(transition, place)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_output_becomes_input, _add_input_signal, _mark_after_lreq_rises, _add_rack_self_loop],
+    ids=["set_signal_type", "add_signal", "set_marking", "new_transition"],
+)
+def test_a_changed_spec_gets_a_fresh_table(change):
+    stg = _pipeline_spec()
+    implementation = _acg_implementation(stg)
+    _same_exploration(stg, implementation)
+    stale = SpecEnvironment.of(stg)
+    assert stale.num_tabulated
+    change(stg)
+    fresh = SpecEnvironment.of(stg)
+    assert fresh is not stale and fresh.num_tabulated == 0
+    after = _same_exploration(stg, implementation)
+    assert SpecEnvironment.of(stg) is fresh and fresh.num_tabulated
+    if change is not _add_input_signal:
+        # The change shows: the stale table plays another game.
+        replay = Simulator(stg, implementation)
+        replay.environment = stale
+        assert exploration_record(replay.explore()) != exploration_record(after)
+
+
+@pytest.mark.parametrize("name,architecture", WALK_CASES)
+def test_shared_tables_give_the_records_of_fresh_ones(name, architecture):
+    """Corrupted circuit first and correct one second, then the reverse, on
+    one spec object: each exploration, and a walk after them, equals its run
+    on a copy of the spec with a table of its own."""
+    stg, implementation = _synthesised(name, architecture)
+
+    def fresh_exploration(circuit):
+        return exploration_record(
+            simulate_implementation(stg.copy(), circuit, max_states=2000)
+        )
+
+    for _stg, mutant in _mutants(name, architecture, per_kind=1):
+        for order in ((mutant, implementation), (implementation, mutant)):
+            spec = stg.copy()
+            for circuit in order:
+                explored = simulate_implementation(spec, circuit, max_states=2000)
+                assert exploration_record(explored) == fresh_exploration(circuit)
+            walk = random_walk_trace(spec, order[0], steps=120, seed=1)
+            assert walk_record(walk) == walk_record(
+                random_walk_trace(stg.copy(), order[0], steps=120, seed=1)
+            )
+
+
+def test_a_simulated_spec_is_not_kept_alive():
+    stg = _pipeline_spec()
+    implementation = _acg_implementation(stg)
+    simulate_implementation(stg, implementation)
+    random_walk_trace(stg, implementation, steps=20)
+    spec = weakref.ref(stg)
+    del stg
+    gc.collect()
+    assert spec() is None
 
 
 # ---------------------------------------------------------------------- #
