@@ -27,12 +27,74 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..core.packed import popcount
 from .cube import Cube, CubeError
 
-__all__ = ["Cover", "minterm_cover"]
+__all__ = ["Cover", "intersect_pairs", "minterm_cover", "single_cube_containment_pairs"]
 
 #: A cube as its raw ``(ones, zeros)`` literal masks.
 Pair = Tuple[int, int]
+
+
+def intersect_pairs(left: Sequence[Pair], right: Sequence[Pair]) -> List[Pair]:
+    """The product of two cube lists, as :meth:`Cover.intersect` orders it:
+    left cube by left cube, each against every right cube in turn, with
+    empty products and repeats dropped."""
+    cubes: List[Pair] = []
+    seen: Set[Pair] = set()
+    for left_ones, left_zeros in left:
+        for right_ones, right_zeros in right:
+            ones = left_ones | right_ones
+            zeros = left_zeros | right_zeros
+            if ones & zeros:
+                continue
+            key = (ones, zeros)
+            if key not in seen:
+                seen.add(key)
+                cubes.append(key)
+    return cubes
+
+
+def _kept_by_containment(pairs: Sequence[Pair]) -> List[int]:
+    """Indices of the cubes single-cube containment keeps, in kept order.
+
+    Cubes are visited in ascending literal count (stable), and a cube is
+    dropped when a kept cube's literals are a subset of its own.  Among
+    cubes with equal literal counts only an identical cube can contain
+    another, so each cube is compared with the kept cubes that have
+    strictly fewer literals plus the set of kept masks; on minterm covers
+    the check is linear.
+    """
+    counts = [popcount(ones | zeros) for ones, zeros in pairs]
+    kept: List[int] = []
+    kept_keys: Set[Pair] = set()
+    fewer: List[Pair] = []  # kept masks with fewer literals than the cube
+    level: List[Pair] = []  # kept masks with the cube's literal count
+    count = -1
+    for index in sorted(range(len(pairs)), key=counts.__getitem__):
+        if counts[index] != count:
+            count = counts[index]
+            fewer.extend(level)
+            level = []
+        key = pairs[index]
+        ones, zeros = key
+        if key in kept_keys or any(
+            not (other_ones & ~ones) and not (other_zeros & ~zeros)
+            for other_ones, other_zeros in fewer
+        ):
+            continue
+        kept.append(index)
+        kept_keys.add(key)
+        level.append(key)
+    return kept
+
+
+def single_cube_containment_pairs(pairs: Sequence[Pair]) -> List[Pair]:
+    """The cubes :meth:`Cover.single_cube_containment` keeps of a cube
+    list, in the same order."""
+    if len(pairs) < 2:
+        return list(pairs)
+    return [pairs[index] for index in _kept_by_containment(pairs)]
 
 
 def minterm_cover(nvars: int, code_words: Iterable[int]) -> "Cover":
@@ -181,21 +243,7 @@ class Cover:
     def intersect(self, other: "Cover") -> "Cover":
         """Return the product of the two covers (pairwise cube intersection)."""
         self._check_compatible(other)
-        cubes: List[Cube] = []
-        seen: Set[Tuple[int, int]] = set()
-        for left in self._cubes:
-            left_ones = left.ones
-            left_zeros = left.zeros
-            for right in other._cubes:
-                ones = left_ones | right.ones
-                zeros = left_zeros | right.zeros
-                if ones & zeros:
-                    continue
-                key = (ones, zeros)
-                if key not in seen:
-                    seen.add(key)
-                    cubes.append(Cube(self.nvars, ones, zeros))
-        return Cover(self.nvars, cubes)
+        return Cover.from_mask_pairs(self.nvars, intersect_pairs(self._pairs(), other._pairs()))
 
     def __and__(self, other: "Cover") -> "Cover":
         return self.intersect(other)
@@ -330,34 +378,12 @@ class Cover:
         """Drop cubes contained in a single other cube of the cover.
 
         Cubes are visited in ascending literal count (stable), and a cube is
-        dropped when a kept cube's literals are a subset of its own.  Among
-        cubes with equal literal counts only an identical cube can contain
-        another, so each cube is compared with the kept cubes that have
-        strictly fewer literals plus the set of kept masks; on minterm
-        covers the check is linear.
+        dropped when a kept cube's literals are a subset of its own (see
+        :func:`single_cube_containment_pairs`, which keeps the same cubes
+        of a raw cube list).
         """
-        kept: List[Cube] = []
-        kept_keys: Set[Pair] = set()
-        fewer: List[Pair] = []  # kept masks with fewer literals than the cube
-        level: List[Pair] = []  # kept masks with the cube's literal count
-        count = -1
-        for cube in sorted(self._cubes, key=lambda c: c.num_literals):
-            if cube.num_literals != count:
-                count = cube.num_literals
-                fewer.extend(level)
-                level = []
-            ones = cube.ones
-            zeros = cube.zeros
-            key = (ones, zeros)
-            if key in kept_keys or any(
-                not (other_ones & ~ones) and not (other_zeros & ~zeros)
-                for other_ones, other_zeros in fewer
-            ):
-                continue
-            kept.append(cube)
-            kept_keys.add(key)
-            level.append(key)
-        return Cover(self.nvars, kept)
+        cubes = self._cubes
+        return Cover(self.nvars, [cubes[index] for index in _kept_by_containment(self._pairs())])
 
     def irredundant(self, dc: Optional["Cover"] = None) -> "Cover":
         """Remove cubes covered by the rest of the cover plus the DC-set."""

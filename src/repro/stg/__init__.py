@@ -1,7 +1,7 @@
 """Signal Transition Graphs: model, I/O, consistency, generators, benchmarks."""
 
 from .signals import Direction, SignalError, SignalTransition, SignalType
-from .stg import STG, InconsistentSTGError, STGError
+from .stg import STG, CSCConflictError, InconsistentSTGError, STGError
 from .parser import ParseError, parse_g, parse_g_file
 from .writer import write_g, write_g_file
 from .consistency import ConsistencyReport, check_consistency
@@ -27,6 +27,7 @@ __all__ = [
     "STG",
     "STGError",
     "InconsistentSTGError",
+    "CSCConflictError",
     "ParseError",
     "parse_g",
     "parse_g_file",

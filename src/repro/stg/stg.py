@@ -16,7 +16,7 @@ from ..core import PackedNet
 from ..petrinet import Marking, PetriNet, PetriNetError
 from .signals import Direction, SignalError, SignalTransition, SignalType
 
-__all__ = ["STG", "STGError", "InconsistentSTGError"]
+__all__ = ["STG", "STGError", "InconsistentSTGError", "CSCConflictError"]
 
 LabelLike = Union[str, SignalTransition, None]
 
@@ -32,6 +32,22 @@ class InconsistentSTGError(STGError):
     same defect: a transition enabled against its signal's value, or one
     marking reached with two binary codes.
     """
+
+
+class CSCConflictError(STGError):
+    """Raised when synthesis is asked to fail on a Complete State Coding
+    conflict (``raise_on_csc=True``).
+
+    Every synthesis method raises it after finding every conflicting
+    signal; ``signals`` names them, sorted.
+    """
+
+    def __init__(self, signals: Iterable[str]) -> None:
+        self.signals: Tuple[str, ...] = tuple(sorted(signals))
+        super().__init__("CSC conflict on signals: %s" % ", ".join(self.signals))
+
+    def __reduce__(self):
+        return type(self), (self.signals,)
 
 
 class STG:

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..boolean import BooleanFunction, Cover, Cube, espresso
 from ..obs import current_tracer
 from ..spaces import StateSpace, build_state_space
-from ..stg import STG
+from ..stg import STG, CSCConflictError
 from ..stg.signals import Direction
 from .netlist import Gate, Implementation
 
@@ -101,7 +101,8 @@ def synthesize_from_sg(
         Optional state budget, honoured by both engines (the explicit one
         raises while enumerating, the symbolic one from a solution count).
     raise_on_csc:
-        When True a CSC conflict raises; otherwise the conflicting signals
+        When True a CSC conflict raises :class:`~repro.stg.CSCConflictError`
+        naming every conflicting signal; otherwise the conflicting signals
         are recorded in ``implementation.csc_conflicts`` and skipped.
     """
     obs = current_tracer()
@@ -120,9 +121,7 @@ def synthesize_from_sg(
         if csc_span.live:
             csc_span.gauge("conflicting_signals", len(conflicting_signals))
     if conflicting_signals and raise_on_csc:
-        raise ValueError(
-            "CSC conflict on signals: %s" % ", ".join(sorted(conflicting_signals))
-        )
+        raise CSCConflictError(conflicting_signals)
 
     with obs.span("covers", engine=space.engine) as cover_span:
         for signal in stg.implementable_signals:

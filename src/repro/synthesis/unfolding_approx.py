@@ -37,23 +37,41 @@ How refinement is computed
 --------------------------
 No step is repeated, and no cube differs from the direct definitions:
 
-* The offending parts are found without comparing every on/off pair.  For
-  each variable, an int mask holds the off-cubes that fix it to 1 and
-  another those that fix it to 0; the off-cubes disjoint from an on-cube are
-  the OR of the masks opposite its literals, so each on-cube costs O(nvars)
-  int operations.
+* A part's cubes are a tuple of ``(ones, zeros)`` mask pairs.  Tier 1's
+  intersection and single-cube containment run on the pairs, with
+  :class:`~repro.boolean.Cover`'s ordering and duplicate rules
+  (:func:`~repro.boolean.cover.intersect_pairs`,
+  :func:`~repro.boolean.cover.single_cube_containment_pairs`); one
+  :class:`~repro.boolean.Cover` per cover is built, for espresso.
+* Each slice computes a member condition's concurrent member events and
+  their signal mask once (one AND per signal with an instance in the
+  slice).  A restricted cube leaves one trigger event out of them: its
+  signal's bit is cleared only when no other of those events is an
+  instance of the signal, one more AND.  The restricted cubes of a
+  (condition, boundary) pair are built once, for the approximation and
+  again for tier 1.  These per-slice caches live only while one signal's
+  covers are built.
+* The entry's excitation code, which the excitation-region cube starts
+  from, is the entry's own code with its signal reverted; the unfolder
+  computed that code without walking the entry's local configuration.
+* The offending parts are found without comparing every on/off pair.
+  Each distinct off-cube is one column of bit slices (per variable, an int
+  holds the columns that fix it to 1 and another those that fix it to 0),
+  so the columns an on-cube meets are the complement of an OR over its
+  literals.  Parts share most cubes, so each distinct cube is sliced and
+  tested once, and a later round looks up only the parts tier 1 changed.
 * Tier 1 restricts against the frontier boundaries where a slice has no
   ``next`` instance.  On the CSC-clean Table 1 specs and the Figure 6
   pipelines no part then reaches tier 2; tier 2 still proves every CSC
   conflict.
 * Tier 2 groups the still-offending parts by slice and walks each slice's
   cuts once, testing every part's element against each cut.
-* The don't-care signals of a part cost one AND per signal: a slice's
-  members are one event mask, and the segment keeps per condition the mask
-  of the events concurrent with it.
 * Every round that continues sets ``restricted`` or ``refined`` on some part
   for the first time, so refinement ends within ``2 * |parts| + 1`` rounds
   without a cap.
+
+The object-based versions these replaced are the oracles of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -61,10 +79,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..boolean import BooleanFunction, Cover, Cube, espresso, minterm_cover
+from ..boolean import BooleanFunction, Cover, espresso
+from ..boolean.cover import Pair, intersect_pairs, single_cube_containment_pairs
+from ..boolean.slices import CubeSlices
 from ..core import iter_set_bits
 from ..obs import current_tracer
-from ..stg import STG
+from ..stg import STG, CSCConflictError
 from ..unfolding import (
     Condition,
     Event,
@@ -84,6 +104,7 @@ __all__ = [
     "CoverPart",
     "ApproxSignalCovers",
     "approximate_signal_covers",
+    "refine_signal_covers",
     "ApproxUnfoldingSynthesisResult",
     "synthesize_approx_from_unfolding",
 ]
@@ -94,22 +115,33 @@ class CoverPart:
 
     A part is either the excitation-region approximation of a slice (kind
     ``"er"``, element = entry event) or the marked-region approximation of
-    one condition of the slice (kind ``"mr"``).
+    one condition of the slice (kind ``"mr"``).  Its cubes are ``pairs``, a
+    tuple of ``(ones, zeros)`` masks with no repeats, which refinement
+    replaces.  :attr:`cover` builds them into a :class:`Cover`.
     """
 
-    def __init__(self, kind: str, slice_: Slice, element: Element, cover: Cover) -> None:
+    __slots__ = ("kind", "slice", "element", "nvars", "pairs", "restricted", "refined")
+
+    def __init__(
+        self, kind: str, slice_: Slice, element: Element, nvars: int, pairs: Tuple[Pair, ...]
+    ) -> None:
         self.kind = kind
         self.slice = slice_
         self.element = element
-        self.cover = cover
+        self.nvars = nvars
+        self.pairs = pairs
         self.restricted = False
         self.refined = False
+
+    @property
+    def cover(self) -> Cover:
+        return Cover.from_mask_pairs(self.nvars, self.pairs)
 
     def __repr__(self) -> str:
         return "CoverPart(%s, %s, cubes=%d%s)" % (
             self.kind,
             self.element,
-            len(self.cover),
+            len(self.pairs),
             ", refined" if self.refined else "",
         )
 
@@ -141,6 +173,16 @@ class ApproxSignalCovers:
         self.slices_walked = 0
         self.cuts_enumerated = 0
         self.csc_conflict = False
+        # While the covers are built: each slice's cubes (_SliceCubes) and
+        # the offending check's slices of the last round.
+        self._slices: Dict[Slice, "_SliceCubes"] = {}
+        self._check: Optional["_OffendingCheck"] = None
+
+    def _slice_cubes(self, slice_: Slice) -> "_SliceCubes":
+        cubes = self._slices.get(slice_)
+        if cubes is None:
+            cubes = self._slices[slice_] = _SliceCubes(slice_, self.nvars)
+        return cubes
 
     @property
     def on_cover(self) -> Cover:
@@ -166,62 +208,123 @@ class ApproxSignalCovers:
 
 
 def _union_cover(nvars: int, parts: Sequence[CoverPart]) -> Cover:
-    cover = Cover.empty(nvars)
-    for part in parts:
-        cover.extend(part.cover)
-    return cover.single_cube_containment()
+    """The parts' cubes, first occurrence kept, under single-cube
+    containment."""
+    pairs = list(dict.fromkeys(pair for part in parts for pair in part.pairs))
+    return Cover.from_mask_pairs(nvars, single_cube_containment_pairs(pairs))
 
 
 # ---------------------------------------------------------------------- #
 # Initial approximation (Section 4.2)
 # ---------------------------------------------------------------------- #
-def _cube_from_word(nvars: int, code_word: int, dont_care_mask: int) -> Cube:
-    """Cube of a packed code with a signal mask turned into don't-cares."""
-    care = ((1 << nvars) - 1) & ~dont_care_mask
-    return Cube(nvars, code_word & care, ~code_word & care)
-
-
-def _er_part(stg: STG, slice_: Slice) -> Optional[CoverPart]:
-    """Excitation-region cover approximation ``C*_e`` of a slice."""
-    entry = slice_.entry
-    if entry.is_bottom:
-        # The paper: the ER cover may be empty when the entry transition is
-        # the initial transition of the segment; the marked-region covers of
-        # the initial conditions take over.
-        return None
-    nvars = len(stg.signals)
-    signal_bit = slice_.segment.signal_table.bit(slice_.signal)
-    dont_care = slice_.concurrent_signal_mask_with_event(entry) & ~signal_bit
-    cube = _cube_from_word(nvars, slice_.min_code_word, dont_care)
-    return CoverPart("er", slice_, entry, Cover(nvars, [cube]))
-
-
 def _boundaries(slice_: Slice) -> List[Boundary]:
     """The instances that bound a slice's covers: its ``next`` instances,
     or its frontier boundaries when the slice runs into a cutoff first."""
     return slice_.next_events or slice_.frontier_boundaries
 
 
-def _restricted_mr_cover(
-    stg: STG, slice_: Slice, condition: Condition, boundaries: Sequence[Boundary]
-) -> Cover:
-    """Marked-region approximation of a condition restricted by boundary events.
+class _SliceCubes:
+    """The cubes of one slice's parts, with what they share.
 
-    For every boundary event (an instance from ``next``, or a frontier
-    pseudo-event beyond a cutoff) the returned cover keeps at least one of
-    the boundary's trigger signals at its pre-firing value, so the cover
-    cannot reach markings that enable the boundary.  This is the paper's
-    restricted-cover construction (Section 4.2), also reused as the first
-    refinement step (Section 4.3).
+    A member condition's concurrent member events and their signal mask are
+    computed once (:meth:`concurrent`).  Excluding one trigger event from
+    them is then one AND: its signal's bit goes only when no other of those
+    events is an instance of the signal.  The restricted cubes of a
+    (condition, boundary) pair are built once, for the approximation and
+    again for the first refinement tier.
     """
-    segment = slice_.segment
-    nvars = len(stg.signals)
-    signal_bit = segment.signal_table.bit(slice_.signal)
-    producer = condition.producer
-    base_code = producer.code_word
-    base_config = segment.ancestor_mask_of(producer)
-    cubes: List[Cube] = []
-    for boundary in boundaries:
+
+    __slots__ = ("slice", "full", "signal_bit", "boundaries", "feeds", "member",
+                 "_co_events", "_instances", "_concurrent", "_restricted")
+
+    def __init__(self, slice_: Slice, nvars: int) -> None:
+        segment = slice_.segment
+        self.slice = slice_
+        self.member = slice_.member_mask
+        self._co_events = segment.events_concurrent_with_condition
+        self.full = (1 << nvars) - 1
+        self.signal_bit = segment.signal_table.bit(slice_.signal)
+        self.boundaries = _boundaries(slice_)
+        #: the conditions some boundary consumes
+        self.feeds = 0
+        for boundary in self.boundaries:
+            self.feeds |= boundary.preset_mask
+        self._instances = segment.instance_masks()
+        self._concurrent: Dict[int, Tuple[int, int]] = {}
+        #: per boundary, condition id -> the restricted cubes
+        self._restricted: List[Dict[int, Tuple[Pair, ...]]] = [{} for _ in self.boundaries]
+
+    def cube(self, code_word: int, dont_care: int) -> Pair:
+        """The cube of a packed code with a signal mask turned into
+        don't-cares (the slice's own signal always stays a literal)."""
+        care = self.full & ~(dont_care & ~self.signal_bit)
+        return code_word & care, ~code_word & care
+
+    def concurrent(self, condition: Condition) -> Tuple[int, int]:
+        """The member events concurrent to a condition and their signals."""
+        masks = self._concurrent.get(condition.cid)
+        if masks is None:
+            events = self.member & self._co_events(condition)
+            masks = self._concurrent[condition.cid] = (events, self.slice.signal_mask_of(events))
+        return masks
+
+    def dont_care_without(self, condition: Condition, trigger: Event) -> int:
+        """The signals of a condition's concurrent members other than one
+        labelled trigger: the trigger's signal goes only when no other of
+        them is an instance of it."""
+        events, signals = self.concurrent(condition)
+        if events & self._instances[trigger.signal_bit] == 1 << trigger.eid:
+            return signals & ~trigger.signal_bit
+        return signals
+
+    def er_pairs(self) -> Tuple[Pair, ...]:
+        """Excitation-region cover approximation ``C*_e`` of the slice."""
+        slice_ = self.slice
+        dont_care = slice_.concurrent_signal_mask_with_event(slice_.entry)
+        return (self.cube(slice_.min_code_word, dont_care),)
+
+    def mr_pairs(self, condition: Condition) -> Tuple[Pair, ...]:
+        """Marked-region cover approximation ``C*_mr`` of one condition:
+        restricted by the boundaries that consume it, if any."""
+        if self.feeds >> condition.cid & 1:
+            bit = 1 << condition.cid
+            return self.restricted(
+                condition,
+                [
+                    index
+                    for index, boundary in enumerate(self.boundaries)
+                    if boundary.preset_mask & bit
+                ],
+            )
+        return (self.cube(condition.producer.code_word, self.concurrent(condition)[1]),)
+
+    def restricted(self, condition: Condition, indices: Sequence[int]) -> Tuple[Pair, ...]:
+        """Marked-region approximation of a condition restricted by the
+        boundaries at ``indices``, repeats dropped in order."""
+        groups = []
+        for index in indices:
+            known = self._restricted[index]
+            cubes = known.get(condition.cid)
+            if cubes is None:
+                cubes = known[condition.cid] = self._restrict(condition, self.boundaries[index])
+            groups.append(cubes)
+        if len(groups) == 1:
+            return groups[0]
+        return tuple(dict.fromkeys(pair for cubes in groups for pair in cubes))
+
+    def _restrict(self, condition: Condition, boundary: Boundary) -> Tuple[Pair, ...]:
+        """The restricted cubes of a condition against one boundary event.
+
+        For a boundary event (an instance from ``next``, or a frontier
+        pseudo-event beyond a cutoff) the cubes keep at least one of the
+        boundary's trigger signals at its pre-firing value, so they cannot
+        reach markings that enable the boundary.  This is the paper's
+        restricted-cover construction (Section 4.2), also reused as the
+        first refinement step (Section 4.3).
+        """
+        producer = condition.producer
+        base_code = producer.code_word
+        base_config = producer.local_config_mask
         # A trigger can only "hold the boundary back" if it is a labelled
         # instance that has not yet fired at the state the base code
         # describes; keeping its signal at the pre-firing value then excludes
@@ -234,12 +337,11 @@ def _restricted_mr_cover(
             and not base_config >> c.producer.eid & 1
         ]
         if usable_triggers:
-            for trigger in usable_triggers:
-                dont_care = slice_.concurrent_signal_mask_with_condition(
-                    condition, exclude_events=[trigger]
-                ) & ~signal_bit
-                cubes.append(_cube_from_word(nvars, base_code, dont_care))
-            continue
+            cubes = [
+                self.cube(base_code, self.dont_care_without(condition, trigger))
+                for trigger in usable_triggers
+            ]
+            return tuple(dict.fromkeys(cubes))
         # No usable trigger.  If every input condition of the boundary is
         # already produced at the base state and can only be consumed by the
         # boundary itself, then whenever this condition is marked the
@@ -250,47 +352,35 @@ def _restricted_mr_cover(
             base_config >> c.producer.eid & 1 and len(c.consumers) == 1
             for c in boundary.preset
         )
-        if not always_enabled:
-            dont_care = slice_.concurrent_signal_mask_with_condition(condition)
-            dont_care &= ~signal_bit
-            cubes.append(_cube_from_word(nvars, base_code, dont_care))
-    cover = Cover(nvars, [])
-    for cube in cubes:
-        cover.add(cube)
-    return cover
-
-
-def _mr_part(stg: STG, slice_: Slice, condition: Condition) -> CoverPart:
-    """Marked-region cover approximation ``C*_mr`` of one slice condition."""
-    nvars = len(stg.signals)
-    feeding = [g for g in _boundaries(slice_) if condition in g.preset]
-    if not feeding:
-        signal_bit = slice_.segment.signal_table.bit(slice_.signal)
-        dont_care = slice_.concurrent_signal_mask_with_condition(condition)
-        dont_care &= ~signal_bit
-        cube = _cube_from_word(nvars, condition.producer.code_word, dont_care)
-        return CoverPart("mr", slice_, condition, Cover(nvars, [cube]))
-    cover = _restricted_mr_cover(stg, slice_, condition, feeding)
-    return CoverPart("mr", slice_, condition, cover)
+        return () if always_enabled else (self.cube(base_code, self.concurrent(condition)[1]),)
 
 
 def approximate_signal_covers(
     segment: UnfoldingSegment, signal: str
 ) -> ApproxSignalCovers:
     """Build the initial on-/off-set cover approximations of a signal."""
-    stg = segment.stg
-    nvars = len(stg.signals)
-    on_parts: List[CoverPart] = []
-    off_parts: List[CoverPart] = []
-    for phase, target in ((1, on_parts), (0, off_parts)):
-        slices = on_slices(segment, signal) if phase == 1 else off_slices(segment, signal)
-        for slice_ in slices:
-            er = _er_part(stg, slice_)
-            if er is not None:
-                target.append(er)
-            for condition in slice_.member_conditions():
-                target.append(_mr_part(stg, slice_, condition))
-    return ApproxSignalCovers(signal, on_parts, off_parts, nvars)
+    nvars = len(segment.stg.signals)
+    covers = ApproxSignalCovers(signal, [], [], nvars)
+    with current_tracer().span("approximate", signal=signal) as span:
+        slices = 0
+        for phase, target in ((1, covers.on_parts), (0, covers.off_parts)):
+            for slice_ in on_slices(segment, signal) if phase == 1 else off_slices(segment, signal):
+                slices += 1
+                cubes = covers._slice_cubes(slice_)
+                entry = slice_.entry
+                # The paper: the ER cover may be empty when the entry
+                # transition is the initial transition of the segment; the
+                # marked-region covers of the initial conditions take over.
+                if not entry.is_bottom:
+                    target.append(CoverPart("er", slice_, entry, nvars, cubes.er_pairs()))
+                for condition in slice_.member_conditions():
+                    target.append(
+                        CoverPart("mr", slice_, condition, nvars, cubes.mr_pairs(condition))
+                    )
+        if span.live:
+            span.gauge("slices", slices)
+            span.gauge("parts", len(covers.on_parts) + len(covers.off_parts))
+    return covers
 
 
 # ---------------------------------------------------------------------- #
@@ -312,6 +402,7 @@ def _refine_exactly(
     for part in parts:
         by_slice.setdefault(part.slice, []).append(part)
     implied = segment.implied_value_word
+    full = (1 << covers.nvars) - 1
     for slice_, group in by_slice.items():
         by_condition: Dict[int, List[int]] = {}
         by_preset: List[Tuple[int, int]] = []
@@ -344,38 +435,36 @@ def _refine_exactly(
         covers.slices_walked += 1
         covers.cuts_enumerated += walked
         for part, part_codes in zip(group, codes):
-            part.cover = minterm_cover(covers.nvars, part_codes)
+            part.pairs = tuple((code, full & ~code) for code in sorted(part_codes))
             part.refined = True
         covers.parts_refined += len(group)
         covers.parts_fully_refined += len(group)
 
 
-def _restrict_part(segment: UnfoldingSegment, part: CoverPart) -> Cover:
+def _restrict_part(covers: ApproxSignalCovers, part: CoverPart) -> Tuple[Pair, ...]:
     """First refinement tier: apply the restricted-cover construction.
 
-    The offending part's cover is intersected with the restricted
-    marked-region cover of its own element with respect to *all* boundaries
+    The offending part's cubes are intersected with the restricted
+    marked-region cubes of its own element with respect to *all* boundaries
     of the slice (its ``next`` instances, or its frontier boundaries).  This
     keeps, for every boundary instance, at least one trigger signal at its
     pre-firing value, which removes the states of the opposite excitation
     region from the approximation without enumerating any cuts.
     """
-    stg = segment.stg
-    slice_ = part.slice
-    boundaries = _boundaries(slice_)
-    if not boundaries:
-        return part.cover
-    if not isinstance(part.element, Condition):
+    if part.kind != "mr":
         # Excitation-region parts are left untouched by this tier: the entry
         # has not fired in any state they represent, so a boundary instance
         # (which causally follows the entry) cannot be enabled there.
-        return part.cover
-    restricted = _restricted_mr_cover(stg, slice_, part.element, boundaries)
-    if restricted.is_empty():
+        return part.pairs
+    cubes = covers._slice_cubes(part.slice)
+    if not cubes.boundaries:
+        return part.pairs
+    restricted = cubes.restricted(part.element, range(len(cubes.boundaries)))
+    if not restricted:
         # The condition cannot contribute any state of this phase (every
         # marking of it enables the boundary or lies past it); drop it.
         return restricted
-    return part.cover.intersect(restricted).single_cube_containment()
+    return tuple(single_cube_containment_pairs(intersect_pairs(part.pairs, restricted)))
 
 
 def refine_signal_covers(
@@ -397,33 +486,47 @@ def refine_signal_covers(
     When every offending part is fully refined and the covers still
     intersect, the signal has a CSC conflict (Section 4.3).  Every round
     that continues marks some part ``restricted`` or ``refined`` for the
-    first time, so the loop ends on its own.
+    first time, so the loop ends on its own.  Each round that runs a tier
+    opens a ``restrict`` or ``exact`` child span of the signal's ``refine``
+    span.  The per-slice caches are dropped when refinement ends.
     """
-    with current_tracer().span("refine", signal=covers.signal) as span:
+    tracer = current_tracer()
+    with tracer.span("refine", signal=covers.signal) as span:
         while True:
             offending = _offending_parts(covers)
             if not offending:
                 break
             covers.refinement_rounds += 1
-            progressed = False
             # Tier 1: restricted covers (cheap, no state enumeration).
-            for part in offending:
-                if part.restricted or part.refined:
+            fresh = [part for part in offending if not (part.restricted or part.refined)]
+            if fresh:
+                changed = 0
+                with tracer.span("restrict") as tier:
+                    for part in fresh:
+                        part.restricted = True
+                        restricted = _restrict_part(covers, part)
+                        if restricted != part.pairs and set(restricted) != set(part.pairs):
+                            part.pairs = restricted
+                            changed += 1
+                    if tier.live:
+                        tier.gauge("parts_restricted", len(fresh))
+                        tier.gauge("parts_changed", changed)
+                covers.parts_refined += changed
+                if changed:
                     continue
-                part.restricted = True
-                restricted = _restrict_part(segment, part)
-                if set(restricted.cubes) != set(part.cover.cubes):
-                    part.cover = restricted
-                    covers.parts_refined += 1
-                    progressed = True
-            if progressed:
-                continue
             # Tier 2: full refinement of the still-offending parts.
             unrefined = [part for part in offending if not part.refined]
             if not unrefined:
                 covers.csc_conflict = True
                 break
-            _refine_exactly(segment, unrefined, covers)
+            walked, cuts = covers.slices_walked, covers.cuts_enumerated
+            with tracer.span("exact") as tier:
+                _refine_exactly(segment, unrefined, covers)
+                if tier.live:
+                    tier.gauge("slices_walked", covers.slices_walked - walked)
+                    tier.gauge("cuts_enumerated", covers.cuts_enumerated - cuts)
+        covers._slices = {}
+        covers._check = None
         if span.live:
             span.gauge("refinement_rounds", covers.refinement_rounds)
             span.gauge("parts_refined", covers.parts_refined)
@@ -433,48 +536,97 @@ def refine_signal_covers(
     return covers
 
 
+class _OffendingCheck:
+    """The off-cubes as bit slices, kept from one refinement round to the
+    next.
+
+    Parts share most of their cubes, so each distinct off-cube is one
+    column of :class:`~repro.boolean.slices.CubeSlices` (bit ``k`` of
+    ``one[v]`` / ``zero[v]`` is set when column ``k`` fixes variable ``v``
+    to 1 / 0), and an off part is the mask of its cubes' columns.  Only the
+    off parts whose cubes were replaced since the last round are looked up
+    again, and only cubes never seen before are sliced, as new columns.  A
+    column whose last holder changed stays; ``live``, the OR of the off
+    parts' masks, hides it.  An on-cube's met columns are kept until new
+    columns arrive.
+    """
+
+    __slots__ = ("slices", "columns", "sliced", "bits", "met")
+
+    def __init__(self, nvars: int) -> None:
+        self.slices = CubeSlices(nvars, [])
+        #: distinct off-cube -> its column's bit
+        self.columns: Dict[Pair, int] = {}
+        #: off part -> the cubes it was looked up with, and their columns
+        self.sliced: Dict[CoverPart, Tuple[Pair, ...]] = {}
+        self.bits: Dict[CoverPart, int] = {}
+        #: on-cube -> (the column count then, the columns it met)
+        self.met: Dict[Pair, Tuple[int, int]] = {}
+
+    def reslice(self, off_parts: Sequence[CoverPart]) -> int:
+        """Take in the off parts' current cubes; returns ``live``."""
+        columns, sliced, bits = self.columns, self.sliced, self.bits
+        new: List[Pair] = []
+        live = 0
+        for part in off_parts:
+            pairs = part.pairs
+            if sliced.get(part) is not pairs:
+                mask = 0
+                for pair in pairs:
+                    bit = columns.get(pair)
+                    if bit is None:
+                        bit = columns[pair] = 1 << len(columns)
+                        new.append(pair)
+                    mask |= bit
+                sliced[part] = pairs
+                bits[part] = mask
+            live |= bits[part]
+        if new:
+            slices = self.slices
+            start = len(columns) - len(new)
+            fresh = CubeSlices(len(slices.one), new)
+            for var, (one, zero) in enumerate(zip(fresh.one, fresh.zero)):
+                slices.one[var] |= one << start
+                slices.zero[var] |= zero << start
+            slices.everything = (1 << len(columns)) - 1
+        return live
+
+    def meeting(self, pair: Pair) -> int:
+        """The columns an on-cube meets."""
+        count = len(self.columns)
+        known = self.met.get(pair)
+        if known is None or known[0] != count:
+            known = self.met[pair] = (count, self.slices.meeting(*pair))
+        return known[1]
+
+
 def _offending_parts(covers: ApproxSignalCovers) -> List[CoverPart]:
     """Parts whose cover intersects some part of the opposite cover.
 
-    Bit-sliced over the off-cubes: bit ``k`` of ``fixes_one[v]`` (of
-    ``fixes_zero[v]``) is set when off-cube ``k`` fixes variable ``v`` to 1
-    (to 0).  An on-cube is disjoint from exactly the off-cubes that fix one
-    of its variables to the opposite value, so the off-cubes it meets are
-    the complement of an OR over its literals.  The on parts come first,
+    Bit-sliced over the distinct off-cubes (:class:`_OffendingCheck`): an
+    on-cube is disjoint from exactly the off-cubes that fix one of its
+    variables to the opposite value, so the off-cubes it meets are the
+    complement of an OR over its literals.  Between rounds only the parts
+    whose cubes changed are looked up again.  The on parts come first,
     then the off parts, each in cover order.
     """
-    nvars = covers.nvars
-    fixes_one = [0] * nvars
-    fixes_zero = [0] * nvars
-    off_masks: List[int] = []
-    bit = 1
-    for part in covers.off_parts:
-        first = bit
-        for cube in part.cover:
-            for var in iter_set_bits(cube.ones):
-                fixes_one[var] |= bit
-            for var in iter_set_bits(cube.zeros):
-                fixes_zero[var] |= bit
-            bit <<= 1
-        off_masks.append(bit - first)  # bits first .. bit-1: the part's cubes
-    every_off = bit - 1
+    check = covers._check
+    if check is None:
+        check = covers._check = _OffendingCheck(covers.nvars)
+    live = check.reslice(covers.off_parts)
+    meeting = check.meeting
     offending: List[CoverPart] = []
     met = 0
     for part in covers.on_parts:
         part_met = 0
-        for cube in part.cover:
-            disjoint = 0
-            for var in iter_set_bits(cube.ones):
-                disjoint |= fixes_zero[var]
-            for var in iter_set_bits(cube.zeros):
-                disjoint |= fixes_one[var]
-            part_met |= every_off & ~disjoint
+        for pair in part.pairs:
+            part_met |= meeting(pair)
+        part_met &= live
         if part_met:
             offending.append(part)
             met |= part_met
-    offending.extend(
-        part for part, mask in zip(covers.off_parts, off_masks) if mask & met
-    )
+    bits = check.bits
+    offending.extend(part for part in covers.off_parts if bits[part] & met)
     return offending
 
 
@@ -547,7 +699,9 @@ def synthesize_approx_from_unfolding(
     This is the flow the paper's PUNT-ACG column measures: unfolding
     construction (``unfold_time``), cover approximation + refinement
     (``cover_time``, the paper's "SynTim") and two-level minimisation
-    (``minimize_time``, the paper's "EspTim").
+    (``minimize_time``, the paper's "EspTim").  With ``raise_on_csc`` a
+    CSC conflict raises :class:`~repro.stg.CSCConflictError` naming every
+    conflicting signal, before any minimisation.
     """
     if architecture != "acg":
         raise ValueError(
@@ -571,13 +725,14 @@ def synthesize_approx_from_unfolding(
         covers = refine_signal_covers(segment, covers)
         signal_covers[signal] = covers
         cover_time += time.perf_counter() - t1
-
         if covers.csc_conflict:
-            if raise_on_csc:
-                raise ValueError("CSC conflict on signal %r" % signal)
             implementation.csc_conflicts.append(signal)
-            continue
+    if implementation.csc_conflicts and raise_on_csc:
+        raise CSCConflictError(implementation.csc_conflicts)
 
+    for signal, covers in signal_covers.items():
+        if covers.csc_conflict:
+            continue
         t2 = time.perf_counter()
         on_cover = covers.on_cover
         off_cover = covers.off_cover

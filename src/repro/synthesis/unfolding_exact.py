@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from ..boolean import BooleanFunction, Cover, espresso, minterm_cover
 from ..boolean.slices import code_complement
-from ..stg import STG
+from ..stg import STG, CSCConflictError
 from ..unfolding import UnfoldingSegment, reachable_packed_states, unfold
 from .netlist import Gate, Implementation
 
@@ -104,7 +104,9 @@ def synthesize_exact_from_unfolding(
 
     ``segment`` may be passed in when the caller already unfolded the STG
     (e.g. because it was verified first); otherwise it is built here and its
-    construction time is reported as ``unfold_time``.
+    construction time is reported as ``unfold_time``.  With ``raise_on_csc``
+    a CSC conflict raises :class:`~repro.stg.CSCConflictError` naming every
+    conflicting signal.
     """
     t0 = time.perf_counter()
     if segment is None:
@@ -127,10 +129,11 @@ def synthesize_exact_from_unfolding(
     # off-set cover directly.
     dc: Optional[Cover] = None
     nvars = len(signals)
+    conflicting = [signal for signal, (_on, _off, conflict) in per_signal.items() if conflict]
+    if conflicting and raise_on_csc:
+        raise CSCConflictError(conflicting)
     for signal, (on_cover, off_cover, conflict) in per_signal.items():
         if conflict:
-            if raise_on_csc:
-                raise ValueError("CSC conflict on signal %r" % signal)
             implementation.csc_conflicts.append(signal)
             continue
         if architecture == "acg":

@@ -25,6 +25,12 @@ The net keeps every derived relation as bitmask ints (see :mod:`repro.core`):
   transpose of the events' co rows) and each signal the mask of its
   instances, so conflict is one shift and the signals with an instance
   concurrent with a condition inside an event set cost one AND per signal;
+* every event keeps, as it is created, three masks of its local
+  configuration ``[e]``: its events (``local_config_mask``), the conditions
+  its events consume and the conditions they produce.  Event ids are
+  topological, so each is the event's own contribution ORed with its
+  input conditions' producers' masks, and the cut ``[e]`` reaches is the
+  produced mask AND-NOT the consumed one, with no walk of ``[e]``;
 * every condition carries the bit of its original place
   (``condition.place_bit``) in the net's :class:`~repro.core.PlaceTable`,
   so the marking of a cut is an OR over the cut mask;
@@ -219,6 +225,9 @@ class OccurrenceNet:
     * per-event ancestor masks (``[e]`` as an event mask) answer causality
       with one shift, and per-event descendant masks give every event at or
       after an event;
+    * per-event consumed and produced condition masks of ``[e]``, built
+      with the ancestor masks as events are added, give the cut ``[e]``
+      reaches with one AND-NOT;
     * per-event conflict masks answer conflict with one shift;
     * per-condition co rows (:attr:`co_masks`) answer condition concurrency
       with one AND and are maintained incrementally while the net grows;
@@ -240,10 +249,11 @@ class OccurrenceNet:
         self.signal_table: Optional[SignalTable] = None
         # Per-condition concurrency rows (bit cid' of co_masks[cid] == cid co cid').
         self.co_masks: List[int] = []
-        # Cached per-event ancestor masks ([e] as event mask, including self).
-        self._ancestor_masks: Dict[int, int] = {}
-        # Cached per-event masks of the conditions consumed by [e].
-        self._consumed_masks: Dict[int, int] = {}
+        # Per-event masks of the conditions consumed / produced by the
+        # events of [e], indexed by eid ([e] itself is the event's
+        # local_config_mask).
+        self._consumed_masks: List[int] = []
+        self._produced_masks: List[int] = []
         # Cached per-event masks of the conditions concurrent with the event.
         self._event_co_masks: Dict[int, int] = {}
         # Relation masks of the finished net, built together on first use:
@@ -273,8 +283,21 @@ class OccurrenceNet:
     ) -> Event:
         event = Event(len(self.events), self, transition, label, preset)
         self.events.append(event)
+        # [e] is the event plus its input conditions' producers' local
+        # configurations; a producer's masks are final, because its
+        # postset was attached before any of its consumers existed.
+        config = 1 << event.eid
+        consumed = event.preset_mask
+        produced = 0
         for condition in preset:
             condition.consumers.append(event)
+            producer = condition.producer.eid
+            config |= self.events[producer].local_config_mask
+            consumed |= self._consumed_masks[producer]
+            produced |= self._produced_masks[producer]
+        event.local_config_mask = config
+        self._consumed_masks.append(consumed)
+        self._produced_masks.append(produced)
         return event
 
     def attach_postset(self, event: Event, places: Iterable[str]) -> List[Condition]:
@@ -287,6 +310,7 @@ class OccurrenceNet:
             place_mask |= condition.place_bit
         event.postset_mask = sibling_mask
         event.postset_place_mask = place_mask
+        self._produced_masks[event.eid] |= sibling_mask
         # Concurrency rows: a prior condition is concurrent with the new
         # conditions exactly when it is concurrent with every input condition
         # of the event; siblings of one postset are mutually concurrent.
@@ -345,30 +369,21 @@ class OccurrenceNet:
     # Causality
     # ------------------------------------------------------------------ #
     def ancestor_mask_of(self, event: Event) -> int:
-        """Event mask of the local configuration ``[e]`` (cached)."""
-        cached = self._ancestor_masks.get(event.eid)
-        if cached is not None:
-            return cached
-        result = 1 << event.eid
-        for condition in event.preset:
-            result |= self.ancestor_mask_of(condition.producer)
-        self._ancestor_masks[event.eid] = result
-        return result
+        """Event mask of the local configuration ``[e]``."""
+        return event.local_config_mask
 
     def ancestors_of(self, event: Event) -> FrozenSet[int]:
         """Event ids of the local configuration ``[e]`` as a frozenset."""
-        return frozenset(iter_set_bits(self.ancestor_mask_of(event)))
+        return frozenset(iter_set_bits(event.local_config_mask))
 
     def consumed_mask_of(self, event: Event) -> int:
-        """Mask of the conditions consumed by the events of ``[e]`` (cached)."""
-        cached = self._consumed_masks.get(event.eid)
-        if cached is not None:
-            return cached
-        result = event.preset_mask
-        for condition in event.preset:
-            result |= self.consumed_mask_of(condition.producer)
-        self._consumed_masks[event.eid] = result
-        return result
+        """Mask of the conditions consumed by the events of ``[e]``."""
+        return self._consumed_masks[event.eid]
+
+    def cut_mask_of(self, event: Event) -> int:
+        """The cut reached by firing ``[e]``: what its events produce and
+        do not consume."""
+        return self._produced_masks[event.eid] & ~self._consumed_masks[event.eid]
 
     def precedes(self, earlier: Event, later: Event) -> bool:
         """Causality on events: ``earlier <= later``."""
@@ -478,16 +493,12 @@ class OccurrenceNet:
             self._build_relation_masks()
         return self._condition_co_event_masks[condition.cid]
 
-    def signal_mask_of_events(self, event_mask: int) -> int:
-        """Signal mask of the signals with an instance in an event mask
-        (one AND per signal)."""
+    def instance_masks(self) -> Dict[int, int]:
+        """Per signal bit, the event mask of the signal's instances (signals
+        without an instance are absent)."""
         if self._descendant_masks is None:
             self._build_relation_masks()
-        signal_mask = 0
-        for signal_bit, instances in self._signal_event_masks.items():
-            if instances & event_mask:
-                signal_mask |= signal_bit
-        return signal_mask
+        return self._signal_event_masks
 
     # ------------------------------------------------------------------ #
     # Relation masks of the finished net

@@ -21,9 +21,10 @@ marking against the original net's transition presets, with no per-state
 
 Membership is one event mask, built from the segment's relation masks:
 every event except the bottom, minus the entry's causal past and conflict
-set, minus everything at or after a ``next`` instance.  The signals with an
-instance concurrent with an event or a condition inside the slice are then
-one AND per signal against that mask.
+set, minus everything at or after a ``next`` instance.  The slice keeps
+each signal's instances among its members, so the signals with an instance
+concurrent with an event or a condition inside the slice cost one AND per
+signal with an instance in the slice (:meth:`Slice.signal_mask_of`).
 
 A slice that runs into a cutoff before the signal fires again has an empty
 ``next`` set.  The segment's frontier (:attr:`UnfoldingSegment.frontier`)
@@ -98,6 +99,7 @@ class Slice:
         self._member_mask: Optional[int] = None
         self._member_events: Optional[List[Event]] = None
         self._member_conditions: Optional[List[Condition]] = None
+        self._instances: Optional[List[Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------ #
     # Cuts bounding the slice
@@ -173,11 +175,26 @@ class Slice:
         self._member_conditions = conditions
         return conditions
 
+    def signal_mask_of(self, events: int) -> int:
+        """Signal mask of the signals with an instance among some member
+        events: one AND per signal with an instance in the slice."""
+        if self._instances is None:
+            member = self.member_mask
+            self._instances = [
+                (signal_bit, instances & member)
+                for signal_bit, instances in self.segment.instance_masks().items()
+                if instances & member
+            ]
+        signal_mask = 0
+        for signal_bit, instances in self._instances:
+            if instances & events:
+                signal_mask |= signal_bit
+        return signal_mask
+
     def concurrent_signal_mask_with_event(self, event: Event) -> int:
         """Signal mask of slice instances concurrent to the given event."""
-        segment = self.segment
-        return segment.signal_mask_of_events(
-            self.member_mask & segment.events_concurrent_with_event(event)
+        return self.signal_mask_of(
+            self.member_mask & self.segment.events_concurrent_with_event(event)
         )
 
     def concurrent_signal_mask_with_condition(
@@ -185,11 +202,10 @@ class Slice:
     ) -> int:
         """Signal mask of slice instances concurrent to the given condition,
         ignoring the instances in ``exclude_events``."""
-        segment = self.segment
-        candidates = self.member_mask & segment.events_concurrent_with_condition(condition)
+        candidates = self.member_mask & self.segment.events_concurrent_with_condition(condition)
         for event in exclude_events:
             candidates &= ~(1 << event.eid)
-        return segment.signal_mask_of_events(candidates)
+        return self.signal_mask_of(candidates)
 
     # ------------------------------------------------------------------ #
     # Exact state enumeration (Section 4.1)

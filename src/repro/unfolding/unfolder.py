@@ -26,6 +26,20 @@ place instead of an ``is_coset`` product check), configurations are event
 masks, codes/markings are packed ints and the cutoff table is keyed on
 packed ``(marking_word, code_word)`` pairs.
 
+No event walks its local configuration ``[e]``.  As an event is added the
+occurrence net ORs its input conditions' producers' masks into its own:
+the events of ``[e]``, the conditions they consume and the conditions they
+produce, so the cut ``[e]`` reaches is one AND-NOT.  The unfolder keeps per
+event the id of the last instance of each signal in ``[e]``; event ids are
+topological, so the last instance in the causes of ``e`` is the largest
+over the producers, and the cause code takes each signal's value from the
+producer holding it.  Two producers whose last instances of one signal are
+not causally ordered reveal concurrent instances of that signal, which
+raises :class:`~repro.stg.InconsistentSTGError` as a walk of ``[e]`` would.
+An event's excitation code (the code of ``c_min_e(e)``) is its own code
+with its signal reverted, and ``c_min_e(e)`` is ``c_min_s(e)`` with the
+firing of ``e`` undone.
+
 The frontier
 ------------
 The unfolder never extends an output condition of a cutoff.  Once the
@@ -40,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..core import (
     PackedNet,
@@ -149,80 +163,6 @@ class UnfoldingSegment(OccurrenceNet):
         self._signal_presets: Dict[str, Tuple[List[int], List[int]]] = {}
 
     # ------------------------------------------------------------------ #
-    # Configuration-level helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _config_mask(event_ids: Iterable[int]) -> int:
-        mask = 0
-        for eid in event_ids:
-            mask |= 1 << eid
-        return mask
-
-    def config_events(self, event_ids: Iterable[int]) -> List[Event]:
-        return [self.events[eid] for eid in sorted(event_ids)]
-
-    def config_cut_mask(self, config_mask: int) -> int:
-        """The cut (condition mask) reached by firing a configuration."""
-        produced = 0
-        consumed = 0
-        events = self.events
-        for eid in iter_set_bits(config_mask):
-            event = events[eid]
-            produced |= event.postset_mask
-            consumed |= event.preset_mask
-        return produced & ~consumed
-
-    def config_cut(self, event_ids: Iterable[int]) -> List[Condition]:
-        """The cut (set of conditions) reached by firing a configuration."""
-        return self.conditions_in(self.config_cut_mask(self._config_mask(event_ids)))
-
-    def config_marking_word(self, config_mask: int) -> int:
-        """Packed final marking of a configuration over original places."""
-        return self.marking_word_of(self.config_cut_mask(config_mask))
-
-    def config_marking(self, event_ids: Iterable[int]) -> FrozenSet[str]:
-        """Final state of a configuration mapped onto original places."""
-        word = self.config_marking_word(self._config_mask(event_ids))
-        return frozenset(self.place_table.names_in(word))
-
-    def config_code_word(self, config_mask: int) -> int:
-        """Packed binary code reached by firing a configuration.
-
-        For every signal the causally last instance inside the configuration
-        determines the value; instances of the same signal inside one
-        configuration must be totally ordered, otherwise the specification
-        is inconsistent.
-        """
-        code = self.initial_code_word
-        by_signal: Dict[int, List[Event]] = {}
-        events = self.events
-        for eid in iter_set_bits(config_mask):
-            event = events[eid]
-            if event.signal_bit:
-                by_signal.setdefault(event.signal_bit, []).append(event)
-        for signal_bit, instances in by_signal.items():
-            last = instances[0]
-            for candidate in instances[1:]:
-                if self.precedes(last, candidate):
-                    last = candidate
-                elif not self.precedes(candidate, last):
-                    raise InconsistentSTGError(
-                        "inconsistent STG: concurrent instances of signal %r "
-                        "(%s and %s)"
-                        % (last.label.signal if last.label else "?", last, candidate)
-                    )
-            if last.target_value:
-                code |= signal_bit
-            else:
-                code &= ~signal_bit
-        return code
-
-    def config_code(self, event_ids: Iterable[int]) -> Tuple[int, ...]:
-        """Binary code reached by firing a configuration, as a tuple."""
-        word = self.config_code_word(self._config_mask(event_ids))
-        return unpack_code(word, len(self.signal_table))
-
-    # ------------------------------------------------------------------ #
     # Per-event cuts (Section 3.2)
     # ------------------------------------------------------------------ #
     def local_configuration(self, event: Event) -> FrozenSet[int]:
@@ -231,30 +171,28 @@ class UnfoldingSegment(OccurrenceNet):
 
     def minimal_stable_cut_mask(self, event: Event) -> int:
         """``c_min_s(e)`` as a condition mask."""
-        return self.config_cut_mask(self.ancestor_mask_of(event))
+        return self.cut_mask_of(event)
 
     def minimal_stable_cut(self, event: Event) -> List[Condition]:
         """``c_min_s(e)``: the state reached by firing ``[e]``."""
         return self.conditions_in(self.minimal_stable_cut_mask(event))
 
     def minimal_excitation_cut_mask(self, event: Event) -> int:
-        """``c_min_e(e)`` as a condition mask."""
-        bottom_mask = 1 << self.bottom.eid
+        """``c_min_e(e)`` as a condition mask: ``c_min_s(e)`` with the
+        firing of ``e`` undone (its postset out, its preset back)."""
         if event.is_bottom:
-            return self.config_cut_mask(bottom_mask)
-        causes = self.ancestor_mask_of(event) & ~(1 << event.eid)
-        return self.config_cut_mask(causes)
+            return event.postset_mask
+        return self.cut_mask_of(event) & ~event.postset_mask | event.preset_mask
 
     def minimal_excitation_cut(self, event: Event) -> List[Condition]:
         """``c_min_e(e)``: the state at which ``e`` first becomes enabled."""
         return self.conditions_in(self.minimal_excitation_cut_mask(event))
 
     def excitation_code_word(self, event: Event) -> int:
-        """Packed binary code of ``c_min_e(e)``."""
-        if event.is_bottom:
-            return self.initial_code_word
-        causes = self.ancestor_mask_of(event) & ~(1 << event.eid)
-        return self.config_code_word(causes)
+        """Packed binary code of ``c_min_e(e)``: the event's own code with
+        its signal reverted (the unfolder checked that the signal stood at
+        the event's source value there)."""
+        return event.code_word ^ event.signal_bit
 
     def excitation_code(self, event: Event) -> Tuple[int, ...]:
         """Binary code of ``c_min_e(e)``."""
@@ -300,18 +238,15 @@ class UnfoldingSegment(OccurrenceNet):
     # Signal-instance structure (first / next of the paper)
     # ------------------------------------------------------------------ #
     def first_instances(self, signal: str) -> List[Event]:
-        """``first(a)``: instances of ``a`` with no earlier instance of ``a``."""
-        instances = self.events_of_signal(signal)
-        result = []
-        for event in instances:
-            earlier = [
-                other
-                for other in instances
-                if other is not event and self.strictly_precedes(other, event)
-            ]
-            if not earlier:
-                result.append(event)
-        return result
+        """``first(a)``: instances of ``a`` with no earlier instance of ``a``
+        (no other instance in their local configuration)."""
+        instances = self.instance_masks().get(self.signal_table.bit(signal), 0)
+        events = self.events
+        return [
+            events[eid]
+            for eid in iter_set_bits(instances)
+            if events[eid].local_config_mask & instances == 1 << eid
+        ]
 
     def next_instances(self, event: Event) -> List[Event]:
         """``next(e)``: same-signal instances directly following ``e``.
@@ -326,24 +261,16 @@ class UnfoldingSegment(OccurrenceNet):
 
     def next_instances_of_signal(self, event: Event, signal: str) -> List[Event]:
         """Same-signal instances reachable from ``event`` with no instance of
-        the signal in between."""
-        instances = self.events_of_signal(signal)
-        followers = [
-            other
-            for other in instances
-            if other is not event and self.strictly_precedes(event, other)
+        the signal in between: the followers (instances strictly after
+        ``event``) with no other follower in their local configuration."""
+        instances = self.instance_masks().get(self.signal_table.bit(signal), 0)
+        followers = self.descendant_mask_of(event) & instances & ~(1 << event.eid)
+        events = self.events
+        return [
+            events[eid]
+            for eid in iter_set_bits(followers)
+            if events[eid].local_config_mask & followers == 1 << eid
         ]
-        result = []
-        for candidate in followers:
-            intermediate = any(
-                other is not candidate
-                and self.strictly_precedes(event, other)
-                and self.strictly_precedes(other, candidate)
-                for other in followers
-            )
-            if not intermediate:
-                result.append(candidate)
-        return result
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -384,6 +311,53 @@ def unfold(stg: STG, max_events: int = 20000) -> UnfoldingSegment:
         return _unfold(stg, max_events, span)
 
 
+def _merge_causes(
+    segment: UnfoldingSegment,
+    preset: Sequence[Condition],
+    last_instances: List[Tuple[int, ...]],
+) -> Tuple[Tuple[int, ...], int]:
+    """Last signal instances and binary code of an event's causes.
+
+    The causes of ``e`` are the union of the local configurations of its
+    input conditions' producers.  In a consistent STG the instances of one
+    signal in a configuration are causally ordered, and event ids are
+    topological, so the last instance of each signal in the union is the
+    one with the largest id, and the signal's value is the value that
+    producer's code holds.  Where two producers' last instances differ, the
+    earlier must lie in the later's local configuration; otherwise the two
+    are concurrent instances of one signal and the STG is inconsistent.
+    (Any two concurrent instances in the union show up this way: each lies
+    at or before its producer's last instance.)
+    """
+    events = segment.events
+    first = preset[0].producer
+    last = last_instances[first.eid]
+    code = first.code_word
+    for condition in preset[1:]:
+        producer = condition.producer
+        other = last_instances[producer.eid]
+        if other is last:
+            continue
+        merged = list(last)
+        taken = 0
+        for index, (mine, theirs) in enumerate(zip(last, other)):
+            if mine == theirs:
+                continue
+            earlier, later = (mine, theirs) if mine < theirs else (theirs, mine)
+            if earlier and not events[later].local_config_mask >> earlier & 1:
+                raise InconsistentSTGError(
+                    "inconsistent STG: concurrent instances of signal %r (%s and %s)"
+                    % (events[later].label.signal, events[earlier], events[later])
+                )
+            if later == theirs:
+                merged[index] = theirs
+                taken |= 1 << index
+        if taken:
+            code = code & ~taken | producer.code_word & taken
+            last = tuple(merged)
+    return last, code
+
+
 def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
     if not stg.has_complete_initial_state():
         stg.infer_initial_state()
@@ -396,9 +370,13 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
     # Bottom event and initial conditions.
     bottom = segment.new_event(None, None, preset=())
     segment.attach_postset(bottom, sorted(initial_marking.places))
-    bottom.local_config_mask = 1 << bottom.eid
     bottom.code_word = segment.initial_code_word
     bottom.marking_word = segment.marking_word_of(bottom.postset_mask)
+
+    # Per event, per signal index: the id of the signal's last instance in
+    # [e] (0, the bottom event's id, when there is none).  Tuples of ints,
+    # which the cycle collector stops tracking.
+    last_instances: List[Tuple[int, ...]] = [(0,) * len(segment.signal_table)]
 
     # Cutoff table: packed (marking_word, code_word) -> smallest |config|.
     state_sizes: Dict[Tuple[int, int], int] = {
@@ -493,16 +471,13 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
         preset = [all_conditions[cid] for cid in iter_set_bits(preset_mask)]
         label = stg.label_of(transition)
         event = segment.new_event(transition, label, preset)
+        config_mask = event.local_config_mask
 
-        config_mask = 1 << event.eid
-        for condition in preset:
-            config_mask |= segment.ancestor_mask_of(condition.producer)
-        event.local_config_mask = config_mask
-        # Seed the ancestor cache so later queries are O(1).
-        segment._ancestor_masks[event.eid] = config_mask
-
-        causes_mask = config_mask & ~(1 << event.eid)
-        cause_code = segment.config_code_word(causes_mask)
+        last, cause_code = _merge_causes(segment, preset, last_instances)
+        if event.signal_bit:
+            index = event.signal_bit.bit_length() - 1
+            last = last[:index] + (event.eid,) + last[index + 1:]
+        last_instances.append(last)
         if (
             event.signal_bit
             and bool(cause_code & event.signal_bit) != (label.source_value == 1)
@@ -524,7 +499,7 @@ def _unfold(stg: STG, max_events: int, span) -> UnfoldingSegment:
         postset = segment.attach_postset(event, postset_places)
         register_conditions(postset)
 
-        cut_mask = segment.config_cut_mask(config_mask)
+        cut_mask = segment.cut_mask_of(event)
         marking_word = segment.marking_word_of(cut_mask)
         if popcount(marking_word) != popcount(cut_mask):
             # Two conditions of the cut share an original place.

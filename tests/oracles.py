@@ -16,6 +16,19 @@ None of these shares code with the path it checks:
   the two ``reference_concurrent_signal_mask_*`` loops -- slice membership
   and in-slice concurrency, one member event at a time, in place of the
   segment's relation masks;
+* :func:`config_cut_mask` and :func:`config_code_word` -- the cut and code
+  of a configuration, walked event by event (with the concurrent-instances
+  check), and :func:`reference_local_config` and
+  :func:`reference_next_instances` -- ``[e]`` and ``next`` by search and
+  by testing instance pairs, in place of the masks the unfolder keeps per
+  event;
+* :func:`reference_approximate` and :func:`reference_refine` -- the
+  paper's approximation and refinement on :class:`Cover` objects
+  (:func:`reference_mr_part`, :func:`reference_restricted_mr_cover`,
+  :func:`reference_restrict_part`, an every-pair offending check and one
+  reference cut walk per refined slice), with every concurrency mask taken
+  one member at a time and every code walked, in place of the flow on
+  mask pairs and per-slice masks;
 * :func:`reference_explore` and :func:`reference_walk` -- the closed-loop
   simulator and the random walker on tuple codes and dict-backed markings:
   :class:`ReferenceCircuit` evaluates every gate on every query through
@@ -56,8 +69,9 @@ from repro.core import iter_set_bits
 from repro.petrinet import Marking, StateSpaceLimitExceeded, explore
 from repro.sim import ExplorationResult, Trace, TraceStep
 from repro.sim.hazards import ConformanceViolation, Deadlock, Hazard
+from repro.stg import InconsistentSTGError
 from repro.stg.signals import Direction
-from repro.unfolding import Cut, initial_cut
+from repro.unfolding import Condition, Cut, initial_cut
 
 
 # ---------------------------------------------------------------------- #
@@ -308,6 +322,356 @@ def reference_concurrent_signal_mask_with_condition(
         if segment.event_co_mask(other) & bit:
             mask |= other.signal_bit
     return mask
+
+
+# ---------------------------------------------------------------------- #
+# Unfolding: configurations walked event by event
+# ---------------------------------------------------------------------- #
+def reference_local_config(segment, event) -> int:
+    """``[e]`` as an event mask: every event reached backwards from ``e``
+    through input conditions' producers."""
+    mask = 0
+    stack = [event]
+    while stack:
+        cause = stack.pop()
+        if not mask >> cause.eid & 1:
+            mask |= 1 << cause.eid
+            stack.extend(condition.producer for condition in cause.preset)
+    return mask
+
+
+def config_cut_mask(segment, config_mask: int) -> int:
+    """The cut (condition mask) reached by firing a configuration: what its
+    events produce and do not consume, one event at a time."""
+    produced = 0
+    consumed = 0
+    for eid in iter_set_bits(config_mask):
+        event = segment.events[eid]
+        produced |= event.postset_mask
+        consumed |= event.preset_mask
+    return produced & ~consumed
+
+
+def config_code_word(segment, config_mask: int) -> int:
+    """Packed binary code reached by firing a configuration.
+
+    For every signal the causally last instance inside the configuration
+    determines the value; instances of the same signal inside one
+    configuration must be totally ordered, otherwise the specification is
+    inconsistent.
+    """
+    code = segment.initial_code_word
+    by_signal: Dict[int, list] = {}
+    for eid in iter_set_bits(config_mask):
+        event = segment.events[eid]
+        if event.signal_bit:
+            by_signal.setdefault(event.signal_bit, []).append(event)
+    for signal_bit, instances in by_signal.items():
+        last = instances[0]
+        for candidate in instances[1:]:
+            if segment.precedes(last, candidate):
+                last = candidate
+            elif not segment.precedes(candidate, last):
+                raise InconsistentSTGError(
+                    "inconsistent STG: concurrent instances of signal %r (%s and %s)"
+                    % (last.label.signal, last, candidate)
+                )
+        if last.target_value:
+            code |= signal_bit
+        else:
+            code &= ~signal_bit
+    return code
+
+
+def reference_causes(segment, event) -> int:
+    """The event mask of ``[e]`` without ``e`` (``{bottom}`` for the bottom
+    event)."""
+    if event.is_bottom:
+        return 1 << event.eid
+    return reference_local_config(segment, event) & ~(1 << event.eid)
+
+
+def reference_next_instances(segment, event, signal: str) -> list:
+    """``next``: the same-signal instances strictly after ``event`` with no
+    instance of the signal strictly between (``first`` for the bottom
+    event), by testing every pair and triple of instances."""
+    instances = segment.events_of_signal(signal)
+    if event.is_bottom:
+        return [
+            candidate
+            for candidate in instances
+            if not any(
+                other is not candidate and segment.strictly_precedes(other, candidate)
+                for other in instances
+            )
+        ]
+    followers = [
+        other
+        for other in instances
+        if other is not event and segment.strictly_precedes(event, other)
+    ]
+    return [
+        candidate
+        for candidate in followers
+        if not any(
+            other is not candidate
+            and segment.strictly_precedes(event, other)
+            and segment.strictly_precedes(other, candidate)
+            for other in followers
+        )
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# The paper's approximation and refinement on Cover objects
+# ---------------------------------------------------------------------- #
+class ReferencePart:
+    """One part of an approximated cover, held as a :class:`Cover`, with
+    its slice's member events."""
+
+    def __init__(self, kind: str, slice_, members, element, cover: Cover) -> None:
+        self.kind = kind
+        self.slice = slice_
+        self.members = members
+        self.element = element
+        self.cover = cover
+        self.restricted = False
+        self.refined = False
+
+
+class ReferenceCovers:
+    """A signal's reference parts and refinement counters."""
+
+    def __init__(self, signal: str, nvars: int) -> None:
+        self.signal = signal
+        self.nvars = nvars
+        self.on_parts: List[ReferencePart] = []
+        self.off_parts: List[ReferencePart] = []
+        self.refinement_rounds = 0
+        self.parts_refined = 0
+        self.parts_fully_refined = 0
+        self.slices_walked = 0
+        self.cuts_enumerated = 0
+        self.csc_conflict = False
+
+
+def reference_intersect(left: Cover, right: Cover) -> Cover:
+    """Cube by cube products of two covers, left-major, empty products and
+    repeats dropped."""
+    cubes: List[Cube] = []
+    for left_cube in left:
+        for right_cube in right:
+            product = left_cube.intersect(right_cube)
+            if product is not None and product not in cubes:
+                cubes.append(product)
+    return Cover(left.nvars, cubes)
+
+
+def _reference_cube(nvars: int, code_word: int, dont_care: int) -> Cube:
+    care = ((1 << nvars) - 1) & ~dont_care
+    return Cube(nvars, code_word & care, ~code_word & care)
+
+
+def _reference_boundaries(slice_) -> list:
+    return slice_.next_events or slice_.frontier_boundaries
+
+
+def reference_er_part(segment, slice_, members) -> Optional[ReferencePart]:
+    """``C*_e``: the entry's excitation code, walked from its causes, with
+    the members concurrent to the entry as don't-cares."""
+    entry = slice_.entry
+    if entry.is_bottom:
+        return None
+    nvars = len(segment.stg.signals)
+    signal_bit = segment.signal_table.bit(slice_.signal)
+    dont_care = reference_concurrent_signal_mask_with_event(segment, members, entry)
+    code = config_code_word(segment, reference_causes(segment, entry))
+    cube = _reference_cube(nvars, code, dont_care & ~signal_bit)
+    return ReferencePart("er", slice_, members, entry, Cover(nvars, [cube]))
+
+
+def reference_restricted_mr_cover(segment, slice_, members, condition, boundaries) -> Cover:
+    """The paper's restricted marked-region cover of a condition: per
+    boundary, one cube per usable trigger with that trigger left out of the
+    don't-cares; the unrestricted cube when no trigger is usable, unless
+    the boundary is always enabled once the condition is marked."""
+    nvars = len(segment.stg.signals)
+    signal_bit = segment.signal_table.bit(slice_.signal)
+    producer = condition.producer
+    base_code = producer.code_word
+    base_config = reference_local_config(segment, producer)
+    cover = Cover(nvars, [])
+    for boundary in boundaries:
+        usable = [
+            c.producer
+            for c in boundary.preset
+            if c.producer is not producer
+            and c.producer.label is not None
+            and not base_config >> c.producer.eid & 1
+        ]
+        for trigger in usable:
+            dont_care = reference_concurrent_signal_mask_with_condition(
+                segment, members, condition, [trigger]
+            )
+            cover.add(_reference_cube(nvars, base_code, dont_care & ~signal_bit))
+        if usable:
+            continue
+        if all(
+            base_config >> c.producer.eid & 1 and len(c.consumers) == 1
+            for c in boundary.preset
+        ):
+            continue
+        dont_care = reference_concurrent_signal_mask_with_condition(segment, members, condition)
+        cover.add(_reference_cube(nvars, base_code, dont_care & ~signal_bit))
+    return cover
+
+
+def reference_mr_part(segment, slice_, members, condition) -> ReferencePart:
+    """``C*_mr`` of one condition: restricted by the boundaries that
+    consume it, unrestricted otherwise."""
+    feeding = [g for g in _reference_boundaries(slice_) if condition in g.preset]
+    if feeding:
+        cover = reference_restricted_mr_cover(segment, slice_, members, condition, feeding)
+    else:
+        nvars = len(segment.stg.signals)
+        signal_bit = segment.signal_table.bit(slice_.signal)
+        dont_care = reference_concurrent_signal_mask_with_condition(segment, members, condition)
+        cover = Cover(
+            nvars, [_reference_cube(nvars, condition.producer.code_word, dont_care & ~signal_bit)]
+        )
+    return ReferencePart("mr", slice_, members, condition, cover)
+
+
+def reference_approximate(segment, signal: str, slices) -> ReferenceCovers:
+    """The initial approximation of a signal over the given on- and
+    off-slices (``slices[1]`` / ``slices[0]``), one member event at a
+    time."""
+    covers = ReferenceCovers(signal, len(segment.stg.signals))
+    for phase, target in ((1, covers.on_parts), (0, covers.off_parts)):
+        for slice_ in slices[phase]:
+            members = reference_member_events(slice_)
+            er = reference_er_part(segment, slice_, members)
+            if er is not None:
+                target.append(er)
+            for condition in reference_member_conditions(slice_, members):
+                target.append(reference_mr_part(segment, slice_, members, condition))
+    return covers
+
+
+def reference_restrict_part(segment, part: ReferencePart) -> Cover:
+    """The first refinement tier: a marked-region part intersected with its
+    condition's restricted cover against every boundary of its slice."""
+    boundaries = _reference_boundaries(part.slice)
+    if part.kind != "mr" or not boundaries:
+        return part.cover
+    restricted = reference_restricted_mr_cover(
+        segment, part.slice, part.members, part.element, boundaries
+    )
+    if restricted.is_empty():
+        return restricted
+    return reference_single_cube_containment(reference_intersect(part.cover, restricted))
+
+
+def reference_union_cover(nvars: int, parts) -> Cover:
+    """The cover espresso sees: every part's cubes, first occurrence kept,
+    under single-cube containment."""
+    cubes: List[Cube] = []
+    for part in parts:
+        for cube in part.cover:
+            if cube not in cubes:
+                cubes.append(cube)
+    return reference_single_cube_containment(Cover(nvars, cubes))
+
+
+def reference_offending_parts(covers) -> list:
+    """Parts whose cover intersects some part of the opposite cover, by
+    comparing every on/off pair."""
+    offending = []
+    for on_part in covers.on_parts:
+        for off_part in covers.off_parts:
+            if any(
+                left.intersects(right) for left in on_part.cover for right in off_part.cover
+            ):
+                if on_part not in offending:
+                    offending.append(on_part)
+                if off_part not in offending:
+                    offending.append(off_part)
+    return offending
+
+
+def _reference_slice_walk(segment, slice_) -> list:
+    mask = reference_excitation_cut_mask(segment, slice_.entry)
+    start = Cut(
+        segment,
+        mask,
+        segment.marking_word_of(mask),
+        config_code_word(segment, reference_causes(segment, slice_.entry)),
+    )
+    return list(
+        reference_cut_walk(segment, slice_.allowed_event_ids(), start, dedup="cut")
+    )
+
+
+def reference_excitation_cut_mask(segment, event) -> int:
+    """``c_min_e(e)``, walked from the event's causes."""
+    return config_cut_mask(segment, reference_causes(segment, event))
+
+
+def reference_exact_part_cover(segment, part, cuts) -> Cover:
+    """Exact codes of the part's slice states (its ``cuts``) where its
+    element is active and the signal has the slice's implied value."""
+    slice_ = part.slice
+    element = part.element
+    codes: Set[int] = set()
+    for cut in cuts:
+        if isinstance(element, Condition):
+            active = bool(cut.condition_mask >> element.cid & 1)
+        else:
+            active = cut.condition_mask & element.preset_mask == element.preset_mask
+        if not active:
+            continue
+        if segment.implied_value_word(cut.marking_word, cut.code_word, slice_.signal) != slice_.phase:
+            continue
+        codes.add(cut.code_word)
+    nvars = len(segment.stg.signals)
+    full = (1 << nvars) - 1
+    return Cover(nvars, [Cube(nvars, code, full & ~code) for code in sorted(codes)])
+
+
+def reference_refine(segment, covers: ReferenceCovers) -> ReferenceCovers:
+    """The refinement loop on the reference checks.  A tier-2 round walks
+    each slice of its parts once, in the order the parts first name it."""
+    while True:
+        offending = reference_offending_parts(covers)
+        if not offending:
+            return covers
+        covers.refinement_rounds += 1
+        progressed = False
+        for part in offending:
+            if part.restricted or part.refined:
+                continue
+            part.restricted = True
+            restricted = reference_restrict_part(segment, part)
+            if set(restricted.cubes) != set(part.cover.cubes):
+                part.cover = restricted
+                covers.parts_refined += 1
+                progressed = True
+        if progressed:
+            continue
+        unrefined = [part for part in offending if not part.refined]
+        if not unrefined:
+            covers.csc_conflict = True
+            return covers
+        walks: Dict[object, list] = {}
+        for part in unrefined:
+            if part.slice not in walks:
+                walks[part.slice] = _reference_slice_walk(segment, part.slice)
+            part.cover = reference_exact_part_cover(segment, part, walks[part.slice])
+            part.refined = True
+        covers.parts_refined += len(unrefined)
+        covers.parts_fully_refined += len(unrefined)
+        covers.slices_walked += len(walks)
+        covers.cuts_enumerated += sum(len(cuts) for cuts in walks.values())
 
 
 # ---------------------------------------------------------------------- #

@@ -1,23 +1,26 @@
-"""Cover refinement of the approximate flow against reference versions.
+"""The approximate flow against reference versions.
 
-Refinement and the unfolding queries beneath it avoid repeated work: the
-offending parts are found by a bit-sliced check, the second tier walks each
-slice's cuts once, the cut walk indexes its events by their lowest preset
+Approximation, refinement and the unfolding queries beneath them avoid
+repeated work: events carry their cut and code from the unfolder, slices
+AND relation masks, parts are ``(ones, zeros)`` pair lists, the offending
+parts are found by a bit-sliced check, the second tier walks each slice's
+cuts once, the cut walk indexes its events by their lowest preset
 condition, and the conflict test looks only at choice conditions.  Each of
-these is checked here against the direct version it replaced, kept in this
-file as the oracle:
+these is checked here against the direct version it replaced, kept in
+``tests/oracles.py``:
 
-* :func:`reference_offending_parts` compares every on/off part pair;
-* :func:`reference_exact_part_cover` walks a slice's cuts once per part;
-* :func:`reference_refine` is the refinement loop built on those two;
+* :func:`~oracles.reference_approximate` and :func:`~oracles.reference_refine`
+  are the paper's flow on :class:`~repro.boolean.Cover` objects, one member
+  event at a time, with every code and cut walked from its configuration
+  (:func:`~oracles.config_code_word`, :func:`~oracles.config_cut_mask`);
+* :func:`~oracles.reference_offending_parts` compares every on/off part
+  pair;
 * :func:`~oracles.reference_cut_walk` scans every consumer of every
-  condition of a cut (in ``tests/oracles.py``, which the unfolding tests
-  share);
+  condition of a cut;
 * :func:`~oracles.reference_conflict` tests every condition both
   configurations consume;
-* :func:`~oracles.reference_member_events` and the other slice loops of
-  ``tests/oracles.py`` test one member event at a time where a slice now
-  ANDs relation masks.
+* :func:`~oracles.reference_member_events` and the other slice loops test
+  one member event at a time where a slice now ANDs relation masks.
 
 The frontier boundary of a slice that runs into a cutoff is checked by
 Definition 2.1 on every CSC-clean signal, and by the absence of any cut walk
@@ -25,12 +28,11 @@ on the CSC-clean Table 1 and Figure 6 specs.
 """
 
 import random
-from typing import List, Set
+from typing import List
 
 import pytest
 
 from repro import parse_g, write_g
-from repro.boolean import Cover, Cube, minterm_cover
 from repro.obs import tracing
 from repro.stg import (
     choice_controller,
@@ -54,95 +56,46 @@ from repro.synthesis import (
 from repro.synthesis.unfolding_approx import (
     _offending_parts,
     _restrict_part,
+    _SliceCubes,
     refine_signal_covers,
 )
 from repro.unfolding import (
-    Condition,
     Cut,
     enumerate_cuts,
+    off_slices,
+    on_slices,
     reachable_packed_states,
     slices_for_signal,
     unfold,
 )
 
 from oracles import (
+    config_code_word,
+    config_cut_mask,
+    reference_approximate,
+    reference_causes,
     reference_concurrent_signal_mask_with_condition,
     reference_concurrent_signal_mask_with_event,
     reference_conflict,
     reference_cut_walk,
+    reference_local_config,
     reference_member_conditions,
     reference_member_events,
+    reference_next_instances,
+    reference_offending_parts,
+    reference_refine,
+    reference_union_cover,
 )
 
-# ---------------------------------------------------------------------- #
-# Reference versions
-# ---------------------------------------------------------------------- #
-def reference_offending_parts(covers: ApproxSignalCovers) -> List[CoverPart]:
-    """Parts whose cover intersects some part of the opposite cover, by
-    comparing every on/off pair."""
-    offending: List[CoverPart] = []
-    for on_part in covers.on_parts:
-        for off_part in covers.off_parts:
-            if on_part.cover.intersects(off_part.cover):
-                if on_part not in offending:
-                    offending.append(on_part)
-                if off_part not in offending:
-                    offending.append(off_part)
-    return offending
 
-
-def reference_exact_part_cover(segment, part: CoverPart) -> Cover:
-    """Exact codes of the part's slice states where its element is active
-    and the signal has the slice's implied value, from a walk of its own."""
-    slice_ = part.slice
-    element = part.element
-    codes: Set[int] = set()
-    for cut in slice_.cuts():
-        if isinstance(element, Condition):
-            active = bool(cut.condition_mask >> element.cid & 1)
-        else:
-            active = cut.condition_mask & element.preset_mask == element.preset_mask
-        if not active:
-            continue
-        implied = segment.implied_value_word(cut.marking_word, cut.code_word, slice_.signal)
-        if implied != slice_.phase:
-            continue
-        codes.add(cut.code_word)
-    return minterm_cover(len(segment.stg.signals), codes)
-
-
-def reference_refine(segment, covers: ApproxSignalCovers):
-    """The refinement loop on the reference checks; returns the covers and
-    the number of slice walks it took (one per fully refined part)."""
-    walks = 0
-    while True:
-        offending = reference_offending_parts(covers)
-        if not offending:
-            return covers, walks
-        covers.refinement_rounds += 1
-        progressed = False
-        for part in offending:
-            if part.restricted or part.refined:
-                continue
-            part.restricted = True
-            restricted = _restrict_part(segment, part)
-            if set(restricted.cubes) != set(part.cover.cubes):
-                part.cover = restricted
-                covers.parts_refined += 1
-                progressed = True
-        if progressed:
-            continue
-        for part in offending:
-            if part.refined:
-                continue
-            part.cover = reference_exact_part_cover(segment, part)
-            part.refined = True
-            covers.parts_refined += 1
-            walks += 1
-            progressed = True
-        if not progressed:
-            covers.csc_conflict = True
-            return covers, walks
+def reference_flow(segment, signal):
+    """A signal's reference approximation, on slices whose ``next``
+    instances are first checked against the pairwise definition."""
+    slices = {1: on_slices(segment, signal), 0: off_slices(segment, signal)}
+    for phase_slices in slices.values():
+        for slice_ in phase_slices:
+            assert slice_.next_events == reference_next_instances(segment, slice_.entry, signal)
+    return reference_approximate(segment, signal, slices)
 
 
 # ---------------------------------------------------------------------- #
@@ -155,6 +108,7 @@ COVERS = TABLE1 + PIPELINES + COUNTERFLOW3
 FIG6 = [("muller_pipeline_%d" % n, lambda n=n: muller_pipeline(n)) for n in (8, 9, 10)] + [
     ("counterflow_pipeline_4", lambda: counterflow_pipeline(4))
 ]
+REFERENCE = TABLE1 + FIG6 + [("muller_pipeline_16", lambda: muller_pipeline(16))]
 WALKS = (
     TABLE1
     + [("choice_controller", choice_controller)]
@@ -190,8 +144,8 @@ def _random_parts(rng: random.Random, nvars: int, pool: List[int]) -> List[Cover
                     ones |= 1 << var
                 else:
                     zeros |= 1 << var
-            cubes.append(Cube(nvars, ones, zeros))
-        parts.append(CoverPart("mr", None, None, Cover(nvars, cubes)))
+            cubes.append((ones, zeros))
+        parts.append(CoverPart("mr", None, None, nvars, tuple(dict.fromkeys(cubes))))
     return parts
 
 
@@ -214,13 +168,13 @@ def test_bit_sliced_check_matches_all_pairs_on_random_covers(nvars):
 
 def test_bit_sliced_check_on_empty_covers_and_part_lists():
     nvars = 65
-    empty = CoverPart("mr", None, None, Cover(nvars))
-    universe = CoverPart("mr", None, None, Cover.universe(nvars))
+    empty = CoverPart("mr", None, None, nvars, ())
+    universe = CoverPart("mr", None, None, nvars, ((0, 0),))
     assert _offending_parts(ApproxSignalCovers("x", [], [], nvars)) == []
     assert _offending_parts(ApproxSignalCovers("x", [universe], [], nvars)) == []
     assert _offending_parts(ApproxSignalCovers("x", [], [universe], nvars)) == []
     assert _offending_parts(ApproxSignalCovers("x", [empty], [universe], nvars)) == []
-    other = CoverPart("mr", None, None, Cover.universe(nvars))
+    other = CoverPart("mr", None, None, nvars, ((0, 0),))
     both = ApproxSignalCovers("x", [empty, universe], [other, empty], nvars)
     assert _offending_parts(both) == [universe, other]
 
@@ -234,38 +188,79 @@ def test_bit_sliced_check_matches_all_pairs_on_spec_covers(name, build):
         offending = reference_offending_parts(covers)
         assert _same_parts(_offending_parts(covers), offending), signal
         for part in offending:  # the first refinement tier
-            part.cover = _restrict_part(segment, part)
+            part.pairs = _restrict_part(covers, part)
         assert _same_parts(_offending_parts(covers), reference_offending_parts(covers)), signal
 
 
 # ---------------------------------------------------------------------- #
-# (b) refinement == the reference flow, cube for cube
+# (b) approximation and refinement == the reference flow, cube for cube
 # ---------------------------------------------------------------------- #
-def _cubes(parts: List[CoverPart]):
+def _cubes(parts) -> list:
     return [[(cube.ones, cube.zeros) for cube in part.cover] for part in parts]
 
 
-@pytest.mark.parametrize("name, build", TABLE1 + FIG6, ids=_ids(TABLE1 + FIG6))
+def _kinds(parts) -> list:
+    return [(part.kind, part.element) for part in parts]
+
+
+COUNTERS = (
+    "refinement_rounds",
+    "parts_refined",
+    "parts_fully_refined",
+    "slices_walked",
+    "cuts_enumerated",
+    "csc_conflict",
+)
+
+
+@pytest.mark.parametrize("name, build", REFERENCE, ids=_ids(REFERENCE))
 def test_refinement_matches_reference_flow(name, build):
     stg = _from_g_text(name, build)
     segment = unfold(stg)
     for signal in stg.implementable_signals:
-        fast = refine_signal_covers(segment, approximate_signal_covers(segment, signal))
-        slow, walks = reference_refine(segment, approximate_signal_covers(segment, signal))
-        assert _cubes(fast.on_parts) == _cubes(slow.on_parts), signal
-        assert _cubes(fast.off_parts) == _cubes(slow.off_parts), signal
-        assert fast.refinement_rounds == slow.refinement_rounds, signal
-        assert fast.parts_refined == slow.parts_refined, signal
-        assert fast.csc_conflict == slow.csc_conflict, signal
-        assert fast.parts_fully_refined == walks, signal
-        assert fast.slices_walked <= walks, signal
+        fast = approximate_signal_covers(segment, signal)
+        slow = reference_flow(segment, signal)
+        for side in ("on_parts", "off_parts"):
+            assert _kinds(getattr(fast, side)) == _kinds(getattr(slow, side)), signal
+            assert _cubes(getattr(fast, side)) == _cubes(getattr(slow, side)), signal
+        refine_signal_covers(segment, fast)
+        reference_refine(segment, slow)
+        for side in ("on_parts", "off_parts"):
+            assert _cubes(getattr(fast, side)) == _cubes(getattr(slow, side)), signal
+        # The covers espresso sees, cube for cube and in order.
+        for cover, parts in ((fast.on_cover, slow.on_parts), (fast.off_cover, slow.off_parts)):
+            expected = reference_union_cover(fast.nvars, parts)
+            assert [(c.ones, c.zeros) for c in cover] == [
+                (c.ones, c.zeros) for c in expected
+            ], signal
+        for counter in COUNTERS:
+            assert getattr(fast, counter) == getattr(slow, counter), (signal, counter)
+        # The per-slice caches live only while the covers are built.
+        assert fast._slices == {} and fast._check is None
         # Each continuing round flags some part for the first time.
         parts = len(fast.on_parts) + len(fast.off_parts)
         assert fast.refinement_rounds <= 2 * parts + 1, signal
 
 
+@pytest.mark.parametrize("name, build", REFERENCE, ids=_ids(REFERENCE))
+def test_event_codes_and_cuts_match_the_configuration_walks(name, build):
+    segment = unfold(_from_g_text(name, build))
+    for event in segment.events:
+        config = reference_local_config(segment, event)
+        assert event.local_config_mask == config, event
+        cut = config_cut_mask(segment, config)
+        assert segment.minimal_stable_cut_mask(event) == cut, event
+        assert event.code_word == config_code_word(segment, config), event
+        assert event.marking_word == segment.marking_word_of(cut), event
+        causes = reference_causes(segment, event)
+        assert segment.excitation_code_word(event) == config_code_word(segment, causes), event
+        assert segment.minimal_excitation_cut_mask(event) == config_cut_mask(
+            segment, causes
+        ), event
+
+
 # ---------------------------------------------------------------------- #
-# (c) one walk per slice
+# (c) one walk per slice, spans per tier
 # ---------------------------------------------------------------------- #
 def test_one_cut_walk_per_slice_on_figure4_example():
     stg = figure4_example()
@@ -274,28 +269,65 @@ def test_one_cut_walk_per_slice_on_figure4_example():
     assert result.total_slices_walked == 6
     assert result.total_parts_fully_refined == 12
     assert result.total_cuts_enumerated == 192
-    walks = sum(
-        reference_refine(segment, approximate_signal_covers(segment, signal))[1]
+    references = [
+        reference_refine(segment, reference_flow(segment, signal))
         for signal in stg.implementable_signals
-    )
-    assert walks == 12
+    ]
+    assert sum(covers.parts_fully_refined for covers in references) == 12
+    assert sum(covers.slices_walked for covers in references) == 6
+    assert sum(covers.cuts_enumerated for covers in references) == 192
+
+
+def _tier_spans(span, name):
+    return [child for child in span.children if child.name == name]
 
 
 def test_refine_span_carries_the_refinement_counters():
-    stg = muller_pipeline(3)
-    with tracing("run") as tracer:
-        result = synthesize_approx_from_unfolding(stg)
-    spans = tracer.root.find_all("refine")
-    assert [span.attrs["signal"] for span in spans] == stg.implementable_signals
-    for span in spans:
-        covers = result.signal_covers[span.attrs["signal"]]
-        assert span.counters == {
-            "refinement_rounds": covers.refinement_rounds,
-            "parts_refined": covers.parts_refined,
-            "parts_fully_refined": covers.parts_fully_refined,
-            "slices_walked": covers.slices_walked,
-            "cuts_enumerated": covers.cuts_enumerated,
-        }
+    for stg in (muller_pipeline(3), figure4_example()):
+        with tracing("run") as tracer:
+            result = synthesize_approx_from_unfolding(stg)
+        spans = tracer.root.find_all("refine")
+        assert [span.attrs["signal"] for span in spans] == stg.implementable_signals
+        for span in spans:
+            covers = result.signal_covers[span.attrs["signal"]]
+            assert span.counters == {
+                "refinement_rounds": covers.refinement_rounds,
+                "parts_refined": covers.parts_refined,
+                "parts_fully_refined": covers.parts_fully_refined,
+                "slices_walked": covers.slices_walked,
+                "cuts_enumerated": covers.cuts_enumerated,
+            }
+            # At most one child span per tier and round, and the tiers'
+            # counts add up to the signal's.
+            restrict = _tier_spans(span, "restrict")
+            exact = _tier_spans(span, "exact")
+            assert len(restrict) + len(exact) == len(span.children)
+            assert len(restrict) <= covers.refinement_rounds
+            assert len(exact) <= covers.refinement_rounds
+            for child in restrict:
+                assert 0 <= child.counters["parts_changed"] <= child.counters["parts_restricted"]
+            assert sum(child.counters["parts_changed"] for child in restrict) == (
+                covers.parts_refined - covers.parts_fully_refined
+            )
+            assert sum(child.counters["slices_walked"] for child in exact) == (
+                covers.slices_walked
+            )
+            assert sum(child.counters["cuts_enumerated"] for child in exact) == (
+                covers.cuts_enumerated
+            )
+        approximate = tracer.root.find_all("approximate")
+        assert [span.attrs["signal"] for span in approximate] == stg.implementable_signals
+        for span in approximate:
+            covers = result.signal_covers[span.attrs["signal"]]
+            assert span.counters["parts"] == len(covers.on_parts) + len(covers.off_parts)
+            signal = span.attrs["signal"]
+            segment = result.segment
+            assert span.counters["slices"] == len(on_slices(segment, signal)) + len(
+                off_slices(segment, signal)
+            )
+        assert any(_tier_spans(span, "restrict") for span in spans)
+    # figure4_example is the one that reaches the second tier.
+    assert sum(len(_tier_spans(span, "exact")) for span in spans) > 0
 
 
 # ---------------------------------------------------------------------- #
@@ -481,3 +513,31 @@ def test_slice_masks_match_the_member_loops(name, build):
                         ) == reference_concurrent_signal_mask_with_condition(
                             segment, members, condition, excluded
                         )
+
+
+@pytest.mark.parametrize("name, build", MASKS, ids=_ids(MASKS))
+def test_trigger_exclusion_matches_the_member_loop(name, build):
+    """Leaving one labelled event out of a condition's concurrent members
+    (the restricted cubes' don't-cares) is one AND on the slice's masks;
+    every member and boundary trigger is checked against the member loop."""
+    segment = unfold(build())
+    nvars = len(segment.stg.signals)
+    for signal in segment.stg.signals:
+        for phase in (0, 1):
+            for slice_ in slices_for_signal(segment, signal, phase):
+                cubes = _SliceCubes(slice_, nvars)
+                members = reference_member_events(slice_)
+                triggers = [event for event in members if event.signal_bit]
+                triggers += [
+                    c.producer
+                    for boundary in cubes.boundaries
+                    for c in boundary.preset
+                    if c.producer.signal_bit
+                ]
+                for condition in slice_.member_conditions():
+                    for trigger in triggers:
+                        assert cubes.dont_care_without(
+                            condition, trigger
+                        ) == reference_concurrent_signal_mask_with_condition(
+                            segment, members, condition, [trigger]
+                        ), (signal, condition, trigger)

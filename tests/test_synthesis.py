@@ -1,5 +1,7 @@
 """Integration tests: all synthesis methods produce correct, equivalent logic."""
 
+import pickle
+
 import pytest
 
 from repro import parse_g, write_g
@@ -8,7 +10,9 @@ from repro.spaces import ENGINES, build_state_space
 from repro.stategraph import build_state_graph
 from repro.stg import (
     STG,
+    CSCConflictError,
     InconsistentSTGError,
+    STGError,
     SignalType,
     benchmark_by_name,
     choice_controller,
@@ -73,13 +77,16 @@ def test_timing_breakdown_is_reported():
     assert row["TotTim"] >= row["UnfTim"]
 
 
-def test_csc_conflict_is_detected_by_all_methods():
-    stg = csc_conflict_example()
-    for method in ("sg-explicit", "unfolding-exact", "unfolding-approx"):
-        result = synthesize(csc_conflict_example(), method=method)
-        assert set(result.implementation.csc_conflicts) == {"x", "y"}
-    with pytest.raises(ValueError):
-        synthesize(stg, method="unfolding-approx", raise_on_csc=True)
+@pytest.mark.parametrize("method", METHODS)
+def test_csc_conflict_is_detected_by_all_methods(method):
+    result = synthesize(csc_conflict_example(), method=method)
+    assert set(result.implementation.csc_conflicts) == {"x", "y"}
+    with pytest.raises(CSCConflictError, match="CSC conflict on signals: x, y") as raised:
+        synthesize(csc_conflict_example(), method=method, raise_on_csc=True)
+    assert raised.value.signals == ("x", "y")
+    # A typed STG error, so handlers of ValueError still catch it.
+    assert isinstance(raised.value, STGError) and isinstance(raised.value, ValueError)
+    assert pickle.loads(pickle.dumps(raised.value)).signals == ("x", "y")
 
 
 def test_unknown_method_rejected():

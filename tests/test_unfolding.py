@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import parse_g
 from repro.core import UnsafeNetError
 from repro.stategraph import build_state_graph
 from repro.stg import (
@@ -24,6 +25,9 @@ from repro.unfolding import (
     reachable_states,
     unfold,
 )
+from repro.synthesis import synthesize
+
+from oracles import config_code_word
 
 
 EXAMPLES = [paper_example, figure4_example, choice_controller, lambda: muller_pipeline(3)]
@@ -84,7 +88,7 @@ def test_local_configuration_and_codes():
         config = segment.local_configuration(event)
         assert event.eid in config
         assert 0 in config  # bottom is an ancestor of everything
-        assert segment.config_code(config) == event.code
+        assert config_code_word(segment, event.local_config_mask) == event.code_word
 
 
 def test_minimal_excitation_cut_enables_the_event():
@@ -126,6 +130,32 @@ def test_unfolding_detects_inconsistency():
     stg.add_arc(t2, stg.add_place("end"))
     with pytest.raises(InconsistentSTGError):
         unfold(stg)
+
+
+#: ``a+/1`` and ``a+/2`` fire concurrently from the initial marking, and
+#: ``b+`` waits for both: its causes hold two concurrent instances of ``a``.
+#: (``b+`` gets an output place, as every net the engines accept needs.)
+CONCURRENT_INSTANCES_G = """
+.outputs a b
+.graph
+p0 a+/1
+q0 a+/2
+a+/1 p2
+a+/2 q2
+p2 b+
+q2 b+
+b+ p3
+.marking { p0 q0 }
+.end
+"""
+
+
+def test_concurrent_instances_of_one_signal_are_inconsistent():
+    with pytest.raises(InconsistentSTGError, match="concurrent instances of signal 'a'"):
+        unfold(parse_g(CONCURRENT_INSTANCES_G))
+    for method in ("unfolding-approx", "unfolding-exact"):
+        with pytest.raises(InconsistentSTGError, match="concurrent instances of signal 'a'"):
+            synthesize(parse_g(CONCURRENT_INSTANCES_G), method=method)
 
 
 def test_event_limit():
