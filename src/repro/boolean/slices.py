@@ -60,6 +60,18 @@ class CubeSlices:
         self.one, self.zero = _transpose(nvars, pairs)
         self.everything = (1 << len(pairs)) - 1
 
+    def append(self, pairs: Sequence[Pair]) -> None:
+        """Add cubes after the last one: cube ``k`` of ``pairs`` gets the
+        bit just above the ``k`` cubes before it."""
+        if not pairs:
+            return
+        start = self.everything.bit_length()
+        one, zero = _transpose(len(self.one), pairs)
+        for var, (new_one, new_zero) in enumerate(zip(one, zero)):
+            self.one[var] |= new_one << start
+            self.zero[var] |= new_zero << start
+        self.everything = (1 << (start + len(pairs))) - 1
+
     def meeting(self, ones: int, zeros: int) -> int:
         """The cubes that share a point with the cube ``(ones, zeros)``."""
         one = self.one

@@ -55,11 +55,10 @@ No step is repeated, and no cube differs from the direct definitions:
   from, is the entry's own code with its signal reverted; the unfolder
   computed that code without walking the entry's local configuration.
 * The offending parts are found without comparing every on/off pair.
-  Each distinct off-cube is one column of bit slices (per variable, an int
-  holds the columns that fix it to 1 and another those that fix it to 0),
-  so the columns an on-cube meets are the complement of an OR over its
-  literals.  Parts share most cubes, so each distinct cube is sliced and
-  tested once, and a later round looks up only the parts tier 1 changed.
+  Each off-cube is one column of bit slices (per variable, an int holds
+  the columns that fix it to 1 and another those that fix it to 0), so
+  the columns an on-cube meets are the complement of an OR over its
+  literals.  A later round slices only the off parts tier 1 changed.
 * Tier 1 restricts against the frontier boundaries where a slice has no
   ``next`` instance.  On the CSC-clean Table 1 specs and the Figure 6
   pipelines no part then reaches tier 2; tier 2 still proves every CSC
@@ -358,7 +357,12 @@ class _SliceCubes:
 def approximate_signal_covers(
     segment: UnfoldingSegment, signal: str
 ) -> ApproxSignalCovers:
-    """Build the initial on-/off-set cover approximations of a signal."""
+    """Build the initial on-/off-set cover approximations of a signal.
+
+    The covers keep each slice's cubes (restricted cubes included) for the
+    first refinement tier until :func:`refine_signal_covers` runs on them;
+    covers that are never refined keep them.
+    """
     nvars = len(segment.stg.signals)
     covers = ApproxSignalCovers(signal, [], [], nvars)
     with current_tracer().span("approximate", signal=signal) as span:
@@ -488,45 +492,16 @@ def refine_signal_covers(
     that continues marks some part ``restricted`` or ``refined`` for the
     first time, so the loop ends on its own.  Each round that runs a tier
     opens a ``restrict`` or ``exact`` child span of the signal's ``refine``
-    span.  The per-slice caches are dropped when refinement ends.
+    span.  The per-slice caches are dropped when refinement ends, also when
+    it raises.
     """
     tracer = current_tracer()
     with tracer.span("refine", signal=covers.signal) as span:
-        while True:
-            offending = _offending_parts(covers)
-            if not offending:
-                break
-            covers.refinement_rounds += 1
-            # Tier 1: restricted covers (cheap, no state enumeration).
-            fresh = [part for part in offending if not (part.restricted or part.refined)]
-            if fresh:
-                changed = 0
-                with tracer.span("restrict") as tier:
-                    for part in fresh:
-                        part.restricted = True
-                        restricted = _restrict_part(covers, part)
-                        if restricted != part.pairs and set(restricted) != set(part.pairs):
-                            part.pairs = restricted
-                            changed += 1
-                    if tier.live:
-                        tier.gauge("parts_restricted", len(fresh))
-                        tier.gauge("parts_changed", changed)
-                covers.parts_refined += changed
-                if changed:
-                    continue
-            # Tier 2: full refinement of the still-offending parts.
-            unrefined = [part for part in offending if not part.refined]
-            if not unrefined:
-                covers.csc_conflict = True
-                break
-            walked, cuts = covers.slices_walked, covers.cuts_enumerated
-            with tracer.span("exact") as tier:
-                _refine_exactly(segment, unrefined, covers)
-                if tier.live:
-                    tier.gauge("slices_walked", covers.slices_walked - walked)
-                    tier.gauge("cuts_enumerated", covers.cuts_enumerated - cuts)
-        covers._slices = {}
-        covers._check = None
+        try:
+            _refine_rounds(segment, covers)
+        finally:
+            covers._slices = {}
+            covers._check = None
         if span.live:
             span.gauge("refinement_rounds", covers.refinement_rounds)
             span.gauge("parts_refined", covers.parts_refined)
@@ -536,91 +511,104 @@ def refine_signal_covers(
     return covers
 
 
+def _refine_rounds(segment: UnfoldingSegment, covers: ApproxSignalCovers) -> None:
+    """The rounds of :func:`refine_signal_covers`, until no part offends
+    or every offending part is fully refined."""
+    tracer = current_tracer()
+    while True:
+        offending = _offending_parts(covers)
+        if not offending:
+            return
+        covers.refinement_rounds += 1
+        # Tier 1: restricted covers (cheap, no state enumeration).
+        fresh = [part for part in offending if not (part.restricted or part.refined)]
+        if fresh:
+            changed = 0
+            with tracer.span("restrict") as tier:
+                for part in fresh:
+                    part.restricted = True
+                    restricted = _restrict_part(covers, part)
+                    if restricted != part.pairs and set(restricted) != set(part.pairs):
+                        part.pairs = restricted
+                        changed += 1
+                if tier.live:
+                    tier.gauge("parts_restricted", len(fresh))
+                    tier.gauge("parts_changed", changed)
+            covers.parts_refined += changed
+            if changed:
+                continue
+        # Tier 2: full refinement of the still-offending parts.
+        unrefined = [part for part in offending if not part.refined]
+        if not unrefined:
+            covers.csc_conflict = True
+            return
+        walked, cuts = covers.slices_walked, covers.cuts_enumerated
+        with tracer.span("exact") as tier:
+            _refine_exactly(segment, unrefined, covers)
+            if tier.live:
+                tier.gauge("slices_walked", covers.slices_walked - walked)
+                tier.gauge("cuts_enumerated", covers.cuts_enumerated - cuts)
+
+
 class _OffendingCheck:
     """The off-cubes as bit slices, kept from one refinement round to the
     next.
 
-    Parts share most of their cubes, so each distinct off-cube is one
-    column of :class:`~repro.boolean.slices.CubeSlices` (bit ``k`` of
-    ``one[v]`` / ``zero[v]`` is set when column ``k`` fixes variable ``v``
-    to 1 / 0), and an off part is the mask of its cubes' columns.  Only the
-    off parts whose cubes were replaced since the last round are looked up
-    again, and only cubes never seen before are sliced, as new columns.  A
-    column whose last holder changed stays; ``live``, the OR of the off
-    parts' masks, hides it.  An on-cube's met columns are kept until new
-    columns arrive.
+    Each cube of an off part is one column of
+    :class:`~repro.boolean.slices.CubeSlices` (bit ``k`` of ``one[v]`` /
+    ``zero[v]`` is set when column ``k`` fixes variable ``v`` to 1 / 0), and
+    an off part is the mask of its columns.  Only the off parts whose cubes
+    were replaced since the last round are sliced again, as new columns;
+    their old columns stay, and ``live``, the OR of the off parts' masks,
+    hides them.
     """
 
-    __slots__ = ("slices", "columns", "sliced", "bits", "met")
+    __slots__ = ("slices", "sliced", "bits")
 
     def __init__(self, nvars: int) -> None:
         self.slices = CubeSlices(nvars, [])
-        #: distinct off-cube -> its column's bit
-        self.columns: Dict[Pair, int] = {}
-        #: off part -> the cubes it was looked up with, and their columns
+        #: off part -> the cubes it was sliced with, and their columns
         self.sliced: Dict[CoverPart, Tuple[Pair, ...]] = {}
         self.bits: Dict[CoverPart, int] = {}
-        #: on-cube -> (the column count then, the columns it met)
-        self.met: Dict[Pair, Tuple[int, int]] = {}
 
     def reslice(self, off_parts: Sequence[CoverPart]) -> int:
         """Take in the off parts' current cubes; returns ``live``."""
-        columns, sliced, bits = self.columns, self.sliced, self.bits
+        sliced, bits = self.sliced, self.bits
         new: List[Pair] = []
+        start = self.slices.everything.bit_length()
         live = 0
         for part in off_parts:
             pairs = part.pairs
             if sliced.get(part) is not pairs:
-                mask = 0
-                for pair in pairs:
-                    bit = columns.get(pair)
-                    if bit is None:
-                        bit = columns[pair] = 1 << len(columns)
-                        new.append(pair)
-                    mask |= bit
                 sliced[part] = pairs
-                bits[part] = mask
+                bits[part] = ((1 << len(pairs)) - 1) << (start + len(new))
+                new.extend(pairs)
             live |= bits[part]
-        if new:
-            slices = self.slices
-            start = len(columns) - len(new)
-            fresh = CubeSlices(len(slices.one), new)
-            for var, (one, zero) in enumerate(zip(fresh.one, fresh.zero)):
-                slices.one[var] |= one << start
-                slices.zero[var] |= zero << start
-            slices.everything = (1 << len(columns)) - 1
+        self.slices.append(new)
         return live
-
-    def meeting(self, pair: Pair) -> int:
-        """The columns an on-cube meets."""
-        count = len(self.columns)
-        known = self.met.get(pair)
-        if known is None or known[0] != count:
-            known = self.met[pair] = (count, self.slices.meeting(*pair))
-        return known[1]
 
 
 def _offending_parts(covers: ApproxSignalCovers) -> List[CoverPart]:
     """Parts whose cover intersects some part of the opposite cover.
 
-    Bit-sliced over the distinct off-cubes (:class:`_OffendingCheck`): an
-    on-cube is disjoint from exactly the off-cubes that fix one of its
-    variables to the opposite value, so the off-cubes it meets are the
-    complement of an OR over its literals.  Between rounds only the parts
-    whose cubes changed are looked up again.  The on parts come first,
-    then the off parts, each in cover order.
+    Bit-sliced over the off-cubes (:class:`_OffendingCheck`): an on-cube
+    is disjoint from exactly the off-cubes that fix one of its variables to
+    the opposite value, so the off-cubes it meets are the complement of an
+    OR over its literals.  Between rounds only the off parts whose cubes
+    changed are sliced again.  The on parts come first, then the off
+    parts, each in cover order.
     """
     check = covers._check
     if check is None:
         check = covers._check = _OffendingCheck(covers.nvars)
     live = check.reslice(covers.off_parts)
-    meeting = check.meeting
+    meeting = check.slices.meeting
     offending: List[CoverPart] = []
     met = 0
     for part in covers.on_parts:
         part_met = 0
-        for pair in part.pairs:
-            part_met |= meeting(pair)
+        for ones, zeros in part.pairs:
+            part_met |= meeting(ones, zeros)
         part_met &= live
         if part_met:
             offending.append(part)

@@ -36,7 +36,7 @@ take no part in membership or in cut walks.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import iter_set_bits, unpack_code
 from ..stg.signals import Direction
@@ -196,16 +196,6 @@ class Slice:
         return self.signal_mask_of(
             self.member_mask & self.segment.events_concurrent_with_event(event)
         )
-
-    def concurrent_signal_mask_with_condition(
-        self, condition: Condition, exclude_events: Sequence[Event] = ()
-    ) -> int:
-        """Signal mask of slice instances concurrent to the given condition,
-        ignoring the instances in ``exclude_events``."""
-        candidates = self.member_mask & self.segment.events_concurrent_with_condition(condition)
-        for event in exclude_events:
-            candidates &= ~(1 << event.eid)
-        return self.signal_mask_of(candidates)
 
     # ------------------------------------------------------------------ #
     # Exact state enumeration (Section 4.1)

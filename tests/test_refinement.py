@@ -53,6 +53,7 @@ from repro.synthesis import (
     exact_signal_covers,
     synthesize_approx_from_unfolding,
 )
+from repro.synthesis import unfolding_approx
 from repro.synthesis.unfolding_approx import (
     _offending_parts,
     _restrict_part,
@@ -133,18 +134,20 @@ def _same_parts(left: List[CoverPart], right: List[CoverPart]) -> bool:
 # ---------------------------------------------------------------------- #
 # (a) bit-sliced offending check == all pairs
 # ---------------------------------------------------------------------- #
+def _random_cube(rng: random.Random, pool: List[int]):
+    ones = zeros = 0
+    for var in rng.sample(pool, rng.randint(0, min(len(pool), 5))):
+        if rng.random() < 0.5:
+            ones |= 1 << var
+        else:
+            zeros |= 1 << var
+    return ones, zeros
+
+
 def _random_parts(rng: random.Random, nvars: int, pool: List[int]) -> List[CoverPart]:
     parts = []
     for _ in range(rng.randint(0, 5)):
-        cubes = []
-        for _ in range(rng.randint(0, 4)):
-            ones = zeros = 0
-            for var in rng.sample(pool, rng.randint(0, min(len(pool), 5))):
-                if rng.random() < 0.5:
-                    ones |= 1 << var
-                else:
-                    zeros |= 1 << var
-            cubes.append((ones, zeros))
+        cubes = [_random_cube(rng, pool) for _ in range(rng.randint(0, 4))]
         parts.append(CoverPart("mr", None, None, nvars, tuple(dict.fromkeys(cubes))))
     return parts
 
@@ -164,6 +167,62 @@ def test_bit_sliced_check_matches_all_pairs_on_random_covers(nvars):
         assert _same_parts(_offending_parts(covers), expected)
         nonempty += bool(expected)
     assert 0 < nonempty < 300
+
+
+def _replace_cubes(rng: random.Random, parts: List[CoverPart], pool: List[int]) -> None:
+    """Give about half the parts new cubes, as refinement does: fewer
+    cubes, more cubes (new ones or another part's), an equal copy, or
+    another part's very tuple."""
+    for part in parts:
+        roll = rng.random()
+        if roll < 0.5:
+            continue
+        if roll < 0.6:
+            part.pairs = rng.choice(parts).pairs
+        elif roll < 0.65:
+            part.pairs = tuple(list(part.pairs))
+        elif roll < 0.8:
+            part.pairs = tuple(pair for pair in part.pairs if rng.random() < 0.5)
+        else:
+            added = [_random_cube(rng, pool) for _ in range(rng.randint(0, 2))]
+            added += rng.choice(parts).pairs
+            part.pairs = tuple(dict.fromkeys(part.pairs + tuple(added)))
+
+
+@pytest.mark.parametrize("nvars", [3, 64, 65, 130])
+def test_bit_sliced_check_follows_cubes_replaced_between_rounds(nvars):
+    """One check kept over several rounds, with cubes replaced in between,
+    finds what the all-pairs comparison finds on every round: rounds that
+    slice some off parts again and keep the others, columns left behind
+    by a part's old cubes, and parts holding the same tuple all come up."""
+    rng = random.Random(nvars)
+    hidden = partial = shared = nonempty = 0
+    for _ in range(100):
+        pool = sorted(set(rng.sample(range(nvars), min(nvars, 6))) | {nvars - 1})
+        on_parts = _random_parts(rng, nvars, pool)
+        off_parts = _random_parts(rng, nvars, pool)
+        covers = ApproxSignalCovers("x", on_parts, off_parts, nvars)
+        for _round in range(5):
+            check = covers._check
+            if check is not None:
+                # Some off parts are sliced again, the others keep theirs.
+                kept = [check.sliced[part] is part.pairs for part in off_parts]
+                partial += any(kept) and not all(kept)
+            expected = reference_offending_parts(covers)
+            found = _offending_parts(covers)
+            assert found == [part for part in on_parts + off_parts if part in expected]
+            nonempty += bool(expected)
+            check = covers._check
+            held = 0
+            for part in off_parts:
+                held |= check.bits[part]
+            hidden += held != check.slices.everything
+            tuples = [id(part.pairs) for part in off_parts if part.pairs]
+            shared += len(tuples) != len(set(tuples))
+            _replace_cubes(rng, on_parts, pool)
+            _replace_cubes(rng, off_parts, pool)
+    assert 0 < nonempty < 500
+    assert hidden and partial and shared
 
 
 def test_bit_sliced_check_on_empty_covers_and_part_lists():
@@ -240,6 +299,26 @@ def test_refinement_matches_reference_flow(name, build):
         # Each continuing round flags some part for the first time.
         parts = len(fast.on_parts) + len(fast.off_parts)
         assert fast.refinement_rounds <= 2 * parts + 1, signal
+
+
+def test_refinement_drops_the_slice_caches_when_it_raises(monkeypatch):
+    stg = muller_pipeline(3)
+    segment = unfold(stg)
+
+    def fail(covers, part):
+        raise RuntimeError("tier 1 failed")
+
+    monkeypatch.setattr(unfolding_approx, "_restrict_part", fail)
+    raised = 0
+    for signal in stg.implementable_signals:
+        covers = approximate_signal_covers(segment, signal)
+        assert covers._slices
+        try:
+            refine_signal_covers(segment, covers)
+        except RuntimeError:
+            raised += 1
+        assert covers._slices == {} and covers._check is None
+    assert raised
 
 
 @pytest.mark.parametrize("name, build", REFERENCE, ids=_ids(REFERENCE))
@@ -489,6 +568,7 @@ def test_relation_masks_match_the_relations(name, build):
 @pytest.mark.parametrize("name, build", MASKS, ids=_ids(MASKS))
 def test_slice_masks_match_the_member_loops(name, build):
     segment = unfold(build())
+    nvars = len(segment.stg.signals)
     for signal in segment.stg.signals:
         for phase in (0, 1):
             for slice_ in slices_for_signal(segment, signal, phase):
@@ -501,18 +581,19 @@ def test_slice_masks_match_the_member_loops(name, build):
                     assert slice_.concurrent_signal_mask_with_event(
                         event
                     ) == reference_concurrent_signal_mask_with_event(segment, members, event)
+                cubes = _SliceCubes(slice_, nvars)
                 for condition in segment.conditions:
-                    concurrent = [
-                        member
+                    concurrent = sum(
+                        1 << member.eid
                         for member in members
                         if segment.event_co_mask(member) >> condition.cid & 1
-                    ]
-                    for excluded in ((), concurrent[:1], concurrent[1:]):
-                        assert slice_.concurrent_signal_mask_with_condition(
-                            condition, excluded
-                        ) == reference_concurrent_signal_mask_with_condition(
-                            segment, members, condition, excluded
-                        )
+                    )
+                    assert cubes.concurrent(condition) == (
+                        concurrent,
+                        reference_concurrent_signal_mask_with_condition(
+                            segment, members, condition
+                        ),
+                    )
 
 
 @pytest.mark.parametrize("name, build", MASKS, ids=_ids(MASKS))

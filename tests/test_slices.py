@@ -90,6 +90,24 @@ def test_meeting_lists_the_cubes_sharing_a_point(data):
     assert CubeSlices(nvars, pairs).meeting(*cube) == expected
 
 
+@given(st.data())
+@SETTINGS
+def test_appended_cubes_slice_as_one_list(data):
+    nvars = data.draw(st.sampled_from(WIDTHS))
+    batches = data.draw(st.lists(st.lists(cube_pairs(nvars, 5), max_size=6), max_size=4))
+    slices = CubeSlices(nvars, [])
+    pairs = []
+    for batch in batches:
+        slices.append(batch)
+        pairs += batch
+        whole = CubeSlices(nvars, pairs)
+        assert (slices.one, slices.zero, slices.everything) == (
+            whole.one,
+            whole.zero,
+            whole.everything,
+        )
+
+
 @pytest.mark.parametrize("nvars", WIDTHS)
 def test_expand_corner_cases(nvars):
     rng = random.Random(nvars)
